@@ -33,6 +33,7 @@ terms; only ``mse`` carries the sigma^2 factor.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Literal
 
@@ -89,7 +90,7 @@ class Codebook:
         ls = []
         for name in ("l1", "l2", "l3", "l4"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or math.isnan(v):
+            if not isinstance(v, numbers.Real) or math.isnan(v):
                 raise ParameterError(f"{name} must be a number, got {v!r}")
             ls.append(float(v))
             object.__setattr__(self, name, float(v))

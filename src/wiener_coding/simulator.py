@@ -35,7 +35,13 @@ reference experiments use mu*eps ~ 0.1).
 
 Benchmarks: the uniform scheme is the same engine with all lengths 2; the
 ideal scheme samples the exact real value whenever |W - ref| >= a with the
-channel free and delivers it after exactly one time unit.
+channel free and delivers it after exactly one time unit.  All three schemes
+run through one cycle loop.
+
+The path is never held in full: it is generated in blocks into a reused
+window that keeps only the points from the current cycle start on, so memory
+is bounded by the longest cycle, not by the horizon.  The block size does not
+change any result.
 """
 
 from __future__ import annotations
@@ -43,11 +49,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy import stats as _stats
+from scipy.special import chdtrc
 
 from .errors import HorizonError, ParameterError, WienerCodingError
 from .gauss_stats import ThresholdConfig, event_probabilities
@@ -84,8 +91,17 @@ class SimConfig:
     log_cycles: bool = False
 
     def __post_init__(self) -> None:
-        if self.eps <= 0:
-            raise ParameterError(f"eps must be > 0, got {self.eps}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ParameterError(f"eps must be finite and > 0, got {self.eps}")
+        if not math.isfinite(self.horizon):
+            raise ParameterError(f"horizon must be finite, got {self.horizon}")
+        if self.horizon / self.eps >= 2.0 ** 53:
+            # grid indices and times are computed in floats; beyond 2**53 they are inexact
+            raise ParameterError(
+                f"horizon / eps = {self.horizon / self.eps:g} grid steps; need < 2**53"
+            )
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ParameterError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.scheme not in (MONOTONE, UNIFORM, IDEAL):
             raise ParameterError(f"unknown scheme {self.scheme!r}")
         if self.replications < 1:
@@ -182,8 +198,10 @@ class CycleLog:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(_CSV_COLUMNS)
-            for r in self.records():
-                writer.writerow([r.s_n, r.d_n, r.event, r.z_n, r.length])
+            eps = self.eps
+            s_n = [s * eps for s in self.s_idx]
+            d_n = [d * eps for d in self.d_idx]
+            writer.writerows(zip(s_n, d_n, self.event, self.z, self.length))
 
 
 @dataclass
@@ -265,83 +283,149 @@ class _RepOutcome:
     log: CycleLog | None
 
 
-def _first_band_crossing(w, ref, start, last, athr, bthr):
-    """First index in [start, last] with w - ref >= athr or <= -bthr.
+# Grid points in a fresh path window; doubled when one cycle spans more.
+_BLOCK = 1 << 17
 
-    Returns (index, went_up); (-1, False) when no crossing exists.  Ties at
-    a single index (possible only when athr = bthr = 0) resolve upward.
+
+class _PathWindow:
+    """Grid points of one replication's Wiener path, generated block by block.
+
+    Holds w[base:end] in a reused buffer.  A read past ``end`` keeps only the
+    points from the earliest index the caller still needs (the current cycle
+    start; at least the last point, which carries the running sum), moves
+    them to the front and refills the rest.  The buffer doubles only when one
+    cycle spans all of it, so memory follows the longest cycle, not the
+    horizon.  Refills draw and sum in the same order as one full-length draw
+    and cumsum, so the path does not depend on the block size.
     """
-    up_level = ref + athr
-    dn_level = ref - bthr
-    j0 = start
-    chunk = 512
-    while j0 <= last:
-        j1 = min(j0 + chunk, last + 1)
-        seg = w[j0:j1]
-        hit = (seg >= up_level) | (seg <= dn_level)
-        k = int(np.argmax(hit))
-        if hit[k]:
-            return j0 + k, bool(seg[k] >= up_level)
-        j0 = j1
-        chunk = min(chunk * 2, 1 << 16)
-    return -1, False
+
+    def __init__(self, rng, n_steps: int, step_sd: float):
+        self.rng = rng
+        self.last = n_steps
+        self.step_sd = step_sd
+        size = min(_BLOCK, n_steps + 1)
+        self.buf = np.zeros(size)
+        self.offsets = np.arange(size, dtype=float)  # j - d for the sloped lines
+        self.base = 0
+        self.end = 1  # w[0] = 0
+        self._fill()
+
+    def _fill(self) -> None:
+        n = self.end - self.base
+        count = min(self.buf.size - n, self.last + 1 - self.end)
+        if count == 0:
+            return
+        block = self.buf[n:n + count]
+        self.rng.standard_normal(out=block)
+        block *= self.step_sd
+        block[0] += self.buf[n - 1]
+        np.cumsum(block, out=block)
+        self.end += count
+
+    def _extend(self, keep: int) -> bool:
+        """Drop points before ``keep`` and generate more; False past the horizon."""
+        if self.end > self.last:
+            return False
+        keep = min(keep, self.end - 1)
+        live = self.buf[keep - self.base:self.end - self.base]
+        if live.size == self.buf.size:
+            self.buf = np.empty(2 * live.size)
+            self.offsets = np.arange(self.buf.size, dtype=float)
+        self.buf[:live.size] = live
+        self.base = keep
+        self._fill()
+        return True
+
+    def at(self, i: int) -> float:
+        while i >= self.end:
+            self._extend(i)
+        return float(self.buf[i - self.base])
+
+    def span(self, lo: int, hi: int) -> np.ndarray:
+        """View of w[lo:hi]."""
+        while hi > self.end:
+            self._extend(lo)
+        return self.buf[lo - self.base:hi - self.base]
+
+    def _chunks(self, keep, j0):
+        """Yield (j0, w[j0:j0 + size]) in growing chunks up to the horizon."""
+        chunk = 512
+        while True:
+            while j0 >= self.end:
+                if not self._extend(keep):
+                    return
+            seg = self.buf[j0 - self.base:min(j0 + chunk, self.end) - self.base]
+            yield j0, seg
+            j0 += seg.size
+            chunk = min(chunk * 2, 1 << 16)
+
+    def band_crossing(self, ref, keep, start, athr, bthr):
+        """First index >= start with w >= ref + athr or w <= ref - bthr.
+
+        Returns (index, went_up); (-1, False) when no crossing exists.  Ties at
+        a single index (possible only when athr = bthr = 0) resolve upward.
+        """
+        up_level = ref + athr
+        dn_level = ref - bthr
+        for j0, seg in self._chunks(keep, start):
+            hit = (seg >= up_level) | (seg <= dn_level)
+            k = int(hit.argmax())
+            if hit[k]:
+                return j0 + k, bool(seg[k] >= up_level)
+        return -1, False
+
+    def sloped_crossing(self, ref, d, thr0, mu_eps, upward):
+        """First index after d where the sloped threshold catches the process.
+
+        Upward event: process above, crossing when w - ref <= thr0 + mu_eps*(j-d).
+        Downward event: w - ref >= -(thr0 + mu_eps*(j-d)).  -1 when none.
+        """
+        for j0, seg in self._chunks(d, d + 1):
+            x = seg - ref
+            line = thr0 + mu_eps * self.offsets[j0 - d:j0 - d + seg.size]
+            hit = (x <= line) if upward else (x >= -line)
+            k = int(hit.argmax())
+            if hit[k]:
+                return j0 + k
+        return -1
 
 
-def _first_sloped_crossing(w, ref, d, start, last, thr0, mu_eps, upward):
-    """First index where the sloped threshold catches the process.
+def _run_once(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
+    """One replication of any scheme.
 
-    Upward event: process above, crossing when w - ref <= thr0 + mu_eps*(j-d).
-    Downward event: w - ref >= -(thr0 + mu_eps*(j-d)).
+    The ideal scheme is the band scan started at the cycle start itself, with
+    +-a on every cycle, the real-valued sample decoded, and unit delay.
     """
-    j0 = start
-    chunk = 512
-    while j0 <= last:
-        j1 = min(j0 + chunk, last + 1)
-        seg = w[j0:j1] - ref
-        line = thr0 + mu_eps * np.arange(j0 - d, j1 - d)
-        hit = (seg <= line) if upward else (seg >= -line)
-        k = int(np.argmax(hit))
-        if hit[k]:
-            return j0 + k
-        j0 = j1
-        chunk = min(chunk * 2, 1 << 16)
-    return -1
-
-
-def _wiener_path(rng, n_steps: int, eps: float, sigma2: float) -> np.ndarray:
-    w = np.empty(n_steps + 1)
-    w[0] = 0.0
-    incr = rng.standard_normal(n_steps)
-    incr *= math.sqrt(sigma2 * eps)
-    np.cumsum(incr, out=w[1:])
-    return w
-
-
-def _run_monotone_once(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
-    cfg, cb, eps = sim.cfg, sim.cb, sim.eps
+    cfg, eps = sim.cfg, sim.eps
+    ideal = sim.scheme == IDEAL
+    lens = (1.0, 1.0, 1.0, 1.0) if ideal else sim.cb.lengths
     n_steps = int(round(sim.horizon / eps))
     burn_idx = int(round(sim.burn_in_frac * n_steps))
-    w = _wiener_path(rng, n_steps, eps, cfg.sigma2)
-    a, b, mu = cfg.a, cfg.b, cfg.mu
+    w = _PathWindow(rng, n_steps, math.sqrt(cfg.sigma2 * eps))
+    a, b, mu = cfg.a, (cfg.a if ideal else cfg.b), cfg.mu
     mu_eps = mu * eps
-    len_idx = [int(round(l / eps)) if math.isfinite(l) else -1 for l in cb.lengths]
+    len_idx = [int(round(l / eps)) if math.isfinite(l) else -1 for l in lens]
 
     ref = 0.0
     d = 0
-    l_prev = cb.l2
+    l_prev = lens[1]
     reward = 0.0
     duration = 0.0
-    n_cycles = 0
-    counts = np.zeros(4, dtype=np.int64)
-    lengths: list[float] = []
+    events = bytearray()
     log = CycleLog(eps) if log_cycles else None
 
     while d < n_steps:
         athr = a * math.sqrt(l_prev) if a > 0.0 else 0.0
         bthr = b * math.sqrt(l_prev) if b > 0.0 else 0.0
-        x = w[d] - ref
-        if -bthr < x < athr:
-            j, went_up = _first_band_crossing(w, ref, d + 1, n_steps, athr, bthr)
+        x = w.at(d) - ref
+        if ideal:
+            # channel free from d onward; sample as soon as |W - ref| >= a
+            j, went_up = w.band_crossing(ref, d, d, athr, bthr)
+            if j < 0:
+                break
+            event, z = (2 if went_up else 3), w.at(j) - ref
+        elif -bthr < x < athr:
+            j, went_up = w.band_crossing(ref, d, d + 1, athr, bthr)
             if j < 0:
                 break
             if went_up:
@@ -351,7 +435,7 @@ def _run_monotone_once(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
         else:
             upward = x >= athr  # boundary goes to the sloped event (tau = 0 limit)
             thr0 = athr if upward else bthr
-            j = _first_sloped_crossing(w, ref, d, d + 1, n_steps, thr0, mu_eps, upward)
+            j = w.sloped_crossing(ref, d, thr0, mu_eps, upward)
             if j < 0:
                 break
             tau_hat = (j - d) * eps
@@ -368,71 +452,28 @@ def _run_monotone_once(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
         if d_new > n_steps:
             break
         if d >= burn_idx:
-            err = w[d:d_new] - ref
+            err = w.span(d, d_new) - ref
             sq = float(np.add.reduce(err * err)) * eps
             dur = (d_new - d) * eps
             reward += sq
             duration += dur
-            n_cycles += 1
-            counts[event - 1] += 1
-            lengths.append(cb.lengths[event - 1])
+            events.append(event)
             if log is not None:
-                log.append(j, d_new, event, z, cb.lengths[event - 1], ref + z, sq, dur)
+                log.append(j, d_new, event, z, lens[event - 1], ref + z, sq, dur)
         ref += z
-        l_prev = cb.lengths[event - 1]
+        l_prev = lens[event - 1]
         d = d_new
-    return _RepOutcome(reward, duration, n_cycles, counts, np.array(lengths), log)
-
-
-def _run_ideal_once(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
-    cfg, eps = sim.cfg, sim.eps
-    n_steps = int(round(sim.horizon / eps))
-    burn_idx = int(round(sim.burn_in_frac * n_steps))
-    w = _wiener_path(rng, n_steps, eps, cfg.sigma2)
-    a = cfg.a
-    delay = int(round(1.0 / eps))
-
-    ref = 0.0
-    d = 0
-    reward = 0.0
-    duration = 0.0
-    n_cycles = 0
-    counts = np.zeros(4, dtype=np.int64)
-    lengths: list[float] = []
-    log = CycleLog(eps) if log_cycles else None
-
-    while d < n_steps:
-        # channel free from d onward; sample as soon as |W - ref| >= a
-        j, went_up = _first_band_crossing(w, ref, d, n_steps, a, a)
-        if j < 0:
-            break
-        d_new = j + delay
-        if d_new > n_steps:
-            break
-        z = float(w[j] - ref)
-        event = 2 if went_up else 3
-        if d >= burn_idx:
-            err = w[d:d_new] - ref
-            sq = float(np.add.reduce(err * err)) * eps
-            dur = (d_new - d) * eps
-            reward += sq
-            duration += dur
-            n_cycles += 1
-            counts[event - 1] += 1
-            lengths.append(1.0)
-            if log is not None:
-                log.append(j, d_new, event, z, 1.0, ref + z, sq, dur)
-        ref += z
-        d = d_new
-    return _RepOutcome(reward, duration, n_cycles, counts, np.array(lengths), log)
+    codes = np.frombuffer(events, dtype=np.uint8)
+    counts = np.bincount(codes, minlength=5)[1:]
+    lengths = np.array(lens)[codes - 1]
+    return _RepOutcome(reward, duration, len(events), counts, lengths, log)
 
 
 def _run_replicated(sim: SimConfig) -> SimulationReport:
-    runner = _run_ideal_once if sim.scheme == IDEAL else _run_monotone_once
     outcomes: list[_RepOutcome] = []
     for rep in range(sim.replications):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=sim.seed, spawn_key=(rep,)))
-        out = runner(sim, rng, sim.log_cycles and rep == 0)
+        out = _run_once(sim, rng, sim.log_cycles and rep == 0)
         if out.n_cycles == 0:
             raise HorizonError(
                 f"replication {rep}: no complete cycle after burn-in; horizon too short"
@@ -506,7 +547,7 @@ def length_independence_test(
     mask = expected > 0
     statistic = float((((table - expected) ** 2)[mask] / expected[mask]).sum())
     dof = (k - 1) * (k - 1)
-    p_value = float(_stats.chi2.sf(statistic, dof))
+    p_value = float(chdtrc(dof, statistic))
     return IndependenceResult(
         statistic=statistic,
         dof=dof,

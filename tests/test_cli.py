@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import wiener_coding
 from wiener_coding import Codebook, ThresholdConfig, mse_large_mu
 from wiener_coding.cli import main
 
@@ -123,6 +127,31 @@ class TestSimulate:
              "--seed", "3", "--reps", "1"]
         )
         assert rc == 4
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--eps", "nan"), ("--eps", "inf"), ("--eps", "1e-300"), ("--horizon", "nan"),
+        ("--horizon", "inf"), ("--seed", "-1"),
+    ])
+    def test_bad_numbers_exit_code(self, tmp_path, flag, value, capsys):
+        args = list(self.ARGS)
+        args[args.index(flag) + 1] = value
+        out = tmp_path / "rep.json"
+        assert main(args + ["--out", str(out)]) == 2
+        assert flag[2:] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("module", ["wiener_coding", "wiener_coding.cli"])
+    def test_python_dash_m(self, tmp_path, module):
+        via_main = tmp_path / "main.json"
+        assert main(self.ARGS + ["--out", str(via_main)]) == 0
+        out = tmp_path / "m.json"
+        src = str(Path(wiener_coding.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-m", module, *self.ARGS, "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == via_main.read_bytes()
 
     def test_benchmark_scheme(self, tmp_path):
         out = tmp_path / "ideal.json"

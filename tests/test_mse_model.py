@@ -47,6 +47,18 @@ class TestCodebook:
         with pytest.raises(ParameterError):
             Codebook(1, 2, 3, 4, mode="huffman")
 
+    def test_accepts_numpy_scalars(self):
+        cb = Codebook.integer(*[np.int64(2)] * 4)
+        assert cb.lengths == (2.0, 2.0, 2.0, 2.0)
+        assert all(type(v) is float for v in cb.lengths)
+        assert Codebook.relaxed(*[np.float32(1.5)] * 4).l1 == 1.5
+
+    def test_rejects_nan_and_non_numbers(self):
+        with pytest.raises(ParameterError):
+            Codebook.relaxed(1, np.float64("nan"), 2, 2)
+        with pytest.raises(ParameterError):
+            Codebook.relaxed(1, "2", 2, 2)
+
 
 class TestLargeMu:
     def test_zero_threshold_anchor(self):

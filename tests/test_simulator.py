@@ -1,7 +1,12 @@
+import csv
+import hashlib
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import oracles
 from wiener_coding import (
@@ -18,6 +23,7 @@ from wiener_coding import (
     run,
     run_benchmark,
 )
+from wiener_coding import simulator
 from wiener_coding.mse_model import INTEGER
 
 UNIT2 = Codebook.uniform(2, mode=INTEGER)
@@ -65,6 +71,25 @@ class TestSimConfigValidation:
         s = sim_cfg(scheme="uniform-benchmark", cb=None)
         assert s.cb.lengths == (2.0, 2.0, 2.0, 2.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps(self, eps):
+        with pytest.raises(ParameterError):
+            sim_cfg(eps=eps)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_non_finite_horizon(self, horizon):
+        with pytest.raises(ParameterError):
+            sim_cfg(horizon=horizon)
+
+    def test_grid_steps_below_2_pow_53(self):
+        with pytest.raises(ParameterError):
+            sim_cfg(eps=1e-300)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ParameterError):
+            sim_cfg(seed=seed)
+
 
 class TestDeterminism:
     def test_same_seed_identical(self):
@@ -82,6 +107,121 @@ class TestDeterminism:
         a = run(sim_cfg(seed=1))
         b = run(sim_cfg(seed=2))
         assert a.mse_hat != b.mse_hat
+
+
+def _digest(seqs) -> str:
+    h = hashlib.sha256()
+    for seq in seqs:
+        h.update(np.asarray(seq, dtype=np.float64).tobytes())
+        h.update(b"|")
+    return h.hexdigest()
+
+
+GOLDEN_CONFIGS = {
+    "monotone": dict(horizon=600.0, cb=Codebook.integer(1, 3, 4, 5), seed=11, replications=2),
+    "ideal": dict(horizon=300.0, scheme="ideal-benchmark", cb=None, seed=12, replications=2),
+    "origin": dict(a=0.0, b=0.0, horizon=200.0, cb=Codebook.integer(1, math.inf, math.inf, 1),
+                   seed=13, replications=2),
+}
+
+
+def _golden_run(name, **kw):
+    sim = sim_cfg(**GOLDEN_CONFIGS[name], **kw)
+    return (run_benchmark if sim.scheme == "ideal-benchmark" else run)(sim)
+
+
+class TestGolden:
+    """Reports pinned to exact values: any change to the path, the crossing
+    scans or the accumulation order shows here."""
+
+    SPEC = dict(a=1.0, b=1.0, burn_in_frac=0.01, eps=0.01, mu=10.0, replications=2,
+                sigma2=1.0)
+    EXPECTED = {
+        "monotone": (
+            dict(horizon=600.0, lengths=[1.0, 3.0, 4.0, 5.0], scheme="monotone", seed=11),
+            {
+                "event_counts": {"1": 35, "2": 91, "3": 83, "4": 34},
+                "mse_ci": 0.25927891016782173,
+                "mse_hat": 4.8344526679197095,
+                "n_cycles": 243,
+                "rep_mse": [4.966737826168598, 4.70216750967082],
+                "rep_sr": [0.20821695190696274, 0.20483058803447993],
+                "sr_ci": 0.003318636595033155,
+                "sr_hat": 0.20652376997072133,
+                "total_time": 1176.5799999999992,
+            },
+            [123, 120],
+            "8aae33d5b43ebe8dc8a9ab3e5046fc12316d05f1e96ab7077e96afbf5ff58cd6",
+        ),
+        "ideal": (
+            dict(horizon=300.0, lengths=None, scheme="ideal-benchmark", seed=12),
+            {
+                "event_counts": {"1": 0, "2": 184, "3": 199, "4": 0},
+                "mse_ci": 0.208280674316347,
+                "mse_hat": 1.4497642013313463,
+                "n_cycles": 383,
+                "rep_mse": [1.5560298514927478, 1.3434985511699447],
+                "rep_sr": [0.6454883406556269, 0.6501642341945754],
+                "sr_ci": 0.004582375668169512,
+                "sr_hat": 0.6478262874251011,
+                "total_time": 591.21,
+            },
+            [191, 192],
+            "26ab2730b5090d2e64fcf157a806f36d691d49d8a0b91597cd6f97e414056a4e",
+        ),
+        "origin": (
+            dict(a=0.0, b=0.0, horizon=200.0, lengths=[1.0, None, None, 1.0], scheme="monotone",
+                 seed=13),
+            {
+                "event_counts": {"1": 191, "2": 0, "3": 0, "4": 173},
+                "mse_ci": 0.14042760767367427,
+                "mse_hat": 1.5692621578698183,
+                "n_cycles": 364,
+                "rep_mse": [1.4976154192608009, 1.6409088964788359],
+                "rep_sr": [0.9234828496042219, 0.9221259563256828],
+                "sr_ci": 0.0013297554129682696,
+                "sr_hat": 0.9228044029649524,
+                "total_time": 394.44999999999993,
+            },
+            [182, 182],
+            "56eacf8daf013680d31510ce839b6c53911509d6e203bde0586ffba8f9ec0f2c",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(GOLDEN_CONFIGS))
+    def test_report_and_lengths(self, name):
+        spec, results, n_lengths, digest = self.EXPECTED[name]
+        rep = _golden_run(name)
+        assert rep.to_json_dict() == {"spec": {**self.SPEC, **spec}, "results": results}
+        assert [len(seq) for seq in rep.length_sequences] == n_lengths
+        assert _digest(rep.length_sequences) == digest
+
+
+class TestPathWindow:
+    @pytest.mark.parametrize("name", list(GOLDEN_CONFIGS))
+    def test_block_size_does_not_change_reports(self, name, monkeypatch):
+        # a 64-point window refills, shifts and doubles many times per run
+        def snapshot():
+            rep = _golden_run(name, log_cycles=True)
+            c = rep.cycles
+            return (rep.to_json_dict(), _digest(rep.length_sequences),
+                    (c.s_idx, c.d_idx, c.event, c.z, c.length, c.w_hat, c.reward, c.duration))
+
+        want = snapshot()
+        monkeypatch.setattr(simulator, "_BLOCK", 64)
+        assert snapshot() == want
+
+    def test_memory_does_not_grow_with_horizon(self):
+        def peak(horizon):
+            tracemalloc.start()
+            try:
+                run(sim_cfg(horizon=horizon))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(1e4), peak(1e5)
+        assert long <= 1.25 * short
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +270,17 @@ class TestCycleInvariants:
         r = next(log.records())
         assert r.d_n == r.d_idx * eps
         assert r.s_n == r.s_idx * eps
+
+    def test_csv_matches_records(self, logged, tmp_path):
+        rep, _ = logged
+        out = tmp_path / "cycles.csv"
+        rep.cycles.to_csv(out)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["s_n", "d_n", "event", "z_n", "length"])
+        for r in rep.cycles.records():
+            writer.writerow([r.s_n, r.d_n, r.event, r.z_n, r.length])
+        assert out.read_bytes() == want.getvalue().encode()
 
     def test_renewal_reward_identity(self, logged):
         rep, _ = logged
@@ -269,3 +420,4 @@ class TestIndependence:
         res = length_independence_test(rep, min_cycles=5000)
         assert res.p_value > 0.01
         assert res.dof == 9
+        assert res.p_value == stats.chi2.sf(res.statistic, res.dof)
