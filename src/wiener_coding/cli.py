@@ -28,6 +28,7 @@ from .code_optimizer import (
     dinkelbach_solve,
     integer_oracle,
     optimize_threshold,
+    threshold_grid,
 )
 from .errors import (
     HorizonError,
@@ -86,8 +87,6 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as e:
         raise ParameterError(f"--grid: could not parse {text!r}: {e}") from None
-    if not (0 <= lo < hi and step > 0):
-        raise ParameterError(f"--grid: need 0 <= lo < hi and step > 0, got {text!r}")
     return lo, hi, step
 
 
@@ -149,15 +148,6 @@ class _Resolver:
         if v is None:
             raise ParameterError(f"missing required parameter --{key}")
         return v
-
-
-def _grid_points(grid: tuple[float, float, float]) -> list[float]:
-    lo, hi, step = grid
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    vals = [lo + i * step for i in range(n)]
-    if vals[-1] < hi - 1e-12:
-        vals.append(hi)
-    return vals
 
 
 def _resolve_out(path: str | None) -> Path | None:
@@ -226,7 +216,7 @@ def cmd_analyze(res: _Resolver, force: bool) -> int:
         b = _parse_float("b", res.require("b"))
         points = [(a, b)]
     else:
-        points = [(a, a) for a in _grid_points(_parse_grid(res.require("grid")))]
+        points = [(a, a) for a in threshold_grid(_parse_grid(res.require("grid")))]
     rows = []
     for a, b in points:
         cfg = _cfg_from(res, a, b)
@@ -328,14 +318,14 @@ def cmd_simulate(res: _Resolver, force: bool, cycles_out: str | None) -> int:
 
 
 def cmd_sweep(res: _Resolver, force: bool, simulate: bool) -> int:
-    grid = _parse_grid(res.require("grid"))
+    grid = threshold_grid(_parse_grid(res.require("grid")))
     fmaxes = _parse_fmax_list(res.require("fmax"))
     mu = _parse_float("mu", res.require("mu"))
     rows = []
     any_feasible = False
     for fmax in fmaxes:
         rc = RateConstraint(fmax)
-        for a in _grid_points(grid):
+        for a in grid:
             cfg = ThresholdConfig(a, a, mu)
             row: dict = {"fmax": fmax, "a": a}
             try:

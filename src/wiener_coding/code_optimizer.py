@@ -6,15 +6,17 @@ The relaxed problem (real lengths, symmetric a = b so l1 = l4, l2 = l3) is
     subject to 2^-l1 + 2^-l2 <= 1/2            (reduced Kraft)
                E_P[L] >= 1/(D*f_max)           (sampling-rate floor)
 
-solved by Dinkelbach linearization: bisection on theta over the parametric
-problem  min  l'Ql - q_theta'l  with
+solved by Dinkelbach's method on the parametric problem
+J(theta) = min  l'Ql - q_theta'l  with
 
     Q = [[2Kp1 + 4p1pt1, 2(p1pt2 + p2pt1)],
          [2(p1pt2 + p2pt1), 2Kp2 + 4p2pt2]],   q_theta = (2 theta p1, 2 theta p2).
 
 Q is derived directly from the objective under the symmetry reduction (its
 bottom-right entry is K*p2 + 2*p2*pt2 before the global factor 2, mirroring
-the top-left) and is verified positive semi-definite at build time.
+the top-left) and is verified positive semi-definite at build time.  l'Ql is
+E_P[L] times the fractional objective and q_theta'l is theta*E_P[L], so the
+root of J is the optimal value theta*.
 
 Each parametric QP is solved by enumerating the four constraint-activity
 patterns; every pattern reduces to a linear solve or a 1-D convex
@@ -30,11 +32,10 @@ the best grid point; ties resolve to the smallest a.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     InfeasibleError,
@@ -65,7 +66,9 @@ LENGTH_CAP = 64.0
 
 _LN2 = math.log(2.0)
 _J_TOL = 1e-9
-_BRACKET_TOL = 1e-10
+_MAX_DINKELBACH_STEPS = 50
+_THETA_RISE_TOL = 1e-12
+_MAX_GRID_POINTS = 10**6
 _DUAL_TOL = 1e-9
 _PRIMAL_TOL = 1e-9
 _SLACK_TOL = 1e-6
@@ -196,20 +199,6 @@ def build_qp(cfg: ThresholdConfig, theta: float, rc: RateConstraint) -> QpInstan
     )
 
 
-def _with_theta(inst: QpInstance, theta: float) -> QpInstance:
-    p1, p2 = inst.p
-    return QpInstance(
-        Q=inst.Q,
-        q_theta=np.array([2 * theta * p1, 2 * theta * p2]),
-        kraft_bound=inst.kraft_bound,
-        rate_bound=inst.rate_bound,
-        p=inst.p,
-        p_tilde=inst.p_tilde,
-        k=inst.k,
-        d=inst.d,
-    )
-
-
 def _kraft_partner(l: float, bound: float) -> float:
     """Length pairing with l on the Kraft boundary; inf if it does not bind."""
     rem = bound - 2.0**-l
@@ -327,6 +316,8 @@ def _pattern_kraft(inst: QpInstance) -> list[QpSolution]:
     than once, so every sign change is refined and the curve endpoints
     (one length at the cap) are always offered as capped candidates.
     """
+    from scipy.optimize import brentq  # deferred: the package import stays free of it
+
     bound = inst.kraft_bound
     (q11, q12), (_, q22) = inst.Q
     qt1, qt2 = inst.q_theta
@@ -370,6 +361,7 @@ def _pattern_both(inst: QpInstance) -> list[QpSolution]:
     """Intersection of the Kraft curve and the rate line (0, 1 or 2 points)."""
     if inst.rate_bound <= 0:
         return []
+    from scipy.optimize import brentq
     p1, p2 = inst.p
     if p2 == 0.0:
         return []
@@ -446,41 +438,42 @@ def solve_qp(inst: QpInstance) -> QpSolution:
 
 
 def dinkelbach_solve(cfg: ThresholdConfig, rc: RateConstraint) -> DinkelbachResult:
-    """Bisection on theta of the parametric problem value J(theta).
+    """Dinkelbach's iteration on the parametric value J(theta).
 
-    J is strictly decreasing with J(0) > 0; the upper bracket is ten times
-    the uniform-length-2 MSE.  Terminates at |J| <= 1e-9 or bracket width
-    <= 1e-10, and checks that the fractional objective at the returned
-    lengths reproduces theta*.
+    With N(l) = l'Ql and D(l) = E_P[L], the update theta <- N(l*)/D(l*) is
+    the fractional objective at the last minimizer l*.  J is concave and
+    strictly decreasing with J(0) > 0, so after a solve at theta = 0 the
+    updates decrease theta monotonically to theta*, superlinearly
+    (Dinkelbach's step is Newton's on J).  Stops at |J(theta)| <= 1e-9,
+    typically 1-3 steps after theta = 0, so 2-4 QP solves in all.  Raises
+    SearchError if theta rises or the iteration has not converged within 50
+    steps, and checks that the fractional objective at the returned lengths
+    reproduces theta*.
     """
     if cfg.sigma2 != 1.0:
         raise UnsupportedConfigurationError(
             "optimizer works in canonical units; apply scale_to_sigma first"
         )
-    inst0 = build_qp(cfg, 0.0, rc)
-    mse2 = mse_large_mu(cfg, Codebook.uniform(2.0)).mse
-    theta_hi = 10.0 * mse2
-    lo, hi = 0.0, theta_hi
-    sol_lo = solve_qp(inst0)
-    if sol_lo.objective <= 0.0:
-        raise SearchError("J(0) <= 0: bracket invalid")
-    sol_hi = solve_qp(_with_theta(inst0, hi))
-    if sol_hi.objective >= 0.0:
-        raise SearchError(f"J({hi}) >= 0: no bracket within [0, {hi}]")
+    inst = build_qp(cfg, 0.0, rc)
+    sol = solve_qp(inst)
+    if sol.objective <= 0.0:
+        raise SearchError("J(0) <= 0: the fractional objective is not positive")
+    theta = inst.fractional(sol.l1, sol.l2)
     iterations = 0
-    sol = sol_hi
-    theta = hi
-    while hi - lo > _BRACKET_TOL:
-        theta = 0.5 * (lo + hi)
-        sol = solve_qp(_with_theta(inst0, theta))
+    while True:
+        inst = replace(inst, q_theta=2.0 * theta * np.array(inst.p))
+        sol = solve_qp(inst)
         iterations += 1
         if abs(sol.objective) <= _J_TOL:
             break
-        if sol.objective > 0:
-            lo = theta
-        else:
-            hi = theta
-    inst = _with_theta(inst0, theta)
+        if iterations >= _MAX_DINKELBACH_STEPS:
+            raise SearchError(
+                f"Dinkelbach did not converge in {iterations} steps: J({theta}) = {sol.objective}"
+            )
+        theta_next = inst.fractional(sol.l1, sol.l2)
+        if theta_next > theta + _THETA_RISE_TOL:
+            raise SearchError(f"Dinkelbach theta rose from {theta} to {theta_next}")
+        theta = theta_next
     frac = inst.fractional(sol.l1, sol.l2)
     if abs(frac - theta) > 1e-6:
         raise SearchError(
@@ -497,14 +490,23 @@ def dinkelbach_solve(cfg: ThresholdConfig, rc: RateConstraint) -> DinkelbachResu
     )
 
 
-def _grid_values(a_grid: tuple[float, float, float]) -> np.ndarray:
+def threshold_grid(a_grid: tuple[float, float, float]) -> list[float]:
+    """The points lo + i*step up to hi, with hi appended when the steps miss it.
+
+    Raises ParameterError unless 0 <= lo < hi and step > 0, and, before
+    allocating, when the grid would have more than 10**6 points.
+    """
     lo, hi, step = a_grid
     if not (0 <= lo < hi and step > 0):
         raise ParameterError(f"grid must satisfy 0 <= lo < hi, step > 0, got {a_grid}")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    vals = lo + step * np.arange(n)
+    span = (hi - lo) / step + 1e-9
+    if not span < _MAX_GRID_POINTS:
+        raise ParameterError(
+            f"grid {a_grid} would have {span:.3g} points; the limit is {_MAX_GRID_POINTS}"
+        )
+    vals = [lo + i * step for i in range(int(math.floor(span)) + 1)]
     if vals[-1] < hi - 1e-12:
-        vals = np.append(vals, hi)
+        vals.append(hi)
     return vals
 
 
@@ -528,14 +530,14 @@ def optimize_threshold(
     Every evaluated point is remembered; the returned a* is the best
     evaluated point, ties resolved to the smallest a (within 1e-9).
     """
-    grid = _grid_values(a_grid)
+    grid = threshold_grid(a_grid)
     evaluated: dict[float, float] = {}
     best_res: dict[float, DinkelbachResult] = {}
     for a in grid:
-        theta, res = _theta_at(float(a), rc, mu)
-        evaluated[float(a)] = theta
+        theta, res = _theta_at(a, rc, mu)
+        evaluated[a] = theta
         if res is not None:
-            best_res[float(a)] = res
+            best_res[a] = res
     finite = {a: t for a, t in evaluated.items() if math.isfinite(t)}
     if not finite:
         raise InfeasibleError("every grid point is infeasible under the rate constraint")
@@ -543,9 +545,9 @@ def optimize_threshold(
     a_best = min(a for a, t in finite.items() if t <= t_min + 1e-9)
 
     if refine:
-        i = int(np.argmin(np.abs(grid - a_best)))
-        lo = float(grid[max(0, i - 1)])
-        hi = float(grid[min(len(grid) - 1, i + 1)])
+        i = grid.index(a_best)
+        lo = grid[max(0, i - 1)]
+        hi = grid[min(len(grid) - 1, i + 1)]
         invphi = (math.sqrt(5.0) - 1.0) / 2.0
         x1 = hi - invphi * (hi - lo)
         x2 = lo + invphi * (hi - lo)

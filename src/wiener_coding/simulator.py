@@ -34,9 +34,9 @@ multiples of mu*eps, so keep mu*eps well below the process scale (the
 reference experiments use mu*eps ~ 0.1).
 
 Benchmarks: the uniform scheme is the same engine with all lengths 2; the
-ideal scheme samples the exact real value whenever |W - ref| >= a with the
-channel free and delivers it after exactly one time unit.  All three schemes
-run through one cycle loop.
+ideal scheme (which requires b = a) samples the exact real value whenever
+|W - ref| >= a with the channel free and delivers it after exactly one time
+unit.  All three schemes run through one cycle loop.
 
 The path is never held in full: it is generated in blocks into a reused
 window that keeps only the points from the current cycle start on, so memory
@@ -118,6 +118,11 @@ class SimConfig:
         elif self.scheme == IDEAL:
             if cb is not None:
                 raise ParameterError("ideal benchmark transmits real values; no codebook")
+            if self.cfg.b != self.cfg.a:
+                raise ParameterError(
+                    f"ideal benchmark samples on a symmetric band; need b = a, "
+                    f"got a={self.cfg.a}, b={self.cfg.b}"
+                )
         elif cb is None:
             raise ParameterError("monotone scheme requires a codebook")
         if cb is not None:
@@ -402,7 +407,7 @@ def _run_once(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
     n_steps = int(round(sim.horizon / eps))
     burn_idx = int(round(sim.burn_in_frac * n_steps))
     w = _PathWindow(rng, n_steps, math.sqrt(cfg.sigma2 * eps))
-    a, b, mu = cfg.a, (cfg.a if ideal else cfg.b), cfg.mu
+    a, b, mu = cfg.a, cfg.b, cfg.mu
     mu_eps = mu * eps
     len_idx = [int(round(l / eps)) if math.isfinite(l) else -1 for l in lens]
 

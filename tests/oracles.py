@@ -2,14 +2,18 @@
 
 Everything here is deliberately computed by a different route than the
 library: adaptive quadrature on the defining integrals instead of closed
-forms, and a dense grid scan of the fractional objective instead of the
-Dinkelbach/KKT machinery.
+forms, a dense grid scan of the fractional objective instead of the
+Dinkelbach/KKT machinery, and bisection on J(theta) instead of
+Dinkelbach's update.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy import integrate
+
+from wiener_coding import Codebook, build_qp, mse_large_mu, solve_qp
 
 SQRT2PI = math.sqrt(2 * math.pi)
 
@@ -119,6 +123,32 @@ def grid_search_theta(
             max(l_lo, l1 - w), l1 + w, max(l_lo, l2 - w), l2 + w, step
         )
     return theta, l1, l2
+
+
+def bisection_theta(cfg, rc, width=1e-10, j_tol=1e-9):
+    """Root of J(theta) = min l'Ql - q_theta'l by bisection on [0, 10*MSE_2].
+
+    MSE_2 is the uniform-length-2 MSE.  Stops at |J| <= j_tol or a bracket
+    narrower than width; returns (theta, QpSolution at theta).
+    """
+    inst = build_qp(cfg, 0.0, rc)
+
+    def solve_at(theta):
+        return solve_qp(replace(inst, q_theta=2.0 * theta * np.array(inst.p)))
+
+    lo, hi = 0.0, 10.0 * mse_large_mu(cfg, Codebook.uniform(2.0)).mse
+    assert solve_at(lo).objective > 0.0 and solve_at(hi).objective < 0.0
+    theta, sol = hi, None
+    while hi - lo > width:
+        theta = 0.5 * (lo + hi)
+        sol = solve_at(theta)
+        if abs(sol.objective) <= j_tol:
+            break
+        if sol.objective > 0:
+            lo = theta
+        else:
+            hi = theta
+    return theta, sol
 
 
 def markov_length_sequence(n: int, stay_prob: float, values, seed: int) -> np.ndarray:

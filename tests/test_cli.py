@@ -64,6 +64,29 @@ class TestAnalyze:
         assert [r["a"] for r in payload["rows"]] == [0.0, 0.5, 1.0]
 
 
+class TestGrid:
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--l", "2,2,2,2"], ["optimize", "--fmax", "inf"], ["sweep", "--fmax", "inf"],
+    ])
+    @pytest.mark.parametrize("grid", ["0:1:1e-300", "0:inf:1"])
+    def test_oversized_grid_exit_code(self, tmp_path, command, grid, capsys):
+        # rejected before any grid point is built or evaluated
+        out = tmp_path / "g.csv"
+        assert main(command + ["--grid", grid, "--out", str(out)]) == 2
+        assert "limit" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        src = str(Path(wiener_coding.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        code = "import sys, wiener_coding.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
 class TestOptimize:
     def test_unconstrained(self, tmp_path):
         out = tmp_path / "opt.json"
@@ -163,6 +186,17 @@ class TestSimulate:
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["results"]["mse_hat"] == pytest.approx(1.5, rel=0.1)
+
+    def test_ideal_asymmetric_band_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "ideal.json"
+        rc = main(
+            ["simulate", "--a", "1", "--b", "0.2", "--mu", "10", "--scheme",
+             "ideal-benchmark", "--eps", "1e-2", "--horizon", "1000",
+             "--seed", "4", "--reps", "1", "--out", str(out)]
+        )
+        assert rc == 2
+        assert "b = a" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweep:

@@ -8,7 +8,9 @@ from wiener_coding import (
     Codebook,
     InfeasibleError,
     ParameterError,
+    QpSolution,
     RateConstraint,
+    SearchError,
     ThresholdConfig,
     UnsupportedConfigurationError,
     build_qp,
@@ -20,9 +22,17 @@ from wiener_coding import (
     solve_qp,
     verify_ktilde_negative,
 )
+from wiener_coding.code_optimizer import threshold_grid
 
 MU = 1e6
 UNC = RateConstraint(math.inf)
+
+# 20 thresholds from a = 0 x 5 rate limits: 100 points, 23 of them rate-active
+SOLVER_POINTS = [
+    (float(a), fmax)
+    for a in np.round(np.linspace(0.0, 3.0, 20), 10)
+    for fmax in (math.inf, 1.0, 0.5, 0.35, 0.2)
+]
 
 
 def sym_cfg(a):
@@ -182,6 +192,43 @@ class TestDinkelbach:
         assert res.capped and res.lengths.l2 == 64.0
         assert res.lengths.l1 == pytest.approx(1.0, abs=1e-6)
 
+    def test_matches_bisection(self):
+        rate_active = 0
+        for a, fmax in SOLVER_POINTS:
+            rc = RateConstraint(fmax)
+            res = dinkelbach_solve(sym_cfg(a), rc)
+            theta, sol = oracles.bisection_theta(sym_cfg(a), rc)
+            assert abs(res.theta_star - theta) <= 2e-9, (a, fmax)
+            assert abs(res.lengths.l1 - sol.l1) <= 1e-8, (a, fmax)
+            assert abs(res.lengths.l2 - sol.l2) <= 1e-8, (a, fmax)
+            assert res.capped == sol.capped, (a, fmax)
+            rate_active += (not rc.unconstrained) and res.rate_slack <= 1e-6
+        assert rate_active >= 10
+
+    def test_iteration_count(self):
+        for a, fmax in SOLVER_POINTS:
+            assert dinkelbach_solve(sym_cfg(a), RateConstraint(fmax)).iterations <= 6
+
+    def test_non_convergence_raises(self, monkeypatch):
+        stuck = QpSolution(3.0, 3.0, 0.0, 0.0, objective=1.0, capped=False, pattern="stub")
+        monkeypatch.setattr("wiener_coding.code_optimizer.solve_qp", lambda inst: stuck)
+        with pytest.raises(SearchError, match="did not converge"):
+            dinkelbach_solve(sym_cfg(1.0), UNC)
+
+    def test_rising_theta_raises(self, monkeypatch):
+        # with l1 = l2 = l the fractional objective is (K + 1) * l, so growing
+        # lengths drive theta up, which a correct QP solve never does
+        calls = []
+
+        def growing(inst):
+            calls.append(None)
+            l = 2.0 + len(calls)
+            return QpSolution(l, l, 0.0, 0.0, objective=1.0, capped=False, pattern="stub")
+
+        monkeypatch.setattr("wiener_coding.code_optimizer.solve_qp", growing)
+        with pytest.raises(SearchError, match="rose"):
+            dinkelbach_solve(sym_cfg(1.0), UNC)
+
 
 class TestOptimizeThreshold:
     def test_unconstrained_optimum_at_zero(self):
@@ -209,6 +256,18 @@ class TestOptimizeThreshold:
     def test_bad_grid(self):
         with pytest.raises(ParameterError):
             optimize_threshold(UNC, a_grid=(1.0, 0.5, 0.1))
+
+    @pytest.mark.parametrize("a_grid", [(0.0, 1.0, 1e-300), (0.0, math.inf, 1.0), (0.0, 1.0, 1e-6)])
+    def test_grid_size_capped(self, a_grid):
+        with pytest.raises(ParameterError, match="limit"):
+            threshold_grid(a_grid)
+
+    def test_grid_points(self):
+        assert threshold_grid((0.0, 1.0, 0.5)) == [0.0, 0.5, 1.0]
+        # hi is appended when the steps miss it by more than 1e-12
+        assert threshold_grid((0.0, 1.0, 0.3)) == [i * 0.3 for i in range(4)] + [1.0]
+        assert threshold_grid((0.1, 1.0, 0.3)) == [0.1 + i * 0.3 for i in range(4)]
+        assert len(threshold_grid((0.0, 1.0, 1e-5))) == 100_001
 
     def test_all_infeasible(self):
         with pytest.raises(InfeasibleError):

@@ -67,6 +67,12 @@ class TestSimConfigValidation:
         with pytest.raises(ParameterError):
             sim_cfg(scheme="ideal-benchmark", horizon=500.0)
 
+    def test_ideal_requires_symmetric_band(self):
+        # the ideal scheme samples on a +-a band; a different b would be ignored
+        with pytest.raises(ParameterError, match="b = a"):
+            sim_cfg(b=0.2, scheme="ideal-benchmark", cb=None)
+        assert sim_cfg(a=0.2, b=0.2, scheme="ideal-benchmark", cb=None).cfg.b == 0.2
+
     def test_uniform_default_codebook(self):
         s = sim_cfg(scheme="uniform-benchmark", cb=None)
         assert s.cb.lengths == (2.0, 2.0, 2.0, 2.0)
