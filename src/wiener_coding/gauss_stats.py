@@ -26,13 +26,15 @@ Band probabilities (gambler's-ruin weighting of the start point):
     p3 = [a*s - (phi(b) - phi(a))] / (a+b)
 
 phi(b) - phi(a) is evaluated as phi(a)*expm1((a-b)(a+b)/2) to stay accurate
-when a and b are both small.  For a = b = 0 the band is empty and the band
-quantities are exactly 0 by convention.
+when a and b are both small (phi(b) alone once that exponent passes 700).
+For a = b = 0 the band is empty and the band quantities are exactly 0 by
+convention.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -63,6 +65,22 @@ def gauss_tail(x: float) -> float:
     return 0.5 * math.erfc(x / _SQRT2)
 
 
+def _finite_real(name: str, v: object) -> float:
+    """v as a float if it is a finite real number (numpy scalars too, bool not)."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ParameterError(f"{name} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _positive_fields(obj: object, *names: str) -> None:
+    """Store the named fields of a frozen dataclass as floats, each finite and > 0."""
+    for name in names:
+        v = _finite_real(name, getattr(obj, name))
+        if v <= 0:
+            raise ParameterError(f"{type(obj).__name__}.{name} must be > 0, got {v}")
+        object.__setattr__(obj, name, v)
+
+
 @dataclass(frozen=True)
 class ThresholdConfig:
     """Scheme parameters: band coefficients a, b, slope mu, process variance sigma2.
@@ -79,10 +97,7 @@ class ThresholdConfig:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "mu", "sigma2"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(float(v)):
-                raise ParameterError(f"{name} must be a finite number, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, _finite_real(name, getattr(self, name)))
         if self.a < 0 or self.b < 0:
             raise ParameterError(f"thresholds must be non-negative, got a={self.a}, b={self.b}")
         if self.mu <= 0:
@@ -152,7 +167,10 @@ def event_probabilities(cfg: ThresholdConfig) -> EventProbabilities:
     if a + b == 0.0:
         return EventProbabilities(p1, 0.0, 0.0, p4)
     s = 0.5 * (math.erf(a / _SQRT2) + math.erf(b / _SQRT2))
-    dphi = gauss_pdf(a) * math.expm1(0.5 * (a - b) * (a + b))  # phi(b) - phi(a)
+    # phi(b) - phi(a); beyond x = 700 expm1 would overflow, and phi(a) is then
+    # below 1e-304 * phi(b), so phi(b) alone is exact to double precision
+    x = 0.5 * (a - b) * (a + b)
+    dphi = gauss_pdf(a) * math.expm1(x) if x < 700.0 else gauss_pdf(b)
     p2 = (dphi + b * s) / (a + b)
     p3 = (a * s - dphi) / (a + b)
     return EventProbabilities(p1, p2, p3, p4)
@@ -201,7 +219,12 @@ def scheme_constants(cfg: ThresholdConfig) -> SchemeConstants:
         # int_{-b}^{a} x^4 phi = 3 - G4(a) - G4(b)
         x_tilde = 3.0 - _tail_moment_4(a) - _tail_moment_4(b)
     band2 = probs.p2 * a * a + probs.p3 * b * b
-    band4 = probs.p2 * a ** 4 + probs.p3 * b ** 4
+    try:
+        band4 = probs.p2 * a ** 4 + probs.p3 * b ** 4
+    except OverflowError:
+        raise ParameterError(
+            f"thresholds too large for the closed forms (a**4 overflows): a={a}, b={b}"
+        ) from None
     d = band2 + a_tilde + b_tilde
     k = (3.0 + band4 - x_tilde) / (6.0 * d)
     p_tilde = (a_tilde / d, probs.p2 * a * a / d, probs.p3 * b * b / d, b_tilde / d)

@@ -20,11 +20,13 @@ usual O(sqrt(step)) threshold bias; oracle tests budget for it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HorizonError, ParameterError
+from .gauss_stats import _finite_real, _positive_fields
 
 __all__ = [
     "DriftHitSpec",
@@ -36,9 +38,19 @@ __all__ = [
     "sample_hit_times",
 ]
 
-# Sampler memory/throughput knobs: paths per batch x steps per chunk.
+# Batched walks (this sampler and mse_model's stopping-identity oracle) run
+# their paths in batches, each batch in chunks of grid steps over the paths
+# still alive, and each chunk in row tiles of about _TILE doubles (256 KiB)
+# drawn into one reused buffer, so drawing, summing, crossing detection and
+# the caller's accumulation all run while the tile is in cache.  Peak memory
+# is a few tiles plus O(n_paths) per-path state.  Row tiles drawn in order
+# consume the generator's stream exactly as one (alive paths x chunk) draw
+# would, so the tile size never changes a result.  The batch and chunk sizes
+# do (they fix the order in which the stream is consumed), so they are part
+# of what a seed means.
 _PATH_BATCH = 20_000
 _STEP_CHUNK = 512
+_TILE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -49,12 +61,7 @@ class DriftHitSpec:
     mu: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.c, (int, float)) and math.isfinite(self.c) and self.c > 0):
-            raise ParameterError(f"level c must be finite and > 0, got {self.c!r}")
-        if not (isinstance(self.mu, (int, float)) and math.isfinite(self.mu) and self.mu > 0):
-            raise ParameterError(f"drift mu must be finite and > 0, got {self.mu!r}")
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "mu", float(self.mu))
+        _positive_fields(self, "c", "mu")
 
 
 def laplace_transform(spec: DriftHitSpec, lam: float) -> float:
@@ -89,6 +96,67 @@ def band_exit_lower_prob(x: float, a_level: float, b_level: float) -> float:
     return 1.0 - band_exit_upper_prob(x, a_level, b_level)
 
 
+def _check_walk(n_paths: int, step: float, horizon: float) -> int:
+    """Validate a batched walk's size; return its grid steps up to horizon."""
+    if isinstance(n_paths, bool) or not isinstance(n_paths, numbers.Integral) or n_paths < 1:
+        raise ParameterError(f"n_paths must be an integer >= 1, got {n_paths!r}")
+    for name, v in (("step", step), ("horizon", horizon)):
+        if _finite_real(name, v) <= 0:
+            raise ParameterError(f"{name} must be > 0, got {v}")
+    if horizon / step >= 2.0**53:
+        # grid times are computed in floats; beyond 2**53 steps they are inexact
+        raise ParameterError(f"horizon / step = {horizon / step:g} grid steps; need < 2**53")
+    return math.ceil(horizon / step)
+
+
+def _first_crossings(rng, pos, n_steps, batch, chunk, step, drift, crossed, visit):
+    """Walk len(pos) grid paths from pos until each first crosses its boundary.
+
+    Each grid step adds sqrt(step)*Z + drift, Z standard normal from rng;
+    batches, chunks and row tiles as described at _TILE.  ``crossed(w, t)``
+    maps a tile w (rows = paths, columns = grid points at times t) to a bool
+    array, or is None for no boundary.  ``visit(w, idx, hit, j, t)`` then
+    sees the tile before the buffer is reused: idx are the rows' path
+    indices, hit marks rows that crossed and j their first crossing column.
+    pos is set in place to each surviving path's last value.  Returns the
+    indices of the paths still alive after n_steps.
+    """
+    n = pos.size
+    scale = math.sqrt(step)
+    buf = np.empty(max(_TILE, chunk))
+    stuck = []
+    for start in range(0, n, batch):
+        alive = np.arange(start, min(start + batch, n))
+        elapsed = 0
+        while alive.size and elapsed < n_steps:
+            s = min(chunk, n_steps - elapsed)
+            t = (elapsed + 1 + np.arange(s)) * step
+            rows = max(1, _TILE // s)
+            live = np.empty(alive.size, dtype=bool)
+            for r0 in range(0, alive.size, rows):
+                idx = alive[r0 : r0 + rows]
+                w = buf[: idx.size * s].reshape(idx.size, s)
+                rng.standard_normal(out=w)
+                w *= scale
+                if drift:
+                    w += drift
+                np.cumsum(w, axis=1, out=w)
+                w += pos[idx, None]
+                if crossed is None:
+                    hit, j = np.zeros(idx.size, dtype=bool), None
+                else:
+                    c = crossed(w, t)
+                    hit, j = c.any(axis=1), c.argmax(axis=1)
+                visit(w, idx, hit, j, t)
+                left = ~hit
+                pos[idx[left]] = w[left, -1]
+                live[r0 : r0 + rows] = left
+            alive = alive[live]
+            elapsed += s
+        stuck.append(alive)
+    return np.concatenate(stuck)
+
+
 def sample_hit_times(
     spec: DriftHitSpec,
     step: float,
@@ -100,46 +168,26 @@ def sample_hit_times(
 
     Deterministic given rng_seed.  Paths still alive at the horizon
     (default 1e6/mu) raise HorizonError: truncation is loud, never silent.
+    A step or horizon that is not finite and > 0, or an n_paths that is not
+    an integer >= 1, raises ParameterError.
     """
-    if step <= 0:
-        raise ParameterError(f"step must be > 0, got {step}")
-    if n_paths <= 0:
-        raise ParameterError(f"n_paths must be >= 1, got {n_paths}")
     if horizon is None:
         horizon = 1e6 / spec.mu
-    max_steps = int(math.ceil(horizon / step))
-    rng = np.random.default_rng(rng_seed)
-    sqrt_step = math.sqrt(step)
-    drift = spec.mu * step
+    n_steps = _check_walk(n_paths, step, horizon)
+    times = np.full(n_paths, np.nan)
 
-    times = np.empty(n_paths, dtype=float)
-    done = 0
-    while done < n_paths:
-        batch = min(_PATH_BATCH, n_paths - done)
-        pos = np.zeros(batch)
-        alive = np.arange(batch)
-        out = np.full(batch, np.nan)
-        elapsed = 0  # grid steps taken so far (uniform across the batch)
-        while alive.size:
-            steps = min(_STEP_CHUNK, max_steps - elapsed)
-            if steps <= 0:
-                raise HorizonError(
-                    f"{alive.size} path(s) exceeded the horizon cap {horizon} "
-                    f"(c={spec.c}, mu={spec.mu}, step={step})"
-                )
-            incr = rng.standard_normal((alive.size, steps)) * sqrt_step + drift
-            np.cumsum(incr, axis=1, out=incr)
-            incr += pos[alive, None]
-            crossed = incr >= spec.c
-            any_cross = crossed.any(axis=1)
-            first = crossed.argmax(axis=1)
-            out[alive[any_cross]] = (elapsed + first[any_cross] + 1) * step
-            survivors = ~any_cross
-            pos[alive[survivors]] = incr[survivors, -1]
-            alive = alive[survivors]
-            elapsed += steps
-        times[done : done + batch] = out
-        done += batch
+    def record(w, idx, hit, j, t):
+        times[idx[hit]] = t[j[hit]]
+
+    stuck = _first_crossings(
+        np.random.default_rng(rng_seed), np.zeros(n_paths), n_steps, _PATH_BATCH, _STEP_CHUNK,
+        step, spec.mu * step, lambda w, t: w >= spec.c, record,
+    )
+    if stuck.size:
+        raise HorizonError(
+            f"{stuck.size} path(s) exceeded the horizon cap {horizon} "
+            f"(c={spec.c}, mu={spec.mu}, step={step})"
+        )
     return times
 
 

@@ -43,10 +43,12 @@ from .errors import ModelError, ParameterError
 from .gauss_stats import (
     SchemeConstants,
     ThresholdConfig,
+    _positive_fields,
     gauss_pdf,
     gauss_tail,
     scheme_constants,
 )
+from .hitting_times import _check_walk, _first_crossings
 
 __all__ = [
     "Codebook",
@@ -316,13 +318,23 @@ def ideal_benchmark_mse(a: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class DeterministicStop:
+    """Stop at the fixed time t > 0."""
+
     t: float
+
+    def __post_init__(self) -> None:
+        _positive_fields(self, "t")
 
 
 @dataclass(frozen=True)
 class BandStop:
+    """Stop when W leaves the band (-b_level, a_level); both levels > 0."""
+
     a_level: float
     b_level: float
+
+    def __post_init__(self) -> None:
+        _positive_fields(self, "a_level", "b_level")
 
 
 @dataclass(frozen=True)
@@ -331,6 +343,9 @@ class SlopedStop:
 
     c: float
     mu: float
+
+    def __post_init__(self) -> None:
+        _positive_fields(self, "c", "mu")
 
 
 StopSpec = DeterministicStop | BandStop | SlopedStop
@@ -379,40 +394,39 @@ def mse_integral_oracle(
     expectation for the simulated walk at any step size.  Paths alive at the
     horizon are stopped there and counted in n_truncated (flagged, not
     raised).
+
+    The paths run through hitting_times' batched crossing kernel: batches of
+    20000 paths, chunks of 1024 grid steps (a deterministic stop takes its
+    whole grid as one chunk), each chunk walked in row tiles of about 2**15
+    doubles in one reused buffer.  Each tile's squared path is summed and
+    each crossing's two sides recorded while the tile is in cache, so memory
+    is a few tiles plus a few floats per path.
     """
-    if step <= 0 or n_paths <= 0 or horizon <= 0:
-        raise ParameterError("step, n_paths and horizon must all be positive")
+    n_steps = _check_walk(n_paths, step, horizon)
+    lhs = np.empty(n_paths)
+    rhs = np.empty(n_paths)
+    pos = np.zeros(n_paths)  # walk position at the end of the last chunk
     rng = np.random.default_rng(seed)
-    sqrt_step = math.sqrt(step)
 
     if isinstance(stop, DeterministicStop):
-        if stop.t <= 0:
-            raise ParameterError("deterministic stop time must be > 0")
+        _check_walk(n_paths, step, stop.t)  # t / step is a grid step count too
         n_steps = max(1, int(round(stop.t / step)))
-        lhs = np.empty(n_paths)
-        rhs = np.empty(n_paths)
-        batch = max(1, min(n_paths, int(2e7) // max(1, n_steps)))
-        done = 0
-        while done < n_paths:
-            m = min(batch, n_paths - done)
-            w = np.cumsum(rng.standard_normal((m, n_steps)) * sqrt_step, axis=1)
+
+        def record(w, idx, hit, j, t):
             # left endpoints are W_0 = 0 and the first n_steps-1 values
-            acc = np.sum(w[:, :-1] ** 2, axis=1)
-            lhs[done : done + m] = step * acc + 0.5 * step * stop.t
-            rhs[done : done + m] = w[:, -1] ** 4 / 6.0
-            done += m
+            lhs[idx] = step * np.sum(w[:, :-1] ** 2, axis=1) + 0.5 * step * stop.t
+            rhs[idx] = w[:, -1] ** 4 / 6.0
+
+        batch = max(1, min(n_paths, int(2e7) // n_steps))
+        _first_crossings(rng, pos, n_steps, batch, n_steps, step, 0.0, None, record)
         return _summarize(lhs, rhs, 0)
 
     if isinstance(stop, BandStop):
-        if stop.a_level <= 0 or stop.b_level <= 0:
-            raise ParameterError("band levels must be > 0")
 
         def crossed(w: np.ndarray, t: np.ndarray) -> np.ndarray:
             return (w >= stop.a_level) | (w <= -stop.b_level)
 
     elif isinstance(stop, SlopedStop):
-        if stop.c <= 0 or stop.mu <= 0:
-            raise ParameterError("sloped stop needs c > 0 and mu > 0")
 
         def crossed(w: np.ndarray, t: np.ndarray) -> np.ndarray:
             return w >= stop.c - stop.mu * t
@@ -420,52 +434,26 @@ def mse_integral_oracle(
     else:
         raise ParameterError(f"unknown stop spec {stop!r}")
 
-    max_steps = int(math.ceil(horizon / step))
+    acc = np.zeros(n_paths)  # sum of squared left endpoints before pos
     chunk = 1024
-    lhs = np.empty(n_paths)
-    rhs = np.empty(n_paths)
-    n_truncated = 0
+
+    def record(w, idx, hit, j, t):
+        presq = np.cumsum(w * w, axis=1)
+        rows = np.flatnonzero(hit)
+        if rows.size:
+            jj = j[rows]
+            partial = np.where(jj >= 1, presq[rows, np.maximum(jj - 1, 0)], 0.0)
+            i = idx[rows]
+            lhs[i] = step * (acc[i] + pos[i] ** 2 + partial) + 0.5 * step * t[jj]
+            rhs[i] = w[rows, jj] ** 4 / 6.0
+        rows = np.flatnonzero(~hit)
+        i = idx[rows]
+        extra = presq[rows, -2] if w.shape[1] >= 2 else 0.0
+        acc[i] += pos[i] ** 2 + extra
+
     batch_size = 20_000
-    done = 0
-    while done < n_paths:
-        m = min(batch_size, n_paths - done)
-        pos = np.zeros(m)
-        acc = np.zeros(m)  # sum of squared left endpoints so far
-        out_l = np.full(m, np.nan)
-        out_r = np.full(m, np.nan)
-        alive = np.arange(m)
-        elapsed = 0
-        while alive.size and elapsed < max_steps:
-            s = min(chunk, max_steps - elapsed)
-            w = rng.standard_normal((alive.size, s)) * sqrt_step
-            np.cumsum(w, axis=1, out=w)
-            w += pos[alive, None]
-            t = (elapsed + 1 + np.arange(s)) * step
-            hit = crossed(w, t[None, :])
-            any_hit = hit.any(axis=1)
-            j = hit.argmax(axis=1)
-            presq = np.cumsum(w * w, axis=1)
-            if any_hit.any():
-                rows = np.flatnonzero(any_hit)
-                jj = j[rows]
-                partial = np.where(jj >= 1, presq[rows, np.maximum(jj - 1, 0)], 0.0)
-                tau = (elapsed + jj + 1) * step
-                idx = alive[rows]
-                out_l[idx] = step * (acc[idx] + pos[idx] ** 2 + partial) + 0.5 * step * tau
-                out_r[idx] = w[rows, jj] ** 4 / 6.0
-            rows = np.flatnonzero(~any_hit)
-            idx = alive[rows]
-            extra = presq[rows, -2] if s >= 2 else 0.0
-            acc[idx] += pos[idx] ** 2 + extra
-            pos[idx] = w[rows, -1]
-            alive = idx
-            elapsed += s
-        if alive.size:  # truncated at horizon: stop there, flag
-            n_truncated += alive.size
-            tau = max_steps * step
-            out_l[alive] = step * acc[alive] + 0.5 * step * tau
-            out_r[alive] = pos[alive] ** 4 / 6.0
-        lhs[done : done + m] = out_l
-        rhs[done : done + m] = out_r
-        done += m
-    return _summarize(lhs, rhs, n_truncated)
+    stuck = _first_crossings(rng, pos, n_steps, batch_size, chunk, step, 0.0, crossed, record)
+    # truncated at the horizon: stopped there, flagged
+    lhs[stuck] = step * acc[stuck] + 0.5 * step * (n_steps * step)
+    rhs[stuck] = pos[stuck] ** 4 / 6.0
+    return _summarize(lhs, rhs, stuck.size)

@@ -24,7 +24,9 @@ conventions agree up to a null event.  This also makes the a = b = 0
 configuration runnable with infinite band codewords (the band is never
 entered; the very first cycle starts from X = 0, i.e. on the boundary).
 
-Transmission of length l occupies round(l/eps) grid indices; the estimate
+Transmission of length l occupies round(l/eps) grid indices, so SimConfig
+requires every finite length (and the ideal scheme's unit delay) to be a
+whole number >= 1 of grid steps, to within 1e-9 relative; the estimate
 updates at delivery.  Measurement covers complete cycles starting after the
 burn-in prefix (default 1% of the horizon; the first cycle's previous
 length is initialized to l2).
@@ -134,6 +136,16 @@ class SimConfig:
                     raise ParameterError(
                         f"l{i + 1} is infinite but event {i + 1} has probability {p}"
                     )
+        # a transmission occupies round(l/eps) grid steps, so every finite
+        # length (the ideal scheme's unit delay included) must be a whole
+        # number >= 1 of them, or the run would silently change it
+        for l in (1.0,) if cb is None else cb.lengths:
+            n = l / self.eps
+            if math.isfinite(l) and (round(n) < 1 or abs(n - round(n)) > 1e-9 * n):
+                raise ParameterError(
+                    f"length {l} is {n:g} grid steps of eps = {self.eps}; "
+                    f"need a whole number >= 1"
+                )
         max_len = 1.0 if cb is None else max(l for l in cb.lengths if math.isfinite(l))
         if self.horizon < 100.0 * max_len:
             raise ParameterError(

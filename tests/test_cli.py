@@ -87,6 +87,25 @@ class TestGrid:
         assert proc.stdout.strip() == "False"
 
 
+class TestHugeThresholds:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--l", "2,2,2,2", "--a", "1e308", "--b", "1e308"],
+        ["optimize", "--fmax", "inf", "--grid", "0:1e308:1e303"],
+    ])
+    def test_overflow_exit_code(self, tmp_path, argv, capsys):
+        # a**4 overflows above about 1.3e77: a usage error, not a traceback
+        out = tmp_path / "h.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "too large" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_far_asymmetric_band(self, tmp_path):
+        out = tmp_path / "a.csv"
+        assert main(["analyze", "--l", "2,2,2,2", "--a", "38", "--b", "0",
+                     "--out", str(out)]) == 0
+        assert float(read_csv(out)[0]["p2"]) == pytest.approx(0.3989422804014327 / 38, rel=1e-14)
+
+
 class TestOptimize:
     def test_unconstrained(self, tmp_path):
         out = tmp_path / "opt.json"
@@ -153,7 +172,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flag,value", [
         ("--eps", "nan"), ("--eps", "inf"), ("--eps", "1e-300"), ("--horizon", "nan"),
-        ("--horizon", "inf"), ("--seed", "-1"),
+        ("--horizon", "inf"), ("--seed", "-1"), ("--eps", "10"), ("--eps", "3"),
     ])
     def test_bad_numbers_exit_code(self, tmp_path, flag, value, capsys):
         args = list(self.ARGS)

@@ -37,11 +37,19 @@ class TestThresholdConfig:
             dict(a=0, b=0, mu=1, sigma2=0),
             dict(a=math.nan, b=0, mu=1),
             dict(a=math.inf, b=0, mu=1),
+            dict(a=True, b=0, mu=1),
+            dict(a=0, b=0, mu=True),
+            dict(a="1", b=0, mu=1),
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ParameterError):
             ThresholdConfig(**kwargs)
+
+    def test_accepts_numpy_scalars(self):
+        c = ThresholdConfig(np.int64(1), np.float32(0.5), np.int32(10), np.float64(2))
+        assert c == ThresholdConfig(1.0, 0.5, 10.0, 2.0)
+        assert all(type(v) is float for v in (c.a, c.b, c.mu, c.sigma2))
 
     def test_sigma_default(self):
         assert cfg(1, 1).sigma2 == 1.0
@@ -78,6 +86,14 @@ class TestEventProbabilities:
             assert p.p2 == pytest.approx(oracles.q_band_up(a, b), abs=1e-10)
             assert p.p3 == pytest.approx(oracles.q_band_dn(a, b), abs=1e-10)
             assert p.p4 == pytest.approx(oracles.q_tail(b), abs=1e-10)
+
+    @pytest.mark.parametrize("a", [37.0, 37.5, 38.0, 60.0, 1e200])
+    def test_far_asymmetric_band(self, a):
+        # (a^2 - b^2)/2 passes 700 near a = 37.4 with b = 0, where expm1 would
+        # overflow; phi(a) is then negligible and p2 = phi(0)/a
+        p = event_probabilities(cfg(a, 0))
+        assert p.p2 == pytest.approx(gauss_pdf(0.0) / a, rel=1e-14)
+        assert abs(sum(p.as_tuple()) - 1.0) <= 1e-12
 
     def test_p1_strictly_decreasing(self):
         grid = np.arange(0, 4.01, 0.1)
@@ -156,6 +172,15 @@ class TestSchemeConstants:
         # the band terms dominate K for wide bands: K -> a^2/6, not 0
         assert sc.k == pytest.approx(oracles.oracle_constants(8, 8)["k"], abs=1e-10)
         assert sc.k == pytest.approx(64.0 / 6.0, rel=1e-3)
+
+    @pytest.mark.parametrize("a,b", [(1e78, 1e78), (1e78, 0), (0, 1e78), (1e308, 1e308)])
+    def test_overflowing_thresholds_raise(self, a, b):
+        # a**4 overflows above about 1.3e77
+        with pytest.raises(ParameterError, match="too large"):
+            scheme_constants(cfg(a, b))
+
+    def test_largest_thresholds_finite(self):
+        assert scheme_constants(cfg(1e76, 1e76)).k == pytest.approx(1e152 / 6, rel=1e-12)
 
     def test_frozen_unit_band(self):
         sc = scheme_constants(cfg(1, 1))

@@ -1,8 +1,11 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from wiener_coding import hitting_times
 from wiener_coding import (
     DriftHitSpec,
     ParameterError,
@@ -127,3 +130,73 @@ class TestSampler:
 
         with pytest.raises(HorizonError):
             sample_hit_times(DriftHitSpec(5, 0.1), 1e-3, 50, rng_seed=2, horizon=0.5)
+
+    @pytest.mark.parametrize("kw", [
+        dict(step=math.nan), dict(step=math.inf), dict(horizon=math.nan),
+        dict(horizon=math.inf), dict(n_paths=2.5), dict(n_paths=True),
+    ])
+    def test_non_finite_or_non_integer_args(self, kw):
+        args = dict(step=1e-3, n_paths=10, horizon=10.0) | kw
+        with pytest.raises(ParameterError):
+            sample_hit_times(DriftHitSpec(1, 1), args["step"], args["n_paths"], rng_seed=0,
+                             horizon=args["horizon"])
+
+    def test_numpy_integer_sizes_accepted(self):
+        a = sample_hit_times(DriftHitSpec(1, 2), 1e-3, np.int64(50), rng_seed=7)
+        assert np.array_equal(a, sample_hit_times(DriftHitSpec(1, 2), 1e-3, 50, rng_seed=7))
+
+
+class TestSpecTypes:
+    def test_accepts_numpy_scalars(self):
+        assert DriftHitSpec(np.int64(1), np.float32(2)) == DriftHitSpec(1.0, 2.0)
+
+    @pytest.mark.parametrize("c,mu", [(True, 1), (1, True), (math.nan, 1), ("1", 1)])
+    def test_rejects_bool_nan_and_non_numbers(self, c, mu):
+        with pytest.raises(ParameterError):
+            DriftHitSpec(c, mu)
+
+
+# SHA-256 of sample_hit_times output at C3's three (c, mu), rng_seed=11, sizes
+# whose longest paths span 10-20 chunks; captured before the row-tile kernel,
+# so the kernel consumes the random stream exactly as the old full draws did.
+GOLDEN_HITS = {
+    (1, 1, 1e-3, 300): "829c0da97dc475d20294fe280f0a16589a06c4afe9c916593624bfe9b07280cf",
+    (2, 1, 1e-3, 200): "7cc5a3ae8dca33b5bdfe87328d55ad60335eda5e6bd77a9918b5bbf45b1b16fd",
+    (1, 10, 1e-4, 500): "8cac7d9f0a6b2045cef32f89c76e7b88f417ccd0868f56818342045b33c59675",
+}
+GOLDEN_HITS_BATCH_128 = "2184f169348fe07bb1a4b688eae0a14a86557686f546afb65e927ce62acf3f11"
+
+
+def _sha(times: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(times).tobytes()).hexdigest()
+
+
+class TestKernel:
+    @pytest.mark.parametrize("key", list(GOLDEN_HITS))
+    def test_golden_hit_times(self, key):
+        c, mu, step, n = key
+        assert _sha(sample_hit_times(DriftHitSpec(c, mu), step, n, rng_seed=11)) == GOLDEN_HITS[key]
+
+    def test_golden_across_path_batches(self, monkeypatch):
+        monkeypatch.setattr(hitting_times, "_PATH_BATCH", 128)  # 3 batches, the last partial
+        times = sample_hit_times(DriftHitSpec(1, 1), 1e-3, 300, rng_seed=11)
+        assert _sha(times) == GOLDEN_HITS_BATCH_128
+
+    @pytest.mark.parametrize("tile", [1, 3000])
+    def test_tile_size_does_not_change_output(self, monkeypatch, tile):
+        # 1 -> one row per tile; 3000 -> 5 rows of a 512-step chunk, so most
+        # chunks end on a partial tile
+        monkeypatch.setattr(hitting_times, "_TILE", tile)
+        for key, digest in GOLDEN_HITS.items():
+            c, mu, step, n = key
+            assert _sha(sample_hit_times(DriftHitSpec(c, mu), step, n, rng_seed=11)) == digest
+
+    def test_memory_is_a_few_tiles(self):
+        # the old full (paths x chunk) draws peaked at 71.3 MiB here
+        tracemalloc.start()
+        try:
+            sample_hit_times(DriftHitSpec(1, 10), 1e-3, 16_000, rng_seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20

@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+from wiener_coding import hitting_times
 from wiener_coding import (
     BandStop,
     Codebook,
@@ -241,3 +244,77 @@ class TestIntegralOracle:
         r = mse_integral_oracle(BandStop(3, 3), horizon=0.05, n_paths=500, step=1e-3, seed=1)
         assert r.n_truncated > 0
         assert math.isfinite(r.lhs) and math.isfinite(r.rhs)
+
+    @pytest.mark.parametrize("kw", [
+        dict(step=math.nan), dict(step=math.inf), dict(horizon=math.nan),
+        dict(horizon=math.inf), dict(n_paths=2.5), dict(n_paths=True),
+    ])
+    @pytest.mark.parametrize("stop", [DeterministicStop(1.0), BandStop(1, 1), SlopedStop(1, 2)])
+    def test_non_finite_or_non_integer_args(self, stop, kw):
+        with pytest.raises(ParameterError):
+            mse_integral_oracle(stop, **kw)
+
+    @pytest.mark.parametrize("make", [
+        lambda: DeterministicStop(math.nan), lambda: DeterministicStop(math.inf),
+        lambda: BandStop(math.nan, 1), lambda: BandStop(1, math.nan),
+        lambda: SlopedStop(math.nan, 2), lambda: SlopedStop(1, math.nan),
+        lambda: BandStop(True, 1),
+    ])
+    def test_nan_stop_rejected(self, make):
+        with pytest.raises(ParameterError):
+            make()
+
+
+# IntegralCheck fields at small n, seed 3, step 1e-3, captured before the
+# row-tile kernel: C4's three stops, a band stop truncated at a tight horizon,
+# and a deterministic stop whose 50000-step rows exceed one tile and run in
+# two path batches.
+GOLDEN_CHECKS = [
+    (DeterministicStop(1.0), {}, dict(
+        lhs=0.5140261106107636, lhs_se=0.027045330438109975, rhs=0.4792068166293673,
+        rhs_se=0.054660296942325354, diff=0.03481929398139639, diff_se=0.036725997108385346,
+        n_paths=450, n_truncated=0)),
+    (BandStop(1, 1), {}, dict(
+        lhs=0.19467345133642644, lhs_se=0.006923002605950334, rhs=0.17917810276949359,
+        rhs_se=0.000504611630089123, diff=0.015495348566932828, diff_se=0.006959810931642057,
+        n_paths=450, n_truncated=0)),
+    (SlopedStop(1, 2), {}, dict(
+        lhs=0.400315238126972, lhs_se=0.09227585419881024, rhs=0.39633961382850613,
+        rhs_se=0.18884505332550672, diff=0.003975624298465866, diff_se=0.10668752800608267,
+        n_paths=450, n_truncated=0)),
+    (BandStop(3, 3), dict(horizon=0.05), dict(
+        lhs=0.0012600218434101627, lhs_se=6.952882115666493e-05, rhs=0.0012140816146240633,
+        rhs_se=0.00016280052604239256, diff=4.594022878609941e-05,
+        diff_se=0.00012073225432895988, n_paths=450, n_truncated=450)),
+    (DeterministicStop(50.0), {}, dict(
+        lhs=1302.6961352230298, lhs_se=75.10942504913352, rhs=1253.9273829472215,
+        rhs_se=185.69407780509104, diff=48.768752275807984, diff_se=136.73444895405422,
+        n_paths=450, n_truncated=0)),
+]
+
+
+class TestIntegralOracleKernel:
+    @pytest.mark.parametrize("stop,kw,want", GOLDEN_CHECKS, ids=[
+        "deterministic", "band", "sloped", "band-truncated", "deterministic-long"])
+    def test_golden_fields(self, stop, kw, want):
+        r = mse_integral_oracle(stop, n_paths=450, step=1e-3, seed=3, **kw)
+        assert dataclasses.asdict(r) == want
+
+    @pytest.mark.parametrize("tile", [1, 3000])
+    def test_tile_size_does_not_change_output(self, monkeypatch, tile):
+        # 1 -> one row per tile; 3000 -> 2 rows of a 1024-step chunk and 3 of
+        # the 1000-step deterministic rows, so partial tiles occur
+        monkeypatch.setattr(hitting_times, "_TILE", tile)
+        for stop, kw, want in GOLDEN_CHECKS[:4]:
+            r = mse_integral_oracle(stop, n_paths=450, step=1e-3, seed=3, **kw)
+            assert dataclasses.asdict(r) == want
+
+    def test_memory_is_a_few_tiles(self):
+        # the old full (paths x chunk) matrices peaked at 489.5 MiB here
+        tracemalloc.start()
+        try:
+            mse_integral_oracle(BandStop(1, 1), n_paths=20_000, step=1e-2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20

@@ -91,6 +91,21 @@ class TestSimConfigValidation:
         with pytest.raises(ParameterError):
             sim_cfg(eps=1e-300)
 
+    @pytest.mark.parametrize("kw", [
+        dict(eps=10.0),  # L = 2 would span 0 grid steps
+        dict(eps=3.0),  # L = 2 would round to 3
+        dict(eps=0.3, cb=Codebook.integer(1, 2, 3, 3)),
+        dict(eps=0.3, scheme="ideal-benchmark", cb=None),  # unit delay = 3.33 steps
+    ])
+    def test_lengths_whole_grid_steps(self, kw):
+        with pytest.raises(ParameterError, match="grid steps"):
+            sim_cfg(horizon=5000.0, **kw)
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 2e-3, 0.5, 1.0])
+    def test_lengths_whole_grid_steps_accepted(self, eps):
+        sim_cfg(eps=eps, cb=Codebook.integer(1, 2, 3, 3))
+        sim_cfg(eps=eps, scheme="ideal-benchmark", cb=None)
+
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_seed_must_be_non_negative_integer(self, seed):
         with pytest.raises(ParameterError):
