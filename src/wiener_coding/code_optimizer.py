@@ -32,6 +32,7 @@ the best grid point; ties resolve to the smallest a.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -72,6 +73,7 @@ _MAX_GRID_POINTS = 10**6
 _DUAL_TOL = 1e-9
 _PRIMAL_TOL = 1e-9
 _SLACK_TOL = 1e-6
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon  # the smallest rtol scipy's brentq accepts
 _DEFAULT_MU = 1e6  # placeholder slope; the large-mu objective does not use it
 
 
@@ -285,6 +287,74 @@ def _candidate(
     )
 
 
+def _brentq(
+    f, xa: float, xb: float, xtol: float, rtol: float = _BRENT_RTOL, maxiter: int = 100
+) -> float:
+    """Root of f in [xa, xb] by Brent's method (Brent 1973).
+
+    A step-for-step port of the C loop behind scipy.optimize.brentq, with the
+    same expressions in the same order, so it returns scipy's root bit for
+    bit without importing scipy.  Stops when the bracket half-width is below
+    (xtol + rtol*|x|)/2.  Raises SearchError when f(xa) and f(xb) have the
+    same sign, when f returns NaN, or after maxiter steps without converging.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise SearchError(f"root search: f({x:.6g}) is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise SearchError(f"root search: f({xpre:.6g}) and f({xcur:.6g}) have the same sign")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre = xcur
+            xcur = xblk
+            xblk = xpre
+            fpre = fcur
+            fcur = fblk
+            fblk = fpre
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre = scur
+                scur = stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise SearchError(f"root search did not converge in {maxiter} steps (last x = {xcur:.6g})")
+
+
 def _pattern_interior(inst: QpInstance) -> QpSolution | None:
     try:
         l = np.linalg.solve(2.0 * inst.Q, inst.q_theta)
@@ -316,8 +386,6 @@ def _pattern_kraft(inst: QpInstance) -> list[QpSolution]:
     than once, so every sign change is refined and the curve endpoints
     (one length at the cap) are always offered as capped candidates.
     """
-    from scipy.optimize import brentq  # deferred: the package import stays free of it
-
     bound = inst.kraft_bound
     (q11, q12), (_, q22) = inst.Q
     qt1, qt2 = inst.q_theta
@@ -340,7 +408,7 @@ def _pattern_kraft(inst: QpInstance) -> list[QpSolution]:
         if vals[i] == 0.0:
             root = float(ts[i])
         else:
-            root = float(brentq(dphi, ts[i], ts[i + 1], xtol=1e-13, rtol=8.9e-16))
+            root = _brentq(dphi, ts[i], ts[i + 1], xtol=1e-13, rtol=8.9e-16)
         l2 = _kraft_partner(root, bound)
         if l2 > LENGTH_CAP:
             continue
@@ -361,7 +429,6 @@ def _pattern_both(inst: QpInstance) -> list[QpSolution]:
     """Intersection of the Kraft curve and the rate line (0, 1 or 2 points)."""
     if inst.rate_bound <= 0:
         return []
-    from scipy.optimize import brentq
     p1, p2 = inst.p
     if p2 == 0.0:
         return []
@@ -385,9 +452,9 @@ def _pattern_both(inst: QpInstance) -> list[QpSolution]:
         return []
     roots = []
     if i_min > 0 and hv[0] > 0:
-        roots.append(float(brentq(h, ts[0], ts[i_min], xtol=1e-13)))
+        roots.append(_brentq(h, ts[0], ts[i_min], xtol=1e-13))
     if i_min < len(ts) - 1 and hv[-1] > 0:
-        roots.append(float(brentq(h, ts[i_min], ts[-1], xtol=1e-13)))
+        roots.append(_brentq(h, ts[i_min], ts[-1], xtol=1e-13))
     out = []
     for l2 in roots:
         l1 = l1_of(l2)

@@ -109,6 +109,11 @@ def _check_walk(n_paths: int, step: float, horizon: float) -> int:
     return math.ceil(horizon / step)
 
 
+def _tile_buffer(chunk: int) -> np.ndarray:
+    """An uninitialized buffer that holds any row tile of a chunk of `chunk` steps."""
+    return np.empty(max(_TILE, chunk))
+
+
 def _first_crossings(rng, pos, n_steps, batch, chunk, step, drift, crossed, visit):
     """Walk len(pos) grid paths from pos until each first crosses its boundary.
 
@@ -123,7 +128,7 @@ def _first_crossings(rng, pos, n_steps, batch, chunk, step, drift, crossed, visi
     """
     n = pos.size
     scale = math.sqrt(step)
-    buf = np.empty(max(_TILE, chunk))
+    buf = _tile_buffer(chunk)
     stuck = []
     for start in range(0, n, batch):
         alive = np.arange(start, min(start + batch, n))

@@ -48,7 +48,7 @@ from .gauss_stats import (
     gauss_tail,
     scheme_constants,
 )
-from .hitting_times import _check_walk, _first_crossings
+from .hitting_times import _check_walk, _first_crossings, _tile_buffer
 
 __all__ = [
     "Codebook",
@@ -232,11 +232,19 @@ def mse_large_mu(cfg: ThresholdConfig, cb: Codebook) -> MseBreakdown:
 
 
 def mse_exact(cfg: ThresholdConfig, cb: Codebook) -> MseBreakdown:
-    """Finite-slope MSE with all 1/mu correction terms."""
+    """Finite-slope MSE with all 1/mu correction terms.
+
+    Raises ParameterError for a slope so small (below about 1.35e-108 in
+    sigma units) that mu**3 underflows to 0.
+    """
     canon = scale_to_sigma(cfg)
     sc = scheme_constants(canon)
     m1, m2, mh, m32, ltilde = _pmf_length_moments(sc, cb)
     a, b, mu = canon.a, canon.b, canon.mu
+    if mu**3 == 0.0:
+        raise ParameterError(
+            f"slope too small for the closed forms (mu**3 underflows to 0): mu={cfg.mu}"
+        )
     p = sc.probs
     A = sc.moments.upper
     B = sc.moments.lower
@@ -398,9 +406,10 @@ def mse_integral_oracle(
     The paths run through hitting_times' batched crossing kernel: batches of
     20000 paths, chunks of 1024 grid steps (a deterministic stop takes its
     whole grid as one chunk), each chunk walked in row tiles of about 2**15
-    doubles in one reused buffer.  Each tile's squared path is summed and
-    each crossing's two sides recorded while the tile is in cache, so memory
-    is a few tiles plus a few floats per path.
+    doubles in one reused buffer.  Each tile's squared path is summed in a
+    second reused tile and each crossing's two sides recorded while the tile
+    is in cache, so memory is a few tiles plus a few floats per path, and no
+    tile-sized array is allocated per tile.
     """
     n_steps = _check_walk(n_paths, step, horizon)
     lhs = np.empty(n_paths)
@@ -411,10 +420,14 @@ def mse_integral_oracle(
     if isinstance(stop, DeterministicStop):
         _check_walk(n_paths, step, stop.t)  # t / step is a grid step count too
         n_steps = max(1, int(round(stop.t / step)))
+        scratch = _tile_buffer(n_steps)  # the squared tile
 
         def record(w, idx, hit, j, t):
             # left endpoints are W_0 = 0 and the first n_steps-1 values
-            lhs[idx] = step * np.sum(w[:, :-1] ** 2, axis=1) + 0.5 * step * stop.t
+            rows, cols = w.shape[0], w.shape[1] - 1
+            sq = scratch[: rows * cols].reshape(rows, cols)
+            np.square(w[:, :-1], out=sq)
+            lhs[idx] = step * np.sum(sq, axis=1) + 0.5 * step * stop.t
             rhs[idx] = w[:, -1] ** 4 / 6.0
 
         batch = max(1, min(n_paths, int(2e7) // n_steps))
@@ -436,9 +449,12 @@ def mse_integral_oracle(
 
     acc = np.zeros(n_paths)  # sum of squared left endpoints before pos
     chunk = 1024
+    scratch = _tile_buffer(chunk)  # the squared tile, then its row prefix sums
 
     def record(w, idx, hit, j, t):
-        presq = np.cumsum(w * w, axis=1)
+        presq = scratch[: w.size].reshape(w.shape)
+        np.multiply(w, w, out=presq)
+        np.cumsum(presq, axis=1, out=presq)
         rows = np.flatnonzero(hit)
         if rows.size:
             jj = j[rows]

@@ -56,7 +56,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .errors import HorizonError, ParameterError, WienerCodingError
 from .gauss_stats import ThresholdConfig, event_probabilities
@@ -542,7 +541,11 @@ def length_independence_test(
 
     Pairs are formed within each replication (no cross-replication pairs).
     Needs at least min_cycles cycles and at least two distinct length values.
+    The one scipy function the package uses is imported here, on first call,
+    so no CLI command loads scipy.
     """
+    from scipy.special import chdtrc
+
     total = sum(len(seq) for seq in report.length_sequences)
     if total < min_cycles:
         raise ParameterError(f"need >= {min_cycles} cycles for the test, got {total}")

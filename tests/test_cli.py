@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -64,6 +65,37 @@ class TestAnalyze:
         assert [r["a"] for r in payload["rows"]] == [0.0, 0.5, 1.0]
 
 
+# every command at a tiny size; the optimize and sweep grids include
+# rate-limited points, so both root-finding KKT patterns run
+TINY_COMMANDS = [
+    ["analyze", "--l", "2,2,2,2", "--grid", "0:1:0.5", "--mu", "10"],
+    ["optimize", "--fmax", "0.5", "--grid", "0:1.5:0.25"],
+    ["optimize", "--fmax", "0.2", "--grid", "0:1.5:0.25"],
+    ["sweep", "--grid", "0:1:0.5", "--fmax", "inf,0.2"],
+    ["simulate", "--a", "1", "--b", "1", "--mu", "10", "--l", "2,2,2,2",
+     "--eps", "1e-2", "--horizon", "300", "--seed", "1", "--reps", "1"],
+]
+
+# SHA-256 of stdout, captured before the root finder was ported from scipy;
+# together these runs take both KKT patterns that call it
+GOLDEN_STDOUT = [
+    (["optimize", "--fmax", "0.5", "--grid", "0:3:0.01"],
+     "5d1cfd8549b2b1eaaccf739cd6d7245a54469805beeedb1ac9344d3ed8f0bf8f"),
+    (["optimize", "--fmax", "0.2", "--grid", "0:3:0.01"],
+     "47fce0f2ead86a0d9287a408d598ea63eb97717eaf21f133fc7017ae5f17177f"),
+    (["sweep", "--grid", "0:2:0.05", "--fmax", "inf,0.5,0.35,0.2"],
+     "a60081620fffd321b2cbe372095d61aa8bf3083fcb51b94ce075a4339776464a"),
+]
+
+
+class TestGoldenStdout:
+    @pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT,
+                             ids=["optimize-0.5", "optimize-0.2", "sweep"])
+    def test_stdout_digest(self, argv, digest, capsys):
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 class TestGrid:
     @pytest.mark.parametrize("command", [
         ["analyze", "--l", "2,2,2,2"], ["optimize", "--fmax", "inf"], ["sweep", "--fmax", "inf"],
@@ -76,15 +108,25 @@ class TestGrid:
         assert "limit" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_import_leaves_scipy_optimize_unloaded(self):
-        src = str(Path(wiener_coding.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        code = "import sys, wiener_coding.cli; print('scipy.optimize' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+    def test_import_leaves_scipy_optimize_unloaded(self, fresh_python, tmp_path):
+        # no CLI command loads scipy: neither the import nor any command's run
+        code = f"""if True:
+            import json, sys
+            import wiener_coding.cli
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+            loaded = {{"import": scipy_modules(), "optimize": "scipy.optimize" in sys.modules}}
+            for i, argv in enumerate({TINY_COMMANDS!r}):
+                rc = wiener_coding.cli.main(argv + ["--out", {str(tmp_path)!r} + f"/{{i}}.out"])
+                loaded[argv[0] + str(i)] = [rc, scipy_modules()]
+            print(json.dumps(loaded))
+        """
+        loaded = fresh_python(code)
+        assert loaded.pop("optimize") is False
+        assert loaded.pop("import") == []
+        assert loaded == {argv[0] + str(i): [0, []] for i, argv in enumerate(TINY_COMMANDS)}
 
 
 class TestHugeThresholds:
@@ -104,6 +146,23 @@ class TestHugeThresholds:
         assert main(["analyze", "--l", "2,2,2,2", "--a", "38", "--b", "0",
                      "--out", str(out)]) == 0
         assert float(read_csv(out)[0]["p2"]) == pytest.approx(0.3989422804014327 / 38, rel=1e-14)
+
+
+class TestTinySlope:
+    @pytest.mark.parametrize("mu", ["1e-110", "1e-300"])
+    def test_underflowing_slope_exit_code(self, tmp_path, mu, capsys):
+        # mu**3 underflows to 0 below about 1.35e-108: a usage error, not a traceback
+        out = tmp_path / "a.csv"
+        assert main(["analyze", "--l", "2,2,2,2", "--a", "1", "--b", "1", "--mu", mu,
+                     "--out", str(out)]) == 2
+        assert "too small" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_small_slope_evaluated(self, tmp_path):
+        out = tmp_path / "a.csv"
+        assert main(["analyze", "--l", "2,2,2,2", "--a", "1", "--b", "1", "--mu", "1e-100",
+                     "--out", str(out)]) == 0
+        assert float(read_csv(out)[0]["mse_exact"]) == pytest.approx(2.5e200, rel=1e-12)
 
 
 class TestOptimize:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import oracles
 from wiener_coding import (
@@ -22,7 +23,9 @@ from wiener_coding import (
     solve_qp,
     verify_ktilde_negative,
 )
-from wiener_coding.code_optimizer import threshold_grid
+from wiener_coding import code_optimizer
+from wiener_coding.cli import main
+from wiener_coding.code_optimizer import _brentq, threshold_grid
 
 MU = 1e6
 UNC = RateConstraint(math.inf)
@@ -323,3 +326,65 @@ class TestKtilde:
     def test_empty_grid(self):
         with pytest.raises(ParameterError):
             verify_ktilde_negative([])
+
+
+# every QP solve of these runs; both KKT patterns that find roots take part
+BRENTQ_RUNS = [
+    ["optimize", "--fmax", "0.5", "--grid", "0:3:0.01"],
+    ["optimize", "--fmax", "inf", "--grid", "0:3:0.01"],
+    ["optimize", "--fmax", "0.2", "--grid", "0:3:0.01"],
+    ["sweep", "--grid", "0:2:0.05", "--fmax", "inf,0.5,0.35,0.2"],
+]
+
+
+class TestBrentq:
+    def test_matches_scipy_on_cli_grids(self, monkeypatch, tmp_path):
+        calls = []
+
+        def recording(f, xa, xb, **kw):
+            root = _brentq(f, xa, xb, **kw)
+            calls.append((f, xa, xb, kw, root))
+            return root
+
+        monkeypatch.setattr(code_optimizer, "_brentq", recording)
+        for i, argv in enumerate(BRENTQ_RUNS):
+            assert main(argv + ["--out", str(tmp_path / f"{i}.csv")]) == 0
+        assert len(calls) > 1000
+        assert {f.__name__ for f, *_ in calls} == {"dphi", "h"}
+        for f, xa, xb, kw, root in calls:
+            assert type(root) is float
+            assert root == brentq(f, xa, xb, **kw)
+
+    @pytest.mark.parametrize("f,xa,xb,xtol", [
+        (math.cos, 0.0, 3.0, 1e-13),
+        (lambda x: x**3 - 2.0, 0.0, 10.0, 1e-13),
+        (lambda x: math.exp(x) - 5.0, -3.0, 4.0, 2e-12),
+        (lambda x: math.atan(x - 0.3), 5.0, -5.0, 1e-6),
+        (lambda x: (x - 1.0) ** 3, 0.0, 1.5, 1e-8),  # triple root: slow, bisection-led
+    ])
+    def test_matches_scipy(self, f, xa, xb, xtol):
+        assert _brentq(f, xa, xb, xtol) == brentq(f, xa, xb, xtol=xtol)
+        assert _brentq(f, xa, xb, xtol, rtol=1e-10) == brentq(f, xa, xb, xtol=xtol, rtol=1e-10)
+
+    @pytest.mark.parametrize("xa,xb", [(1.0, 2.0), (0.0, 1.0)])
+    def test_root_at_endpoint(self, xa, xb):
+        assert _brentq(lambda x: x - 1.0, xa, xb, 1e-13) == 1.0
+
+    def test_same_sign_raises(self):
+        with pytest.raises(SearchError, match="same sign"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-13)
+
+    @pytest.mark.parametrize("f", [
+        lambda x: math.nan,
+        lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan,  # NaN at the first step
+    ])
+    def test_nan_raises(self, f):
+        with pytest.raises(SearchError, match="NaN"):
+            _brentq(f, 0.0, 1.0, 1e-13)
+
+    def test_maxiter_exhausted_raises(self):
+        f = lambda x: x**3 - 2.0  # noqa: E731
+        with pytest.raises(RuntimeError):
+            brentq(f, 0.0, 10.0, xtol=1e-13, maxiter=3)
+        with pytest.raises(SearchError, match="did not converge in 3 steps"):
+            _brentq(f, 0.0, 10.0, 1e-13, maxiter=3)

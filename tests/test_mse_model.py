@@ -151,6 +151,12 @@ class TestExact:
         bd = mse_exact(cfg, Codebook.relaxed(1, 2, 3, 4))
         assert bd.etau == pytest.approx(1.0 / bd.sr, rel=1e-14)
 
+    @pytest.mark.parametrize("mu,sigma2", [(1e-110, 1.0), (1e-300, 1.0), (1e-100, 1e20)])
+    def test_underflowing_slope_raises(self, mu, sigma2):
+        # mu**3 of the unit-variance slope mu/sigma underflows to 0
+        with pytest.raises(ParameterError, match="too small"):
+            mse_exact(ThresholdConfig(1, 1, mu, sigma2), Codebook.uniform(2.0))
+
     def test_exact_has_positive_mu_corrections(self):
         # finite mu lengthens cycles and grows the MSE at the origin config
         cfg_small = ThresholdConfig(0, 0, 1)
@@ -308,6 +314,27 @@ class TestIntegralOracleKernel:
         for stop, kw, want in GOLDEN_CHECKS[:4]:
             r = mse_integral_oracle(stop, n_paths=450, step=1e-3, seed=3, **kw)
             assert dataclasses.asdict(r) == want
+
+    def test_tile_visits_do_not_fault_pages(self, fresh_python):
+        # a 256 KiB temporary per tile is mapped and unmapped by the allocator
+        # on every tile in a process whose heap no earlier import has grown:
+        # 92,227 (band) and 65,319 (sloped) minor faults per call that way
+        pytest.importorskip("resource")
+        faults = fresh_python("""if True:
+            import json, resource, sys
+            from wiener_coding.mse_model import BandStop, SlopedStop, mse_integral_oracle
+
+            out = {"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+            for stop in (BandStop(1, 1), SlopedStop(1, 2)):
+                mse_integral_oracle(stop, n_paths=20_000, step=1e-3)  # warm-up
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                mse_integral_oracle(stop, n_paths=20_000, step=1e-3)
+                after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                out[type(stop).__name__] = after - before
+            print(json.dumps(out))
+        """)
+        assert faults.pop("scipy") == []
+        assert faults["BandStop"] < 5000 and faults["SlopedStop"] < 5000, faults
 
     def test_memory_is_a_few_tiles(self):
         # the old full (paths x chunk) matrices peaked at 489.5 MiB here
