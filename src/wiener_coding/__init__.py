@@ -3,9 +3,9 @@
 A sampler watches the process and transmits one of four codewords when the
 increment since the last sample crosses a constant band threshold or one of
 two linearly growing catch-up thresholds.  The package provides the
-closed-form event statistics, hitting-time analytics, exact and large-slope
-MSE/sampling-rate models, an optimal code-length/threshold optimizer, and a
-discrete-time simulator that validates the analytics.
+closed-form event statistics, hitting-time analytics, one MSE/sampling-rate
+model whose large-slope regime is mu = inf, an optimal code-length/threshold
+optimizer, and a discrete-time simulator that validates the analytics.
 """
 
 from .code_optimizer import (
@@ -43,15 +43,7 @@ from .gauss_stats import (
     partial_moments,
     scheme_constants,
 )
-from .hitting_times import (
-    DriftHitSpec,
-    band_exit_lower_prob,
-    band_exit_upper_prob,
-    hit_moments,
-    laplace_transform,
-    sample_hit_time,
-    sample_hit_times,
-)
+from .hitting_times import DriftHitSpec, hit_moments, sample_hit_times
 from .mse_model import (
     BandStop,
     Codebook,
@@ -62,8 +54,6 @@ from .mse_model import (
     ideal_benchmark_mse,
     mse_exact,
     mse_integral_oracle,
-    mse_large_mu,
-    sampling_rate,
     scale_to_sigma,
 )
 from .simulator import (

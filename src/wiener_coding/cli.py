@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .code_optimizer import (
@@ -37,13 +38,7 @@ from .errors import (
     WienerCodingError,
 )
 from .gauss_stats import ThresholdConfig, scheme_constants
-from .mse_model import (
-    INTEGER,
-    Codebook,
-    ideal_benchmark_mse,
-    mse_exact,
-    mse_large_mu,
-)
+from .mse_model import INTEGER, Codebook, ideal_benchmark_mse, mse_exact
 from .simulator import IDEAL, MONOTONE, UNIFORM, SimConfig, run, run_benchmark
 
 __all__ = ["main", "entry"]
@@ -53,7 +48,7 @@ ENV_OUTDIR = "WIENER_CODING_OUTDIR"
 _DEFAULTS = {
     "a": None,
     "b": None,
-    "mu": "1e6",
+    "mu": "inf",
     "sigma2": "1",
     "l": None,
     "fmax": "inf",
@@ -208,6 +203,14 @@ def _cfg_from(res: _Resolver, a: float, b: float) -> ThresholdConfig:
     )
 
 
+def _require_finite_mu(mu: float) -> None:
+    if math.isinf(mu):
+        raise ParameterError(
+            "--mu: the simulator needs a finite slope; the default mu = inf is the "
+            "closed forms' large-slope limit"
+        )
+
+
 def cmd_analyze(res: _Resolver, force: bool) -> int:
     lengths = _parse_lengths(res.require("l"))
     cb = Codebook.relaxed(*lengths)
@@ -222,7 +225,7 @@ def cmd_analyze(res: _Resolver, force: bool) -> int:
         cfg = _cfg_from(res, a, b)
         sc = scheme_constants(cfg)
         exact = mse_exact(cfg, cb)
-        large = mse_large_mu(cfg, cb)
+        large = mse_exact(replace(cfg, mu=math.inf), cb)
         rows.append(
             {
                 "a": a,
@@ -280,6 +283,7 @@ def _sim_config(res: _Resolver, scheme: str, log_cycles: bool) -> SimConfig:
     a = _parse_float("a", res.require("a"))
     b = _parse_float("b", res.require("b"))
     cfg = _cfg_from(res, a, b)
+    _require_finite_mu(cfg.mu)
     cb = None
     if scheme == MONOTONE:
         cb = Codebook(*_parse_lengths(res.require("l")), mode=INTEGER)
@@ -321,16 +325,19 @@ def cmd_sweep(res: _Resolver, force: bool, simulate: bool) -> int:
     grid = threshold_grid(_parse_grid(res.require("grid")))
     fmaxes = _parse_fmax_list(res.require("fmax"))
     mu = _parse_float("mu", res.require("mu"))
+    if simulate:
+        _require_finite_mu(mu)
     rows = []
     any_feasible = False
     for fmax in fmaxes:
         rc = RateConstraint(fmax)
         for a in grid:
             cfg = ThresholdConfig(a, a, mu)
+            large = replace(cfg, mu=math.inf)  # the closed-form columns are large-slope
             row: dict = {"fmax": fmax, "a": a}
             try:
-                din = dinkelbach_solve(cfg, rc)
-                bd = mse_large_mu(cfg, din.lengths)
+                din = dinkelbach_solve(large, rc)
+                bd = mse_exact(large, din.lengths)
                 row.update(
                     mse_opt=din.theta_star,
                     sr_opt=bd.sr,
@@ -351,7 +358,7 @@ def cmd_sweep(res: _Resolver, force: bool, simulate: bool) -> int:
                     rate_active=False,
                     capped=False,
                 )
-            uni = mse_large_mu(cfg, Codebook.uniform(2.0))
+            uni = mse_exact(large, Codebook.uniform(2.0))
             row["mse_uniform"] = uni.mse
             row["sr_uniform"] = uni.sr
             ideal_mse, ideal_sr = ideal_benchmark_mse(a)
@@ -419,7 +426,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--a", help="upper threshold coefficient")
         p.add_argument("--b", help="lower threshold coefficient")
-        p.add_argument("--mu", help="threshold slope (default 1e6, large-mu regime)")
+        p.add_argument("--mu", help="threshold slope (default inf, the large-slope limit; "
+                       "simulations need a finite value)")
         p.add_argument("--sigma2", help="process variance (default 1)")
         p.add_argument("--l", help="code lengths l1,l2,l3,l4 (inf allowed)")
         p.add_argument("--fmax", help="max sampling rate; number or inf")

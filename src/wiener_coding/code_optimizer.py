@@ -1,6 +1,7 @@
 """Optimal code lengths and threshold under Kraft and sampling-rate constraints.
 
-The relaxed problem (real lengths, symmetric a = b so l1 = l4, l2 = l3) is
+The relaxed problem (real lengths, symmetric a = b so l1 = l4, l2 = l3) in
+the large-slope regime mu = inf, whatever slope a configuration carries, is
 
     minimize   K * E_P[L^2]/E_P[L] + E_Ptilde[L]
     subject to 2^-l1 + 2^-l2 <= 1/2            (reduced Kraft)
@@ -45,7 +46,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .gauss_stats import ThresholdConfig, scheme_constants
-from .mse_model import Codebook, mse_large_mu
+from .mse_model import Codebook, mse_exact
 
 __all__ = [
     "LENGTH_CAP",
@@ -74,7 +75,13 @@ _DUAL_TOL = 1e-9
 _PRIMAL_TOL = 1e-9
 _SLACK_TOL = 1e-6
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon  # the smallest rtol scipy's brentq accepts
-_DEFAULT_MU = 1e6  # placeholder slope; the large-mu objective does not use it
+_KRAFT_BOUND = 0.5  # reduced Kraft bound: 2^-l1 + 2^-l2 <= 1/2
+# where _pattern_kraft samples the sign of its derivative: l1 from just above
+# the Kraft curve's floor -log2(_KRAFT_BOUND) to the cap
+_KRAFT_LO = -math.log2(_KRAFT_BOUND) + 1e-9
+_KRAFT_SAMPLES = np.concatenate(
+    [_KRAFT_LO + np.logspace(-9, 0, 24), np.linspace(_KRAFT_LO + 1.0, LENGTH_CAP, 40)]
+)
 
 
 @dataclass(frozen=True)
@@ -99,7 +106,6 @@ class QpInstance:
 
     Q: np.ndarray
     q_theta: np.ndarray
-    kraft_bound: float
     rate_bound: float  # 1/(D*f_max); 0 when unconstrained
     p: tuple[float, float]
     p_tilde: tuple[float, float]
@@ -118,6 +124,10 @@ class QpInstance:
         m2 = 2.0 * (p1 * l1 * l1 + p2 * l2 * l2)
         lt = 2.0 * (pt1 * l1 + pt2 * l2)
         return self.k * m2 / m1 + lt
+
+    @property
+    def kraft_bound(self) -> float:
+        return _KRAFT_BOUND
 
     def kraft_slack(self, l1: float, l2: float) -> float:
         return self.kraft_bound - (2.0**-l1 + 2.0**-l2)
@@ -192,7 +202,6 @@ def build_qp(cfg: ThresholdConfig, theta: float, rc: RateConstraint) -> QpInstan
     return QpInstance(
         Q=Q,
         q_theta=np.array([2 * theta * p1, 2 * theta * p2]),
-        kraft_bound=0.5,
         rate_bound=rate_bound,
         p=(p1, p2),
         p_tilde=(pt1, pt2),
@@ -386,7 +395,7 @@ def _pattern_kraft(inst: QpInstance) -> list[QpSolution]:
     than once, so every sign change is refined and the curve endpoints
     (one length at the cap) are always offered as capped candidates.
     """
-    bound = inst.kraft_bound
+    bound = _KRAFT_BOUND
     (q11, q12), (_, q22) = inst.Q
     qt1, qt2 = inst.q_theta
 
@@ -398,9 +407,7 @@ def _pattern_kraft(inst: QpInstance) -> list[QpSolution]:
         g2 = 2.0 * (q12 * l1 + q22 * l2) - qt2
         return g1 + g2 * (-w1 / rem)
 
-    lo = -math.log2(bound) + 1e-9  # l1 just above the bound's floor
-    hi = LENGTH_CAP
-    ts = np.concatenate([lo + np.logspace(-9, 0, 24), np.linspace(lo + 1.0, hi, 40)])
+    ts = _KRAFT_SAMPLES
     vals = dphi(ts)
     out: list[QpSolution] = []
     sign_change = np.flatnonzero(vals[:-1] * vals[1:] <= 0)
@@ -577,9 +584,9 @@ def threshold_grid(a_grid: tuple[float, float, float]) -> list[float]:
     return vals
 
 
-def _theta_at(a: float, rc: RateConstraint, mu: float) -> tuple[float, DinkelbachResult | None]:
+def _theta_at(a: float, rc: RateConstraint) -> tuple[float, DinkelbachResult | None]:
     try:
-        res = dinkelbach_solve(ThresholdConfig(a, a, mu), rc)
+        res = dinkelbach_solve(ThresholdConfig(a, a, math.inf), rc)
     except InfeasibleError:
         return math.inf, None
     return res.theta_star, res
@@ -588,7 +595,6 @@ def _theta_at(a: float, rc: RateConstraint, mu: float) -> tuple[float, Dinkelbac
 def optimize_threshold(
     rc: RateConstraint,
     a_grid: tuple[float, float, float] = (0.0, 3.0, 0.01),
-    mu: float = _DEFAULT_MU,
     refine: bool = True,
     refine_width: float = 1e-5,
 ) -> OptimizationResult:
@@ -601,7 +607,7 @@ def optimize_threshold(
     evaluated: dict[float, float] = {}
     best_res: dict[float, DinkelbachResult] = {}
     for a in grid:
-        theta, res = _theta_at(a, rc, mu)
+        theta, res = _theta_at(a, rc)
         evaluated[a] = theta
         if res is not None:
             best_res[a] = res
@@ -618,8 +624,8 @@ def optimize_threshold(
         invphi = (math.sqrt(5.0) - 1.0) / 2.0
         x1 = hi - invphi * (hi - lo)
         x2 = lo + invphi * (hi - lo)
-        f1, r1 = _theta_at(x1, rc, mu)
-        f2, r2 = _theta_at(x2, rc, mu)
+        f1, r1 = _theta_at(x1, rc)
+        f2, r2 = _theta_at(x2, rc)
         evaluated[x1] = f1
         evaluated[x2] = f2
         if r1 is not None:
@@ -630,14 +636,14 @@ def optimize_threshold(
             if f1 <= f2:
                 hi, x2, f2 = x2, x1, f1
                 x1 = hi - invphi * (hi - lo)
-                f1, r1 = _theta_at(x1, rc, mu)
+                f1, r1 = _theta_at(x1, rc)
                 evaluated[x1] = f1
                 if r1 is not None:
                     best_res[x1] = r1
             else:
                 lo, x1, f1 = x1, x2, f2
                 x2 = lo + invphi * (hi - lo)
-                f2, r2 = _theta_at(x2, rc, mu)
+                f2, r2 = _theta_at(x2, rc)
                 evaluated[x2] = f2
                 if r2 is not None:
                     best_res[x2] = r2
@@ -646,8 +652,7 @@ def optimize_threshold(
         a_best = min(a for a, t in finite.items() if t <= t_min + 1e-9)
 
     res = best_res[a_best]
-    cfg = ThresholdConfig(a_best, a_best, mu)
-    bd = mse_large_mu(cfg, res.lengths)
+    bd = mse_exact(ThresholdConfig(a_best, a_best, math.inf), res.lengths)
     active = []
     if res.kraft_slack <= _SLACK_TOL:
         active.append("kraft")
@@ -671,6 +676,7 @@ def integer_oracle(
 ) -> tuple[Codebook, float]:
     """Exhaustive integer search over symmetric (l1, l2) in [1, l_max]^2.
 
+    Each codebook is scored by mse_exact at mu = inf, whatever cfg.mu is.
     Feasibility uses the four-term Kraft sum over codewords of events that
     can occur (a zero-probability event needs no codeword and its length is
     reported as inf) and the same rate floor as the relaxed problem.  Ties
@@ -681,6 +687,7 @@ def integer_oracle(
     if not (1 <= l_max <= 16):
         raise ParameterError(f"l_max must be in [1, 16], got {l_max}")
     sc = scheme_constants(cfg)
+    large_slope = replace(cfg, mu=math.inf)
     rate_bound = 0.0 if rc.unconstrained else 1.0 / (sc.d * rc.f_max)
     p1, p2 = sc.probs.p1, sc.probs.p2
     band_dead = p2 == 0.0
@@ -693,7 +700,7 @@ def integer_oracle(
             epl = 2.0 * (p1 * l1 + (0.0 if band_dead else p2 * l2))
             if epl < rate_bound - 1e-12:
                 continue
-            mse = mse_large_mu(cfg, Codebook.integer(l1, l2, l2, l1)).mse
+            mse = mse_exact(large_slope, Codebook.integer(l1, l2, l2, l1)).mse
             key = (mse, l1, l2)
             if best is None or key < best:
                 best = key
@@ -714,7 +721,7 @@ def verify_ktilde_negative(a_values: Sequence[float] | np.ndarray) -> KtildeRepo
         raise ParameterError("a_values must be non-empty")
     vals = np.empty_like(a_arr)
     for i, a in enumerate(a_arr):
-        sc = scheme_constants(ThresholdConfig(float(a), float(a), _DEFAULT_MU))
+        sc = scheme_constants(ThresholdConfig(float(a), float(a), math.inf))
         p = sc.probs.as_tuple()
         pt = sc.p_tilde
         k = sc.k

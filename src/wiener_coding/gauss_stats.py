@@ -86,8 +86,9 @@ class ThresholdConfig:
     """Scheme parameters: band coefficients a, b, slope mu, process variance sigma2.
 
     Thresholds are +-a*sqrt(L) / -+b*sqrt(L) (constant part) and the sloped
-    catch-up thresholds grow at rate mu.  mu = 0 is rejected: without a
-    growing threshold the out-of-band hitting time has infinite mean.
+    catch-up thresholds grow at rate mu.  mu = inf is the large-slope limit,
+    where a sample beyond the band is caught at once.  mu = 0 is rejected:
+    without a growing threshold the out-of-band hitting time has infinite mean.
     """
 
     a: float
@@ -97,7 +98,9 @@ class ThresholdConfig:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "mu", "sigma2"):
-            object.__setattr__(self, name, _finite_real(name, getattr(self, name)))
+            v = getattr(self, name)
+            large_slope = name == "mu" and isinstance(v, numbers.Real) and v == math.inf
+            object.__setattr__(self, name, math.inf if large_slope else _finite_real(name, v))
         if self.a < 0 or self.b < 0:
             raise ParameterError(f"thresholds must be non-negative, got a={self.a}, b={self.b}")
         if self.mu <= 0:

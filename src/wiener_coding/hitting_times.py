@@ -1,4 +1,4 @@
-"""Hitting times of drifted Brownian motion and band-exit probabilities.
+"""Hitting times of drifted Brownian motion and their grid Monte Carlo sampler.
 
 For mu*t + B(t) rooted at zero and a level c > 0, the hitting time tau_c has
 Laplace transform
@@ -30,11 +30,7 @@ from .gauss_stats import _finite_real, _positive_fields
 
 __all__ = [
     "DriftHitSpec",
-    "laplace_transform",
     "hit_moments",
-    "band_exit_upper_prob",
-    "band_exit_lower_prob",
-    "sample_hit_time",
     "sample_hit_times",
 ]
 
@@ -64,14 +60,6 @@ class DriftHitSpec:
         _positive_fields(self, "c", "mu")
 
 
-def laplace_transform(spec: DriftHitSpec, lam: float) -> float:
-    """Psi(lambda) = E[exp(-lambda*tau_c)], for lambda >= 0."""
-    if lam < 0:
-        raise ParameterError(f"lambda must be >= 0, got {lam}")
-    mu = spec.mu
-    return math.exp(-spec.c * (math.sqrt(mu * mu + 2.0 * lam) - mu))
-
-
 def hit_moments(spec: DriftHitSpec) -> tuple[float, float, float, float]:
     """First four moments of tau_c."""
     c, mu = spec.c, spec.mu
@@ -80,20 +68,6 @@ def hit_moments(spec: DriftHitSpec) -> tuple[float, float, float, float]:
     m3 = c**3 / mu**3 + 3 * c**2 / mu**4 + 3 * c / mu**5
     m4 = c**4 / mu**4 + 6 * c**3 / mu**5 + 15 * c**2 / mu**6 + 15 * c / mu**7
     return (m1, m2, m3, m4)
-
-
-def band_exit_upper_prob(x: float, a_level: float, b_level: float) -> float:
-    """P(driftless BM from x exits [-b_level, a_level] at the top) = (x+b)/(a+b)."""
-    if a_level + b_level <= 0:
-        raise ParameterError("band must have positive width")
-    if not (-b_level <= x <= a_level):
-        raise ParameterError(f"start point {x} outside band [{-b_level}, {a_level}]")
-    return (x + b_level) / (a_level + b_level)
-
-
-def band_exit_lower_prob(x: float, a_level: float, b_level: float) -> float:
-    """Complement of band_exit_upper_prob; the two sum to 1 exactly."""
-    return 1.0 - band_exit_upper_prob(x, a_level, b_level)
 
 
 def _check_walk(n_paths: int, step: float, horizon: float) -> int:
@@ -194,13 +168,3 @@ def sample_hit_times(
             f"(c={spec.c}, mu={spec.mu}, step={step})"
         )
     return times
-
-
-def sample_hit_time(
-    spec: DriftHitSpec,
-    step: float,
-    rng_seed: int,
-    horizon: float | None = None,
-) -> float:
-    """Single-path convenience wrapper around sample_hit_times."""
-    return float(sample_hit_times(spec, step, 1, rng_seed, horizon=horizon)[0])

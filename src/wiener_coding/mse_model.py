@@ -1,25 +1,21 @@
 """Analytical MSE and sampling rate of the monotone-threshold scheme.
 
-Two closed forms are provided:
+``mse_exact`` assembles the closed form from the per-event conditional
+moments.  The sloped-threshold events contribute 1/mu correction terms
+through the shifted tail moments A_k, B_k:
 
-* ``mse_large_mu`` -- the large-slope limit
-      mse = K * E_P[L^2]/E_P[L] + E_Ptilde[L],     sr = 1/(D * E_P[L])
+    E[C(Y)Y^2] = (l1*At + l4*Bt + p2*l2*a^2 + p3*l3*b^2) * E[L]
+                 + (l1*A1 + l4*B1)/mu * E[sqrt(L)]
+    E[Y^4]     = (3 + p2*a^4 + p3*b^4 - Xt) * E[L^2]
+                 + [6a^2*A1 + 12a*A2 + 6*A3 + (b terms)] * E[L^{3/2}]/mu
+                 + [12a*A1 + 15*A2 + (b terms)] * E[L]/mu^2
+                 + 15*(A1 + B1) * E[sqrt(L)]/mu^3
+    E[tau+L]   = D * E[L] + (A1 + B1)/mu * E[sqrt(L)]
+    mse        = (E[Y^4] + 6*E[C(Y)Y^2]) / (6*E[tau+L]),   sr = 1/E[tau+L]
 
-* ``mse_exact`` -- the finite-slope form assembled from the per-event
-  conditional moments.  The sloped-threshold events contribute 1/mu
-  correction terms through the shifted tail moments A_k, B_k:
-
-      E[C(Y)Y^2] = (l1*At + l4*Bt + p2*l2*a^2 + p3*l3*b^2) * E[L]
-                   + (l1*A1 + l4*B1)/mu * E[sqrt(L)]
-      E[Y^4]     = (3 + p2*a^4 + p3*b^4 - Xt) * E[L^2]
-                   + [6a^2*A1 + 12a*A2 + 6*A3 + (b terms)] * E[L^{3/2}]/mu
-                   + [12a*A1 + 15*A2 + (b terms)] * E[L]/mu^2
-                   + 15*(A1 + B1) * E[sqrt(L)]/mu^3
-      E[tau+L]   = D * E[L] + (A1 + B1)/mu * E[sqrt(L)]
-      mse        = (E[Y^4] + 6*E[C(Y)Y^2]) / (6*E[tau+L]),   sr = 1/E[tau+L]
-
-Both reduce to the same value as mu -> inf.  A renewal-cycle Monte Carlo
-check of the underlying optional-stopping identity
+The large-slope regime is mu = inf: every 1/mu term vanishes, leaving
+mse = K * E_P[L^2]/E_P[L] + E_Ptilde[L] and sr = 1/(D * E_P[L]).  A
+renewal-cycle Monte Carlo check of the underlying optional-stopping identity
 E[int_0^tau W^2 dt] = E[W_tau^4]/6 is provided in ``mse_integral_oracle``.
 
 A process variance sigma^2 != 1 is handled by canonicalization: the config
@@ -35,7 +31,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -57,9 +52,7 @@ __all__ = [
     "DeterministicStop",
     "BandStop",
     "SlopedStop",
-    "mse_large_mu",
     "mse_exact",
-    "sampling_rate",
     "scale_to_sigma",
     "ideal_benchmark_mse",
     "mse_integral_oracle",
@@ -148,7 +141,6 @@ class MseBreakdown:
     l2bar: float
     lsqrtbar: float
     ltilde: float
-    regime: Literal["exact", "large_mu"]
 
 
 def _weighted_sum(weights, values, what: str) -> float:
@@ -167,7 +159,8 @@ def _pmf_length_moments(sc: SchemeConstants, cb: Codebook):
     """(E[L], E[L^2], E[sqrt L], E[L^1.5], E_Ptilde[L]) under the event PMFs.
 
     An infinite length is only admissible when both its event probability
-    and its length-weighting probability are exactly zero.
+    and its length-weighting probability are exactly zero; a finite one
+    whose square overflows is rejected as too large.
     """
     p = sc.probs.as_tuple()
     pt = sc.p_tilde
@@ -176,6 +169,10 @@ def _pmf_length_moments(sc: SchemeConstants, cb: Codebook):
         if math.isinf(li) and (pi != 0.0 or qi != 0.0):
             raise ModelError(
                 f"l{i + 1} is infinite but its event has positive weight (p={pi}, p_tilde={qi})"
+            )
+        if math.isinf(li * li) and pi != 0.0:
+            raise ParameterError(
+                f"l{i + 1} = {li} is too large for the closed forms (l**2 overflows)"
             )
     m1 = _weighted_sum(p, ls, "event")
     m2 = _weighted_sum(p, [l * l for l in ls], "event")
@@ -199,43 +196,14 @@ def scale_to_sigma(cfg: ThresholdConfig) -> ThresholdConfig:
     return ThresholdConfig(cfg.a / s, cfg.b / s, cfg.mu / s, 1.0)
 
 
-def mse_large_mu(cfg: ThresholdConfig, cb: Codebook) -> MseBreakdown:
-    """Large-slope MSE: K * E[L^2]/E[L] + E_Ptilde[L], sr = 1/(D*E[L])."""
-    canon = scale_to_sigma(cfg)
-    sc = scheme_constants(canon)
-    m1, m2, mh, m32, ltilde = _pmf_length_moments(sc, cb)
-    a, b = canon.a, canon.b
-    p = sc.probs
-    etau = sc.d * m1
-    ecy2 = (
-        _weighted_sum(
-            (sc.a_tilde, p.p2 * a * a, p.p3 * b * b, sc.b_tilde),
-            cb.lengths,
-            "length-weighting",
-        )
-        * m1
-    )
-    ey4 = (3.0 + p.p2 * a**4 + p.p3 * b**4 - sc.x_tilde) * m2
-    mse = sc.k * m2 / m1 + ltilde
-    return MseBreakdown(
-        mse=cfg.sigma2 * mse,
-        sr=1.0 / etau,
-        ey4=ey4,
-        ecy2=ecy2,
-        etau=etau,
-        lbar=m1,
-        l2bar=m2,
-        lsqrtbar=mh,
-        ltilde=ltilde,
-        regime="large_mu",
-    )
-
-
 def mse_exact(cfg: ThresholdConfig, cb: Codebook) -> MseBreakdown:
-    """Finite-slope MSE with all 1/mu correction terms.
+    """MSE and sampling rate with all 1/mu correction terms.
 
-    Raises ParameterError for a slope so small (below about 1.35e-108 in
-    sigma units) that mu**3 underflows to 0.
+    mu = inf gives the large-slope limit, where the correction terms are 0.
+    Raises ParameterError instead of returning an overflowed value: for code
+    lengths whose powers overflow, for a slope so small (about 1e-103 in
+    sigma units or less) that a 1/mu term overflows or mu**3 underflows to 0,
+    and for a sigma2 or code lengths at which the MSE or the rate overflows.
     """
     canon = scale_to_sigma(cfg)
     sc = scheme_constants(canon)
@@ -256,24 +224,46 @@ def mse_exact(cfg: ThresholdConfig, cb: Codebook) -> MseBreakdown:
             "length-weighting",
         )
         * m1
-        + _weighted_sum((A[1], 0.0, 0.0, B[1]), cb.lengths, "tail") / mu * mh
     )
-    ey4 = (
-        (3.0 + p.p2 * a**4 + p.p3 * b**4 - sc.x_tilde) * m2
-        + (
-            (6 * a * a * A[1] + 12 * a * A[2] + 6 * A[3])
-            + (6 * b * b * B[1] + 12 * b * B[2] + 6 * B[3])
+    ey4 = (3.0 + p.p2 * a**4 + p.p3 * b**4 - sc.x_tilde) * m2
+    etau = sc.d * m1
+    if not math.isfinite(ey4 + 6.0 * ecy2):
+        raise ParameterError(
+            f"code lengths too large for the closed forms (E[Y^4] overflows): {cb.lengths}"
         )
-        * m32
-        / mu
-        + ((12 * a * A[1] + 15 * A[2]) + (12 * b * B[1] + 15 * B[2])) * m1 / mu**2
-        + 15.0 * (A[1] + B[1]) * mh / mu**3
-    )
-    etau = sc.d * m1 + (A[1] + B[1]) / mu * mh
-    mse = (ey4 + 6.0 * ecy2) / (6.0 * etau)
+    if math.isinf(mu):
+        # equal to (ey4 + 6*ecy2)/(6*etau) here, but that rounds differently
+        # in the last bit; this is the form the optimizer's objective uses
+        mse = sc.k * m2 / m1 + ltilde
+    else:
+        ecy2 += _weighted_sum((A[1], 0.0, 0.0, B[1]), cb.lengths, "tail") / mu * mh
+        ey4 = (
+            ey4
+            + (
+                (6 * a * a * A[1] + 12 * a * A[2] + 6 * A[3])
+                + (6 * b * b * B[1] + 12 * b * B[2] + 6 * B[3])
+            )
+            * m32
+            / mu
+            + ((12 * a * A[1] + 15 * A[2]) + (12 * b * B[1] + 15 * B[2])) * m1 / mu**2
+            + 15.0 * (A[1] + B[1]) * mh / mu**3
+        )
+        etau += (A[1] + B[1]) / mu * mh
+        mse = (ey4 + 6.0 * ecy2) / (6.0 * etau)
+        if not (math.isfinite(ey4) and math.isfinite(etau) and math.isfinite(mse)):
+            raise ParameterError(
+                f"slope too small for the closed forms (a 1/mu term overflows): mu={cfg.mu}"
+            )
+    mse *= cfg.sigma2
+    sr = 1.0 / etau
+    if math.isinf(mse) or math.isinf(sr):
+        raise ParameterError(
+            f"the closed forms overflow at sigma2={cfg.sigma2} with code lengths "
+            f"{cb.lengths}: mse={mse}, sr={sr}"
+        )
     return MseBreakdown(
-        mse=cfg.sigma2 * mse,
-        sr=1.0 / etau,
+        mse=mse,
+        sr=sr,
         ey4=ey4,
         ecy2=ecy2,
         etau=etau,
@@ -281,19 +271,7 @@ def mse_exact(cfg: ThresholdConfig, cb: Codebook) -> MseBreakdown:
         l2bar=m2,
         lsqrtbar=mh,
         ltilde=ltilde,
-        regime="exact",
     )
-
-
-def sampling_rate(
-    cfg: ThresholdConfig, cb: Codebook, mode: Literal["exact", "large_mu"] = "exact"
-) -> float:
-    """Long-run samples per unit time, 1/E[tau + L], under the chosen regime."""
-    if mode == "exact":
-        return mse_exact(cfg, cb).sr
-    if mode == "large_mu":
-        return mse_large_mu(cfg, cb).sr
-    raise ParameterError(f"mode must be 'exact' or 'large_mu', got {mode!r}")
 
 
 def ideal_benchmark_mse(a: float) -> tuple[float, float]:

@@ -109,6 +109,9 @@ class SimConfig:
             raise ParameterError("replications must be >= 1")
         if not (0.0 <= self.burn_in_frac < 0.5):
             raise ParameterError("burn_in_frac must be in [0, 0.5)")
+        if math.isinf(self.cfg.mu):
+            raise ParameterError("the simulator needs a finite slope mu; mu = inf is the "
+                                 "closed forms' large-slope limit")
         cb = self.cb
         if self.scheme == UNIFORM:
             if cb is None:

@@ -4,7 +4,8 @@ Everything here is deliberately computed by a different route than the
 library: adaptive quadrature on the defining integrals instead of closed
 forms, a dense grid scan of the fractional objective instead of the
 Dinkelbach/KKT machinery, and bisection on J(theta) instead of
-Dinkelbach's update.
+Dinkelbach's update.  The hitting-time helpers at the end are closed forms
+and a wrapper that only the tests call.
 """
 
 import math
@@ -13,7 +14,15 @@ from dataclasses import replace
 import numpy as np
 from scipy import integrate
 
-from wiener_coding import Codebook, build_qp, mse_large_mu, solve_qp
+from wiener_coding import (
+    Codebook,
+    DriftHitSpec,
+    ParameterError,
+    build_qp,
+    mse_exact,
+    sample_hit_times,
+    solve_qp,
+)
 
 SQRT2PI = math.sqrt(2 * math.pi)
 
@@ -136,7 +145,7 @@ def bisection_theta(cfg, rc, width=1e-10, j_tol=1e-9):
     def solve_at(theta):
         return solve_qp(replace(inst, q_theta=2.0 * theta * np.array(inst.p)))
 
-    lo, hi = 0.0, 10.0 * mse_large_mu(cfg, Codebook.uniform(2.0)).mse
+    lo, hi = 0.0, 10.0 * mse_exact(replace(cfg, mu=math.inf), Codebook.uniform(2.0)).mse
     assert solve_at(lo).objective > 0.0 and solve_at(hi).objective < 0.0
     theta, sol = hi, None
     while hi - lo > width:
@@ -163,3 +172,30 @@ def markov_length_sequence(n: int, stay_prob: float, values, seed: int) -> np.nd
             continue
         state = int(rng.integers(k))
     return seq
+
+
+def laplace_transform(spec: DriftHitSpec, lam: float) -> float:
+    """Psi(lambda) = E[exp(-lambda*tau_c)] = exp(-c*(sqrt(mu^2 + 2*lambda) - mu))."""
+    if lam < 0:
+        raise ParameterError(f"lambda must be >= 0, got {lam}")
+    mu = spec.mu
+    return math.exp(-spec.c * (math.sqrt(mu * mu + 2.0 * lam) - mu))
+
+
+def band_exit_upper_prob(x: float, a_level: float, b_level: float) -> float:
+    """P(driftless BM from x exits [-b_level, a_level] at the top) = (x+b)/(a+b)."""
+    if a_level + b_level <= 0:
+        raise ParameterError("band must have positive width")
+    if not (-b_level <= x <= a_level):
+        raise ParameterError(f"start point {x} outside band [{-b_level}, {a_level}]")
+    return (x + b_level) / (a_level + b_level)
+
+
+def band_exit_lower_prob(x: float, a_level: float, b_level: float) -> float:
+    """Complement of band_exit_upper_prob; the two sum to 1 exactly."""
+    return 1.0 - band_exit_upper_prob(x, a_level, b_level)
+
+
+def sample_hit_time(spec: DriftHitSpec, step: float, rng_seed: int, horizon=None) -> float:
+    """Single-path wrapper around sample_hit_times."""
+    return float(sample_hit_times(spec, step, 1, rng_seed, horizon=horizon)[0])

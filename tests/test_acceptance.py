@@ -30,7 +30,6 @@ from wiener_coding import (
     length_independence_test,
     mse_exact,
     mse_integral_oracle,
-    mse_large_mu,
     partial_moments,
     run,
     sample_hit_times,
@@ -54,8 +53,8 @@ def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_01_zero_threshold_anchor():
     t0 = time.perf_counter()
-    res = dinkelbach_solve(ThresholdConfig(0, 0, 1e6), UNC)
-    bd = mse_large_mu(ThresholdConfig(0, 0, 1e6), res.lengths)
+    res = dinkelbach_solve(ThresholdConfig(0, 0, math.inf), UNC)
+    bd = mse_exact(ThresholdConfig(0, 0, math.inf), res.lengths)
     elapsed = time.perf_counter() - t0
     ok = (
         abs(res.lengths.l1 - 1.0) <= 1e-6
@@ -142,7 +141,7 @@ def test_criterion_05_tight_constraints_and_two_regions():
         rc = RateConstraint(fmax)
         rate_active, kraft_active = [], []
         for a in a_grid:
-            res = dinkelbach_solve(ThresholdConfig(float(a), float(a), 1e6), rc)
+            res = dinkelbach_solve(ThresholdConfig(float(a), float(a), math.inf), rc)
             worst_slack = max(worst_slack, min(res.kraft_slack, res.rate_slack))
             kraft_active.append(res.kraft_slack <= 1e-6)
             rate_active.append((not rc.unconstrained) and res.rate_slack <= 1e-6)
@@ -166,7 +165,7 @@ def test_criterion_06_ktilde_and_psd():
     rep = verify_ktilde_negative(grid)
     min_eig = math.inf
     for a in grid:
-        inst = build_qp(ThresholdConfig(float(a), float(a), 1e6), 1.0, UNC)
+        inst = build_qp(ThresholdConfig(float(a), float(a), math.inf), 1.0, UNC)
         min_eig = min(min_eig, float(np.linalg.eigvalsh(inst.Q).min()))
     ok = rep.all_negative and min_eig >= -1e-10
     _report(
@@ -181,7 +180,7 @@ def test_criterion_07_dinkelbach_vs_dense_grid():
     worst = 0.0
     for a in (0.5, 1.0, 2.0):
         theta_grid, _, _ = oracles.grid_search_theta(a, math.inf)
-        res = dinkelbach_solve(ThresholdConfig(a, a, 1e6), UNC)
+        res = dinkelbach_solve(ThresholdConfig(a, a, math.inf), UNC)
         worst = max(worst, abs(res.theta_star - theta_grid))
     ok = worst <= 1e-3
     _report(7, "Dinkelbach optimum matches dense grid search", ok, f"worst gap {worst:.2e}")
@@ -194,7 +193,7 @@ def test_criterion_08_relaxation_bound():
         a = float(rng.uniform(0.05, 2.5))
         fmax = math.inf if rng.random() < 0.3 else float(rng.uniform(0.2, 2.0))
         rc = RateConstraint(fmax)
-        cfg = ThresholdConfig(a, a, 1e6)
+        cfg = ThresholdConfig(a, a, math.inf)
         relaxed = dinkelbach_solve(cfg, rc)
         _, int_mse = integer_oracle(cfg, rc, l_max=12)
         if int_mse < relaxed.theta_star - 1e-9:
@@ -262,9 +261,10 @@ def test_criterion_11_identity_suite():
             )
     for a in (0.0, 0.5, 1.0, 2.0):
         cfg = ThresholdConfig(a, a, 1e4)
+        large_slope = ThresholdConfig(a, a, math.inf)
         for ls in itertools.product((1, 2, 3, 4), repeat=2):
             cb = Codebook.relaxed(ls[0], ls[1], ls[1], ls[0])
-            gap = abs(mse_exact(cfg, cb).mse - mse_large_mu(cfg, cb).mse)
+            gap = abs(mse_exact(cfg, cb).mse - mse_exact(large_slope, cb).mse)
             worst_gap = max(worst_gap, gap)
     ok = (
         worst_norm <= 1e-12

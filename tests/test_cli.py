@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import wiener_coding
-from wiener_coding import Codebook, ThresholdConfig, mse_large_mu
+from wiener_coding import Codebook, ThresholdConfig, mse_exact
 from wiener_coding.cli import main
 
 
@@ -40,7 +41,7 @@ class TestAnalyze:
         assert main(["analyze", "--a", "1", "--b", "1", "--l", "2,2,2,2",
                      "--out", str(out)]) == 0
         row = read_csv(out)[0]
-        lib = mse_large_mu(ThresholdConfig(1, 1, 1e6), Codebook.uniform(2.0))
+        lib = mse_exact(ThresholdConfig(1, 1, math.inf), Codebook.uniform(2.0))
         assert float(row["mse_large_mu"]) == lib.mse
         assert float(row["sr_large_mu"]) == lib.sr
 
@@ -76,24 +77,38 @@ TINY_COMMANDS = [
      "--eps", "1e-2", "--horizon", "300", "--seed", "1", "--reps", "1"],
 ]
 
+SWEEP_ARGV = ["sweep", "--grid", "0:2:0.05", "--fmax", "inf,0.5,0.35,0.2"]
+
 # SHA-256 of stdout, captured before the root finder was ported from scipy;
-# together these runs take both KKT patterns that call it
+# together these runs take both KKT patterns that call it.  The sweep ran at
+# the old default slope 1e6; the analyze run pins the finite-slope closed form.
 GOLDEN_STDOUT = [
     (["optimize", "--fmax", "0.5", "--grid", "0:3:0.01"],
      "5d1cfd8549b2b1eaaccf739cd6d7245a54469805beeedb1ac9344d3ed8f0bf8f"),
     (["optimize", "--fmax", "0.2", "--grid", "0:3:0.01"],
      "47fce0f2ead86a0d9287a408d598ea63eb97717eaf21f133fc7017ae5f17177f"),
-    (["sweep", "--grid", "0:2:0.05", "--fmax", "inf,0.5,0.35,0.2"],
+    (SWEEP_ARGV + ["--mu", "1e6"],
      "a60081620fffd321b2cbe372095d61aa8bf3083fcb51b94ce075a4339776464a"),
+    (["analyze", "--l", "1,3,4,5", "--grid", "0:3:0.01", "--mu", "10"],
+     "dd71db2d0534367363a7db1e9c157b537481118a4704db053d47f846bea1e870"),
 ]
 
 
 class TestGoldenStdout:
     @pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT,
-                             ids=["optimize-0.5", "optimize-0.2", "sweep"])
+                             ids=["optimize-0.5", "optimize-0.2", "sweep", "analyze-mu10"])
     def test_stdout_digest(self, argv, digest, capsys):
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_default_slope_changes_only_the_mu_header(self, capsys):
+        # the closed-form columns are large-slope at any --mu
+        assert main(SWEEP_ARGV) == 0
+        default = capsys.readouterr().out.splitlines()
+        assert main(SWEEP_ARGV + ["--mu", "1e6"]) == 0
+        old = capsys.readouterr().out.splitlines()
+        diff = [(x, y) for x, y in zip(default, old) if x != y]
+        assert len(default) == len(old) and diff == [("# mu=inf", "# mu=1e6")]
 
 
 class TestGrid:
@@ -141,6 +156,15 @@ class TestHugeThresholds:
         assert "too large" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_length_exit_code(self, tmp_path, capsys):
+        # the length is finite; only its square overflows
+        out = tmp_path / "h.csv"
+        assert main(["analyze", "--a", "1", "--b", "1", "--l", "1e200,1e200,1e200,1e200",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "too large" in err and "infinite" not in err
+        assert not out.exists()
+
     def test_far_asymmetric_band(self, tmp_path):
         out = tmp_path / "a.csv"
         assert main(["analyze", "--l", "2,2,2,2", "--a", "38", "--b", "0",
@@ -156,6 +180,14 @@ class TestTinySlope:
         assert main(["analyze", "--l", "2,2,2,2", "--a", "1", "--b", "1", "--mu", mu,
                      "--out", str(out)]) == 2
         assert "too small" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_slope_exit_code(self, tmp_path, capsys):
+        # above 1.35e-108 mu**3 is not 0, but the 1/mu**3 term overflows to inf
+        out = tmp_path / "a.csv"
+        assert main(["analyze", "--l", "2,2,2,2", "--a", "1", "--b", "1", "--mu", "1e-105",
+                     "--out", str(out)]) == 2
+        assert "overflows" in capsys.readouterr().err
         assert not out.exists()
 
     def test_small_slope_evaluated(self, tmp_path):
@@ -254,6 +286,18 @@ class TestSimulate:
         assert proc.returncode == 0, proc.stderr
         assert out.read_bytes() == via_main.read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--a", "1", "--b", "1", "--l", "2,2,2,2", "--horizon", "300"],
+        ["simulate", "--a", "1", "--b", "1", "--scheme", "ideal-benchmark", "--horizon", "300"],
+        ["sweep", "--grid", "0:1:0.5", "--fmax", "0.5", "--simulate", "--horizon", "300"],
+    ])
+    def test_default_slope_cannot_be_simulated(self, tmp_path, argv, capsys):
+        # the default mu = inf is the large-slope limit; a simulation needs --mu
+        out = tmp_path / "s.out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "--mu" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_benchmark_scheme(self, tmp_path):
         out = tmp_path / "ideal.json"
         rc = main(
@@ -313,7 +357,7 @@ class TestConfigPrecedence:
         out = tmp_path / "o.csv"
         assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
         row = read_csv(out)[0]
-        assert float(row["mu"]) == 50.0  # config beats the 1e6 default
+        assert float(row["mu"]) == 50.0  # config beats the inf default
         out2 = tmp_path / "o2.csv"
         assert main(["analyze", "--config", str(cfg), "--mu", "25",
                      "--out", str(out2)]) == 0

@@ -17,7 +17,7 @@ from wiener_coding import (
     build_qp,
     dinkelbach_solve,
     integer_oracle,
-    mse_large_mu,
+    mse_exact,
     optimize_threshold,
     scheme_constants,
     solve_qp,
@@ -27,7 +27,7 @@ from wiener_coding import code_optimizer
 from wiener_coding.cli import main
 from wiener_coding.code_optimizer import _brentq, threshold_grid
 
-MU = 1e6
+MU = math.inf
 UNC = RateConstraint(math.inf)
 
 # 20 thresholds from a = 0 x 5 rate limits: 100 points, 23 of them rate-active
@@ -177,7 +177,7 @@ class TestDinkelbach:
 
     def test_fractional_consistency(self):
         res = dinkelbach_solve(sym_cfg(0.8), RateConstraint(0.4))
-        val = mse_large_mu(sym_cfg(0.8), res.lengths).mse
+        val = mse_exact(sym_cfg(0.8), res.lengths).mse
         assert val == pytest.approx(res.theta_star, abs=1e-6)
 
     def test_sigma_guard(self):
@@ -253,7 +253,7 @@ class TestOptimizeThreshold:
             )
             assert min(res.kraft_slack, res.rate_slack) <= 1e-6
             assert res.mse == pytest.approx(
-                mse_large_mu(sym_cfg(res.a_star), res.lengths).mse, abs=1e-9
+                mse_exact(sym_cfg(res.a_star), res.lengths).mse, abs=1e-9
             )
 
     def test_bad_grid(self):

