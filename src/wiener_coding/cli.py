@@ -1,8 +1,12 @@
 """Command-line front end: analyze / optimize / simulate / sweep.
 
-Value resolution: command-line flags override config-file entries, which
-override built-in defaults.  The config file is flat ``key = value`` text
-(keys are the long flag names without dashes, # starts a comment).
+Each command accepts exactly the flags its handler reads (``_TABLE``), plus
+--config and --force.  Value resolution: command-line flags override
+config-file entries, which override the command's defaults.  The config
+file is flat ``key = value`` text: keys are the command's long flag names
+without the leading dashes (config and force are command-line only), and #
+starts a comment.  A key the command does not read is an error, and so is a
+flag given in a run that would not read it.
 
 Relative --out paths are placed under $WIENER_CODING_OUTDIR when it is set.
 Existing output files are never overwritten without --force.  Outputs embed
@@ -45,22 +49,26 @@ __all__ = ["main", "entry"]
 
 ENV_OUTDIR = "WIENER_CODING_OUTDIR"
 
-_DEFAULTS = {
-    "a": None,
-    "b": None,
-    "mu": "inf",
-    "sigma2": "1",
-    "l": None,
-    "fmax": "inf",
-    "grid": "0:3:0.01",
-    "eps": "1e-2",
-    "horizon": "1e5",
-    "seed": "0",
-    "reps": None,
-    "format": "csv",
-    "scheme": MONOTONE,
-    "out": None,
+_HELP = {
+    "a": "upper threshold coefficient",
+    "b": "lower threshold coefficient",
+    "mu": "threshold slope (default inf, the large-slope limit; "
+          "simulations need a finite value)",
+    "sigma2": "process variance (default 1)",
+    "l": "code lengths l1,l2,l3,l4 (inf allowed)",
+    "fmax": "max sampling rate; number or inf (sweep: a comma-separated list)",
+    "grid": "threshold grid lo:hi:step",
+    "eps": "simulation time step",
+    "horizon": "simulation horizon",
+    "seed": "base RNG seed",
+    "reps": "independent replications",
+    "format": "output format",
+    "scheme": "simulated scheme",
+    "out": "output path (default stdout)",
+    "cycles-out": "optional CSV cycle log path",
+    "simulate": "add simulation overlay columns",
 }
+_CHOICES = {"format": ["csv", "json"], "scheme": [MONOTONE, UNIFORM, IDEAL]}
 
 
 def _parse_lengths(text: str) -> tuple[float, float, float, float]:
@@ -99,14 +107,7 @@ def _parse_int(name: str, text: str) -> int:
         raise ParameterError(f"--{name}: could not parse {text!r} as an integer") from None
 
 
-def _parse_fmax_list(text: str) -> list[float]:
-    out = []
-    for part in text.split(","):
-        out.append(_parse_float("fmax", part.strip()))
-    return out
-
-
-def _read_config(path: str) -> dict[str, str]:
+def _read_config(path: str, command: str, row: dict) -> dict[str, str]:
     cfg: dict[str, str] = {}
     try:
         lines = Path(path).read_text().splitlines()
@@ -119,24 +120,31 @@ def _read_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ParameterError(f"--config: line {i} is not 'key = value': {raw!r}")
         key, value = line.split("=", 1)
-        cfg[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key not in row:
+            raise ParameterError(f"--config: line {i}: {command} has no parameter {key!r}")
+        cfg[key] = value.strip()
     return cfg
 
 
 class _Resolver:
-    """flags > config file > defaults; raises when a required key is absent."""
+    """flags > config file > the command's defaults, for the flags in its row.
+
+    Reading a flag outside the row is a bug in the handler, so it raises
+    KeyError rather than a ParameterError.
+    """
 
     def __init__(self, args: argparse.Namespace):
-        self.args = vars(args)
-        self.config = _read_config(args.config) if getattr(args, "config", None) else {}
+        self.command, self.force = args.command, args.force
+        self.row = _TABLE[args.command][2]
+        flags = {k: str(v) for k, v in vars(args).items() if k in self.row and v is not None}
+        config = _read_config(args.config, self.command, self.row) if args.config else {}
+        self.given = {**config, **flags}
 
     def raw(self, key: str) -> str | None:
-        v = self.args.get(key)
-        if v is not None:
-            return str(v)
-        if key in self.config:
-            return self.config[key]
-        return _DEFAULTS.get(key)
+        if key not in self.row:
+            raise KeyError(f"{self.command} does not accept --{key}")
+        return self.given.get(key, self.row[key])
 
     def require(self, key: str) -> str:
         v = self.raw(key)
@@ -144,15 +152,26 @@ class _Resolver:
             raise ParameterError(f"missing required parameter --{key}")
         return v
 
+    def unread(self, keys: tuple[str, ...], when: str) -> None:
+        """Reject any of keys given in a run that does not read them."""
+        for key in keys:
+            if key in self.given:
+                raise ParameterError(f"--{key} is not used {when}")
 
-def _resolve_out(path: str | None) -> Path | None:
-    if path is None:
-        return None
-    p = Path(path)
-    outdir = os.environ.get(ENV_OUTDIR)
-    if outdir and not p.is_absolute():
-        p = Path(outdir) / p
-    return p
+    def output(self, key: str) -> Path | None:
+        """The path given for key, under $WIENER_CODING_OUTDIR when relative,
+        with its directory made; refused when it exists and --force is absent."""
+        path = self.raw(key)
+        if path is None:
+            return None
+        p = Path(path)
+        outdir = os.environ.get(ENV_OUTDIR)
+        if outdir and not p.is_absolute():
+            p = Path(outdir) / p
+        if p.exists() and not self.force:
+            raise ParameterError(f"refusing to overwrite {p} (pass --force)")
+        p.parent.mkdir(parents=True, exist_ok=True)
+        return p
 
 
 def _fmt_cell(v) -> str:
@@ -163,7 +182,8 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _emit(rows: list[dict], meta: dict, fmt: str, out: Path | None, force: bool) -> None:
+def _emit(rows: list[dict], meta: dict, res: _Resolver) -> None:
+    fmt = res.require("format")
     if fmt == "csv":
         buf = io.StringIO()
         for key in sorted(meta):
@@ -188,13 +208,11 @@ def _emit(rows: list[dict], meta: dict, fmt: str, out: Path | None, force: bool)
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         raise ParameterError(f"--format must be csv or json, got {fmt!r}")
+    out = res.output("out")
     if out is None:
         sys.stdout.write(text)
-        return
-    if out.exists() and not force:
-        raise ParameterError(f"refusing to overwrite {out} (pass --force)")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text)
+    else:
+        out.write_text(text)
 
 
 def _cfg_from(res: _Resolver, a: float, b: float) -> ThresholdConfig:
@@ -211,10 +229,11 @@ def _require_finite_mu(mu: float) -> None:
         )
 
 
-def cmd_analyze(res: _Resolver, force: bool) -> int:
+def cmd_analyze(res: _Resolver) -> int:
     lengths = _parse_lengths(res.require("l"))
     cb = Codebook.relaxed(*lengths)
     if res.raw("a") is not None or res.raw("b") is not None:
+        res.unread(("grid",), "with --a/--b")
         a = _parse_float("a", res.require("a"))
         b = _parse_float("b", res.require("b"))
         points = [(a, b)]
@@ -250,11 +269,11 @@ def cmd_analyze(res: _Resolver, force: bool) -> int:
         "mu": res.require("mu"),
         "sigma2": res.require("sigma2"),
     }
-    _emit(rows, meta, res.require("format"), _resolve_out(res.raw("out")), force)
+    _emit(rows, meta, res)
     return 0
 
 
-def cmd_optimize(res: _Resolver, force: bool) -> int:
+def cmd_optimize(res: _Resolver) -> int:
     fmax = _parse_float("fmax", res.require("fmax"))
     grid = _parse_grid(res.require("grid"))
     result = optimize_threshold(RateConstraint(fmax), a_grid=grid)
@@ -275,58 +294,48 @@ def cmd_optimize(res: _Resolver, force: bool) -> int:
         }
     ]
     meta = {"command": "optimize", "fmax": res.require("fmax"), "grid": res.require("grid")}
-    _emit(rows, meta, res.require("format"), _resolve_out(res.raw("out")), force)
+    _emit(rows, meta, res)
     return 0
 
 
-def _sim_config(res: _Resolver, scheme: str, log_cycles: bool) -> SimConfig:
-    a = _parse_float("a", res.require("a"))
-    b = _parse_float("b", res.require("b"))
-    cfg = _cfg_from(res, a, b)
+def cmd_simulate(res: _Resolver) -> int:
+    scheme = res.require("scheme")
+    cfg = _cfg_from(res, _parse_float("a", res.require("a")), _parse_float("b", res.require("b")))
     _require_finite_mu(cfg.mu)
-    cb = None
-    if scheme == MONOTONE:
-        cb = Codebook(*_parse_lengths(res.require("l")), mode=INTEGER)
-    reps_raw = res.raw("reps")
-    kwargs = {} if reps_raw is None else {"replications": _parse_int("reps", reps_raw)}
-    return SimConfig(
+    lengths = res.raw("l")
+    sim = SimConfig(
         eps=_parse_float("eps", res.require("eps")),
         horizon=_parse_float("horizon", res.require("horizon")),
         cfg=cfg,
-        cb=cb,
+        cb=None if lengths is None else Codebook(*_parse_lengths(lengths), mode=INTEGER),
         seed=_parse_int("seed", res.require("seed")),
         scheme=scheme,
-        log_cycles=log_cycles,
-        **kwargs,
+        replications=_parse_int("reps", res.require("reps")),
+        log_cycles=res.raw("cycles-out") is not None,
     )
-
-
-def cmd_simulate(res: _Resolver, force: bool, cycles_out: str | None) -> int:
-    scheme = res.require("scheme")
-    sim = _sim_config(res, scheme, log_cycles=cycles_out is not None)
     report = run(sim) if scheme == MONOTONE else run_benchmark(sim)
-    out = _resolve_out(res.raw("out"))
+    out, cycles_out = res.output("out"), res.output("cycles-out")
     if out is None:
         sys.stdout.write(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
     else:
-        if out.exists() and not force:
-            raise ParameterError(f"refusing to overwrite {out} (pass --force)")
-        out.parent.mkdir(parents=True, exist_ok=True)
         report.to_json(out)
     if cycles_out is not None:
-        cpath = _resolve_out(cycles_out)
-        if cpath.exists() and not force:
-            raise ParameterError(f"refusing to overwrite {cpath} (pass --force)")
-        report.cycles.to_csv(cpath)
+        report.cycles.to_csv(cycles_out)
     return 0
 
 
-def cmd_sweep(res: _Resolver, force: bool, simulate: bool) -> int:
+def cmd_sweep(res: _Resolver) -> int:
     grid = threshold_grid(_parse_grid(res.require("grid")))
-    fmaxes = _parse_fmax_list(res.require("fmax"))
+    fmaxes = [_parse_float("fmax", part.strip()) for part in res.require("fmax").split(",")]
     mu = _parse_float("mu", res.require("mu"))
+    flag = res.require("simulate")
+    if flag not in ("true", "false"):
+        raise ParameterError(f"--simulate: expected true or false, got {flag!r}")
+    simulate = flag == "true"
     if simulate:
         _require_finite_mu(mu)
+    else:
+        res.unread(("eps", "horizon", "seed", "reps"), "without --simulate")
     rows = []
     any_feasible = False
     for fmax in fmaxes:
@@ -376,7 +385,7 @@ def cmd_sweep(res: _Resolver, force: bool, simulate: bool) -> int:
         "mu": res.require("mu"),
         "simulate": simulate,
     }
-    _emit(rows, meta, res.require("format"), _resolve_out(res.raw("out")), force)
+    _emit(rows, meta, res)
     return 0
 
 
@@ -386,8 +395,7 @@ def _sweep_sim_columns(res: _Resolver, cfg: ThresholdConfig, rc: RateConstraint)
     eps = _parse_float("eps", res.require("eps"))
     horizon = _parse_float("horizon", res.require("horizon"))
     seed = _parse_int("seed", res.require("seed"))
-    reps_raw = res.raw("reps")
-    reps = 3 if reps_raw is None else _parse_int("reps", reps_raw)
+    reps = _parse_int("reps", res.require("reps"))
     out: dict = {}
     uni = run_benchmark(
         SimConfig(eps, horizon, cfg, Codebook.uniform(2, mode=INTEGER), seed,
@@ -415,59 +423,47 @@ def _sweep_sim_columns(res: _Resolver, cfg: ThresholdConfig, rc: RateConstraint)
     return out
 
 
+# command: (handler, help, {flag its handler reads: default, None for none}).
+# A command accepts exactly these flags, on the command line or as config
+# keys, plus --config and --force.
+_TABLE = {
+    "analyze": (cmd_analyze, "evaluate analytics at a point or over a grid", {
+        "a": None, "b": None, "mu": "inf", "sigma2": "1", "l": None, "grid": "0:3:0.01",
+        "format": "csv", "out": None}),
+    "optimize": (cmd_optimize, "optimal threshold and code lengths", {
+        "fmax": "inf", "grid": "0:3:0.01", "format": "csv", "out": None}),
+    "simulate": (cmd_simulate, "run the discrete-time simulator", {
+        "a": None, "b": None, "mu": "inf", "sigma2": "1", "l": None, "eps": "1e-2",
+        "horizon": "1e5", "seed": "0", "reps": "1", "scheme": MONOTONE, "out": None,
+        "cycles-out": None}),
+    "sweep": (cmd_sweep, "benchmark sweep over thresholds and rate constraints", {
+        "grid": "0:3:0.01", "fmax": "inf", "mu": "inf", "eps": "1e-2", "horizon": "1e5",
+        "seed": "0", "reps": "3", "format": "csv", "out": None, "simulate": "false"}),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wiener-coding",
         description="Event-driven sampling and source coding of a Wiener process",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for command, (_, help_text, row) in _TABLE.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--a", help="upper threshold coefficient")
-        p.add_argument("--b", help="lower threshold coefficient")
-        p.add_argument("--mu", help="threshold slope (default inf, the large-slope limit; "
-                       "simulations need a finite value)")
-        p.add_argument("--sigma2", help="process variance (default 1)")
-        p.add_argument("--l", help="code lengths l1,l2,l3,l4 (inf allowed)")
-        p.add_argument("--fmax", help="max sampling rate; number or inf")
-        p.add_argument("--grid", help="threshold grid lo:hi:step")
-        p.add_argument("--eps", help="simulation time step")
-        p.add_argument("--horizon", help="simulation horizon")
-        p.add_argument("--seed", help="base RNG seed")
-        p.add_argument("--reps", help="independent replications")
-        p.add_argument("--format", choices=["csv", "json"], help="output format")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--force", action="store_true", help="allow overwriting --out")
-
-    p_an = sub.add_parser("analyze", help="evaluate analytics at a point or over a grid")
-    common(p_an)
-    p_opt = sub.add_parser("optimize", help="optimal threshold and code lengths")
-    common(p_opt)
-    p_sim = sub.add_parser("simulate", help="run the discrete-time simulator")
-    common(p_sim)
-    p_sim.add_argument("--scheme", choices=[MONOTONE, UNIFORM, IDEAL])
-    p_sim.add_argument("--cycles-out", help="optional CSV cycle log path")
-    p_sw = sub.add_parser("sweep", help="benchmark sweep over thresholds and rate constraints")
-    common(p_sw)
-    p_sw.add_argument("--simulate", action="store_true", help="add simulation overlay columns")
+        p.add_argument("--force", action="store_true", help="allow overwriting outputs")
+        for flag in row:
+            # --simulate is a switch; as a config key it reads true or false
+            kind = ({"action": "store_const", "const": "true"} if flag == "simulate"
+                    else {"choices": _CHOICES.get(flag)})
+            p.add_argument(f"--{flag}", dest=flag, help=_HELP[flag], **kind)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        res = _Resolver(args)
-        if args.command == "analyze":
-            return cmd_analyze(res, args.force)
-        if args.command == "optimize":
-            return cmd_optimize(res, args.force)
-        if args.command == "simulate":
-            return cmd_simulate(res, args.force, args.cycles_out)
-        if args.command == "sweep":
-            return cmd_sweep(res, args.force, args.simulate)
-        raise ParameterError(f"unknown command {args.command!r}")
+        return _TABLE[args.command][0](_Resolver(args))
     except ParameterError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

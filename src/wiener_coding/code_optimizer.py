@@ -45,7 +45,7 @@ from .errors import (
     SearchError,
     UnsupportedConfigurationError,
 )
-from .gauss_stats import ThresholdConfig, scheme_constants
+from .gauss_stats import ThresholdConfig, _finite_real, _integer, scheme_constants
 from .mse_model import Codebook, mse_exact
 
 __all__ = [
@@ -74,6 +74,8 @@ _MAX_GRID_POINTS = 10**6
 _DUAL_TOL = 1e-9
 _PRIMAL_TOL = 1e-9
 _SLACK_TOL = 1e-6
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section ratio
+_REFINE_WIDTH = 1e-5  # the threshold refinement stops at this bracket width
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon  # the smallest rtol scipy's brentq accepts
 _KRAFT_BOUND = 0.5  # reduced Kraft bound: 2^-l1 + 2^-l2 <= 1/2
 # where _pattern_kraft samples the sign of its derivative: l1 from just above
@@ -91,9 +93,10 @@ class RateConstraint:
     f_max: float = math.inf
 
     def __post_init__(self) -> None:
-        if not self.f_max > 0:
-            raise ParameterError(f"f_max must be > 0, got {self.f_max}")
-        object.__setattr__(self, "f_max", float(self.f_max))
+        f_max = _finite_real("f_max", self.f_max, inf_ok=True)
+        if not f_max > 0:
+            raise ParameterError(f"f_max must be > 0, got {f_max}")
+        object.__setattr__(self, "f_max", f_max)
 
     @property
     def unconstrained(self) -> bool:
@@ -593,10 +596,7 @@ def _theta_at(a: float, rc: RateConstraint) -> tuple[float, DinkelbachResult | N
 
 
 def optimize_threshold(
-    rc: RateConstraint,
-    a_grid: tuple[float, float, float] = (0.0, 3.0, 0.01),
-    refine: bool = True,
-    refine_width: float = 1e-5,
+    rc: RateConstraint, a_grid: tuple[float, float, float] = (0.0, 3.0, 0.01)
 ) -> OptimizationResult:
     """Exhaustive threshold scan with golden-section refinement.
 
@@ -606,51 +606,38 @@ def optimize_threshold(
     grid = threshold_grid(a_grid)
     evaluated: dict[float, float] = {}
     best_res: dict[float, DinkelbachResult] = {}
-    for a in grid:
-        theta, res = _theta_at(a, rc)
-        evaluated[a] = theta
+
+    def theta(a: float) -> float:
+        evaluated[a], res = _theta_at(a, rc)
         if res is not None:
             best_res[a] = res
-    finite = {a: t for a, t in evaluated.items() if math.isfinite(t)}
-    if not finite:
-        raise InfeasibleError("every grid point is infeasible under the rate constraint")
-    t_min = min(finite.values())
-    a_best = min(a for a, t in finite.items() if t <= t_min + 1e-9)
+        return evaluated[a]
 
-    if refine:
-        i = grid.index(a_best)
-        lo = grid[max(0, i - 1)]
-        hi = grid[min(len(grid) - 1, i + 1)]
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        x1 = hi - invphi * (hi - lo)
-        x2 = lo + invphi * (hi - lo)
-        f1, r1 = _theta_at(x1, rc)
-        f2, r2 = _theta_at(x2, rc)
-        evaluated[x1] = f1
-        evaluated[x2] = f2
-        if r1 is not None:
-            best_res[x1] = r1
-        if r2 is not None:
-            best_res[x2] = r2
-        while hi - lo > refine_width:
-            if f1 <= f2:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - invphi * (hi - lo)
-                f1, r1 = _theta_at(x1, rc)
-                evaluated[x1] = f1
-                if r1 is not None:
-                    best_res[x1] = r1
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + invphi * (hi - lo)
-                f2, r2 = _theta_at(x2, rc)
-                evaluated[x2] = f2
-                if r2 is not None:
-                    best_res[x2] = r2
+    def best() -> float:
         finite = {a: t for a, t in evaluated.items() if math.isfinite(t)}
+        if not finite:
+            raise InfeasibleError("every grid point is infeasible under the rate constraint")
         t_min = min(finite.values())
-        a_best = min(a for a, t in finite.items() if t <= t_min + 1e-9)
+        return min(a for a, t in finite.items() if t <= t_min + 1e-9)
 
+    for a in grid:
+        theta(a)
+    i = grid.index(best())
+    lo = grid[max(0, i - 1)]
+    hi = grid[min(len(grid) - 1, i + 1)]
+    x1 = hi - _INVPHI * (hi - lo)
+    x2 = lo + _INVPHI * (hi - lo)
+    f1, f2 = theta(x1), theta(x2)
+    while hi - lo > _REFINE_WIDTH:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INVPHI * (hi - lo)
+            f1 = theta(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INVPHI * (hi - lo)
+            f2 = theta(x2)
+    a_best = best()
     res = best_res[a_best]
     bd = mse_exact(ThresholdConfig(a_best, a_best, math.inf), res.lengths)
     active = []
@@ -684,7 +671,7 @@ def integer_oracle(
     """
     if cfg.a != cfg.b:
         raise UnsupportedConfigurationError("integer oracle requires a = b")
-    if not (1 <= l_max <= 16):
+    if _integer("l_max", l_max, 1) > 16:
         raise ParameterError(f"l_max must be in [1, 16], got {l_max}")
     sc = scheme_constants(cfg)
     large_slope = replace(cfg, mu=math.inf)

@@ -65,11 +65,20 @@ def gauss_tail(x: float) -> float:
     return 0.5 * math.erfc(x / _SQRT2)
 
 
-def _finite_real(name: str, v: object) -> float:
-    """v as a float if it is a finite real number (numpy scalars too, bool not)."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-        raise ParameterError(f"{name} must be a finite number, got {v!r}")
+def _finite_real(name: str, v: object, inf_ok: bool = False) -> float:
+    """v as a float if it is a finite real number, or +inf when inf_ok
+    (numpy scalars too, bool not)."""
+    if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+            or not (math.isfinite(v) or (inf_ok and v == math.inf))):
+        raise ParameterError(f"{name} must be a finite number{' or inf' * inf_ok}, got {v!r}")
     return float(v)
+
+
+def _integer(name: str, v: object, least: int) -> int:
+    """v if it is an integer >= least (numpy integers too, bool not)."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {v!r}")
+    return v
 
 
 def _positive_fields(obj: object, *names: str) -> None:
@@ -98,9 +107,7 @@ class ThresholdConfig:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "mu", "sigma2"):
-            v = getattr(self, name)
-            large_slope = name == "mu" and isinstance(v, numbers.Real) and v == math.inf
-            object.__setattr__(self, name, math.inf if large_slope else _finite_real(name, v))
+            object.__setattr__(self, name, _finite_real(name, getattr(self, name), name == "mu"))
         if self.a < 0 or self.b < 0:
             raise ParameterError(f"thresholds must be non-negative, got a={self.a}, b={self.b}")
         if self.mu <= 0:

@@ -20,13 +20,12 @@ usual O(sqrt(step)) threshold bias; oracle tests budget for it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HorizonError, ParameterError
-from .gauss_stats import _finite_real, _positive_fields
+from .gauss_stats import _finite_real, _integer, _positive_fields
 
 __all__ = [
     "DriftHitSpec",
@@ -72,8 +71,7 @@ def hit_moments(spec: DriftHitSpec) -> tuple[float, float, float, float]:
 
 def _check_walk(n_paths: int, step: float, horizon: float) -> int:
     """Validate a batched walk's size; return its grid steps up to horizon."""
-    if isinstance(n_paths, bool) or not isinstance(n_paths, numbers.Integral) or n_paths < 1:
-        raise ParameterError(f"n_paths must be an integer >= 1, got {n_paths!r}")
+    _integer("n_paths", n_paths, 1)
     for name, v in (("step", step), ("horizon", horizon)):
         if _finite_real(name, v) <= 0:
             raise ParameterError(f"{name} must be > 0, got {v}")

@@ -29,7 +29,6 @@ terms; only ``mse`` carries the sigma^2 factor.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +37,7 @@ from .errors import ModelError, ParameterError
 from .gauss_stats import (
     SchemeConstants,
     ThresholdConfig,
+    _finite_real,
     _positive_fields,
     gauss_pdf,
     gauss_tail,
@@ -60,6 +60,10 @@ __all__ = [
 
 RELAXED = "relaxed-real"
 INTEGER = "integer-prefix"
+
+# a deterministic stop walks each path as one row of t/step doubles, held
+# twice (the walk and its square): 80 MB per buffer at this many steps
+_MAX_ROW_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -84,11 +88,9 @@ class Codebook:
             raise ParameterError(f"unknown codebook mode {self.mode!r}")
         ls = []
         for name in ("l1", "l2", "l3", "l4"):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Real) or math.isnan(v):
-                raise ParameterError(f"{name} must be a number, got {v!r}")
-            ls.append(float(v))
-            object.__setattr__(self, name, float(v))
+            v = _finite_real(name, getattr(self, name), inf_ok=True)
+            ls.append(v)
+            object.__setattr__(self, name, v)
         if self.mode == INTEGER:
             # infinity stands for a codeword that is never transmitted; it is
             # only legal for zero-probability events (checked at use sites)
@@ -286,8 +288,8 @@ def ideal_benchmark_mse(a: float) -> tuple[float, float]:
     optional-stopping machinery as the main scheme and validated against the
     ideal-benchmark simulator.
     """
-    if a < 0 or not math.isfinite(a):
-        raise ParameterError(f"threshold a must be finite and >= 0, got {a}")
+    if _finite_real("a", a) < 0:
+        raise ParameterError(f"threshold a must be >= 0, got {a}")
     q = gauss_tail(a)
     g2 = a * gauss_pdf(a) + q
     g4 = (a**3 + 3 * a) * gauss_pdf(a) + 3 * q
@@ -383,20 +385,25 @@ def mse_integral_oracle(
 
     The paths run through hitting_times' batched crossing kernel: batches of
     20000 paths, chunks of 1024 grid steps (a deterministic stop takes its
-    whole grid as one chunk), each chunk walked in row tiles of about 2**15
-    doubles in one reused buffer.  Each tile's squared path is summed in a
+    whole grid as one chunk, so it raises ParameterError before allocating
+    when round(t/step) exceeds 10**7), each chunk walked in row tiles of
+    about 2**15 doubles in one reused buffer.  Each tile's squared path is summed in a
     second reused tile and each crossing's two sides recorded while the tile
     is in cache, so memory is a few tiles plus a few floats per path, and no
     tile-sized array is allocated per tile.
     """
     n_steps = _check_walk(n_paths, step, horizon)
+    if isinstance(stop, DeterministicStop) and not stop.t / step <= _MAX_ROW_STEPS + 0.5:
+        raise ParameterError(
+            f"a deterministic stop at t = {stop.t} with step {step} walks rows of "
+            f"{stop.t / step:.3g} steps; the limit is {_MAX_ROW_STEPS}"
+        )
     lhs = np.empty(n_paths)
     rhs = np.empty(n_paths)
     pos = np.zeros(n_paths)  # walk position at the end of the last chunk
     rng = np.random.default_rng(seed)
 
     if isinstance(stop, DeterministicStop):
-        _check_walk(n_paths, step, stop.t)  # t / step is a grid step count too
         n_steps = max(1, int(round(stop.t / step)))
         scratch = _tile_buffer(n_steps)  # the squared tile
 

@@ -51,14 +51,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .errors import HorizonError, ParameterError, WienerCodingError
-from .gauss_stats import ThresholdConfig, event_probabilities
+from .gauss_stats import ThresholdConfig, _integer, event_probabilities
 from .mse_model import INTEGER, Codebook
 
 __all__ = [
@@ -101,12 +100,10 @@ class SimConfig:
             raise ParameterError(
                 f"horizon / eps = {self.horizon / self.eps:g} grid steps; need < 2**53"
             )
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ParameterError(f"seed must be an integer >= 0, got {self.seed!r}")
+        _integer("seed", self.seed, 0)
+        _integer("replications", self.replications, 1)
         if self.scheme not in (MONOTONE, UNIFORM, IDEAL):
             raise ParameterError(f"unknown scheme {self.scheme!r}")
-        if self.replications < 1:
-            raise ParameterError("replications must be >= 1")
         if not (0.0 <= self.burn_in_frac < 0.5):
             raise ParameterError("burn_in_frac must be in [0, 0.5)")
         if math.isinf(self.cfg.mu):
@@ -118,17 +115,17 @@ class SimConfig:
                 cb = Codebook.uniform(2, mode=INTEGER)
                 object.__setattr__(self, "cb", cb)
             elif cb.lengths != (2.0, 2.0, 2.0, 2.0):
-                raise ParameterError("uniform benchmark fixes all code lengths to 2")
+                raise ParameterError(f"uniform benchmark fixes code lengths to 2, got {cb.lengths}")
         elif self.scheme == IDEAL:
             if cb is not None:
-                raise ParameterError("ideal benchmark transmits real values; no codebook")
+                raise ParameterError("ideal benchmark transmits real values; no code lengths")
             if self.cfg.b != self.cfg.a:
                 raise ParameterError(
                     f"ideal benchmark samples on a symmetric band; need b = a, "
                     f"got a={self.cfg.a}, b={self.cfg.b}"
                 )
         elif cb is None:
-            raise ParameterError("monotone scheme requires a codebook")
+            raise ParameterError("monotone scheme requires a codebook of code lengths")
         if cb is not None:
             if cb.mode != INTEGER:
                 raise ParameterError("simulator requires an integer-prefix codebook")

@@ -5,13 +5,16 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wiener_coding
 from wiener_coding import Codebook, ThresholdConfig, mse_exact
-from wiener_coding.cli import main
+from wiener_coding.cli import _Resolver, _build_parser, main
 
 
 def read_csv(path: Path):
@@ -385,3 +388,235 @@ class TestOutputDirEnv:
                    "--out", str(out)])
         assert rc == 0
         assert out.exists()
+
+
+# the flags each command reads, besides --config and --force
+ROWS = {
+    "analyze": ["a", "b", "mu", "sigma2", "l", "grid", "format", "out"],
+    "optimize": ["fmax", "grid", "format", "out"],
+    "simulate": ["a", "b", "mu", "sigma2", "l", "eps", "horizon", "seed", "reps", "scheme",
+                 "out", "cycles-out"],
+    "sweep": ["grid", "fmax", "mu", "eps", "horizon", "seed", "reps", "format", "out",
+              "simulate"],
+}
+ALL_FLAGS = sorted({f for row in ROWS.values() for f in row})
+OUTSIDE = [(c, f) for c, row in ROWS.items() for f in ALL_FLAGS if f not in row]
+
+
+def write_config(path: Path, text: str) -> str:
+    path.write_text(text)
+    return str(path)
+
+
+class TestFlagTable:
+    def test_each_parser_has_exactly_its_row(self):
+        sub = _build_parser()._subparsers._group_actions[0]
+        options = {command: sorted(o[2:] for a in p._actions for o in a.option_strings
+                                   if o != "--help" and o.startswith("--"))
+                   for command, p in sub.choices.items()}
+        assert options == {c: sorted(row + ["config", "force"]) for c, row in ROWS.items()}
+        assert sum(len(o) for o in options.values()) == 42
+
+    @pytest.mark.parametrize("command,flag", OUTSIDE)
+    def test_flag_outside_row_is_usage_error(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as e:
+            main([command, f"--{flag}", "1"])
+        assert e.value.code == 2
+        assert f"--{flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", OUTSIDE + [
+        (c, k) for c in ROWS for k in ("config", "force", "sigmaa2", "foo")])
+    def test_config_key_outside_row(self, tmp_path, command, flag, capsys):
+        cfg = write_config(tmp_path / "c.txt", f"# comment\n{flag} = 1\n")
+        out = tmp_path / "o.txt"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert repr(flag) in err and "line 2" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag", OUTSIDE)
+    def test_handler_cannot_read_outside_row(self, command, flag):
+        res = _Resolver(_build_parser().parse_args([command]))
+        with pytest.raises(KeyError):
+            res.raw(flag)
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["optimize", "--fmax", "0.3", "--grid", "0:1:0.25", "--mu", "1", "--sigma2", "4",
+          "--a", "7", "--l", "1,1,1,1", "--seed", "9"], "--mu"),
+        (["analyze", "--l", "2,2,2,2", "--a", "1", "--b", "1", "--fmax", "0.1", "--eps", "3",
+          "--horizon", "1", "--reps", "9"], "--fmax"),
+        (["sweep", "--grid", "0:1:0.5", "--fmax", "inf", "--sigma2", "4", "--a", "3", "--b", "3",
+          "--l", "9,9,9,9"], "--sigma2"),
+        (["simulate", "--a", "1", "--b", "1", "--mu", "10", "--l", "2,2,2,2",
+          "--horizon", "300", "--format", "csv"], "--format"),
+    ])
+    def test_flags_of_other_commands_rejected(self, argv, flag, capsys):
+        # flag names the first argument outside the command's row
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
+class TestFlagsReadOnlyInSomeRuns:
+    @pytest.mark.parametrize("argv,flag", [
+        (["analyze", "--a", "1", "--b", "1", "--grid", "0:1:0.5", "--l", "2,2,2,2"], "--grid"),
+        (["analyze", "--a", "1", "--grid", "0:1:0.5", "--l", "2,2,2,2"], "--grid"),
+        (["sweep", "--grid", "0:1:0.5", "--fmax", "inf", "--eps", "nan"], "--eps"),
+        (["sweep", "--grid", "0:1:0.5", "--fmax", "inf", "--horizon", "300"], "--horizon"),
+        (["sweep", "--grid", "0:1:0.5", "--fmax", "inf", "--seed", "3"], "--seed"),
+        (["sweep", "--grid", "0:1:0.5", "--fmax", "inf", "--reps", "3"], "--reps"),
+    ])
+    def test_given_but_unread_flag(self, tmp_path, argv, flag, capsys):
+        out = tmp_path / "o.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,text,flag", [
+        (["analyze", "--a", "1", "--b", "1", "--l", "2,2,2,2"], "grid = 0:1:0.5", "--grid"),
+        (["sweep", "--grid", "0:1:0.5"], "seed = 3", "--seed"),
+        (["sweep", "--grid", "0:1:0.5"], "simulate = maybe", "--simulate"),
+    ])
+    def test_given_in_config_counts(self, tmp_path, argv, text, flag, capsys):
+        cfg = write_config(tmp_path / "c.txt", text + "\n")
+        assert main(argv + ["--config", cfg]) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_defaults_do_not_count(self, capsys):
+        assert main(["analyze", "--a", "1", "--b", "1", "--l", "2,2,2,2"]) == 0
+        assert main(["sweep", "--grid", "0:1:0.5", "--fmax", "inf"]) == 0
+
+    def test_simulate_as_config_key(self, tmp_path, capsys):
+        # the default --reps of sweep --simulate is 3
+        argv = ["sweep", "--grid", "0:1:1", "--fmax", "0.5", "--mu", "10", "--eps", "0.5",
+                "--horizon", "1500"]
+        assert main(argv + ["--simulate", "--reps", "3"]) == 0
+        by_flag = capsys.readouterr().out
+        cfg = write_config(tmp_path / "c.txt", "simulate = true\n")
+        assert main(argv + ["--config", cfg]) == 0
+        assert capsys.readouterr().out == by_flag
+        assert "sim_mse_integer" in by_flag and "# simulate=True" in by_flag
+
+    SIM = ["simulate", "--a", "1", "--b", "1", "--mu", "10", "--horizon", "300", "--seed", "2"]
+
+    @pytest.mark.parametrize("extra", [
+        ["--scheme", "uniform-benchmark", "--l", "1,3,4,5"],
+        ["--scheme", "ideal-benchmark", "--l", "2,2,2,2"],
+        [],  # the monotone scheme needs --l
+    ])
+    def test_benchmark_lengths_go_to_the_simulator(self, extra, capsys):
+        # --l reaches SimConfig for every scheme, which checks it against the scheme
+        assert main(self.SIM + extra) == 2
+        assert "code lengths" in capsys.readouterr().err
+
+    def test_uniform_lengths_of_two_accepted(self, capsys):
+        assert main(self.SIM + ["--scheme", "uniform-benchmark"]) == 0
+        default = capsys.readouterr().out
+        assert main(self.SIM + ["--scheme", "uniform-benchmark", "--l", "2,2,2,2"]) == 0
+        assert capsys.readouterr().out == default
+
+
+class TestOverwrite:
+    def test_cycle_log_checked_before_any_output(self, tmp_path):
+        out, cyc = tmp_path / "rep.json", tmp_path / "cycles.csv"
+        cyc.write_text("keep\n")
+        argv = TestSimulate.ARGS + ["--out", str(out), "--cycles-out", str(cyc)]
+        assert main(argv) == 2
+        assert not out.exists() and cyc.read_text() == "keep\n"
+        assert main(argv + ["--force"]) == 0
+        assert read_csv(cyc)
+
+    def test_output_directory_made(self, tmp_path):
+        cyc = tmp_path / "new" / "cycles.csv"
+        assert main(TestSimulate.ARGS + ["--out", str(tmp_path / "r.json"),
+                                         "--cycles-out", str(cyc)]) == 0
+        assert cyc.exists()
+
+
+# small values only: grids of at most 5 points, horizons <= 300, reps <= 2;
+# per flag, values a run accepts (for some other flags), then values it rejects
+FUZZ_VALUES = {
+    "a": (["1", "0", "0.5", "40"], ["-1", "nan", "x"]),
+    "b": (["1", "0", "0.2"], ["inf", "-0.5"]),
+    "mu": (["10", "1", "0.01", "inf"], ["0", "-1", "1e-110"]),
+    "sigma2": (["1", "4"], ["0", "nan"]),
+    "l": (["2,2,2,2", "1,2,3,3", "1,inf,inf,1", "1.5,2,2,2"],
+          ["1,3,4,5", "0,1,1,1", "2,2", "x,2,2,2", "1e200,1,1,1"]),
+    "fmax": (["0.5", "inf", "0.2", "inf,0.2"], ["1e-4", "0", "nan", "-inf", "x"]),
+    "grid": (["0:1:0.25", "0:1:0.5", "0.5:1:0.25", "0:0.5:0.5"],
+             ["1:0:0.5", "0:1", "0:inf:1", "0:1:1e-300", "a:b:c"]),
+    "eps": (["1e-2", "0.5", "1"], ["nan"]),
+    "horizon": (["300", "200"], ["100", "0", "-5", "nan"]),
+    "seed": (["0", "3"], ["-1", "1.5"]),
+    "reps": (["1", "2"], ["0", "2.5"]),
+    "format": (["csv", "json"], ["xml"]),
+    "scheme": (["monotone", "uniform-benchmark", "ideal-benchmark"], ["other"]),
+    "out": (["out.txt", "sub/out.txt"], []),
+    "cycles-out": (["cycles.csv"], ["out.txt"]),
+    "simulate": (["true", "false"], ["maybe"]),  # a switch on the command line
+}
+FUZZ_FLAGS = sorted(FUZZ_VALUES) + ["config", "force"]
+MOSTLY = (True, True, True, False)
+
+
+@st.composite
+def invocations(draw):
+    """A command and a subset of all flags: each of its own with probability 3/4,
+    and one outside its row a quarter of the time; a value a run accepts three
+    times in four, so that runs get past the checks and run."""
+    command = draw(st.sampled_from(sorted(ROWS)))
+    own = ROWS[command] + ["config", "force"]
+    flags = [f for f in own if draw(st.sampled_from(MOSTLY))]
+    # the default grid (301 points) and horizon (1e5) are too large to run here
+    if "grid" in own and not {"a", "b"} & set(flags):
+        flags.append("grid")
+    if command == "simulate" or "simulate" in flags:
+        flags.append("horizon")
+    if not draw(st.sampled_from(MOSTLY)):
+        flags.append(draw(st.sampled_from([f for f in FUZZ_FLAGS if f not in own])))
+    flags = list(dict.fromkeys(flags))
+    values = {}
+    for f in flags:
+        if f in FUZZ_VALUES:
+            good, bad = FUZZ_VALUES[f]
+            values[f] = draw(st.sampled_from(good if draw(st.sampled_from(MOSTLY)) or not bad
+                                             else bad))
+    in_config = (draw(st.sets(st.sampled_from([f for f in flags if f != "config"])))
+                 if "config" in flags else set())
+    return command, flags, values, in_config
+
+
+class TestFuzzMain:
+    @given(invocations())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_exit_codes(self, invocation):
+        command, flags, values, in_config = invocation
+        row = ROWS[command]
+        with tempfile.TemporaryDirectory() as tmp:
+            argv, lines = [command], []
+            for f in flags:
+                value = values.get(f, "true")
+                if f.endswith("out"):  # outputs stay in the example's directory
+                    value = str(Path(tmp) / value)
+                if f in in_config:
+                    lines.append(f"{f} = {value}")
+                elif f == "config":
+                    argv += ["--config", str(Path(tmp) / "c.txt")]
+                elif f in ("force", "simulate"):
+                    argv.append(f"--{f}")
+                else:
+                    argv += [f"--{f}", value]
+            if "config" in flags:
+                write_config(Path(tmp) / "c.txt", "".join(line + "\n" for line in lines))
+            try:
+                rc = main(argv)
+            except SystemExit as e:
+                assert e.code == 2
+                rc = "usage"
+        if any(f not in row + ["config", "force"] for f in flags if f not in in_config):
+            assert rc == "usage"
+        elif any(f not in row for f in in_config):
+            assert rc in (2, "usage")  # "usage": a bad --format or --scheme choice
+        else:
+            assert rc in (0, 2, 3, 4, "usage")

@@ -248,9 +248,7 @@ class TestOptimizeThreshold:
 
     def test_one_constraint_always_tight(self):
         for fmax in (0.2, 0.5, math.inf):
-            res = optimize_threshold(
-                RateConstraint(fmax), a_grid=(0.0, 2.0, 0.25), refine=False
-            )
+            res = optimize_threshold(RateConstraint(fmax), a_grid=(0.0, 2.0, 0.25))
             assert min(res.kraft_slack, res.rate_slack) <= 1e-6
             assert res.mse == pytest.approx(
                 mse_exact(sym_cfg(res.a_star), res.lengths).mse, abs=1e-9
@@ -259,6 +257,15 @@ class TestOptimizeThreshold:
     def test_bad_grid(self):
         with pytest.raises(ParameterError):
             optimize_threshold(UNC, a_grid=(1.0, 0.5, 0.1))
+
+    @pytest.mark.parametrize("f_max", ["x", True, 0, -1.0, math.nan, -math.inf, None])
+    def test_rejects_bad_rate_constraint(self, f_max):
+        with pytest.raises(ParameterError):
+            RateConstraint(f_max)
+
+    def test_rate_constraint_values(self):
+        assert RateConstraint(np.float64(math.inf)).unconstrained
+        assert type(RateConstraint(np.int64(2)).f_max) is float
 
     @pytest.mark.parametrize("a_grid", [(0.0, 1.0, 1e-300), (0.0, math.inf, 1.0), (0.0, 1.0, 1e-6)])
     def test_grid_size_capped(self, a_grid):
@@ -299,8 +306,9 @@ class TestIntegerOracle:
             assert mse12 <= mse8 + 1e-15
 
     def test_l_max_guard(self):
-        with pytest.raises(ParameterError):
-            integer_oracle(sym_cfg(1.0), UNC, l_max=20)
+        for l_max in (20, 0, 2.5, True, np.float64(4.0)):
+            with pytest.raises(ParameterError):
+                integer_oracle(sym_cfg(1.0), UNC, l_max=l_max)
 
     def test_infeasible_reported(self):
         with pytest.raises(InfeasibleError):

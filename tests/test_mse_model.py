@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from wiener_coding import hitting_times
+from wiener_coding import hitting_times, mse_model
 from wiener_coding.code_optimizer import threshold_grid
 from wiener_coding import (
     BandStop,
@@ -61,10 +61,11 @@ class TestCodebook:
         assert Codebook.relaxed(*[np.float32(1.5)] * 4).l1 == 1.5
 
     def test_rejects_nan_and_non_numbers(self):
-        with pytest.raises(ParameterError):
-            Codebook.relaxed(1, np.float64("nan"), 2, 2)
-        with pytest.raises(ParameterError):
-            Codebook.relaxed(1, "2", 2, 2)
+        for bad in (np.float64("nan"), "2", True, -math.inf, None):
+            with pytest.raises(ParameterError):
+                Codebook.relaxed(1, bad, 2, 2)
+            with pytest.raises(ParameterError):
+                Codebook.integer(bad, 2, 2, 2)
 
 
 class TestLargeMu:
@@ -257,8 +258,9 @@ class TestIdealBenchmark:
         assert sr == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_negative(self):
-        with pytest.raises(ParameterError):
-            ideal_benchmark_mse(-0.5)
+        for a in (-0.5, "x", True, math.nan, math.inf, None):
+            with pytest.raises(ParameterError):
+                ideal_benchmark_mse(a)
 
     def test_nonzero_minimum(self):
         # the benchmark's best threshold is strictly positive
@@ -382,6 +384,23 @@ class TestIntegralOracleKernel:
         """)
         assert faults.pop("scipy") == []
         assert faults["BandStop"] < 5000 and faults["SlopedStop"] < 5000, faults
+
+    def test_long_deterministic_row_rejected_before_allocating(self, monkeypatch):
+        # one row of t/step doubles per path: 8 GB per buffer at t = 1e6
+        tracemalloc.start()
+        try:
+            for t in (1e6, 10_000.001, 1e308):
+                with pytest.raises(ParameterError, match="limit"):
+                    mse_integral_oracle(DeterministicStop(t), step=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # round(t/step) at the limit is accepted, one step more is not
+        monkeypatch.setattr(mse_model, "_MAX_ROW_STEPS", 1000)
+        assert mse_integral_oracle(DeterministicStop(1.0004), n_paths=4, step=1e-3).n_paths == 4
+        with pytest.raises(ParameterError, match="limit"):
+            mse_integral_oracle(DeterministicStop(1.001), n_paths=4, step=1e-3)
 
     def test_memory_is_a_few_tiles(self):
         # the old full (paths x chunk) matrices peaked at 489.5 MiB here

@@ -114,10 +114,15 @@ class TestSimConfigValidation:
         sim_cfg(eps=eps, cb=Codebook.integer(1, 2, 3, 3))
         sim_cfg(eps=eps, scheme="ideal-benchmark", cb=None)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_seed_must_be_non_negative_integer(self, seed):
         with pytest.raises(ParameterError):
             sim_cfg(seed=seed)
+
+    @pytest.mark.parametrize("reps", [0, -1, 2.5, True, np.float64(2.0), "2"])
+    def test_replications_must_be_positive_integer(self, reps):
+        with pytest.raises(ParameterError, match="replications"):
+            sim_cfg(replications=reps)
 
 
 class TestDeterminism:
