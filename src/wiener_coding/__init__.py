@@ -11,22 +11,15 @@ optimizer, and a discrete-time simulator that validates the analytics.
 from .code_optimizer import (
     LENGTH_CAP,
     DinkelbachResult,
-    KtildeReport,
     OptimizationResult,
-    QpInstance,
-    QpSolution,
     RateConstraint,
-    build_qp,
     dinkelbach_solve,
     integer_oracle,
     optimize_threshold,
-    solve_qp,
-    verify_ktilde_negative,
 )
 from .errors import (
     HorizonError,
     InfeasibleError,
-    ModelError,
     ParameterError,
     SearchError,
     UnsupportedConfigurationError,
@@ -34,13 +27,9 @@ from .errors import (
 )
 from .gauss_stats import (
     EventProbabilities,
-    PartialMoments,
     SchemeConstants,
     ThresholdConfig,
     event_probabilities,
-    gauss_pdf,
-    gauss_tail,
-    partial_moments,
     scheme_constants,
 )
 from .hitting_times import DriftHitSpec, hit_moments, sample_hit_times
@@ -58,7 +47,6 @@ from .mse_model import (
 )
 from .simulator import (
     CycleLog,
-    CycleRecord,
     IndependenceResult,
     SimConfig,
     SimulationReport,

@@ -352,8 +352,8 @@ def cmd_sweep(res: _Resolver) -> int:
                     sr_opt=bd.sr,
                     l1_opt=din.lengths.l1,
                     l2_opt=din.lengths.l2,
-                    kraft_active=din.kraft_slack <= 1e-6,
-                    rate_active=(not rc.unconstrained) and din.rate_slack <= 1e-6,
+                    kraft_active="kraft" in din.active,
+                    rate_active="rate" in din.active,
                     capped=din.capped,
                 )
                 any_feasible = True

@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -55,13 +54,11 @@ __all__ = [
     "QpSolution",
     "DinkelbachResult",
     "OptimizationResult",
-    "KtildeReport",
     "build_qp",
     "solve_qp",
     "dinkelbach_solve",
     "optimize_threshold",
     "integer_oracle",
-    "verify_ktilde_negative",
 ]
 
 LENGTH_CAP = 64.0
@@ -113,7 +110,6 @@ class QpInstance:
     p: tuple[float, float]
     p_tilde: tuple[float, float]
     k: float
-    d: float
 
     def objective(self, l1: float, l2: float) -> float:
         l = np.array([l1, l2])
@@ -159,6 +155,7 @@ class DinkelbachResult:
     iterations: int
     kraft_slack: float
     rate_slack: float
+    active: tuple[str, ...]  # of "kraft" and "rate", those with slack <= 1e-6
 
 
 @dataclass(frozen=True)
@@ -172,15 +169,6 @@ class OptimizationResult:
     rate_slack: float
     active: tuple[str, ...]
     capped: bool
-
-
-@dataclass(frozen=True)
-class KtildeReport:
-    a_values: np.ndarray
-    values: np.ndarray
-    max_value: float
-    argmax_a: float
-    all_negative: bool
 
 
 def build_qp(cfg: ThresholdConfig, theta: float, rc: RateConstraint) -> QpInstance:
@@ -209,7 +197,6 @@ def build_qp(cfg: ThresholdConfig, theta: float, rc: RateConstraint) -> QpInstan
         p=(p1, p2),
         p_tilde=(pt1, pt2),
         k=k,
-        d=sc.d,
     )
 
 
@@ -556,14 +543,18 @@ def dinkelbach_solve(cfg: ThresholdConfig, rc: RateConstraint) -> DinkelbachResu
         raise SearchError(
             f"Dinkelbach inconsistency: fractional objective {frac} vs theta* {theta}"
         )
-    cb = Codebook.relaxed(sol.l1, sol.l2, sol.l2, sol.l1)
+    kraft_slack, rate_slack = inst.kraft_slack(sol.l1, sol.l2), inst.rate_slack(sol.l1, sol.l2)
+    active = ("kraft",) if kraft_slack <= _SLACK_TOL else ()
+    if not rc.unconstrained and rate_slack <= _SLACK_TOL:
+        active += ("rate",)
     return DinkelbachResult(
         theta_star=theta,
-        lengths=cb,
+        lengths=Codebook.relaxed(sol.l1, sol.l2, sol.l2, sol.l1),
         capped=sol.capped,
         iterations=iterations,
-        kraft_slack=inst.kraft_slack(sol.l1, sol.l2),
-        rate_slack=inst.rate_slack(sol.l1, sol.l2),
+        kraft_slack=kraft_slack,
+        rate_slack=rate_slack,
+        active=active,
     )
 
 
@@ -640,11 +631,6 @@ def optimize_threshold(
     a_best = best()
     res = best_res[a_best]
     bd = mse_exact(ThresholdConfig(a_best, a_best, math.inf), res.lengths)
-    active = []
-    if res.kraft_slack <= _SLACK_TOL:
-        active.append("kraft")
-    if not rc.unconstrained and res.rate_slack <= _SLACK_TOL:
-        active.append("rate")
     return OptimizationResult(
         a_star=a_best,
         lengths=res.lengths,
@@ -653,7 +639,7 @@ def optimize_threshold(
         sr=bd.sr,
         kraft_slack=res.kraft_slack,
         rate_slack=res.rate_slack,
-        active=tuple(active),
+        active=res.active,
         capped=res.capped,
     )
 
@@ -695,34 +681,3 @@ def integer_oracle(
         raise InfeasibleError(f"no feasible integer lengths with l_max={l_max}")
     mse, l1, l2 = best
     return Codebook.integer(l1, l2, l2, l1), mse
-
-
-def verify_ktilde_negative(a_values: Sequence[float] | np.ndarray) -> KtildeReport:
-    """Evaluate Ktilde = sum_i p_i*(1 + (p_i - pt_i)/(2K p_i))^2 - (2K+1).
-
-    Zero-probability terms (p_i = pt_i = 0, which happens only at a = 0 for
-    the band events) are dropped by the zero-weight convention.
-    """
-    a_arr = np.asarray(list(a_values), dtype=float)
-    if a_arr.size == 0:
-        raise ParameterError("a_values must be non-empty")
-    vals = np.empty_like(a_arr)
-    for i, a in enumerate(a_arr):
-        sc = scheme_constants(ThresholdConfig(float(a), float(a), math.inf))
-        p = sc.probs.as_tuple()
-        pt = sc.p_tilde
-        k = sc.k
-        total = 0.0
-        for pi, qi in zip(p, pt):
-            if pi == 0.0 and qi == 0.0:
-                continue
-            total += pi * (1.0 + (pi - qi) / (2.0 * k * pi)) ** 2
-        vals[i] = total - (2.0 * k + 1.0)
-    i_max = int(np.argmax(vals))
-    return KtildeReport(
-        a_values=a_arr,
-        values=vals,
-        max_value=float(vals[i_max]),
-        argmax_a=float(a_arr[i_max]),
-        all_negative=bool((vals < 0).all()),
-    )

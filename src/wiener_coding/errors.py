@@ -1,5 +1,8 @@
 """Semantic exception hierarchy for the package."""
 
+__all__ = ["WienerCodingError", "ParameterError", "UnsupportedConfigurationError",
+           "InfeasibleError", "SearchError", "HorizonError"]
+
 
 class WienerCodingError(Exception):
     """Base error for this package."""
@@ -11,10 +14,6 @@ class ParameterError(WienerCodingError, ValueError):
 
 class UnsupportedConfigurationError(ParameterError):
     """Configuration is valid but not supported by this operation."""
-
-
-class ModelError(WienerCodingError):
-    """Analytical model cannot be evaluated (e.g. infinite length with positive weight)."""
 
 
 class InfeasibleError(WienerCodingError):

@@ -47,7 +47,6 @@ __all__ = [
     "gauss_pdf",
     "gauss_tail",
     "event_probabilities",
-    "partial_moments",
     "scheme_constants",
 ]
 
@@ -114,13 +113,6 @@ class ThresholdConfig:
             raise ParameterError(f"slope mu must be > 0 (mu = 0 is unstable), got {self.mu}")
         if self.sigma2 <= 0:
             raise ParameterError(f"sigma2 must be > 0, got {self.sigma2}")
-
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(self.sigma2)
-
-    def symmetric(self) -> bool:
-        return self.a == self.b
 
 
 @dataclass(frozen=True)
@@ -196,14 +188,6 @@ def _shifted_tail_moments(a: float) -> tuple[float, float, float, float, float]:
     return tuple(out)  # type: ignore[return-value]
 
 
-def partial_moments(cfg: ThresholdConfig) -> PartialMoments:
-    """Shifted tail moments for both thresholds; upper uses a, lower uses b."""
-    return PartialMoments(
-        upper=_shifted_tail_moments(cfg.a),
-        lower=_shifted_tail_moments(cfg.b),
-    )
-
-
 def _tail_moment_2(t: float) -> float:
     return t * gauss_pdf(t) + gauss_tail(t)
 
@@ -219,7 +203,6 @@ def scheme_constants(cfg: ThresholdConfig) -> SchemeConstants:
     (the two tail second moments are each 1/2).
     """
     probs = event_probabilities(cfg)
-    moments = partial_moments(cfg)
     a, b = cfg.a, cfg.b
     a_tilde = _tail_moment_2(a)
     b_tilde = _tail_moment_2(b)
@@ -240,7 +223,7 @@ def scheme_constants(cfg: ThresholdConfig) -> SchemeConstants:
     p_tilde = (a_tilde / d, probs.p2 * a * a / d, probs.p3 * b * b / d, b_tilde / d)
     return SchemeConstants(
         probs=probs,
-        moments=moments,
+        moments=PartialMoments(_shifted_tail_moments(a), _shifted_tail_moments(b)),
         a_tilde=a_tilde,
         b_tilde=b_tilde,
         x_tilde=x_tilde,

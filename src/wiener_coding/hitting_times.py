@@ -60,12 +60,29 @@ class DriftHitSpec:
 
 
 def hit_moments(spec: DriftHitSpec) -> tuple[float, float, float, float]:
-    """First four moments of tau_c."""
+    """First four moments of tau_c; ParameterError when one overflows.
+
+    A term k*c**i/mu**j whose powers leave the double range is formed on the
+    frexp mantissas of c and mu instead; a term that underflows counts as 0.
+    """
     c, mu = spec.c, spec.mu
+    (cm, ce), (mm, me) = math.frexp(c), math.frexp(mu)
+
+    def t(k: int, i: int, j: int) -> float:
+        try:
+            return k * c**i / mu**j
+        except (OverflowError, ZeroDivisionError):
+            try:
+                return math.ldexp(k * cm**i / mm**j, i * ce - j * me)
+            except OverflowError:
+                return math.inf
+
     m1 = c / mu
-    m2 = c**2 / mu**2 + c / mu**3
-    m3 = c**3 / mu**3 + 3 * c**2 / mu**4 + 3 * c / mu**5
-    m4 = c**4 / mu**4 + 6 * c**3 / mu**5 + 15 * c**2 / mu**6 + 15 * c / mu**7
+    m2 = t(1, 2, 2) + t(1, 1, 3)
+    m3 = t(1, 3, 3) + t(3, 2, 4) + t(3, 1, 5)
+    m4 = t(1, 4, 4) + t(6, 3, 5) + t(15, 2, 6) + t(15, 1, 7)
+    if math.isinf(max(m1, m2, m3, m4)):
+        raise ParameterError(f"hitting-time moments overflow at c={c}, mu={mu}")
     return (m1, m2, m3, m4)
 
 

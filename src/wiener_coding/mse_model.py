@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError, ParameterError
+from .errors import ParameterError
 from .gauss_stats import (
     SchemeConstants,
     ThresholdConfig,
@@ -121,9 +121,6 @@ class Codebook:
     def lengths(self) -> tuple[float, float, float, float]:
         return (self.l1, self.l2, self.l3, self.l4)
 
-    def kraft_sum(self) -> float:
-        return sum(2.0 ** -v for v in self.lengths)
-
 
 @dataclass(frozen=True)
 class MseBreakdown:
@@ -145,15 +142,13 @@ class MseBreakdown:
     ltilde: float
 
 
-def _weighted_sum(weights, values, what: str) -> float:
-    """Sum w_i * v_i skipping zero-weight terms (0 * inf = 0 by convention)."""
+def _weighted_sum(weights, values) -> float:
+    """Sum w_i * v_i over the nonzero weights (0 * inf = 0), left to right:
+    sum() compensates float additions from Python 3.12 on."""
     total = 0.0
     for w, v in zip(weights, values):
-        if w == 0.0:
-            continue
-        if math.isinf(v):
-            raise ModelError(f"infinite length with positive {what} weight {w}")
-        total += w * v
+        if w != 0.0:
+            total += w * v
     return total
 
 
@@ -169,18 +164,18 @@ def _pmf_length_moments(sc: SchemeConstants, cb: Codebook):
     ls = cb.lengths
     for i, (pi, qi, li) in enumerate(zip(p, pt, ls)):
         if math.isinf(li) and (pi != 0.0 or qi != 0.0):
-            raise ModelError(
+            raise ParameterError(
                 f"l{i + 1} is infinite but its event has positive weight (p={pi}, p_tilde={qi})"
             )
         if math.isinf(li * li) and pi != 0.0:
             raise ParameterError(
                 f"l{i + 1} = {li} is too large for the closed forms (l**2 overflows)"
             )
-    m1 = _weighted_sum(p, ls, "event")
-    m2 = _weighted_sum(p, [l * l for l in ls], "event")
-    mh = _weighted_sum(p, [math.sqrt(l) for l in ls], "event")
-    m32 = _weighted_sum(p, [l * math.sqrt(l) for l in ls], "event")
-    ltilde = _weighted_sum(pt, ls, "length-weighting")
+    m1 = _weighted_sum(p, ls)
+    m2 = _weighted_sum(p, [l * l for l in ls])
+    mh = _weighted_sum(p, [math.sqrt(l) for l in ls])
+    m32 = _weighted_sum(p, [l * math.sqrt(l) for l in ls])
+    ltilde = _weighted_sum(pt, ls)
     return m1, m2, mh, m32, ltilde
 
 
@@ -192,7 +187,7 @@ def scale_to_sigma(cfg: ThresholdConfig) -> ThresholdConfig:
     s = sqrt(sigma2); its MSE is sigma^2 times the canonical MSE and its
     sampling rate is the canonical one.
     """
-    s = cfg.sigma
+    s = math.sqrt(cfg.sigma2)
     if s == 1.0:
         return cfg
     return ThresholdConfig(cfg.a / s, cfg.b / s, cfg.mu / s, 1.0)
@@ -201,7 +196,8 @@ def scale_to_sigma(cfg: ThresholdConfig) -> ThresholdConfig:
 def mse_exact(cfg: ThresholdConfig, cb: Codebook) -> MseBreakdown:
     """MSE and sampling rate with all 1/mu correction terms.
 
-    mu = inf gives the large-slope limit, where the correction terms are 0.
+    mu = inf gives the large-slope limit, where the correction terms are 0; so
+    does a slope whose cube overflows (above about 5.6e102 in sigma units).
     Raises ParameterError instead of returning an overflowed value: for code
     lengths whose powers overflow, for a slope so small (about 1e-103 in
     sigma units or less) that a 1/mu term overflows or mu**3 underflows to 0,
@@ -211,7 +207,11 @@ def mse_exact(cfg: ThresholdConfig, cb: Codebook) -> MseBreakdown:
     sc = scheme_constants(canon)
     m1, m2, mh, m32, ltilde = _pmf_length_moments(sc, cb)
     a, b, mu = canon.a, canon.b, canon.mu
-    if mu**3 == 0.0:
+    try:
+        mu3 = mu**3
+    except OverflowError:  # 1/mu terms below double resolution (lengths > ~1e-170)
+        mu = mu3 = math.inf
+    if mu3 == 0.0:
         raise ParameterError(
             f"slope too small for the closed forms (mu**3 underflows to 0): mu={cfg.mu}"
         )
@@ -219,14 +219,7 @@ def mse_exact(cfg: ThresholdConfig, cb: Codebook) -> MseBreakdown:
     A = sc.moments.upper
     B = sc.moments.lower
 
-    ecy2 = (
-        _weighted_sum(
-            (sc.a_tilde, p.p2 * a * a, p.p3 * b * b, sc.b_tilde),
-            cb.lengths,
-            "length-weighting",
-        )
-        * m1
-    )
+    ecy2 = _weighted_sum((sc.a_tilde, p.p2 * a * a, p.p3 * b * b, sc.b_tilde), cb.lengths) * m1
     ey4 = (3.0 + p.p2 * a**4 + p.p3 * b**4 - sc.x_tilde) * m2
     etau = sc.d * m1
     if not math.isfinite(ey4 + 6.0 * ecy2):
@@ -238,7 +231,7 @@ def mse_exact(cfg: ThresholdConfig, cb: Codebook) -> MseBreakdown:
         # in the last bit; this is the form the optimizer's objective uses
         mse = sc.k * m2 / m1 + ltilde
     else:
-        ecy2 += _weighted_sum((A[1], 0.0, 0.0, B[1]), cb.lengths, "tail") / mu * mh
+        ecy2 += _weighted_sum((A[1], 0.0, 0.0, B[1]), cb.lengths) / mu * mh
         ey4 = (
             ey4
             + (
@@ -248,7 +241,7 @@ def mse_exact(cfg: ThresholdConfig, cb: Codebook) -> MseBreakdown:
             * m32
             / mu
             + ((12 * a * A[1] + 15 * A[2]) + (12 * b * B[1] + 15 * B[2])) * m1 / mu**2
-            + 15.0 * (A[1] + B[1]) * mh / mu**3
+            + 15.0 * (A[1] + B[1]) * mh / mu3
         )
         etau += (A[1] + B[1]) / mu * mh
         mse = (ey4 + 6.0 * ecy2) / (6.0 * etau)
@@ -288,14 +281,19 @@ def ideal_benchmark_mse(a: float) -> tuple[float, float]:
     optional-stopping machinery as the main scheme and validated against the
     ideal-benchmark simulator.
     """
-    if _finite_real("a", a) < 0:
+    a = _finite_real("a", a)
+    if a < 0:
         raise ParameterError(f"threshold a must be >= 0, got {a}")
+    try:
+        a4 = a**4
+    except OverflowError:
+        raise ParameterError(f"threshold too large for the closed forms: a={a}") from None
     q = gauss_tail(a)
     g2 = a * gauss_pdf(a) + q
     g4 = (a**3 + 3 * a) * gauss_pdf(a) + 3 * q
     p_band = 1.0 - 2.0 * q
     ey2 = 2.0 * g2 + a * a * p_band
-    ey4 = 2.0 * g4 + a**4 * p_band
+    ey4 = 2.0 * g4 + a4 * p_band
     return 1.0 + ey4 / (6.0 * ey2), 1.0 / ey2
 
 

@@ -28,8 +28,8 @@ Transmission of length l occupies round(l/eps) grid indices, so SimConfig
 requires every finite length (and the ideal scheme's unit delay) to be a
 whole number >= 1 of grid steps, to within 1e-9 relative; the estimate
 updates at delivery.  Measurement covers complete cycles starting after the
-burn-in prefix (default 1% of the horizon; the first cycle's previous
-length is initialized to l2).
+burn-in prefix of 1% of the horizon (the first cycle's previous length is
+initialized to l2).
 
 The grid must resolve the catch-up dynamics: decoded sloped values are
 multiples of mu*eps, so keep mu*eps well below the process scale (the
@@ -76,6 +76,7 @@ UNIFORM = "uniform-benchmark"
 IDEAL = "ideal-benchmark"
 
 _CSV_COLUMNS = ("s_n", "d_n", "event", "z_n", "length")
+_BURN_IN_FRAC = 0.01  # the share of the horizon before the first measured cycle
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,6 @@ class SimConfig:
     seed: int
     scheme: str = MONOTONE
     replications: int = 1
-    burn_in_frac: float = 0.01
     log_cycles: bool = False
 
     def __post_init__(self) -> None:
@@ -104,8 +104,6 @@ class SimConfig:
         _integer("replications", self.replications, 1)
         if self.scheme not in (MONOTONE, UNIFORM, IDEAL):
             raise ParameterError(f"unknown scheme {self.scheme!r}")
-        if not (0.0 <= self.burn_in_frac < 0.5):
-            raise ParameterError("burn_in_frac must be in [0, 0.5)")
         if math.isinf(self.cfg.mu):
             raise ParameterError("the simulator needs a finite slope mu; mu = inf is the "
                                  "closed forms' large-slope limit")
@@ -235,10 +233,6 @@ class SimulationReport:
     cycles: CycleLog | None
     config: SimConfig
 
-    @property
-    def length_sequence(self) -> np.ndarray:
-        return np.concatenate(self.length_sequences) if self.length_sequences else np.array([])
-
     def to_json_dict(self) -> dict:
         cb = self.config.cb
         cfg = self.config.cfg
@@ -258,7 +252,7 @@ class SimulationReport:
                 "lengths": None if cb is None else [_num(l) for l in cb.lengths],
                 "seed": self.config.seed,
                 "replications": self.config.replications,
-                "burn_in_frac": self.config.burn_in_frac,
+                "burn_in_frac": _BURN_IN_FRAC,
             },
             "results": {
                 "mse_hat": float(self.mse_hat),
@@ -284,8 +278,6 @@ class IndependenceResult:
     statistic: float
     dof: int
     p_value: float
-    table: np.ndarray
-    categories: np.ndarray
     n_pairs: int
 
 
@@ -416,7 +408,7 @@ def _run_once(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
     ideal = sim.scheme == IDEAL
     lens = (1.0, 1.0, 1.0, 1.0) if ideal else sim.cb.lengths
     n_steps = int(round(sim.horizon / eps))
-    burn_idx = int(round(sim.burn_in_frac * n_steps))
+    burn_idx = int(round(_BURN_IN_FRAC * n_steps))
     w = _PathWindow(rng, n_steps, math.sqrt(cfg.sigma2 * eps))
     a, b, mu = cfg.a, cfg.b, cfg.mu
     mu_eps = mu * eps
@@ -498,12 +490,10 @@ def _run_replicated(sim: SimConfig) -> SimulationReport:
     rep_mse = np.array([o.reward / o.duration for o in outcomes])
     rep_sr = np.array([o.n_cycles / o.duration for o in outcomes])
     n = len(outcomes)
+    mse_ci = sr_ci = math.nan
     if n > 1:
         mse_ci = 1.96 * float(rep_mse.std(ddof=1)) / math.sqrt(n)
         sr_ci = 1.96 * float(rep_sr.std(ddof=1)) / math.sqrt(n)
-    else:
-        mse_ci = math.nan
-        sr_ci = math.nan
     return SimulationReport(
         mse_hat=float(rep_mse.mean()),
         mse_ci=mse_ci,
@@ -572,7 +562,5 @@ def length_independence_test(
         statistic=statistic,
         dof=dof,
         p_value=p_value,
-        table=table,
-        categories=categories,
         n_pairs=n_pairs,
     )

@@ -4,12 +4,14 @@ Everything here is deliberately computed by a different route than the
 library: adaptive quadrature on the defining integrals instead of closed
 forms, a dense grid scan of the fractional objective instead of the
 Dinkelbach/KKT machinery, and bisection on J(theta) instead of
-Dinkelbach's update.  The hitting-time helpers at the end are closed forms
-and a wrapper that only the tests call.
+Dinkelbach's update.  ``verify_ktilde_negative`` evaluates the
+boundary-optimality constant Ktilde over a threshold grid, whose sign the
+tests check.  The hitting-time helpers at the end are closed forms and a
+wrapper that only the tests call.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import integrate
@@ -18,11 +20,12 @@ from wiener_coding import (
     Codebook,
     DriftHitSpec,
     ParameterError,
-    build_qp,
+    ThresholdConfig,
     mse_exact,
     sample_hit_times,
-    solve_qp,
+    scheme_constants,
 )
+from wiener_coding.code_optimizer import build_qp, solve_qp
 
 SQRT2PI = math.sqrt(2 * math.pi)
 
@@ -158,6 +161,46 @@ def bisection_theta(cfg, rc, width=1e-10, j_tol=1e-9):
         else:
             hi = theta
     return theta, sol
+
+
+@dataclass(frozen=True)
+class KtildeReport:
+    a_values: np.ndarray
+    values: np.ndarray
+    max_value: float
+    argmax_a: float
+    all_negative: bool
+
+
+def verify_ktilde_negative(a_values) -> KtildeReport:
+    """Evaluate Ktilde = sum_i p_i*(1 + (p_i - pt_i)/(2K p_i))^2 - (2K+1).
+
+    Zero-probability terms (p_i = pt_i = 0, which happens only at a = 0 for
+    the band events) are dropped by the zero-weight convention.
+    """
+    a_arr = np.asarray(list(a_values), dtype=float)
+    if a_arr.size == 0:
+        raise ParameterError("a_values must be non-empty")
+    vals = np.empty_like(a_arr)
+    for i, a in enumerate(a_arr):
+        sc = scheme_constants(ThresholdConfig(float(a), float(a), math.inf))
+        p = sc.probs.as_tuple()
+        pt = sc.p_tilde
+        k = sc.k
+        total = 0.0
+        for pi, qi in zip(p, pt):
+            if pi == 0.0 and qi == 0.0:
+                continue
+            total += pi * (1.0 + (pi - qi) / (2.0 * k * pi)) ** 2
+        vals[i] = total - (2.0 * k + 1.0)
+    i_max = int(np.argmax(vals))
+    return KtildeReport(
+        a_values=a_arr,
+        values=vals,
+        max_value=float(vals[i_max]),
+        argmax_a=float(a_arr[i_max]),
+        all_negative=bool((vals < 0).all()),
+    )
 
 
 def markov_length_sequence(n: int, stay_prob: float, values, seed: int) -> np.ndarray:

@@ -21,21 +21,18 @@ from wiener_coding import (
     SimConfig,
     SlopedStop,
     ThresholdConfig,
-    build_qp,
     dinkelbach_solve,
     event_probabilities,
-    gauss_tail,
     hit_moments,
     integer_oracle,
     length_independence_test,
     mse_exact,
     mse_integral_oracle,
-    partial_moments,
     run,
     sample_hit_times,
     scheme_constants,
-    verify_ktilde_negative,
 )
+from wiener_coding.code_optimizer import build_qp
 from wiener_coding.hitting_times import DriftHitSpec
 from wiener_coding.mse_model import INTEGER
 
@@ -162,7 +159,7 @@ def test_criterion_05_tight_constraints_and_two_regions():
 
 def test_criterion_06_ktilde_and_psd():
     grid = np.round(np.arange(0.01, 4.001, 0.01), 10)
-    rep = verify_ktilde_negative(grid)
+    rep = oracles.verify_ktilde_negative(grid)
     min_eig = math.inf
     for a in grid:
         inst = build_qp(ThresholdConfig(float(a), float(a), math.inf), 1.0, UNC)

@@ -1,11 +1,13 @@
 import csv
 import hashlib
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
@@ -59,6 +61,24 @@ class TestAnalyze:
         rc = main(["analyze", "--a", "1", "--b", "1"])
         assert rc == 2
         assert "--l" in capsys.readouterr().err
+
+    def test_infinite_length_with_weight_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        assert main(["analyze", "--a", "1", "--b", "1", "--l", "1,inf,inf,1",
+                     "--out", str(out)]) == 2
+        assert "l2 is infinite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--a", "1", "--b", "1", "--mu", "6e102"],
+        ["--grid", "0:1:0.5", "--mu", "1e200"],
+    ])
+    def test_slope_whose_cube_overflows_is_large_slope(self, tmp_path, argv):
+        out = tmp_path / "a.csv"
+        assert main(["analyze", "--l", "2,2,2,2", *argv, "--out", str(out)]) == 0
+        for row in read_csv(out):
+            assert row["mse_exact"] == row["mse_large_mu"]
+            assert row["sr_exact"] == row["sr_large_mu"]
 
     def test_grid_mode(self, tmp_path):
         out = tmp_path / "g.json"
@@ -145,6 +165,21 @@ class TestGrid:
         assert loaded.pop("optimize") is False
         assert loaded.pop("import") == []
         assert loaded == {argv[0] + str(i): [0, []] for i, argv in enumerate(TINY_COMMANDS)}
+
+
+def test_every_export_is_in_its_modules_all():
+    # the benchmark's traced run wraps the functions named in each layer
+    # module's __all__ by getattr, so a stale name would break it
+    listed = {}
+    for layer in ("cli", "code_optimizer", "errors", "gauss_stats", "hitting_times",
+                  "mse_model", "simulator"):
+        module = importlib.import_module(f"wiener_coding.{layer}")
+        for name in module.__all__:
+            assert hasattr(module, name), f"{layer}.__all__ names missing {name!r}"
+            listed[name] = getattr(module, name)
+    for name, obj in vars(wiener_coding).items():
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType):
+            assert listed.get(name) is obj, f"wiener_coding.{name} is in no module's __all__"
 
 
 class TestHugeThresholds:

@@ -9,23 +9,19 @@ from wiener_coding import (
     Codebook,
     InfeasibleError,
     ParameterError,
-    QpSolution,
     RateConstraint,
     SearchError,
     ThresholdConfig,
     UnsupportedConfigurationError,
-    build_qp,
     dinkelbach_solve,
     integer_oracle,
     mse_exact,
     optimize_threshold,
     scheme_constants,
-    solve_qp,
-    verify_ktilde_negative,
 )
 from wiener_coding import code_optimizer
 from wiener_coding.cli import main
-from wiener_coding.code_optimizer import _brentq, threshold_grid
+from wiener_coding.code_optimizer import QpSolution, _brentq, build_qp, solve_qp, threshold_grid
 
 MU = math.inf
 UNC = RateConstraint(math.inf)
@@ -317,23 +313,23 @@ class TestIntegerOracle:
 
 class TestKtilde:
     def test_negative_on_grid(self):
-        rep = verify_ktilde_negative(np.arange(0.01, 4.001, 0.05))
+        rep = oracles.verify_ktilde_negative(np.arange(0.01, 4.001, 0.05))
         assert rep.all_negative
         assert rep.max_value < 0
 
     def test_zero_threshold_convention(self):
         # at a = 0 the band terms drop and Ktilde = -1 exactly
-        rep = verify_ktilde_negative([0.0])
+        rep = oracles.verify_ktilde_negative([0.0])
         assert rep.values[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_reports_argmax(self):
-        rep = verify_ktilde_negative([0.5, 1.0, 2.0])
+        rep = oracles.verify_ktilde_negative([0.5, 1.0, 2.0])
         assert rep.argmax_a in (0.5, 1.0, 2.0)
         assert rep.max_value == rep.values.max()
 
     def test_empty_grid(self):
         with pytest.raises(ParameterError):
-            verify_ktilde_negative([])
+            oracles.verify_ktilde_negative([])
 
 
 # every QP solve of these runs; both KKT patterns that find roots take part

@@ -10,11 +10,9 @@ from wiener_coding import (
     ParameterError,
     ThresholdConfig,
     event_probabilities,
-    gauss_pdf,
-    gauss_tail,
-    partial_moments,
     scheme_constants,
 )
+from wiener_coding.gauss_stats import gauss_pdf, gauss_tail
 
 MU = 10.0  # slope is irrelevant for this module; configs just need mu > 0
 
@@ -125,13 +123,13 @@ class TestEventProbabilities:
 
 class TestPartialMoments:
     def test_half_normal_values(self):
-        m = partial_moments(cfg(0, 0))
+        m = scheme_constants(cfg(0, 0)).moments
         assert m.upper[0] == pytest.approx(0.5, abs=1e-14)
         assert m.upper[1] == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-14)
         assert m.upper[2] == pytest.approx(0.5, abs=1e-14)
 
     def test_a0_b0_equal_tail_probabilities(self):
-        m = partial_moments(cfg(1.3, 0.4))
+        m = scheme_constants(cfg(1.3, 0.4)).moments
         assert m.upper[0] == pytest.approx(gauss_tail(1.3), abs=1e-15)
         assert m.lower[0] == pytest.approx(gauss_tail(0.4), abs=1e-15)
 
@@ -144,13 +142,13 @@ class TestPartialMoments:
             0.024343071587782577,
             0.032026424493179516,
         )
-        m = partial_moments(cfg(1.5, 1.5))
+        m = scheme_constants(cfg(1.5, 1.5)).moments
         for got, exp in zip(m.upper, expected):
             assert got == pytest.approx(exp, abs=1e-10)
 
     def test_matches_quadrature_grid(self):
         for a in (0.0, 0.2, 0.9, 1.7, 2.6, 4.0):
-            m = partial_moments(cfg(a, a))
+            m = scheme_constants(cfg(a, a)).moments
             for k in range(5):
                 assert m.upper[k] == pytest.approx(
                     oracles.q_shifted_moment(a, k), abs=1e-10
@@ -159,7 +157,7 @@ class TestPartialMoments:
     def test_quartic_expansion_identity(self):
         # binomial expansion of ((x-a)+a)^4 against the raw tail moment
         for a in np.arange(0, 4.01, 0.25):
-            m = partial_moments(cfg(a, a)).upper
+            m = scheme_constants(cfg(a, a)).moments.upper
             p1 = gauss_tail(a)
             lhs = p1 * a**4 + 4 * a**3 * m[1] + 6 * a**2 * m[2] + 4 * a * m[3] + m[4]
             rhs = oracles.q_tail_moment(a, 4)

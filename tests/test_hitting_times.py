@@ -62,6 +62,19 @@ class TestHitMoments:
                 m = hit_moments(DriftHitSpec(c, mu))
                 assert m[1] >= m[0] ** 2
 
+    @pytest.mark.parametrize("c,mu,want", [
+        (1, 1e200, (1e-200, 0.0, 0.0, 0.0)),  # every term but c/mu underflows
+        (1e200, 1e200, (1.0, 1.0, 1.0, 1.0)),  # c**4 and mu**7 overflow, not the ratios
+        (1e-100, 1e-47, (1e-53, 1e41, 3e135, 1.5e230)),  # mu**7 underflows to 0
+    ])
+    def test_powers_outside_the_double_range(self, c, mu, want):
+        assert hit_moments(DriftHitSpec(c, mu)) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("c,mu", [(1e200, 1), (1, 1e-200)])
+    def test_overflowing_moments_raise(self, c, mu):
+        with pytest.raises(ParameterError, match="overflow"):
+            hit_moments(DriftHitSpec(c, mu))
+
     def test_invalid_spec(self):
         with pytest.raises(ParameterError):
             DriftHitSpec(0, 1)

@@ -14,7 +14,6 @@ from wiener_coding import (
     BandStop,
     Codebook,
     DeterministicStop,
-    ModelError,
     ParameterError,
     SlopedStop,
     ThresholdConfig,
@@ -44,7 +43,7 @@ class TestCodebook:
 
     def test_integer_allows_inf_for_dead_events(self):
         cb = Codebook.integer(1, INF, INF, 1)
-        assert cb.kraft_sum() == 1.0
+        assert sum(2.0 ** -l for l in cb.lengths) == 1.0
 
     def test_relaxed_rejects_nonpositive(self):
         with pytest.raises(ParameterError):
@@ -115,7 +114,7 @@ class TestLargeMu:
 
     def test_infinite_length_with_weight_rejected(self):
         cfg = ThresholdConfig(1, 1, INF)
-        with pytest.raises(ModelError):
+        with pytest.raises(ParameterError):
             mse_exact(cfg, Codebook.relaxed(1, INF, INF, 1))
 
     def test_same_bits_as_the_removed_large_slope_function(self):
@@ -211,6 +210,14 @@ class TestExact:
         with pytest.raises(ParameterError, match="overflow.*sr=inf"):
             mse_exact(ThresholdConfig(1, 1, INF), Codebook.uniform(1e-320))
 
+    @pytest.mark.parametrize("mu,sigma2", [(6e102, 1), (1e200, 1), (1e308, 1), (1e102, 1e-2)])
+    def test_slope_whose_cube_overflows_is_large_slope(self, mu, sigma2):
+        # the unit-variance slope's cube overflows; every 1/mu term is below
+        # double resolution there
+        cfg = ThresholdConfig(1, 1, mu, sigma2)
+        cb = Codebook.relaxed(1, 3, 4, 5)
+        assert mse_exact(cfg, cb) == mse_exact(large_slope(cfg), cb)
+
     def test_exact_has_positive_mu_corrections(self):
         # finite mu lengthens cycles and grows the MSE at the origin config
         cfg_small = ThresholdConfig(0, 0, 1)
@@ -258,7 +265,8 @@ class TestIdealBenchmark:
         assert sr == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_negative(self):
-        for a in (-0.5, "x", True, math.nan, math.inf, None):
+        # a**4 overflows above about 1.3e77
+        for a in (-0.5, "x", True, math.nan, math.inf, None, 1e78, 1e103):
             with pytest.raises(ParameterError):
                 ideal_benchmark_mse(a)
 

@@ -272,8 +272,9 @@ class TestCycleInvariants:
         for i in range(1, len(log)):
             assert log.w_hat[i] == log.w_hat[i - 1] + log.z[i]
 
-    def test_decoder_full_sum_without_burn_in(self):
-        rep = run(sim_cfg(horizon=1000.0, burn_in_frac=0.0, log_cycles=True))
+    def test_decoder_full_sum_without_burn_in(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_BURN_IN_FRAC", 0.0)
+        rep = run(sim_cfg(horizon=1000.0, log_cycles=True))
         log = rep.cycles
         acc = 0.0
         for z, w_hat in zip(log.z, log.w_hat):
