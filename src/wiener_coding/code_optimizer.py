@@ -219,10 +219,9 @@ def _solve_fixed(inst: QpInstance, fixed_idx: int, fixed_val: float) -> QpSoluti
     p_fix = inst.p[fixed_idx]
     if p_free == 0.0:
         return None
-    rem = inst.kraft_bound - 2.0**-fixed_val
-    if rem <= 0:
+    kmin = _kraft_partner(fixed_val, inst.kraft_bound)
+    if math.isinf(kmin):
         return None
-    kmin = -math.log2(rem)
     rmin = (inst.rate_bound / 2.0 - p_fix * fixed_val) / p_free
     lo = max(kmin, rmin)
     if lo > LENGTH_CAP:
@@ -261,13 +260,12 @@ def _solve_fixed(inst: QpInstance, fixed_idx: int, fixed_val: float) -> QpSoluti
 def _candidate(
     inst: QpInstance, l1: float, l2: float, lam: float, gamma: float, pattern: str
 ) -> QpSolution | None:
-    """Filter a KKT candidate on primal and dual feasibility; cap long lengths."""
-    if not (math.isfinite(l1) and math.isfinite(l2)):
-        return None
-    if l1 > LENGTH_CAP or l2 > LENGTH_CAP:
-        idx = 0 if l1 > LENGTH_CAP else 1
-        return _solve_fixed(inst, idx, LENGTH_CAP)
-    if l1 <= 0 or l2 <= 0:
+    """Filter a KKT candidate on primal and dual feasibility.
+
+    A length above the cap is dropped: _pattern_kraft always offers the
+    capped endpoints.
+    """
+    if not (0 < l1 <= LENGTH_CAP and 0 < l2 <= LENGTH_CAP):
         return None
     if inst.kraft_slack(l1, l2) < -_PRIMAL_TOL:
         return None

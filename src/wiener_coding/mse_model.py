@@ -43,7 +43,7 @@ from .gauss_stats import (
     gauss_tail,
     scheme_constants,
 )
-from .hitting_times import _check_walk, _first_crossings, _tile_buffer
+from .hitting_times import _PATH_BATCH, _check_walk, _first_crossings, _tile_buffer
 
 __all__ = [
     "Codebook",
@@ -152,22 +152,27 @@ def _weighted_sum(weights, values) -> float:
     return total
 
 
-def _pmf_length_moments(sc: SchemeConstants, cb: Codebook):
+def _pmf_length_moments(sc: SchemeConstants, cb: Codebook, cy2):
     """(E[L], E[L^2], E[sqrt L], E[L^1.5], E_Ptilde[L]) under the event PMFs.
 
-    An infinite length is only admissible when both its event probability
-    and its length-weighting probability are exactly zero; a finite one
-    whose square overflows is rejected as too large.
+    An infinite length is only admissible when every weight that multiplies
+    it in the closed forms is exactly zero: its event probability, its
+    length-weighting probability and its E[C(Y)Y^2] weight cy2 (which stays
+    subnormal where p_tilde = cy2/d underflows); a finite one whose square
+    overflows is rejected as too large.
     """
     p = sc.probs.as_tuple()
     pt = sc.p_tilde
     ls = cb.lengths
-    for i, (pi, qi, li) in enumerate(zip(p, pt, ls)):
-        if math.isinf(li) and (pi != 0.0 or qi != 0.0):
+    cy2_names = ("a_tilde", "p2*a^2", "p3*b^2", "b_tilde")
+    for i, li in enumerate(ls):
+        if math.isinf(li) and (p[i] != 0.0 or pt[i] != 0.0 or cy2[i] != 0.0):
+            weights = ((f"p{i + 1}", p[i]), (f"p_tilde{i + 1}", pt[i]), (cy2_names[i], cy2[i]))
+            nonzero = ", ".join(f"{name}={w}" for name, w in weights if w != 0.0)
             raise ParameterError(
-                f"l{i + 1} is infinite but its event has positive weight (p={pi}, p_tilde={qi})"
+                f"l{i + 1} is infinite but its event has positive weight ({nonzero})"
             )
-        if math.isinf(li * li) and pi != 0.0:
+        if math.isinf(li * li) and p[i] != 0.0:
             raise ParameterError(
                 f"l{i + 1} = {li} is too large for the closed forms (l**2 overflows)"
             )
@@ -205,8 +210,10 @@ def mse_exact(cfg: ThresholdConfig, cb: Codebook) -> MseBreakdown:
     """
     canon = scale_to_sigma(cfg)
     sc = scheme_constants(canon)
-    m1, m2, mh, m32, ltilde = _pmf_length_moments(sc, cb)
     a, b, mu = canon.a, canon.b, canon.mu
+    p = sc.probs
+    cy2 = (sc.a_tilde, p.p2 * a * a, p.p3 * b * b, sc.b_tilde)  # E[C(Y)Y^2] weights
+    m1, m2, mh, m32, ltilde = _pmf_length_moments(sc, cb, cy2)
     try:
         mu3 = mu**3
     except OverflowError:  # 1/mu terms below double resolution (lengths > ~1e-170)
@@ -215,11 +222,10 @@ def mse_exact(cfg: ThresholdConfig, cb: Codebook) -> MseBreakdown:
         raise ParameterError(
             f"slope too small for the closed forms (mu**3 underflows to 0): mu={cfg.mu}"
         )
-    p = sc.probs
     A = sc.moments.upper
     B = sc.moments.lower
 
-    ecy2 = _weighted_sum((sc.a_tilde, p.p2 * a * a, p.p3 * b * b, sc.b_tilde), cb.lengths) * m1
+    ecy2 = _weighted_sum(cy2, cb.lengths) * m1
     ey4 = (3.0 + p.p2 * a**4 + p.p3 * b**4 - sc.x_tilde) * m2
     etau = sc.d * m1
     if not math.isfinite(ey4 + 6.0 * ecy2):
@@ -382,13 +388,13 @@ def mse_integral_oracle(
     raised).
 
     The paths run through hitting_times' batched crossing kernel: batches of
-    20000 paths, chunks of 1024 grid steps (a deterministic stop takes its
-    whole grid as one chunk, so it raises ParameterError before allocating
-    when round(t/step) exceeds 10**7), each chunk walked in row tiles of
-    about 2**15 doubles in one reused buffer.  Each tile's squared path is summed in a
-    second reused tile and each crossing's two sides recorded while the tile
-    is in cache, so memory is a few tiles plus a few floats per path, and no
-    tile-sized array is allocated per tile.
+    _PATH_BATCH (20000) paths, chunks of 1024 grid steps (a deterministic
+    stop takes its whole grid as one chunk, so it raises ParameterError
+    before allocating when round(t/step) exceeds 10**7), each chunk walked in
+    row tiles of about 2**15 doubles in one reused buffer.  Each tile's
+    squared path is summed in a second reused tile and each crossing's two
+    sides recorded while the tile is in cache, so memory is a few tiles plus
+    a few floats per path, and no tile-sized array is allocated per tile.
     """
     n_steps = _check_walk(n_paths, step, horizon)
     if isinstance(stop, DeterministicStop) and not stop.t / step <= _MAX_ROW_STEPS + 0.5:
@@ -450,8 +456,7 @@ def mse_integral_oracle(
         extra = presq[rows, -2] if w.shape[1] >= 2 else 0.0
         acc[i] += pos[i] ** 2 + extra
 
-    batch_size = 20_000
-    stuck = _first_crossings(rng, pos, n_steps, batch_size, chunk, step, 0.0, crossed, record)
+    stuck = _first_crossings(rng, pos, n_steps, _PATH_BATCH, chunk, step, 0.0, crossed, record)
     # truncated at the horizon: stopped there, flagged
     lhs[stuck] = step * acc[stuck] + 0.5 * step * (n_steps * step)
     rhs[stuck] = pos[stuck] ** 4 / 6.0

@@ -43,7 +43,9 @@ unit.  All three schemes run through one cycle loop.
 The path is never held in full: it is generated in blocks into a reused
 window that keeps only the points from the current cycle start on, so memory
 is bounded by the longest cycle, not by the horizon.  The block size does not
-change any result.
+change any result.  The window only stores the path: its one scan takes a
+``crossed(values, steps)`` predicate, like the hitting_times walker, and
+_run_once holds every event's crossing rule (band levels, sloped lines).
 """
 
 from __future__ import annotations
@@ -313,7 +315,7 @@ class _PathWindow:
         self.step_sd = step_sd
         size = min(_BLOCK, n_steps + 1)
         self.buf = np.zeros(size)
-        self.offsets = np.arange(size, dtype=float)  # j - d for the sloped lines
+        self.offsets = np.arange(size, dtype=float)  # steps j - d since the cycle start
         self.base = 0
         self.end = 1  # w[0] = 0
         self._fill()
@@ -355,47 +357,25 @@ class _PathWindow:
             self._extend(lo)
         return self.buf[lo - self.base:hi - self.base]
 
-    def _chunks(self, keep, j0):
-        """Yield (j0, w[j0:j0 + size]) in growing chunks up to the horizon."""
-        chunk = 512
+    def first(self, d: int, start: int, crossed) -> int:
+        """First index j >= start where the path crosses; -1 past the horizon.
+
+        ``crossed(seg, k)`` maps a chunk seg = w[j0:j1] and k = j - d for its
+        points to a bool array.  Chunks grow from 512 to 2**16 points, and the
+        points from the cycle start d on stay in the window.
+        """
+        j0, chunk = start, 512
         while True:
             while j0 >= self.end:
-                if not self._extend(keep):
-                    return
-            seg = self.buf[j0 - self.base:min(j0 + chunk, self.end) - self.base]
-            yield j0, seg
-            j0 += seg.size
-            chunk = min(chunk * 2, 1 << 16)
-
-    def band_crossing(self, ref, keep, start, athr, bthr):
-        """First index >= start with w >= ref + athr or w <= ref - bthr.
-
-        Returns (index, went_up); (-1, False) when no crossing exists.  Ties at
-        a single index (possible only when athr = bthr = 0) resolve upward.
-        """
-        up_level = ref + athr
-        dn_level = ref - bthr
-        for j0, seg in self._chunks(keep, start):
-            hit = (seg >= up_level) | (seg <= dn_level)
-            k = int(hit.argmax())
-            if hit[k]:
-                return j0 + k, bool(seg[k] >= up_level)
-        return -1, False
-
-    def sloped_crossing(self, ref, d, thr0, mu_eps, upward):
-        """First index after d where the sloped threshold catches the process.
-
-        Upward event: process above, crossing when w - ref <= thr0 + mu_eps*(j-d).
-        Downward event: w - ref >= -(thr0 + mu_eps*(j-d)).  -1 when none.
-        """
-        for j0, seg in self._chunks(d, d + 1):
-            x = seg - ref
-            line = thr0 + mu_eps * self.offsets[j0 - d:j0 - d + seg.size]
-            hit = (x <= line) if upward else (x >= -line)
+                if not self._extend(d):
+                    return -1
+            j1 = min(j0 + chunk, self.end)
+            hit = crossed(self.buf[j0 - self.base:j1 - self.base], self.offsets[j0 - d:j1 - d])
             k = int(hit.argmax())
             if hit[k]:
                 return j0 + k
-        return -1
+            j0 = j1
+            chunk = min(chunk * 2, 1 << 16)
 
 
 def _run_once(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
@@ -426,31 +406,28 @@ def _run_once(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
         athr = a * math.sqrt(l_prev) if a > 0.0 else 0.0
         bthr = b * math.sqrt(l_prev) if b > 0.0 else 0.0
         x = w.at(d) - ref
-        if ideal:
-            # channel free from d onward; sample as soon as |W - ref| >= a
-            j, went_up = w.band_crossing(ref, d, d, athr, bthr)
+        if ideal or -bthr < x < athr:
+            # band exit (events 2/3); a tie (athr = bthr = 0) goes up
+            up, dn = ref + athr, ref - bthr
+            j = w.first(d, d if ideal else d + 1, lambda seg, k: (seg >= up) | (seg <= dn))
             if j < 0:
                 break
-            event, z = (2 if went_up else 3), w.at(j) - ref
-        elif -bthr < x < athr:
-            j, went_up = w.band_crossing(ref, d, d + 1, athr, bthr)
-            if j < 0:
-                break
-            if went_up:
-                event, z = 2, athr
-            else:
-                event, z = 3, -bthr
+            wj = w.at(j)
+            event = 2 if wj >= up else 3
+            z = wj - ref if ideal else (athr if event == 2 else -bthr)
         else:
-            upward = x >= athr  # boundary goes to the sloped event (tau = 0 limit)
-            thr0 = athr if upward else bthr
-            j = w.sloped_crossing(ref, d, thr0, mu_eps, upward)
+            # the sloped line started at d catches the process (events 1/4); a
+            # sample on the boundary is the sloped event (tau = 0 limit)
+            upward = x >= athr
+            thr = athr if upward else bthr
+            if upward:
+                j = w.first(d, d + 1, lambda seg, k: seg - ref <= thr + mu_eps * k)
+            else:
+                j = w.first(d, d + 1, lambda seg, k: seg - ref >= -(thr + mu_eps * k))
             if j < 0:
                 break
-            tau_hat = (j - d) * eps
-            if upward:
-                event, z = 1, athr + mu * tau_hat
-            else:
-                event, z = 4, -(bthr + mu * tau_hat)
+            z = thr + mu * ((j - d) * eps)
+            event, z = (1, z) if upward else (4, -z)
         steps = len_idx[event - 1]
         if steps < 0:
             raise WienerCodingError(

@@ -67,6 +67,7 @@ def test_criterion_01_zero_threshold_anchor():
     )
 
 
+@pytest.mark.slow
 def test_criterion_02_simulation_matches_analytics():
     t0 = time.perf_counter()
     cb = Codebook.uniform(2, mode=INTEGER)
@@ -89,6 +90,7 @@ def test_criterion_02_simulation_matches_analytics():
     )
 
 
+@pytest.mark.slow
 def test_criterion_03_hitting_time_moments():
     t0 = time.perf_counter()
     worst = 0.0

@@ -62,11 +62,15 @@ class TestAnalyze:
         assert rc == 2
         assert "--l" in capsys.readouterr().err
 
-    def test_infinite_length_with_weight_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, name", [
+        (["--a", "1", "--b", "1", "--l", "1,inf,inf,1"], "l2"),
+        # p1 and p_tilde1 underflow to 0 here, the E[C(Y)Y^2] weight a_tilde does not
+        (["--a", "38.47625", "--b", "1000", "--l", "inf,1,1,1"], "l1"),
+    ], ids=["band", "subnormal-tail"])
+    def test_infinite_length_with_weight_exit_code(self, tmp_path, capsys, argv, name):
         out = tmp_path / "a.csv"
-        assert main(["analyze", "--a", "1", "--b", "1", "--l", "1,inf,inf,1",
-                     "--out", str(out)]) == 2
-        assert "l2 is infinite" in capsys.readouterr().err
+        assert main(["analyze", *argv, "--out", str(out)]) == 2
+        assert f"{name} is infinite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -258,6 +258,79 @@ class TestPathWindow:
         assert long <= 1.25 * short
 
 
+# crossing predicates of _run_once's three kinds, built from the path value w0
+# at the cycle start d; each maps (seg, k), k = j - d, to a bool array
+def _band(w0):
+    up, dn = w0 + 0.7, w0 - 0.4
+    return lambda seg, k: (seg >= up) | (seg <= dn)
+
+
+def _sloped_up(w0):  # the process starts 0.3 above the line
+    ref = w0 - 0.8
+    return lambda seg, k: seg - ref <= 0.5 + 1e-2 * k
+
+
+def _sloped_down(w0):
+    ref = w0 + 0.8
+    return lambda seg, k: seg - ref >= -(0.5 + 1e-2 * k)
+
+
+class TestPathWindowFirst:
+    """_PathWindow.first against np.flatnonzero over the fully drawn path."""
+
+    N, SD, SEED = 20_000, 0.1, 5
+
+    @pytest.fixture
+    def window(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_BLOCK", 64)
+        return simulator._PathWindow(np.random.default_rng(self.SEED), self.N, self.SD)
+
+    @pytest.fixture(scope="class")
+    def path(self):
+        steps = np.random.default_rng(self.SEED).standard_normal(self.N) * self.SD
+        return np.concatenate(([0.0], np.cumsum(steps)))
+
+    @staticmethod
+    def brute(path, d, start, crossed):
+        k = np.arange(start - d, path.size - d, dtype=float)
+        hit = np.flatnonzero(crossed(path[start:], k))
+        return int(start + hit[0]) if hit.size else -1
+
+    @pytest.mark.parametrize("make", [_band, _sloped_up, _sloped_down],
+                             ids=["band", "sloped-up", "sloped-down"])
+    def test_matches_brute_force(self, window, path, make):
+        # cycles as _run_once runs them: scan from d + 1, next cycle 3 steps
+        # after the crossing; the first scan starts 200 steps in, so the
+        # window keeps w[0:] past its 64 points and has to double
+        d, start, n_cycles, past_end = 0, 200, 0, 0
+        while True:
+            w0 = window.at(d)
+            assert w0 == path[d]
+            crossed = make(w0)
+            end = window.end
+            j = window.first(d, start, crossed)
+            assert j == self.brute(path, d, start, crossed)
+            if j < 0:
+                break
+            n_cycles += 1
+            past_end += j >= end
+            d = j + 3
+            start = d + 1
+        assert window.buf.size > 64 and past_end > 10 and n_cycles > 50
+
+    def test_crossing_at_start(self, window, path):
+        for start in (0, 1, 63, 64, 65, 700):  # inside, at and past the first refill
+            up = path[start]
+            crossed = lambda seg, k: seg >= up
+            assert window.first(0, start, crossed) == start == self.brute(path, 0, start, crossed)
+
+    def test_no_crossing(self, window, path):
+        crossed = lambda seg, k: (seg >= 1e9) | (seg <= -1e9)
+        assert self.brute(path, 0, 0, crossed) == -1
+        assert window.first(0, 0, crossed) == -1
+        assert window.end == self.N + 1
+
+
 @pytest.fixture(scope="module")
 def logged():
     cb = Codebook.integer(1, 3, 4, 5)
