@@ -19,11 +19,11 @@ the top-left) and is verified positive semi-definite at build time.  l'Ql is
 E_P[L] times the fractional objective and q_theta'l is theta*E_P[L], so the
 root of J is the optimal value theta*.
 
-Each parametric QP is solved by enumerating the four constraint-activity
-patterns; every pattern reduces to a linear solve or a 1-D convex
-subproblem, and candidates are kept only when primal and dual feasible.
-Relaxed lengths are capped at LENGTH_CAP = 64 with a flag when the cap
-binds, so the l2 -> infinity limit at small thresholds stays finite.
+Each parametric QP is convex.  A primal-dual interior-point method finds the
+constraints that bind, then Newton's method on their KKT equations gives the
+lengths to machine precision.  Relaxed lengths are capped at LENGTH_CAP = 64
+with a flag when the cap binds, so the l2 -> infinity limit at small
+thresholds stays finite.
 
 The threshold search is an exhaustive grid scan (theta*(a) is multi-modal,
 so the grid stage stays global) followed by golden-section refinement around
@@ -73,14 +73,14 @@ _PRIMAL_TOL = 1e-9
 _SLACK_TOL = 1e-6
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section ratio
 _REFINE_WIDTH = 1e-5  # the threshold refinement stops at this bracket width
-_BRENT_RTOL = 4.0 * sys.float_info.epsilon  # the smallest rtol scipy's brentq accepts
 _KRAFT_BOUND = 0.5  # reduced Kraft bound: 2^-l1 + 2^-l2 <= 1/2
-# where _pattern_kraft samples the sign of its derivative: l1 from just above
-# the Kraft curve's floor -log2(_KRAFT_BOUND) to the cap
-_KRAFT_LO = -math.log2(_KRAFT_BOUND) + 1e-9
-_KRAFT_SAMPLES = np.concatenate(
-    [_KRAFT_LO + np.logspace(-9, 0, 24), np.linspace(_KRAFT_LO + 1.0, LENGTH_CAP, 40)]
-)
+_IP_MU = 10.0  # each interior-point step aims at a duality gap this many times smaller
+_IP_GAP = 1e-7  # the interior-point stage stops at this duality gap
+_IP_FEAS = 1e-6  # and this dual residual
+_IP_MAX_STEPS = 200
+_IP_MIN_STEP = 1e-12  # a line search that shrinks the step below this has stalled
+_POLISH_STEPS = 8
+_POLISH_TOL = 4.0 * sys.float_info.epsilon * LENGTH_CAP  # a length step this small ends the polish
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,6 @@ class QpSolution:
     gamma: float  # rate multiplier
     objective: float
     capped: bool
-    pattern: str
 
 
 @dataclass(frozen=True)
@@ -200,303 +199,154 @@ def build_qp(cfg: ThresholdConfig, theta: float, rc: RateConstraint) -> QpInstan
     )
 
 
-def _kraft_partner(l: float, bound: float) -> float:
-    """Length pairing with l on the Kraft boundary; inf if it does not bind."""
-    rem = bound - 2.0**-l
-    if rem <= 0:
-        return math.inf
-    return -math.log2(rem)
-
-
-def _grad(inst: QpInstance, l1: float, l2: float) -> np.ndarray:
-    return 2.0 * inst.Q @ np.array([l1, l2]) - inst.q_theta
-
-
-def _solve_fixed(inst: QpInstance, fixed_idx: int, fixed_val: float) -> QpSolution | None:
-    """1-D convex solve with one length pinned (cap or degenerate p2 = 0)."""
-    free_idx = 1 - fixed_idx
-    p_free = inst.p[free_idx]
-    p_fix = inst.p[fixed_idx]
-    if p_free == 0.0:
-        return None
-    kmin = _kraft_partner(fixed_val, inst.kraft_bound)
-    if math.isinf(kmin):
-        return None
-    rmin = (inst.rate_bound / 2.0 - p_fix * fixed_val) / p_free
-    lo = max(kmin, rmin)
-    if lo > LENGTH_CAP:
-        return None
-    qd = inst.Q[free_idx, free_idx]
-    qo = inst.Q[free_idx, fixed_idx]
-    qlin = inst.q_theta[free_idx]
-    # minimize qd*x^2 + 2*qo*fixed*x - qlin*x over [lo, CAP]
-    if qd > 0:
-        x = (qlin - 2 * qo * fixed_val) / (2 * qd)
-    else:
-        x = -math.inf
-    x = min(max(x, lo), LENGTH_CAP)
-    l = [0.0, 0.0]
-    l[fixed_idx] = fixed_val
-    l[free_idx] = x
-    g = _grad(inst, l[0], l[1])
+def _solve_band_dead(inst: QpInstance) -> QpSolution:
+    """Closed form at p2 = 0 (a = 0 only): the band length leaves the objective
+    and is pinned to the cap; l1 minimizes a 1-D quadratic between its floors."""
+    (q11, q12), _ = inst.Q.tolist()
+    qt1 = float(inst.q_theta[0])
+    kmin = -math.log2(inst.kraft_bound - 2.0**-LENGTH_CAP)
+    rmin = inst.rate_bound / 2.0 / inst.p[0]
+    if max(kmin, rmin) > LENGTH_CAP:
+        raise InfeasibleError("degenerate instance has no feasible point")
+    x = (qt1 - 2 * q12 * LENGTH_CAP) / (2 * q11)
+    l1 = min(max(x, kmin, rmin), LENGTH_CAP)
+    grad = 2.0 * (q11 * l1 + q12 * LENGTH_CAP) - qt1
     lam = gamma = 0.0
-    if abs(x - kmin) < 1e-12:
-        lam = g[free_idx] / (_LN2 * 2.0**-x)
-    elif abs(x - rmin) < 1e-12 and inst.rate_bound > 0:
-        gamma = g[free_idx] / (2.0 * p_free)
-    if lam < -_DUAL_TOL or gamma < -_DUAL_TOL:
-        return None
-    return QpSolution(
-        l1=float(l[0]),
-        l2=float(l[1]),
-        lam=float(max(lam, 0.0)),
-        gamma=float(max(gamma, 0.0)),
-        objective=float(inst.objective(l[0], l[1])),
-        capped=True,
-        pattern=f"fixed-l{fixed_idx + 1}",
-    )
+    if abs(l1 - kmin) < 1e-12:
+        lam = grad / (_LN2 * 2.0**-l1)
+    elif abs(l1 - rmin) < 1e-12 and inst.rate_bound > 0:
+        gamma = grad / (2.0 * inst.p[0])
+    return QpSolution(l1=l1, l2=LENGTH_CAP, lam=max(lam, 0.0), gamma=max(gamma, 0.0),
+                      objective=float(inst.objective(l1, LENGTH_CAP)), capped=True)
 
 
-def _candidate(
-    inst: QpInstance, l1: float, l2: float, lam: float, gamma: float, pattern: str
-) -> QpSolution | None:
-    """Filter a KKT candidate on primal and dual feasibility.
+def _solve_convex(inst: QpInstance) -> tuple[float, float, list[float], tuple, list[int]]:
+    """Interior-point method, then Newton's method on the active constraints.
 
-    A length above the cap is dropped: _pattern_kraft always offers the
-    capped endpoints.
+    The constraints g <= 0 are, in order, Kraft 2^-l1 + 2^-l2 - 1/2, the
+    rate floor R - 2(p1 l1 + p2 l2) and the caps l1 - 64, l2 - 64.  The
+    primal-dual interior-point method (Boyd & Vandenberghe 2004, 11.7)
+    starts on the diagonal one unit above its feasible floor and stops at a
+    loose duality gap: near 1e-9 its 2x2 Newton system loses accuracy.
+    Newton's method on the KKT equations of the constraints it found active
+    (lam_i > -g_i) then gives the lengths to machine precision.  Returns the
+    lengths, multipliers, constraint values and active indices.
     """
-    if not (0 < l1 <= LENGTH_CAP and 0 < l2 <= LENGTH_CAP):
-        return None
-    if inst.kraft_slack(l1, l2) < -_PRIMAL_TOL:
-        return None
-    if inst.rate_slack(l1, l2) < -_PRIMAL_TOL:
-        return None
-    if lam < -_DUAL_TOL or gamma < -_DUAL_TOL:
-        return None
-    return QpSolution(
-        l1=float(l1),
-        l2=float(l2),
-        lam=float(max(lam, 0.0)),
-        gamma=float(max(gamma, 0.0)),
-        objective=float(inst.objective(l1, l2)),
-        capped=False,
-        pattern=pattern,
-    )
-
-
-def _brentq(
-    f, xa: float, xb: float, xtol: float, rtol: float = _BRENT_RTOL, maxiter: int = 100
-) -> float:
-    """Root of f in [xa, xb] by Brent's method (Brent 1973).
-
-    A step-for-step port of the C loop behind scipy.optimize.brentq, with the
-    same expressions in the same order, so it returns scipy's root bit for
-    bit without importing scipy.  Stops when the bracket half-width is below
-    (xtol + rtol*|x|)/2.  Raises SearchError when f(xa) and f(xb) have the
-    same sign, when f returns NaN, or after maxiter steps without converging.
-    """
-
-    def value(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise SearchError(f"root search: f({x:.6g}) is NaN")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre = value(xpre)
-    fcur = value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise SearchError(f"root search: f({xpre:.6g}) and f({xcur:.6g}) have the same sign")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk = xpre
-            fblk = fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre = xcur
-            xcur = xblk
-            xblk = xpre
-            fpre = fcur
-            fcur = fblk
-            fblk = fpre
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre = scur
-                scur = stry
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-        xpre = xcur
-        fpre = fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise SearchError(f"root search did not converge in {maxiter} steps (last x = {xcur:.6g})")
-
-
-def _pattern_interior(inst: QpInstance) -> QpSolution | None:
-    try:
-        l = np.linalg.solve(2.0 * inst.Q, inst.q_theta)
-    except np.linalg.LinAlgError:
-        return None
-    return _candidate(inst, float(l[0]), float(l[1]), 0.0, 0.0, "interior")
-
-
-def _pattern_rate(inst: QpInstance) -> QpSolution | None:
-    if inst.rate_bound <= 0:
-        return None
-    p = np.array(inst.p)
-    A = np.zeros((3, 3))
-    A[:2, :2] = 2.0 * inst.Q
-    A[:2, 2] = -2.0 * p
-    A[2, :2] = 2.0 * p
-    rhs = np.array([inst.q_theta[0], inst.q_theta[1], inst.rate_bound])
-    try:
-        x = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    return _candidate(inst, float(x[0]), float(x[1]), 0.0, float(x[2]), "rate")
-
-
-def _pattern_kraft(inst: QpInstance) -> list[QpSolution]:
-    """Minimize along the Kraft boundary, parametrized by l1.
-
-    The boundary-restricted derivative can in principle change sign more
-    than once, so every sign change is refined and the curve endpoints
-    (one length at the cap) are always offered as capped candidates.
-    """
-    bound = _KRAFT_BOUND
-    (q11, q12), (_, q22) = inst.Q
-    qt1, qt2 = inst.q_theta
-
-    def dphi(l1):
-        w1 = 2.0 ** -np.asarray(l1)
-        rem = bound - w1
-        l2 = -np.log2(rem)
-        g1 = 2.0 * (q11 * l1 + q12 * l2) - qt1
-        g2 = 2.0 * (q12 * l1 + q22 * l2) - qt2
-        return g1 + g2 * (-w1 / rem)
-
-    ts = _KRAFT_SAMPLES
-    vals = dphi(ts)
-    out: list[QpSolution] = []
-    sign_change = np.flatnonzero(vals[:-1] * vals[1:] <= 0)
-    for i in sign_change[:4]:
-        if vals[i] == 0.0:
-            root = float(ts[i])
-        else:
-            root = _brentq(dphi, ts[i], ts[i + 1], xtol=1e-13, rtol=8.9e-16)
-        l2 = _kraft_partner(root, bound)
-        if l2 > LENGTH_CAP:
-            continue
-        g = _grad(inst, root, l2)
-        w = _LN2 * np.array([2.0**-root, 2.0**-l2])
-        lam = float(w @ g / (w @ w))
-        cand = _candidate(inst, root, l2, lam, 0.0, "kraft")
-        if cand is not None:
-            out.append(cand)
-    for fixed_idx in (0, 1):
-        cand = _solve_fixed(inst, fixed_idx, LENGTH_CAP)
-        if cand is not None:
-            out.append(cand)
-    return out
-
-
-def _pattern_both(inst: QpInstance) -> list[QpSolution]:
-    """Intersection of the Kraft curve and the rate line (0, 1 or 2 points)."""
-    if inst.rate_bound <= 0:
-        return []
+    (q11, q12), (_, q22) = inst.Q.tolist()
+    qt1, qt2 = inst.q_theta.tolist()
     p1, p2 = inst.p
-    if p2 == 0.0:
-        return []
-    r2 = inst.rate_bound / 2.0
+    rate, kraft = inst.rate_bound, inst.kraft_bound
+    d1, d2 = -2.0 * p1, -2.0 * p2
+    floor = max(1.0 - math.log2(kraft), rate / (2.0 * (p1 + p2)))
+    if not floor < LENGTH_CAP:
+        raise InfeasibleError(f"only capped lengths meet the rate floor E[L] >= {rate}")
 
-    def l1_of(l2):
-        return (r2 - p2 * np.asarray(l2)) / p1
+    def point(x1, x2, lam):
+        """Constraint values, Kraft's gradient (k1, k2) and the dual residual;
+        the rate floor's gradient is (d1, d2) and the caps' the unit vectors."""
+        lk, lr, lc1, lc2 = lam
+        e1, e2 = 2.0**-x1, 2.0**-x2
+        k1, k2 = -_LN2 * e1, -_LN2 * e2
+        g = (e1 + e2 - kraft, rate + d1 * x1 + d2 * x2, x1 - LENGTH_CAP, x2 - LENGTH_CAP)
+        r1 = 2.0 * (q11 * x1 + q12 * x2) - qt1 + lk * k1 + lr * d1 + lc1
+        r2 = 2.0 * (q12 * x1 + q22 * x2) - qt2 + lk * k2 + lr * d2 + lc2
+        return g, k1, k2, r1, r2
 
-    def h(l2):
-        return 2.0 ** -l1_of(l2) + 2.0 ** -np.asarray(l2) - inst.kraft_bound
+    def norm(g, r1, r2, lam, it):
+        """The whole residual at barrier 1/it: dual, then centrality."""
+        return math.hypot(r1, r2, lam[0] * g[0] + it, lam[1] * g[1] + it,
+                          lam[2] * g[2] + it, lam[3] * g[3] + it)
 
-    hi = min(LENGTH_CAP, (r2 - 1e-12) / p2)
-    lo = 1e-9
-    if hi <= lo:
-        return []
-    # h is convex; locate its minimum, then bracket roots on each side
-    ts = np.linspace(lo, hi, 200)
-    hv = h(ts)
-    i_min = int(np.argmin(hv))
-    if hv[i_min] > 0:
-        return []
-    roots = []
-    if i_min > 0 and hv[0] > 0:
-        roots.append(_brentq(h, ts[0], ts[i_min], xtol=1e-13))
-    if i_min < len(ts) - 1 and hv[-1] > 0:
-        roots.append(_brentq(h, ts[i_min], ts[-1], xtol=1e-13))
-    out = []
-    for l2 in roots:
-        l1 = l1_of(l2)
-        if l1 <= 0 or l1 > LENGTH_CAP or l2 > LENGTH_CAP:
-            continue
-        g = _grad(inst, l1, l2)
-        M = np.column_stack(
-            [_LN2 * np.array([2.0**-l1, 2.0**-l2]), 2.0 * np.array([p1, p2])]
-        )
+    x1 = x2 = floor + 1.0
+    lam = tuple(-1.0 / gi for gi in point(x1, x2, (0.0,) * 4)[0])
+    g, k1, k2, r1, r2 = point(x1, x2, lam)
+    for _ in range(_IP_MAX_STEPS):
+        (gk, gr, gc1, gc2), (lk, lr, lc1, lc2) = g, lam
+        gap = -(lk * gk + lr * gr + lc1 * gc1 + lc2 * gc2)
+        if gap <= _IP_GAP and math.hypot(r1, r2) <= _IP_FEAS:
+            break
+        it = gap / (_IP_MU * 4.0)  # 1/t for the barrier parameter t
+        # the Newton step for the lengths with the multiplier steps
+        # eliminated: (H + sum_i s_i grad g_i grad g_i') dl = -grad f
+        # + (1/t) sum_i grad g_i / g_i, where s_i = lam_i / -g_i and H is 2Q
+        # plus Kraft's Hessian -lam_kraft ln2 diag(k1, k2)
+        sk, sr, sc1, sc2 = lk / -gk, lr / -gr, lc1 / -gc1, lc2 / -gc2
+        h11 = 2.0 * q11 - lk * _LN2 * k1 + sk * k1 * k1 + sr * d1 * d1 + sc1
+        h12 = 2.0 * q12 + sk * k1 * k2 + sr * d1 * d2
+        h22 = 2.0 * q22 - lk * _LN2 * k2 + sk * k2 * k2 + sr * d2 * d2 + sc2
+        b1 = lk * k1 + lr * d1 + lc1 - r1 + (k1 / gk + d1 / gr + 1.0 / gc1) * it
+        b2 = lk * k2 + lr * d2 + lc2 - r2 + (k2 / gk + d2 / gr + 1.0 / gc2) * it
+        det = h11 * h22 - h12 * h12
+        if not det > 0:
+            raise SearchError(f"interior-point Newton matrix is not positive definite ({det})")
+        dx1 = (h22 * b1 - h12 * b2) / det
+        dx2 = (h11 * b2 - h12 * b1) / det
+        dlam = (sk * (k1 * dx1 + k2 * dx2) - lk - it / gk,
+                sr * (d1 * dx1 + d2 * dx2) - lr - it / gr,
+                sc1 * dx1 - lc1 - it / gc1,
+                sc2 * dx2 - lc2 - it / gc2)
+        # backtrack from the longest step that keeps the multipliers
+        # positive until the lengths are strictly feasible and the residual
+        # has fallen enough
+        step = 0.99 * min([1.0] + [-li / dl for li, dl in zip(lam, dlam) if dl < 0])
+        r0 = norm(g, r1, r2, lam, it)
+        while True:
+            y1, y2 = x1 + step * dx1, x2 + step * dx2
+            new_lam = (lk + step * dlam[0], lr + step * dlam[1],
+                       lc1 + step * dlam[2], lc2 + step * dlam[3])
+            new = point(y1, y2, new_lam)
+            if max(new[0]) < 0 and norm(new[0], *new[3:], new_lam, it) <= (1 - 0.01 * step) * r0:
+                break
+            step *= 0.5
+            if step < _IP_MIN_STEP:
+                raise SearchError(f"interior-point line search stalled at l = ({x1}, {x2})")
+        x1, x2, lam = y1, y2, new_lam
+        g, k1, k2, r1, r2 = new
+    else:
+        raise SearchError(f"interior-point method did not converge in {_IP_MAX_STEPS} steps")
+
+    active = [i for i in range(4) if lam[i] > -g[i]]
+    lam = [lam[i] if i in active else 0.0 for i in range(4)]
+    jac = np.zeros((2 + len(active),) * 2)
+    for _ in range(_POLISH_STEPS):
+        g, k1, k2, r1, r2 = point(x1, x2, lam)
+        G = np.reshape([((k1, k2), (d1, d2), (1.0, 0.0), (0.0, 1.0))[i] for i in active], (-1, 2))
+        jac[:2, :2] = 2.0 * inst.Q - lam[0] * _LN2 * np.diag([k1, k2])
+        jac[:2, 2:], jac[2:, :2] = G.T, G
         try:
-            mult = np.linalg.solve(M, g)
+            dx = np.linalg.solve(jac, [-r1, -r2] + [-g[i] for i in active]).tolist()
         except np.linalg.LinAlgError:
-            continue
-        cand = _candidate(inst, l1, l2, float(mult[0]), float(mult[1]), "both")
-        if cand is not None:
-            out.append(cand)
-    return out
+            raise SearchError(f"singular KKT system for the active set {active}") from None
+        x1, x2 = x1 + dx[0], x2 + dx[1]
+        for i, dl in zip(active, dx[2:]):
+            lam[i] += dl
+        if max(abs(dx[0]), abs(dx[1])) <= _POLISH_TOL:
+            break
+    x1, x2 = (LENGTH_CAP if 2 in active else x1), (LENGTH_CAP if 3 in active else x2)
+    return x1, x2, lam, point(x1, x2, lam)[0], active
 
 
 def solve_qp(inst: QpInstance) -> QpSolution:
     """Global minimizer of the parametric QP over the constraint set.
 
-    Raises InfeasibleError when even fully capped lengths cannot meet the
-    sampling-rate floor.
+    The problem is convex and _solve_convex solves it; at p2 = 0 (a = 0)
+    _solve_band_dead does.  Raises InfeasibleError when only capped lengths
+    meet the rate floor, and SearchError when the solver fails or its result
+    breaks the KKT conditions.
     """
     p1, p2 = inst.p
     if 2.0 * (p1 + p2) * LENGTH_CAP < inst.rate_bound - 1e-12:
         raise InfeasibleError(
             f"rate floor E[L] >= {inst.rate_bound} unreachable with lengths <= {LENGTH_CAP}"
         )
-    candidates: list[QpSolution] = []
     if p2 == 0.0:
-        sol = _solve_fixed(inst, 1, LENGTH_CAP)
-        if sol is None:
-            raise InfeasibleError("degenerate instance has no feasible point")
-        return sol
-    for sol in (
-        _pattern_interior(inst),
-        _pattern_rate(inst),
-        *_pattern_kraft(inst),
-        *_pattern_both(inst),
-    ):
-        if sol is not None:
-            candidates.append(sol)
-    if not candidates:
-        raise SearchError("no KKT pattern produced a feasible candidate")
-    return min(candidates, key=lambda s: s.objective)
+        return _solve_band_dead(inst)
+    l1, l2, lam, g, active = _solve_convex(inst)
+    if max(g) > _PRIMAL_TOL or min(lam) < -_DUAL_TOL:
+        raise SearchError(f"Newton steps on the active set {active} broke the KKT "
+                          f"conditions: g = {g}, multipliers = {lam}")
+    return QpSolution(l1=l1, l2=l2, lam=max(lam[0], 0.0), gamma=max(lam[1], 0.0),
+                      objective=float(inst.objective(l1, l2)), capped=2 in active or 3 in active)
 
 
 def dinkelbach_solve(cfg: ThresholdConfig, rc: RateConstraint) -> DinkelbachResult:

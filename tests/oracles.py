@@ -3,11 +3,13 @@
 Everything here is deliberately computed by a different route than the
 library: adaptive quadrature on the defining integrals instead of closed
 forms, a dense grid scan of the fractional objective instead of the
-Dinkelbach/KKT machinery, and bisection on J(theta) instead of
-Dinkelbach's update.  ``verify_ktilde_negative`` evaluates the
-boundary-optimality constant Ktilde over a threshold grid, whose sign the
-tests check.  The hitting-time helpers at the end are closed forms and a
-wrapper that only the tests call.
+Dinkelbach machinery, an enumeration of the QP's constraint-activity
+patterns (KKT points from linear solves and 1-D root searches) instead of
+the interior-point Newton solver, and bisection on J(theta), solved by that
+enumeration, instead of Dinkelbach's update.  ``verify_ktilde_negative``
+evaluates the boundary-optimality constant Ktilde over a threshold grid,
+whose sign the tests check.  The hitting-time helpers at the end are closed
+forms and a wrapper that only the tests call.
 """
 
 import math
@@ -15,17 +17,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import integrate
+from scipy.optimize import brentq
 
 from wiener_coding import (
+    LENGTH_CAP,
     Codebook,
     DriftHitSpec,
+    InfeasibleError,
     ParameterError,
     ThresholdConfig,
     mse_exact,
     sample_hit_times,
     scheme_constants,
 )
-from wiener_coding.code_optimizer import build_qp, solve_qp
+from wiener_coding.code_optimizer import QpInstance, QpSolution, build_qp
 
 SQRT2PI = math.sqrt(2 * math.pi)
 
@@ -137,16 +142,252 @@ def grid_search_theta(
     return theta, l1, l2
 
 
+_LN2 = math.log(2.0)
+_DUAL_TOL = 1e-9
+_PRIMAL_TOL = 1e-9
+_KRAFT_LO = 1.0 + 1e-9  # just above the reduced Kraft curve's floor l1 = 1
+# where the Kraft pattern samples the sign of its derivative
+_KRAFT_SAMPLES = np.concatenate(
+    [_KRAFT_LO + np.logspace(-9, 0, 24), np.linspace(_KRAFT_LO + 1.0, LENGTH_CAP, 40)]
+)
+
+
+def _kraft_partner(l: float, bound: float) -> float:
+    """Length pairing with l on the Kraft boundary; inf if it does not bind."""
+    rem = bound - 2.0**-l
+    if rem <= 0:
+        return math.inf
+    return -math.log2(rem)
+
+
+def _grad(inst: QpInstance, l1: float, l2: float) -> np.ndarray:
+    return 2.0 * inst.Q @ np.array([l1, l2]) - inst.q_theta
+
+
+def _solve_fixed(inst: QpInstance, fixed_idx: int, fixed_val: float) -> QpSolution | None:
+    """1-D convex solve with one length pinned (cap or degenerate p2 = 0)."""
+    free_idx = 1 - fixed_idx
+    p_free = inst.p[free_idx]
+    p_fix = inst.p[fixed_idx]
+    if p_free == 0.0:
+        return None
+    kmin = _kraft_partner(fixed_val, inst.kraft_bound)
+    if math.isinf(kmin):
+        return None
+    rmin = (inst.rate_bound / 2.0 - p_fix * fixed_val) / p_free
+    lo = max(kmin, rmin)
+    if lo > LENGTH_CAP:
+        return None
+    qd = inst.Q[free_idx, free_idx]
+    qo = inst.Q[free_idx, fixed_idx]
+    qlin = inst.q_theta[free_idx]
+    x = (qlin - 2 * qo * fixed_val) / (2 * qd) if qd > 0 else -math.inf
+    x = min(max(x, lo), LENGTH_CAP)
+    l = [0.0, 0.0]
+    l[fixed_idx] = fixed_val
+    l[free_idx] = x
+    g = _grad(inst, l[0], l[1])
+    lam = gamma = 0.0
+    if abs(x - kmin) < 1e-12:
+        lam = g[free_idx] / (_LN2 * 2.0**-x)
+    elif abs(x - rmin) < 1e-12 and inst.rate_bound > 0:
+        gamma = g[free_idx] / (2.0 * p_free)
+    if lam < -_DUAL_TOL or gamma < -_DUAL_TOL:
+        return None
+    return QpSolution(
+        l1=float(l[0]),
+        l2=float(l[1]),
+        lam=float(max(lam, 0.0)),
+        gamma=float(max(gamma, 0.0)),
+        objective=float(inst.objective(l[0], l[1])),
+        capped=True,
+    )
+
+
+def _candidate(
+    inst: QpInstance, l1: float, l2: float, lam: float, gamma: float
+) -> QpSolution | None:
+    """Filter a KKT candidate on primal and dual feasibility.
+
+    A length above the cap is dropped: the Kraft pattern always offers the
+    capped endpoints.
+    """
+    if not (0 < l1 <= LENGTH_CAP and 0 < l2 <= LENGTH_CAP):
+        return None
+    if inst.kraft_slack(l1, l2) < -_PRIMAL_TOL:
+        return None
+    if inst.rate_slack(l1, l2) < -_PRIMAL_TOL:
+        return None
+    if lam < -_DUAL_TOL or gamma < -_DUAL_TOL:
+        return None
+    return QpSolution(
+        l1=float(l1),
+        l2=float(l2),
+        lam=float(max(lam, 0.0)),
+        gamma=float(max(gamma, 0.0)),
+        objective=float(inst.objective(l1, l2)),
+        capped=False,
+    )
+
+
+def _pattern_interior(inst: QpInstance) -> QpSolution | None:
+    try:
+        l = np.linalg.solve(2.0 * inst.Q, inst.q_theta)
+    except np.linalg.LinAlgError:
+        return None
+    return _candidate(inst, float(l[0]), float(l[1]), 0.0, 0.0)
+
+
+def _pattern_rate(inst: QpInstance) -> QpSolution | None:
+    if inst.rate_bound <= 0:
+        return None
+    p = np.array(inst.p)
+    A = np.zeros((3, 3))
+    A[:2, :2] = 2.0 * inst.Q
+    A[:2, 2] = -2.0 * p
+    A[2, :2] = 2.0 * p
+    rhs = np.array([inst.q_theta[0], inst.q_theta[1], inst.rate_bound])
+    try:
+        x = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    return _candidate(inst, float(x[0]), float(x[1]), 0.0, float(x[2]))
+
+
+def _pattern_kraft(inst: QpInstance) -> list[QpSolution]:
+    """Minimize along the Kraft boundary, parametrized by l1.
+
+    The boundary-restricted derivative can in principle change sign more
+    than once, so every sign change is refined and the curve endpoints
+    (one length at the cap) are always offered as capped candidates.
+    """
+    bound = inst.kraft_bound
+    (q11, q12), (_, q22) = inst.Q
+    qt1, qt2 = inst.q_theta
+
+    def dphi(l1):
+        w1 = 2.0 ** -np.asarray(l1)
+        rem = bound - w1
+        l2 = -np.log2(rem)
+        g1 = 2.0 * (q11 * l1 + q12 * l2) - qt1
+        g2 = 2.0 * (q12 * l1 + q22 * l2) - qt2
+        return g1 + g2 * (-w1 / rem)
+
+    ts = _KRAFT_SAMPLES
+    vals = dphi(ts)
+    out: list[QpSolution] = []
+    for i in np.flatnonzero(vals[:-1] * vals[1:] <= 0)[:4]:
+        if vals[i] == 0.0:
+            root = float(ts[i])
+        else:
+            root = brentq(dphi, ts[i], ts[i + 1], xtol=1e-13, rtol=8.9e-16)
+        l2 = _kraft_partner(root, bound)
+        if l2 > LENGTH_CAP:
+            continue
+        g = _grad(inst, root, l2)
+        w = _LN2 * np.array([2.0**-root, 2.0**-l2])
+        cand = _candidate(inst, root, l2, float(w @ g / (w @ w)), 0.0)
+        if cand is not None:
+            out.append(cand)
+    for fixed_idx in (0, 1):
+        cand = _solve_fixed(inst, fixed_idx, LENGTH_CAP)
+        if cand is not None:
+            out.append(cand)
+    return out
+
+
+def _pattern_both(inst: QpInstance) -> list[QpSolution]:
+    """Intersection of the Kraft curve and the rate line (0, 1 or 2 points)."""
+    if inst.rate_bound <= 0:
+        return []
+    p1, p2 = inst.p
+    r2 = inst.rate_bound / 2.0
+
+    def l1_of(l2):
+        return (r2 - p2 * np.asarray(l2)) / p1
+
+    def h(l2):
+        return 2.0 ** -l1_of(l2) + 2.0 ** -np.asarray(l2) - inst.kraft_bound
+
+    hi = min(LENGTH_CAP, (r2 - 1e-12) / p2)
+    lo = 1e-9
+    if hi <= lo:
+        return []
+    # h is convex; locate its minimum, then bracket roots on each side
+    ts = np.linspace(lo, hi, 200)
+    hv = h(ts)
+    i_min = int(np.argmin(hv))
+    if hv[i_min] > 0:
+        return []
+    roots = []
+    if i_min > 0 and hv[0] > 0:
+        roots.append(brentq(h, ts[0], ts[i_min], xtol=1e-13))
+    if i_min < len(ts) - 1 and hv[-1] > 0:
+        roots.append(brentq(h, ts[i_min], ts[-1], xtol=1e-13))
+    out = []
+    for l2 in roots:
+        l1 = l1_of(l2)
+        if l1 <= 0 or l1 > LENGTH_CAP or l2 > LENGTH_CAP:
+            continue
+        g = _grad(inst, l1, l2)
+        M = np.column_stack(
+            [_LN2 * np.array([2.0**-l1, 2.0**-l2]), 2.0 * np.array([p1, p2])]
+        )
+        try:
+            mult = np.linalg.solve(M, g)
+        except np.linalg.LinAlgError:
+            continue
+        cand = _candidate(inst, l1, l2, float(mult[0]), float(mult[1]))
+        if cand is not None:
+            out.append(cand)
+    return out
+
+
+def kkt_solve_qp(inst: QpInstance) -> QpSolution:
+    """Reference for code_optimizer.solve_qp: enumerate the KKT patterns.
+
+    The patterns are both constraints slack (a linear solve), the rate floor
+    alone (a 3x3 solve), the Kraft curve (a sign scan and brentq, plus the
+    capped endpoints) and the Kraft-rate intersection (brentq on each side of
+    a convex function's minimum).  Every primal- and dual-feasible candidate
+    is kept and the one with the least objective returned; at p2 = 0 the
+    band length is pinned to the cap.
+    """
+    p1, p2 = inst.p
+    if 2.0 * (p1 + p2) * LENGTH_CAP < inst.rate_bound - 1e-12:
+        raise InfeasibleError(
+            f"rate floor E[L] >= {inst.rate_bound} unreachable with lengths <= {LENGTH_CAP}"
+        )
+    if p2 == 0.0:
+        sol = _solve_fixed(inst, 1, LENGTH_CAP)
+        if sol is None:
+            raise InfeasibleError("degenerate instance has no feasible point")
+        return sol
+    candidates = [
+        sol
+        for sol in (
+            _pattern_interior(inst),
+            _pattern_rate(inst),
+            *_pattern_kraft(inst),
+            *_pattern_both(inst),
+        )
+        if sol is not None
+    ]
+    assert candidates, "no KKT pattern produced a feasible candidate"
+    return min(candidates, key=lambda s: s.objective)
+
+
 def bisection_theta(cfg, rc, width=1e-10, j_tol=1e-9):
     """Root of J(theta) = min l'Ql - q_theta'l by bisection on [0, 10*MSE_2].
 
-    MSE_2 is the uniform-length-2 MSE.  Stops at |J| <= j_tol or a bracket
-    narrower than width; returns (theta, QpSolution at theta).
+    MSE_2 is the uniform-length-2 MSE.  Each J is solved by kkt_solve_qp.
+    Stops at |J| <= j_tol or a bracket narrower than width; returns
+    (theta, QpSolution at theta).
     """
     inst = build_qp(cfg, 0.0, rc)
 
     def solve_at(theta):
-        return solve_qp(replace(inst, q_theta=2.0 * theta * np.array(inst.p)))
+        return kkt_solve_qp(replace(inst, q_theta=2.0 * theta * np.array(inst.p)))
 
     lo, hi = 0.0, 10.0 * mse_exact(replace(cfg, mu=math.inf), Codebook.uniform(2.0)).mse
     assert solve_at(lo).objective > 0.0 and solve_at(hi).objective < 0.0

@@ -94,7 +94,7 @@ class TestAnalyze:
 
 
 # every command at a tiny size; the optimize and sweep grids include
-# rate-limited points, so both root-finding KKT patterns run
+# rate-limited points, so the rate floor binds in some QP solves
 TINY_COMMANDS = [
     ["analyze", "--l", "2,2,2,2", "--grid", "0:1:0.5", "--mu", "10"],
     ["optimize", "--fmax", "0.5", "--grid", "0:1.5:0.25"],
@@ -106,16 +106,17 @@ TINY_COMMANDS = [
 
 SWEEP_ARGV = ["sweep", "--grid", "0:2:0.05", "--fmax", "inf,0.5,0.35,0.2"]
 
-# SHA-256 of stdout, captured before the root finder was ported from scipy;
-# together these runs take both KKT patterns that call it.  The sweep ran at
-# the old default slope 1e6; the analyze run pins the finite-slope closed form.
+# SHA-256 of stdout.  The optimize and sweep digests were captured with the
+# interior-point QP solver; they bind the Kraft and rate constraints alone
+# and together.  The sweep ran at the old default slope 1e6; the analyze run
+# pins the finite-slope closed form.
 GOLDEN_STDOUT = [
     (["optimize", "--fmax", "0.5", "--grid", "0:3:0.01"],
-     "5d1cfd8549b2b1eaaccf739cd6d7245a54469805beeedb1ac9344d3ed8f0bf8f"),
+     "374a281e735dec397021123ff2efa5bac5be9e9fb268515b0620dcb2cf9a4a7b"),
     (["optimize", "--fmax", "0.2", "--grid", "0:3:0.01"],
-     "47fce0f2ead86a0d9287a408d598ea63eb97717eaf21f133fc7017ae5f17177f"),
+     "aeb5261627bf6dc14d9fef8767d446b2d63894f95fa9deb4932c7efb506665f0"),
     (SWEEP_ARGV + ["--mu", "1e6"],
-     "a60081620fffd321b2cbe372095d61aa8bf3083fcb51b94ce075a4339776464a"),
+     "daa24ba266a874f1561cc5aab8eb6294d4c917bf1ab0afedd411960288cfdeca"),
     (["analyze", "--l", "1,3,4,5", "--grid", "0:3:0.01", "--mu", "10"],
      "dd71db2d0534367363a7db1e9c157b537481118a4704db053d47f846bea1e870"),
 ]
@@ -294,6 +295,13 @@ class TestSimulate:
         rows = read_csv(cyc)
         assert list(rows[0].keys()) == ["s_n", "d_n", "event", "z_n", "length"]
         assert len(rows) > 50
+
+    def test_coarse_grid_for_slope_exit_code(self, capsys):
+        # mu*eps = 10: the run would report mse_hat 30 against an analytic 2.80
+        rc = main(["simulate", "--a", "1", "--b", "1", "--mu", "1000", "--l", "2,2,2,2",
+                   "--eps", "1e-2", "--horizon", "2e4", "--seed", "1", "--reps", "1"])
+        assert rc == 2
+        assert "mu*eps = 10 > 1" in capsys.readouterr().err
 
     def test_horizon_too_short_exit_code(self, tmp_path):
         rc = main(
@@ -528,7 +536,7 @@ class TestFlagsReadOnlyInSomeRuns:
 
     def test_simulate_as_config_key(self, tmp_path, capsys):
         # the default --reps of sweep --simulate is 3
-        argv = ["sweep", "--grid", "0:1:1", "--fmax", "0.5", "--mu", "10", "--eps", "0.5",
+        argv = ["sweep", "--grid", "0:1:1", "--fmax", "0.5", "--mu", "2", "--eps", "0.5",
                 "--horizon", "1500"]
         assert main(argv + ["--simulate", "--reps", "3"]) == 0
         by_flag = capsys.readouterr().out

@@ -1,8 +1,8 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 import oracles
 from wiener_coding import (
@@ -19,9 +19,8 @@ from wiener_coding import (
     optimize_threshold,
     scheme_constants,
 )
-from wiener_coding import code_optimizer
-from wiener_coding.cli import main
-from wiener_coding.code_optimizer import QpSolution, _brentq, build_qp, solve_qp, threshold_grid
+from wiener_coding import LENGTH_CAP, code_optimizer
+from wiener_coding.code_optimizer import QpSolution, build_qp, solve_qp, threshold_grid
 
 MU = math.inf
 UNC = RateConstraint(math.inf)
@@ -99,7 +98,7 @@ class TestSolveQp:
         a, theta = 1.0, 60.0
         inst = build_qp(sym_cfg(a), theta, UNC)
         sol = solve_qp(inst)
-        assert sol.pattern == "interior"
+        assert sol.lam == sol.gamma == 0.0  # both constraints slack
         sc = scheme_constants(sym_cfg(a))
         p = sc.probs.as_tuple()
         pt = sc.p_tilde
@@ -150,6 +149,42 @@ class TestSolveQp:
     def test_infeasible_rate_floor(self):
         with pytest.raises(InfeasibleError):
             solve_qp(build_qp(sym_cfg(1.0), 1.0, RateConstraint(1e-4)))
+
+    def test_empty_strict_interior_is_infeasible(self):
+        # a rate floor that only l1 = l2 = LENGTH_CAP meets passes the
+        # pre-check, but the interior-point method needs a strict interior
+        inst = build_qp(sym_cfg(1.0), 1.0, UNC)
+        inst = replace(inst, rate_bound=2.0 * sum(inst.p) * LENGTH_CAP)
+        with pytest.raises(InfeasibleError, match="only capped lengths"):
+            solve_qp(inst)
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("_IP_MAX_STEPS", 3, "did not converge in 3 steps"),
+        ("_IP_MIN_STEP", 1.0, "line search stalled"),
+    ])
+    def test_stalled_solver_raises_search_error(self, monkeypatch, name, value, message):
+        monkeypatch.setattr(code_optimizer, name, value)
+        with pytest.raises(SearchError, match=message):
+            solve_qp(build_qp(sym_cfg(1.0), 2.8, RateConstraint(0.5)))
+        with pytest.raises(SearchError, match=message):
+            dinkelbach_solve(sym_cfg(1.0), RateConstraint(0.5))
+
+    @pytest.mark.parametrize("fmax", [math.inf, 0.5, 0.2])
+    @pytest.mark.parametrize("a", [0.0, 0.05, 0.5, 1.0, 2.0, 3.0])
+    def test_matches_kkt_reference(self, a, fmax):
+        # theta from 0 to far above theta*: rate-free, Kraft-only, rate-only,
+        # Kraft-and-rate and capped solutions all occur, a capped l2 both at
+        # a = 0 (p2 = 0) and at 20 theta* (a = 0.05 and 0.5 with f_max = 0.2)
+        rc = RateConstraint(fmax)
+        theta_star = dinkelbach_solve(sym_cfg(a), rc).theta_star
+        for theta in (0.0, 0.5 * theta_star, theta_star, 1.5 * theta_star, 20 * theta_star):
+            inst = build_qp(sym_cfg(a), theta, rc)
+            sol, ref = solve_qp(inst), oracles.kkt_solve_qp(inst)
+            assert abs(sol.l1 - ref.l1) <= 1e-8 and abs(sol.l2 - ref.l2) <= 1e-8, theta
+            assert sol.objective == pytest.approx(ref.objective, rel=1e-12, abs=1e-12)
+            assert sol.capped == ref.capped
+            assert sol.lam == pytest.approx(ref.lam, rel=1e-6, abs=1e-9)
+            assert sol.gamma == pytest.approx(ref.gamma, rel=1e-6, abs=1e-9)
 
 
 class TestDinkelbach:
@@ -208,8 +243,27 @@ class TestDinkelbach:
         for a, fmax in SOLVER_POINTS:
             assert dinkelbach_solve(sym_cfg(a), RateConstraint(fmax)).iterations <= 6
 
+    def test_agrees_with_kkt_reference_on_cli_grid(self, monkeypatch):
+        # a in 0:3:0.01 at six rate limits, 1806 points; the reference runs
+        # the same Dinkelbach iteration with the KKT enumeration as its QP
+        points = [(i * 0.01, fmax) for fmax in (math.inf, 1.0, 0.5, 0.35, 0.3, 0.2)
+                  for i in range(301)]
+        new = [dinkelbach_solve(sym_cfg(a), RateConstraint(fmax)) for a, fmax in points]
+        monkeypatch.setattr(code_optimizer, "solve_qp", oracles.kkt_solve_qp)
+        for (a, fmax), res in zip(points, new):
+            ref = dinkelbach_solve(sym_cfg(a), RateConstraint(fmax))
+            assert abs(res.theta_star - ref.theta_star) <= 1e-9, (a, fmax)
+            assert abs(res.lengths.l1 - ref.lengths.l1) <= 1e-8, (a, fmax)
+            assert abs(res.lengths.l2 - ref.lengths.l2) <= 1e-8, (a, fmax)
+            assert (res.capped, res.active) == (ref.capped, ref.active), (a, fmax)
+            assert res.iterations == ref.iterations <= 6, (a, fmax)
+        assert len(points) == 1806
+        assert sum(res.capped for res in new) == 6  # a = 0 at each rate limit
+        assert sum(res.active == ("kraft", "rate") for res in new) >= 50
+        assert sum(res.active == ("rate",) for res in new) >= 50
+
     def test_non_convergence_raises(self, monkeypatch):
-        stuck = QpSolution(3.0, 3.0, 0.0, 0.0, objective=1.0, capped=False, pattern="stub")
+        stuck = QpSolution(3.0, 3.0, 0.0, 0.0, objective=1.0, capped=False)
         monkeypatch.setattr("wiener_coding.code_optimizer.solve_qp", lambda inst: stuck)
         with pytest.raises(SearchError, match="did not converge"):
             dinkelbach_solve(sym_cfg(1.0), UNC)
@@ -222,7 +276,7 @@ class TestDinkelbach:
         def growing(inst):
             calls.append(None)
             l = 2.0 + len(calls)
-            return QpSolution(l, l, 0.0, 0.0, objective=1.0, capped=False, pattern="stub")
+            return QpSolution(l, l, 0.0, 0.0, objective=1.0, capped=False)
 
         monkeypatch.setattr("wiener_coding.code_optimizer.solve_qp", growing)
         with pytest.raises(SearchError, match="rose"):
@@ -330,65 +384,3 @@ class TestKtilde:
     def test_empty_grid(self):
         with pytest.raises(ParameterError):
             oracles.verify_ktilde_negative([])
-
-
-# every QP solve of these runs; both KKT patterns that find roots take part
-BRENTQ_RUNS = [
-    ["optimize", "--fmax", "0.5", "--grid", "0:3:0.01"],
-    ["optimize", "--fmax", "inf", "--grid", "0:3:0.01"],
-    ["optimize", "--fmax", "0.2", "--grid", "0:3:0.01"],
-    ["sweep", "--grid", "0:2:0.05", "--fmax", "inf,0.5,0.35,0.2"],
-]
-
-
-class TestBrentq:
-    def test_matches_scipy_on_cli_grids(self, monkeypatch, tmp_path):
-        calls = []
-
-        def recording(f, xa, xb, **kw):
-            root = _brentq(f, xa, xb, **kw)
-            calls.append((f, xa, xb, kw, root))
-            return root
-
-        monkeypatch.setattr(code_optimizer, "_brentq", recording)
-        for i, argv in enumerate(BRENTQ_RUNS):
-            assert main(argv + ["--out", str(tmp_path / f"{i}.csv")]) == 0
-        assert len(calls) > 1000
-        assert {f.__name__ for f, *_ in calls} == {"dphi", "h"}
-        for f, xa, xb, kw, root in calls:
-            assert type(root) is float
-            assert root == brentq(f, xa, xb, **kw)
-
-    @pytest.mark.parametrize("f,xa,xb,xtol", [
-        (math.cos, 0.0, 3.0, 1e-13),
-        (lambda x: x**3 - 2.0, 0.0, 10.0, 1e-13),
-        (lambda x: math.exp(x) - 5.0, -3.0, 4.0, 2e-12),
-        (lambda x: math.atan(x - 0.3), 5.0, -5.0, 1e-6),
-        (lambda x: (x - 1.0) ** 3, 0.0, 1.5, 1e-8),  # triple root: slow, bisection-led
-    ])
-    def test_matches_scipy(self, f, xa, xb, xtol):
-        assert _brentq(f, xa, xb, xtol) == brentq(f, xa, xb, xtol=xtol)
-        assert _brentq(f, xa, xb, xtol, rtol=1e-10) == brentq(f, xa, xb, xtol=xtol, rtol=1e-10)
-
-    @pytest.mark.parametrize("xa,xb", [(1.0, 2.0), (0.0, 1.0)])
-    def test_root_at_endpoint(self, xa, xb):
-        assert _brentq(lambda x: x - 1.0, xa, xb, 1e-13) == 1.0
-
-    def test_same_sign_raises(self):
-        with pytest.raises(SearchError, match="same sign"):
-            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-13)
-
-    @pytest.mark.parametrize("f", [
-        lambda x: math.nan,
-        lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan,  # NaN at the first step
-    ])
-    def test_nan_raises(self, f):
-        with pytest.raises(SearchError, match="NaN"):
-            _brentq(f, 0.0, 1.0, 1e-13)
-
-    def test_maxiter_exhausted_raises(self):
-        f = lambda x: x**3 - 2.0  # noqa: E731
-        with pytest.raises(RuntimeError):
-            brentq(f, 0.0, 10.0, xtol=1e-13, maxiter=3)
-        with pytest.raises(SearchError, match="did not converge in 3 steps"):
-            _brentq(f, 0.0, 10.0, 1e-13, maxiter=3)

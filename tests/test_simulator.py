@@ -111,8 +111,20 @@ class TestSimConfigValidation:
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 2e-3, 0.5, 1.0])
     def test_lengths_whole_grid_steps_accepted(self, eps):
-        sim_cfg(eps=eps, cb=Codebook.integer(1, 2, 3, 3))
+        mu = min(10.0, 1.0 / eps)  # the coarse grids need a slope with mu*eps <= 1
+        sim_cfg(eps=eps, mu=mu, cb=Codebook.integer(1, 2, 3, 3))
         sim_cfg(eps=eps, scheme="ideal-benchmark", cb=None)
+
+    @pytest.mark.parametrize("scheme,cb", [("monotone", UNIT2), ("uniform-benchmark", None)])
+    def test_slope_times_grid_step_at_most_one(self, scheme, cb):
+        # decoded sloped values are multiples of mu*eps; at mu*eps = 10 the
+        # MSE estimate is off by +960%
+        sim_cfg(mu=100.0, scheme=scheme, cb=cb)  # mu*eps = 1 is accepted
+        with pytest.raises(ParameterError, match=r"mu\*eps = 10 > 1"):
+            sim_cfg(mu=1000.0, scheme=scheme, cb=cb)
+
+    def test_ideal_scheme_has_no_slope_bound(self):
+        assert sim_cfg(mu=1000.0, scheme="ideal-benchmark", cb=None).cfg.mu == 1000.0
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_seed_must_be_non_negative_integer(self, seed):
@@ -528,4 +540,32 @@ class TestIndependence:
         res = length_independence_test(rep, min_cycles=5000)
         assert res.p_value > 0.01
         assert res.dof == 9
-        assert res.p_value == stats.chi2.sf(res.statistic, res.dof)
+        assert res.p_value == pytest.approx(stats.chi2.sf(res.statistic, res.dof), rel=1e-12)
+
+    def test_chi2_tail_matches_scipy(self):
+        xs = np.concatenate([[0.0, 1e-300, 1e-9], np.linspace(0.01, 60.0, 400),
+                             np.geomspace(60.0, 4000.0, 200)])
+        checked = 0
+        for dof in [*range(1, 37), 2000, 2001]:  # at the large dof e^(-x/2) underflows
+            for x in xs:
+                ref = stats.chi2.sf(x, dof)
+                if ref > 1e-250:
+                    assert simulator._chi2_sf(float(x), dof) == pytest.approx(ref, rel=1e-12)
+                    checked += 1
+        assert checked > 15_000
+
+    def test_runs_without_scipy(self, fresh_python):
+        # scipy is a test dependency only: block it and run the test
+        code = """if True:
+            import json, sys
+            sys.modules["scipy"] = None  # any scipy import now fails
+            from wiener_coding import Codebook, SimConfig, ThresholdConfig, run
+            from wiener_coding import length_independence_test
+            rep = run(SimConfig(eps=1e-2, horizon=2000.0, cfg=ThresholdConfig(1, 1, 10),
+                                cb=Codebook.integer(1, 3, 4, 5), seed=101))
+            res = length_independence_test(rep, min_cycles=300)
+            print(json.dumps([res.statistic, res.dof, res.p_value]))
+        """
+        statistic, dof, p_value = fresh_python(code)
+        assert dof == 9 and 0.0 < p_value < 1.0
+        assert p_value == pytest.approx(stats.chi2.sf(statistic, dof), rel=1e-12)
