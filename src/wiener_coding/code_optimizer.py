@@ -19,11 +19,12 @@ the top-left) and is verified positive semi-definite at build time.  l'Ql is
 E_P[L] times the fractional objective and q_theta'l is theta*E_P[L], so the
 root of J is the optimal value theta*.
 
-Each parametric QP is convex.  A primal-dual interior-point method finds the
-constraints that bind, then Newton's method on their KKT equations gives the
-lengths to machine precision.  Relaxed lengths are capped at LENGTH_CAP = 64
-with a flag when the cap binds, so the l2 -> infinity limit at small
-thresholds stays finite.
+Each parametric QP is convex.  A primal-dual interior-point method on the
+Kraft and rate constraints finds those that bind, then Newton's method on
+their KKT equations gives the lengths to machine precision; a violated
+length cap joins the binding set there.  Relaxed lengths are capped at
+LENGTH_CAP = 64 with a flag when the cap binds, so the l2 -> infinity limit
+at small thresholds stays finite.
 
 The threshold search is an exhaustive grid scan (theta*(a) is multi-modal,
 so the grid stage stays global) followed by golden-section refinement around
@@ -81,6 +82,7 @@ _IP_MAX_STEPS = 200
 _IP_MIN_STEP = 1e-12  # a line search that shrinks the step below this has stalled
 _POLISH_STEPS = 8
 _POLISH_TOL = 4.0 * sys.float_info.epsilon * LENGTH_CAP  # a length step this small ends the polish
+_ACTIVE_SET_ROUNDS = 4  # Newton solves, one per active set, before giving up
 
 
 @dataclass(frozen=True)
@@ -199,42 +201,26 @@ def build_qp(cfg: ThresholdConfig, theta: float, rc: RateConstraint) -> QpInstan
     )
 
 
-def _solve_band_dead(inst: QpInstance) -> QpSolution:
-    """Closed form at p2 = 0 (a = 0 only): the band length leaves the objective
-    and is pinned to the cap; l1 minimizes a 1-D quadratic between its floors."""
-    (q11, q12), _ = inst.Q.tolist()
-    qt1 = float(inst.q_theta[0])
-    kmin = -math.log2(inst.kraft_bound - 2.0**-LENGTH_CAP)
-    rmin = inst.rate_bound / 2.0 / inst.p[0]
-    if max(kmin, rmin) > LENGTH_CAP:
-        raise InfeasibleError("degenerate instance has no feasible point")
-    x = (qt1 - 2 * q12 * LENGTH_CAP) / (2 * q11)
-    l1 = min(max(x, kmin, rmin), LENGTH_CAP)
-    grad = 2.0 * (q11 * l1 + q12 * LENGTH_CAP) - qt1
-    lam = gamma = 0.0
-    if abs(l1 - kmin) < 1e-12:
-        lam = grad / (_LN2 * 2.0**-l1)
-    elif abs(l1 - rmin) < 1e-12 and inst.rate_bound > 0:
-        gamma = grad / (2.0 * inst.p[0])
-    return QpSolution(l1=l1, l2=LENGTH_CAP, lam=max(lam, 0.0), gamma=max(gamma, 0.0),
-                      objective=float(inst.objective(l1, LENGTH_CAP)), capped=True)
-
-
-def _solve_convex(inst: QpInstance) -> tuple[float, float, list[float], tuple, list[int]]:
-    """Interior-point method, then Newton's method on the active constraints.
+def solve_qp(inst: QpInstance) -> QpSolution:
+    """Global minimizer of the parametric QP: interior point, then Newton.
 
     The constraints g <= 0 are, in order, Kraft 2^-l1 + 2^-l2 - 1/2, the
-    rate floor R - 2(p1 l1 + p2 l2) and the caps l1 - 64, l2 - 64.  The
-    primal-dual interior-point method (Boyd & Vandenberghe 2004, 11.7)
-    starts on the diagonal one unit above its feasible floor and stops at a
-    loose duality gap: near 1e-9 its 2x2 Newton system loses accuracy.
-    Newton's method on the KKT equations of the constraints it found active
-    (lam_i > -g_i) then gives the lengths to machine precision.  Returns the
-    lengths, multipliers, constraint values and active indices.
+    rate floor R - 2(p1 l1 + p2 l2) and the caps l1 - 64, l2 - 64.  A
+    primal-dual interior-point method (Boyd & Vandenberghe 2004, 11.7) on
+    the first two starts on the diagonal one unit above their floor and
+    stops at a loose duality gap.  Newton's method on the KKT equations of
+    the constraints it found active (lam_i > -g_i) then gives the lengths to
+    machine precision, and the active set, caps included, is corrected until
+    the result meets the KKT conditions.  Raises InfeasibleError when only
+    capped lengths meet the rate floor, and SearchError when a stage fails.
     """
+    p1, p2 = inst.p
+    if 2.0 * (p1 + p2) * LENGTH_CAP < inst.rate_bound - 1e-12:
+        raise InfeasibleError(
+            f"rate floor E[L] >= {inst.rate_bound} unreachable with lengths <= {LENGTH_CAP}"
+        )
     (q11, q12), (_, q22) = inst.Q.tolist()
     qt1, qt2 = inst.q_theta.tolist()
-    p1, p2 = inst.p
     rate, kraft = inst.rate_bound, inst.kraft_bound
     d1, d2 = -2.0 * p1, -2.0 * p2
     floor = max(1.0 - math.log2(kraft), rate / (2.0 * (p1 + p2)))
@@ -242,111 +228,124 @@ def _solve_convex(inst: QpInstance) -> tuple[float, float, list[float], tuple, l
         raise InfeasibleError(f"only capped lengths meet the rate floor E[L] >= {rate}")
 
     def point(x1, x2, lam):
-        """Constraint values, Kraft's gradient (k1, k2) and the dual residual;
-        the rate floor's gradient is (d1, d2) and the caps' the unit vectors."""
+        """Constraint values and gradients, the Lagrangian's Hessian
+        (h11, h12, h22) and its gradient, the dual residual (r1, r2)."""
         lk, lr, lc1, lc2 = lam
         e1, e2 = 2.0**-x1, 2.0**-x2
         k1, k2 = -_LN2 * e1, -_LN2 * e2
         g = (e1 + e2 - kraft, rate + d1 * x1 + d2 * x2, x1 - LENGTH_CAP, x2 - LENGTH_CAP)
+        grads = ((k1, k2), (d1, d2), (1.0, 0.0), (0.0, 1.0))
+        hess = (2.0 * q11 - lk * _LN2 * k1, 2.0 * q12, 2.0 * q22 - lk * _LN2 * k2)
         r1 = 2.0 * (q11 * x1 + q12 * x2) - qt1 + lk * k1 + lr * d1 + lc1
         r2 = 2.0 * (q12 * x1 + q22 * x2) - qt2 + lk * k2 + lr * d2 + lc2
-        return g, k1, k2, r1, r2
+        return g, grads, hess, r1, r2
 
-    def norm(g, r1, r2, lam, it):
-        """The whole residual at barrier 1/it: dual, then centrality."""
-        return math.hypot(r1, r2, lam[0] * g[0] + it, lam[1] * g[1] + it,
-                          lam[2] * g[2] + it, lam[3] * g[3] + it)
-
-    x1 = x2 = floor + 1.0
-    lam = tuple(-1.0 / gi for gi in point(x1, x2, (0.0,) * 4)[0])
-    g, k1, k2, r1, r2 = point(x1, x2, lam)
-    for _ in range(_IP_MAX_STEPS):
-        (gk, gr, gc1, gc2), (lk, lr, lc1, lc2) = g, lam
-        gap = -(lk * gk + lr * gr + lc1 * gc1 + lc2 * gc2)
-        if gap <= _IP_GAP and math.hypot(r1, r2) <= _IP_FEAS:
-            break
-        it = gap / (_IP_MU * 4.0)  # 1/t for the barrier parameter t
-        # the Newton step for the lengths with the multiplier steps
-        # eliminated: (H + sum_i s_i grad g_i grad g_i') dl = -grad f
-        # + (1/t) sum_i grad g_i / g_i, where s_i = lam_i / -g_i and H is 2Q
-        # plus Kraft's Hessian -lam_kraft ln2 diag(k1, k2)
-        sk, sr, sc1, sc2 = lk / -gk, lr / -gr, lc1 / -gc1, lc2 / -gc2
-        h11 = 2.0 * q11 - lk * _LN2 * k1 + sk * k1 * k1 + sr * d1 * d1 + sc1
-        h12 = 2.0 * q12 + sk * k1 * k2 + sr * d1 * d2
-        h22 = 2.0 * q22 - lk * _LN2 * k2 + sk * k2 * k2 + sr * d2 * d2 + sc2
-        b1 = lk * k1 + lr * d1 + lc1 - r1 + (k1 / gk + d1 / gr + 1.0 / gc1) * it
-        b2 = lk * k2 + lr * d2 + lc2 - r2 + (k2 / gk + d2 / gr + 1.0 / gc2) * it
-        det = h11 * h22 - h12 * h12
-        if not det > 0:
-            raise SearchError(f"interior-point Newton matrix is not positive definite ({det})")
-        dx1 = (h22 * b1 - h12 * b2) / det
-        dx2 = (h11 * b2 - h12 * b1) / det
-        dlam = (sk * (k1 * dx1 + k2 * dx2) - lk - it / gk,
-                sr * (d1 * dx1 + d2 * dx2) - lr - it / gr,
-                sc1 * dx1 - lc1 - it / gc1,
-                sc2 * dx2 - lc2 - it / gc2)
-        # backtrack from the longest step that keeps the multipliers
-        # positive until the lengths are strictly feasible and the residual
-        # has fallen enough
-        step = 0.99 * min([1.0] + [-li / dl for li, dl in zip(lam, dlam) if dl < 0])
-        r0 = norm(g, r1, r2, lam, it)
-        while True:
-            y1, y2 = x1 + step * dx1, x2 + step * dx2
-            new_lam = (lk + step * dlam[0], lr + step * dlam[1],
-                       lc1 + step * dlam[2], lc2 + step * dlam[3])
-            new = point(y1, y2, new_lam)
-            if max(new[0]) < 0 and norm(new[0], *new[3:], new_lam, it) <= (1 - 0.01 * step) * r0:
-                break
-            step *= 0.5
-            if step < _IP_MIN_STEP:
-                raise SearchError(f"interior-point line search stalled at l = ({x1}, {x2})")
-        x1, x2, lam = y1, y2, new_lam
-        g, k1, k2, r1, r2 = new
-    else:
+    def interior_point(x1, x2):
+        """Primal-dual steps on the Kraft and rate constraints to a loose gap."""
+        g = point(x1, x2, (0.0,) * 4)[0]
+        lam = (-1.0 / g[0], -1.0 / g[1], 0.0, 0.0)
+        g, grads, (h11, h12, h22), r1, r2 = point(x1, x2, lam)
+        for _ in range(_IP_MAX_STEPS):
+            (gk, gr, _, _), (lk, lr, _, _), (k1, k2) = g, lam, grads[0]
+            gap = -(lk * gk + lr * gr)
+            if gap <= _IP_GAP and math.hypot(r1, r2) <= _IP_FEAS:
+                return x1, x2, lam, g
+            it = gap / (_IP_MU * 2.0)  # 1/t for the barrier parameter t
+            # the Newton step (H + s_k k k' + s_r d d') dx = b, with k and d the
+            # Kraft and rate gradients, s_i = lam_i / -g_i passing 1e10 near
+            # an active constraint and b = -r + sum_i (lam_i + it/g_i) grad g_i.
+            # Cramer's rule expanded in the s_i has no cancellation: with
+            # c = k x d and adj(v v') = w w', w = (v2, -v1), det is
+            # det H + s_k k'adj(H)k + s_r d'adj(H)d + s_k s_r c^2, det dx is
+            # adj(H) b + s_k w_k (w_k.b) + s_r w_r (w_r.b), and k.dx drops its
+            # s_k term exactly (k.w_k = 0), d.dx its s_r term
+            sk, sr = lk / -gk, lr / -gr
+            b1 = -r1 + (lk + it / gk) * k1 + (lr + it / gr) * d1
+            b2 = -r2 + (lk + it / gk) * k2 + (lr + it / gr) * d2
+            hb1, hb2 = h22 * b1 - h12 * b2, h11 * b2 - h12 * b1
+            wk, wr, c = k2 * b1 - k1 * b2, d2 * b1 - d1 * b2, k1 * d2 - k2 * d1
+            det = (h11 * h22 - h12 * h12 + sk * sr * c * c
+                   + sk * (h22 * k1 * k1 - 2.0 * h12 * k1 * k2 + h11 * k2 * k2)
+                   + sr * (h22 * d1 * d1 - 2.0 * h12 * d1 * d2 + h11 * d2 * d2))
+            if not det > 0:
+                raise SearchError(f"interior-point Newton matrix is not positive definite ({det})")
+            dx1 = (hb1 + sk * k2 * wk + sr * d2 * wr) / det
+            dx2 = (hb2 - sk * k1 * wk - sr * d1 * wr) / det
+            dlk = sk * (k1 * hb1 + k2 * hb2 + sr * c * wr) / det - lk - it / gk
+            dlr = sr * (d1 * hb1 + d2 * hb2 - sk * c * wk) / det - lr - it / gr
+            # backtrack from the longest step that keeps the multipliers
+            # positive until the lengths are strictly feasible and the
+            # residual, dual and centrality, has fallen enough
+            r0 = math.hypot(r1, r2, lk * gk + it, lr * gr + it)
+            step = 0.99 * min([1.0] + [-li / dl for li, dl in ((lk, dlk), (lr, dlr)) if dl < 0])
+            while True:
+                lam = (lk + step * dlk, lr + step * dlr, 0.0, 0.0)
+                g, grads, (h11, h12, h22), r1, r2 = point(x1 + step * dx1, x2 + step * dx2, lam)
+                r = math.hypot(r1, r2, lam[0] * g[0] + it, lam[1] * g[1] + it)
+                if g[0] < 0 and g[1] < 0 and r <= (1 - 0.01 * step) * r0:
+                    break
+                step *= 0.5
+                if step < _IP_MIN_STEP:
+                    raise SearchError(f"interior-point line search stalled at l = ({x1}, {x2})")
+            x1, x2 = x1 + step * dx1, x2 + step * dx2
         raise SearchError(f"interior-point method did not converge in {_IP_MAX_STEPS} steps")
 
-    active = [i for i in range(4) if lam[i] > -g[i]]
-    lam = [lam[i] if i in active else 0.0 for i in range(4)]
-    jac = np.zeros((2 + len(active),) * 2)
-    for _ in range(_POLISH_STEPS):
-        g, k1, k2, r1, r2 = point(x1, x2, lam)
-        G = np.reshape([((k1, k2), (d1, d2), (1.0, 0.0), (0.0, 1.0))[i] for i in active], (-1, 2))
-        jac[:2, :2] = 2.0 * inst.Q - lam[0] * _LN2 * np.diag([k1, k2])
-        jac[:2, 2:], jac[2:, :2] = G.T, G
-        try:
-            dx = np.linalg.solve(jac, [-r1, -r2] + [-g[i] for i in active]).tolist()
-        except np.linalg.LinAlgError:
-            raise SearchError(f"singular KKT system for the active set {active}") from None
-        x1, x2 = x1 + dx[0], x2 + dx[1]
-        for i, dl in zip(active, dx[2:]):
-            lam[i] += dl
-        if max(abs(dx[0]), abs(dx[1])) <= _POLISH_TOL:
-            break
-    x1, x2 = (LENGTH_CAP if 2 in active else x1), (LENGTH_CAP if 3 in active else x2)
-    return x1, x2, lam, point(x1, x2, lam)[0], active
+    def newton(x1, x2, lam, active):
+        """Newton's method on the KKT equations of the active constraints."""
+        jac = np.zeros((2 + len(active),) * 2)
+        size = math.inf
+        for _ in range(_POLISH_STEPS):
+            g, grads, (h11, h12, h22), r1, r2 = point(x1, x2, lam)
+            G = np.reshape([grads[i] for i in active], (-1, 2))
+            jac[:2, :2] = (h11, h12), (h12, h22)
+            jac[:2, 2:], jac[2:, :2] = G.T, G
+            try:
+                dx = np.linalg.solve(jac, [-r1, -r2] + [-g[i] for i in active]).tolist()
+            except np.linalg.LinAlgError:
+                raise SearchError(f"singular KKT system for the active set {active}") from None
+            # a step that no longer halves has reached the rounding floor,
+            # which a rate floor with a small p_i lifts to 1e-12 and more
+            size, last = max(abs(dx[0]), abs(dx[1])), size
+            if size > last / 2:
+                break
+            x1, x2 = x1 + dx[0], x2 + dx[1]
+            for i, dl in zip(active, dx[2:]):
+                lam[i] += dl
+            if size <= _POLISH_TOL:
+                break
+        else:
+            raise SearchError(f"no convergence in {_POLISH_STEPS} Newton steps on {active}")
+        return (LENGTH_CAP if 2 in active else x1), (LENGTH_CAP if 3 in active else x2)
 
-
-def solve_qp(inst: QpInstance) -> QpSolution:
-    """Global minimizer of the parametric QP over the constraint set.
-
-    The problem is convex and _solve_convex solves it; at p2 = 0 (a = 0)
-    _solve_band_dead does.  Raises InfeasibleError when only capped lengths
-    meet the rate floor, and SearchError when the solver fails or its result
-    breaks the KKT conditions.
-    """
-    p1, p2 = inst.p
-    if 2.0 * (p1 + p2) * LENGTH_CAP < inst.rate_bound - 1e-12:
-        raise InfeasibleError(
-            f"rate floor E[L] >= {inst.rate_bound} unreachable with lengths <= {LENGTH_CAP}"
-        )
     if p2 == 0.0:
-        return _solve_band_dead(inst)
-    l1, l2, lam, g, active = _solve_convex(inst)
-    if max(g) > _PRIMAL_TOL or min(lam) < -_DUAL_TOL:
-        raise SearchError(f"Newton steps on the active set {active} broke the KKT "
-                          f"conditions: g = {g}, multipliers = {lam}")
-    return QpSolution(l1=l1, l2=l2, lam=max(lam[0], 0.0), gamma=max(lam[1], 0.0),
-                      objective=float(inst.objective(l1, l2)), capped=2 in active or 3 in active)
+        # a = 0 only: l2 leaves the objective and is pinned to the cap, and l1
+        # minimizes a 1-D quadratic above its Kraft and rate floors
+        floors = [-math.log2(kraft - 2.0**-LENGTH_CAP), rate / -d1]
+        x1 = max((qt1 - 2.0 * q12 * LENGTH_CAP) / (2.0 * q11), *floors)
+        x2, lam = LENGTH_CAP, [0.0] * 4
+        active = ([floors.index(x1)] if x1 in floors else []) + [3]
+    else:
+        x1, x2, lam, g = interior_point(floor + 1.0, floor + 1.0)
+        active = [i for i in range(2) if lam[i] > -g[i]]
+        lam = [lam[i] if i in active else 0.0 for i in range(4)]
+    # a violated cap joins the active set, and so does a constraint whose
+    # multiplier and slack were both below about sqrt(gap) and misjudged;
+    # a negative multiplier leaves it; one change per round
+    for _ in range(_ACTIVE_SET_ROUNDS):
+        x1, x2 = newton(x1, x2, lam, active)
+        g, _, _, r1, r2 = point(x1, x2, lam)
+        leave = [i for i in active if lam[i] < -_DUAL_TOL]
+        join = [i for i in range(4) if i not in active and g[i] > _PRIMAL_TOL]
+        if not leave and not join:
+            break
+        active = sorted(set(active) - set(leave[:1]) | set(join[:1]))
+        lam = [lam[i] if i in active else 0.0 for i in range(4)]
+    else:
+        raise SearchError(f"no KKT point after {_ACTIVE_SET_ROUNDS} active sets, the last {active}")
+    if math.hypot(r1, r2) > _DUAL_TOL:
+        raise SearchError(f"Newton steps on the active set {active} left residual ({r1}, {r2})")
+    return QpSolution(l1=x1, l2=x2, lam=max(lam[0], 0.0), gamma=max(lam[1], 0.0),
+                      objective=float(inst.objective(x1, x2)), capped=2 in active or 3 in active)
 
 
 def dinkelbach_solve(cfg: ThresholdConfig, rc: RateConstraint) -> DinkelbachResult:

@@ -158,9 +158,59 @@ class TestSolveQp:
         with pytest.raises(InfeasibleError, match="only capped lengths"):
             solve_qp(inst)
 
+    @pytest.mark.parametrize("a", [0.05, 1.0, 1.6, 2.5])
+    @pytest.mark.parametrize("floor", [63.0, 63.5, 63.9, 64.0 - 1e-7, 64.0 - 1e-10])
+    def test_rate_floor_just_below_the_cap(self, a, floor):
+        # E[L] >= floor with floor in [63, 64): the interior-point start one
+        # unit above the floor lies past the caps, and at 64 - 1e-10 the
+        # feasible set is thinner than the loose gap
+        for theta in (0.0, 5.0, 200.0):
+            inst = build_qp(sym_cfg(a), theta, UNC)
+            inst = replace(inst, rate_bound=2.0 * sum(inst.p) * floor)
+            sol, ref = solve_qp(inst), oracles.kkt_solve_qp(inst)
+            assert abs(sol.l1 - ref.l1) <= 1e-8 and abs(sol.l2 - ref.l2) <= 1e-8, theta
+            assert sol.capped == ref.capped
+            assert sol.gamma == pytest.approx(ref.gamma, rel=1e-6, abs=1e-9)
+
+    def test_misjudged_rate_floor_leaves_the_active_set(self, monkeypatch):
+        # a rate floor 1e-6 below the rate-free optimum's E[L]: its slack and
+        # multiplier are both below sqrt(gap), the interior-point stage calls
+        # it active, and Newton's method on it gives a negative multiplier
+        inst = build_qp(sym_cfg(1.0), 60.0, UNC)
+        free = solve_qp(inst)
+        inst = replace(inst, rate_bound=2 * (inst.p[0] * free.l1 + inst.p[1] * free.l2) - 1e-6)
+        sol, ref = solve_qp(inst), oracles.kkt_solve_qp(inst)
+        assert abs(sol.l1 - ref.l1) <= 1e-12 and abs(sol.l2 - ref.l2) <= 1e-12
+        assert sol.gamma == ref.gamma == 0.0
+        monkeypatch.setattr(code_optimizer, "_ACTIVE_SET_ROUNDS", 1)
+        with pytest.raises(SearchError, match="no KKT point after 1 active sets"):
+            solve_qp(inst)
+
+    def test_caps_join_the_active_set_one_per_round(self, monkeypatch):
+        # the optimum under Kraft and the rate floor, (62.8, 66.1), lies past
+        # the l2 cap; with l2 capped l1 moves to 64.1, past its own cap, so
+        # the optimum l1 = l2 = 64 takes three rounds (found by random search)
+        inst = build_qp(sym_cfg(3.2451451660109276), 364.42368653822155, UNC)
+        inst = replace(inst, rate_bound=2.0 * sum(inst.p) * 63.99997453637672)
+        sol, ref = solve_qp(inst), oracles.kkt_solve_qp(inst)
+        assert (sol.l1, sol.l2, sol.capped) == (ref.l1, ref.l2, ref.capped) == (64.0, 64.0, True)
+        assert sol.objective == pytest.approx(ref.objective, rel=1e-12)
+        monkeypatch.setattr(code_optimizer, "_ACTIVE_SET_ROUNDS", 2)
+        with pytest.raises(SearchError, match="no KKT point after 2 active sets"):
+            solve_qp(inst)
+
+    def test_rate_floor_just_below_the_cap_on_a_grid(self):
+        # f_max = 0.005 puts 1/(D f_max) in (63, 64) at a = 1.73 and 1.74
+        rc = RateConstraint(0.005)
+        floors = [1.0 / (scheme_constants(sym_cfg(a)).d * rc.f_max)
+                  for a in threshold_grid((1.7, 1.9, 0.01))]
+        assert any(63.0 < f < LENGTH_CAP for f in floors)
+        assert optimize_threshold(rc, (1.7, 1.9, 0.01)).active == ("rate",)
+
     @pytest.mark.parametrize("name,value,message", [
         ("_IP_MAX_STEPS", 3, "did not converge in 3 steps"),
         ("_IP_MIN_STEP", 1.0, "line search stalled"),
+        ("_POLISH_STEPS", 1, "no convergence in 1 Newton steps"),
     ])
     def test_stalled_solver_raises_search_error(self, monkeypatch, name, value, message):
         monkeypatch.setattr(code_optimizer, name, value)
@@ -168,6 +218,13 @@ class TestSolveQp:
             solve_qp(build_qp(sym_cfg(1.0), 2.8, RateConstraint(0.5)))
         with pytest.raises(SearchError, match=message):
             dinkelbach_solve(sym_cfg(1.0), RateConstraint(0.5))
+
+    def test_diverging_newton_steps_raise_search_error(self, monkeypatch):
+        # steps three times too long stop at once and leave a dual residual
+        solve = np.linalg.solve
+        monkeypatch.setattr(code_optimizer.np.linalg, "solve", lambda a, b: 3.0 * solve(a, b))
+        with pytest.raises(SearchError, match="left residual"):
+            solve_qp(build_qp(sym_cfg(1.0), 2.8, RateConstraint(0.5)))
 
     @pytest.mark.parametrize("fmax", [math.inf, 0.5, 0.2])
     @pytest.mark.parametrize("a", [0.0, 0.05, 0.5, 1.0, 2.0, 3.0])
