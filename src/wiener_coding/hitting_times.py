@@ -33,16 +33,16 @@ __all__ = [
     "sample_hit_times",
 ]
 
-# Batched walks (this sampler and mse_model's stopping-identity oracle) run
-# their paths in batches, each batch in chunks of grid steps over the paths
-# still alive, and each chunk in row tiles of about _TILE doubles (256 KiB)
-# drawn into one reused buffer, so drawing, summing, crossing detection and
-# the caller's accumulation all run while the tile is in cache.  Peak memory
-# is a few tiles plus O(n_paths) per-path state.  Row tiles drawn in order
-# consume the generator's stream exactly as one (alive paths x chunk) draw
-# would, so the tile size never changes a result.  The batch and chunk sizes
-# do (they fix the order in which the stream is consumed), so they are part
-# of what a seed means.
+# Batched walks (this sampler, mse_model's stopping-identity oracle and the
+# simulator's waiting phases) run their paths in batches, each batch in
+# chunks of grid steps over the paths still alive, and each chunk in row
+# tiles of about _TILE doubles (256 KiB) drawn into one reused buffer, so
+# drawing, summing, crossing detection and the caller's accumulation all run
+# while the tile is in cache.  Peak memory is a few tiles plus O(n_paths)
+# per-path state.  Row tiles drawn in order consume the generator's stream
+# exactly as one (alive paths x chunk) draw would, so the tile size never
+# changes a result.  The batch and chunk sizes do (they fix the order in
+# which the stream is consumed), so they are part of what a seed means.
 _PATH_BATCH = 20_000
 _STEP_CHUNK = 512
 _TILE = 1 << 15
@@ -103,27 +103,30 @@ def _tile_buffer(chunk: int) -> np.ndarray:
     return np.empty(max(_TILE, chunk))
 
 
-def _first_crossings(rng, pos, n_steps, batch, chunk, step, drift, crossed, visit):
+def _first_crossings(rng, pos, n_steps, batch, chunk, step, drift, crossed, visit, sd=None,
+                     fill=0):
     """Walk len(pos) grid paths from pos until each first crosses its boundary.
 
-    Each grid step adds sqrt(step)*Z + drift, Z standard normal from rng;
-    batches, chunks and row tiles as described at _TILE.  ``crossed(w, t)``
-    maps a tile w (rows = paths, columns = grid points at times t) to a bool
-    array, or is None for no boundary.  ``visit(w, idx, hit, j, t)`` then
-    sees the tile before the buffer is reused: idx are the rows' path
-    indices, hit marks rows that crossed and j their first crossing column.
+    Each grid step adds sd*Z + drift, Z standard normal from rng and sd
+    sqrt(step) unless given; batches, chunks and row tiles as described at
+    _TILE.  A chunk spans `chunk` steps, or fill // (paths alive) when that
+    is more, so that a few stragglers walk in long chunks.  ``crossed(w, idx,
+    t)`` maps a tile w (rows = paths idx, columns = grid points at times t
+    since the start) to a bool array, or is None for no boundary.
+    ``visit(w, idx, hit, j, t)`` then sees the tile before the buffer is
+    reused: hit marks rows that crossed and j their first crossing column.
     pos is set in place to each surviving path's last value.  Returns the
     indices of the paths still alive after n_steps.
     """
     n = pos.size
-    scale = math.sqrt(step)
-    buf = _tile_buffer(chunk)
+    scale = math.sqrt(step) if sd is None else sd
+    buf = _tile_buffer(max(chunk, fill))
     stuck = []
     for start in range(0, n, batch):
         alive = np.arange(start, min(start + batch, n))
         elapsed = 0
         while alive.size and elapsed < n_steps:
-            s = min(chunk, n_steps - elapsed)
+            s = min(max(chunk, fill // alive.size), n_steps - elapsed)
             t = (elapsed + 1 + np.arange(s)) * step
             rows = max(1, _TILE // s)
             live = np.empty(alive.size, dtype=bool)
@@ -139,7 +142,7 @@ def _first_crossings(rng, pos, n_steps, batch, chunk, step, drift, crossed, visi
                 if crossed is None:
                     hit, j = np.zeros(idx.size, dtype=bool), None
                 else:
-                    c = crossed(w, t)
+                    c = crossed(w, idx, t)
                     hit, j = c.any(axis=1), c.argmax(axis=1)
                 visit(w, idx, hit, j, t)
                 left = ~hit
@@ -175,7 +178,7 @@ def sample_hit_times(
 
     stuck = _first_crossings(
         np.random.default_rng(rng_seed), np.zeros(n_paths), n_steps, _PATH_BATCH, _STEP_CHUNK,
-        step, spec.mu * step, lambda w, t: w >= spec.c, record,
+        step, spec.mu * step, lambda w, idx, t: w >= spec.c, record,
     )
     if stuck.size:
         raise HorizonError(

@@ -425,12 +425,12 @@ def mse_integral_oracle(
 
     if isinstance(stop, BandStop):
 
-        def crossed(w: np.ndarray, t: np.ndarray) -> np.ndarray:
+        def crossed(w: np.ndarray, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
             return (w >= stop.a_level) | (w <= -stop.b_level)
 
     elif isinstance(stop, SlopedStop):
 
-        def crossed(w: np.ndarray, t: np.ndarray) -> np.ndarray:
+        def crossed(w: np.ndarray, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
             return w >= stop.c - stop.mu * t
 
     else:

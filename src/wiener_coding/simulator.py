@@ -1,53 +1,54 @@
 """Discrete-time Monte Carlo simulation of the sampling and coding protocol.
 
-The engine walks a Wiener path on a grid of step eps and runs the monitor's
-state machine.  A cycle starts at a delivery time D_n with the decoded
-estimate ref and the previous code length L_n:
+A cycle starts at a delivery with the error X = W - ref between the process
+and the decoded estimate ref, and the previous code length L:
 
-* X_n = W(D_n) - ref strictly inside (-b*sqrt(L_n), a*sqrt(L_n)): wait for
-  the increment process to exit the constant band (events 2/3), decoded
-  value exactly +-threshold.
-* X_n beyond (or exactly on) a boundary: wait for the sloped threshold
-  a*sqrt(L_n) + mu*t (or its mirror) started at D_n to catch the process
-  (events 1/4); the monitor reconstructs tau from timestamps, so the
-  decoded value is threshold + mu*tau_hat.
+* X strictly inside (-b*sqrt(L), a*sqrt(L)): wait for the error to exit the
+  constant band (events 2/3), decoded value exactly +-threshold.
+* X beyond (or exactly on) a boundary: wait for the sloped threshold
+  a*sqrt(L) + mu*t (or its mirror) started at the cycle start to catch the
+  error (events 1/4); the decoded value is threshold + mu*tau.  A sample on
+  a boundary is the sloped event (tau = 0), so a = b = 0 runs with infinite
+  band codewords.
 
-Crossings are detected at the first grid index satisfying the condition
-(O(sqrt(eps)) overshoot accepted); the decoder always uses the
-protocol-implied value, and thresholds are referenced to the decoded ledger
-ref, so estimator and monitor agree exactly and discretization error never
-accumulates across cycles.
+The waiting phase is walked on a grid of step eps through hitting_times'
+first-crossing kernel, and a crossing is the first grid point past the line
+(O(sqrt(eps)) overshoot accepted).  The decoder uses the protocol-implied
+value, so estimator and monitor agree exactly.  SimConfig rejects mu*eps > 1
+for the sloped schemes, whose decoded values are multiples of mu*eps (at
+a = b = 1, lengths 2, the MSE is off by +0.25% at mu*eps = 0.1, +3.5% at 1
+and +960% at 10).  The ideal benchmark (b = a) samples the real value once
+|X| >= a, testing the cycle start itself, and delivers it after one time
+unit; the uniform benchmark fixes all lengths to 2.
 
-A sample on a threshold boundary is classified as the sloped event: the
-sloped hitting time from the boundary is zero in continuous time, so the
-conventions agree up to a null event.  This also makes the a = b = 0
-configuration runnable with infinite band codewords (the band is never
-entered; the very first cycle starts from X = 0, i.e. on the boundary).
+No event can fire during a transmission, so it is not walked: the error at
+the delivery is y = x + sqrt(sigma2*l)*N(0, 1), x the error at the sample,
+and the grid's left sum of squared errors over its l/eps steps is replaced
+by its mean given x and y, the discrete Brownian bridge's
+l*(x^2 + x*d*r + d^2*r*(1 + r)/6) + sigma2*(l^2 - eps^2)/6, d = y - x,
+r = 1 - eps/l, which tends to l*(x^2 + x*y + y^2)/3 + sigma2*l^2/6
+(Glasserman 2004, Monte Carlo Methods in Financial Engineering, 3.1).
+SimConfig requires every finite length, and the ideal unit delay, to be a
+whole number >= 1 of grid steps (to within 1e-9 relative).
 
-Transmission of length l occupies round(l/eps) grid indices, so SimConfig
-requires every finite length (and the ideal scheme's unit delay) to be a
-whole number >= 1 of grid steps, to within 1e-9 relative; the estimate
-updates at delivery.  Measurement covers complete cycles starting after the
-burn-in prefix of 1% of the horizon (the first cycle's previous length is
-initialized to l2).
-
-The grid must resolve the catch-up dynamics: decoded sloped values are
-multiples of mu*eps, so SimConfig rejects mu*eps > 1 for the monotone and
-uniform schemes (the ideal scheme has no slope).  At a = b = 1 with lengths
-2, the MSE estimate is biased by +0.25% at mu*eps = 0.1, +3.5% at 1 and
-+960% at 10; the reference experiments use mu*eps = 0.1.
-
-Benchmarks: the uniform scheme is the same engine with all lengths 2; the
-ideal scheme (which requires b = a) samples the exact real value whenever
-|W - ref| >= a with the channel free and delivers it after exactly one time
-unit.  All three schemes run through one cycle loop.
-
-The path is never held in full: it is generated in blocks into a reused
-window that keeps only the points from the current cycle start on, so memory
-is bounded by the longest cycle, not by the horizon.  The block size does not
-change any result.  The window only stores the path: its one scan takes a
-``crossed(values, steps)`` predicate, like the hitting_times walker, and
-_run_once holds every event's crossing rule (band levels, sloped lines).
+Chains.  A cycle starts from X ~ N(0, sigma2*L) whatever came before, on
+thresholds that scale with sqrt(L), so cycles are independent but for the
+grid overshoot carried into the next X.  A replication therefore runs M
+short chains in lockstep, one cycle per chain per generation, and estimates
+MSE and sampling rate by the regenerative ratio sum(reward)/sum(time) over
+the measured cycles (Asmussen & Glynn 2007, Stochastic Simulation, ch. IV).
+A chain starts at X = 0 with previous length l2 and is measured after
+_BURN_IN_CYCLES cycles (the second still scales with the first's length).
+A replication stops after the first generation at which its chains' summed
+measured time reaches `horizon`.  M = horizon/(32 * longest length), capped
+at _MAX_CHAINS: a chain forgets its start in one cycle, so it can be short,
+and many chains share a generation's Python work.  M and the walk chunk
+depend on the config alone, so replication k, drawn from
+SeedSequence(seed, spawn_key=(k,)), does not depend on `replications`.
+Length sequences and the cycle log are chain-major, with grid indices
+counted from each chain's start.  A waiting phase longer than
+round(horizon/eps) steps raises HorizonError.  Memory is O(M) plus a few
+tiles of the walk, and 8 bytes per measured cycle for the length sequences.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ import numpy as np
 
 from .errors import HorizonError, ParameterError, WienerCodingError
 from .gauss_stats import ThresholdConfig, _integer, event_probabilities
+from .hitting_times import _TILE, _first_crossings, _tile_buffer
 from .mse_model import INTEGER, Codebook
 
 __all__ = [
@@ -80,7 +82,13 @@ UNIFORM = "uniform-benchmark"
 IDEAL = "ideal-benchmark"
 
 _CSV_COLUMNS = ("s_n", "d_n", "event", "z_n", "length")
-_BURN_IN_FRAC = 0.01  # the share of the horizon before the first measured cycle
+# The chain count, chunk and fill fix the order in which a seed's stream is
+# drawn, so they are part of what a seed means.
+_BURN_IN_CYCLES = 2  # cycles each chain runs before it is measured
+_MAX_CHAINS = 4096  # bounds the chain state whatever the horizon
+_CHAIN_SPAN = 32.0  # measured time per chain, in longest code lengths
+_CHUNK_SPAN = 0.5  # grid steps per walk chunk, in shortest code lengths
+_WALK_FILL = 1 << 13  # least steps x paths alive per chunk: longer chunks for stragglers
 
 
 @dataclass(frozen=True)
@@ -178,29 +186,23 @@ class CycleRecord:
         return self.d_idx * self.eps
 
 
+@dataclass
 class CycleLog:
-    """Columnar per-cycle log (measured cycles of one replication)."""
+    """Columnar log of every measured cycle of replication 0, chain-major.
 
-    def __init__(self, eps: float):
-        self.eps = eps
-        self.s_idx: list[int] = []
-        self.d_idx: list[int] = []
-        self.event: list[int] = []
-        self.z: list[float] = []
-        self.length: list[float] = []
-        self.w_hat: list[float] = []
-        self.reward: list[float] = []
-        self.duration: list[float] = []
+    s_idx (the sample) and d_idx (the delivery) are grid indices counted from
+    the start of the cycle's chain.
+    """
 
-    def append(self, s_idx, d_idx, event, z, length, w_hat, reward, duration) -> None:
-        self.s_idx.append(s_idx)
-        self.d_idx.append(d_idx)
-        self.event.append(event)
-        self.z.append(z)
-        self.length.append(length)
-        self.w_hat.append(w_hat)
-        self.reward.append(reward)
-        self.duration.append(duration)
+    eps: float
+    s_idx: list[int]
+    d_idx: list[int]
+    event: list[int]
+    z: list[float]
+    length: list[float]
+    w_hat: list[float]  # decoded estimate in effect after the delivery
+    reward: list[float]
+    duration: list[float]
 
     def __len__(self) -> int:
         return len(self.s_idx)
@@ -261,7 +263,7 @@ class SimulationReport:
                 "lengths": None if cb is None else [_num(l) for l in cb.lengths],
                 "seed": self.config.seed,
                 "replications": self.config.replications,
-                "burn_in_frac": _BURN_IN_FRAC,
+                "burn_in_cycles": _BURN_IN_CYCLES,
             },
             "results": {
                 "mse_hat": float(self.mse_hat),
@@ -294,185 +296,166 @@ class IndependenceResult:
 class _RepOutcome:
     reward: float
     duration: float
-    n_cycles: int
     event_counts: np.ndarray
-    lengths: np.ndarray
+    lengths: np.ndarray  # chain-major
     log: CycleLog | None
 
 
-# Grid points in a fresh path window; doubled when one cycle spans more.
-_BLOCK = 1 << 17
+def _lengths(sim: SimConfig) -> tuple[float, ...]:
+    """Code lengths of events 1..4; the ideal scheme's unit delay."""
+    return (1.0, 1.0, 1.0, 1.0) if sim.scheme == IDEAL else sim.cb.lengths
 
 
-class _PathWindow:
-    """Grid points of one replication's Wiener path, generated block by block.
-
-    Holds w[base:end] in a reused buffer.  A read past ``end`` keeps only the
-    points from the earliest index the caller still needs (the current cycle
-    start; at least the last point, which carries the running sum), moves
-    them to the front and refills the rest.  The buffer doubles only when one
-    cycle spans all of it, so memory follows the longest cycle, not the
-    horizon.  Refills draw and sum in the same order as one full-length draw
-    and cumsum, so the path does not depend on the block size.
-    """
-
-    def __init__(self, rng, n_steps: int, step_sd: float):
-        self.rng = rng
-        self.last = n_steps
-        self.step_sd = step_sd
-        size = min(_BLOCK, n_steps + 1)
-        self.buf = np.zeros(size)
-        self.offsets = np.arange(size, dtype=float)  # steps j - d since the cycle start
-        self.base = 0
-        self.end = 1  # w[0] = 0
-        self._fill()
-
-    def _fill(self) -> None:
-        n = self.end - self.base
-        count = min(self.buf.size - n, self.last + 1 - self.end)
-        if count == 0:
-            return
-        block = self.buf[n:n + count]
-        self.rng.standard_normal(out=block)
-        block *= self.step_sd
-        block[0] += self.buf[n - 1]
-        np.cumsum(block, out=block)
-        self.end += count
-
-    def _extend(self, keep: int) -> bool:
-        """Drop points before ``keep`` and generate more; False past the horizon."""
-        if self.end > self.last:
-            return False
-        keep = min(keep, self.end - 1)
-        live = self.buf[keep - self.base:self.end - self.base]
-        if live.size == self.buf.size:
-            self.buf = np.empty(2 * live.size)
-            self.offsets = np.arange(self.buf.size, dtype=float)
-        self.buf[:live.size] = live
-        self.base = keep
-        self._fill()
-        return True
-
-    def at(self, i: int) -> float:
-        while i >= self.end:
-            self._extend(i)
-        return float(self.buf[i - self.base])
-
-    def span(self, lo: int, hi: int) -> np.ndarray:
-        """View of w[lo:hi]."""
-        while hi > self.end:
-            self._extend(lo)
-        return self.buf[lo - self.base:hi - self.base]
-
-    def first(self, d: int, start: int, crossed) -> int:
-        """First index j >= start where the path crosses; -1 past the horizon.
-
-        ``crossed(seg, k)`` maps a chunk seg = w[j0:j1] and k = j - d for its
-        points to a bool array.  Chunks grow from 512 to 2**16 points, and the
-        points from the cycle start d on stay in the window.
-        """
-        j0, chunk = start, 512
-        while True:
-            while j0 >= self.end:
-                if not self._extend(d):
-                    return -1
-            j1 = min(j0 + chunk, self.end)
-            hit = crossed(self.buf[j0 - self.base:j1 - self.base], self.offsets[j0 - d:j1 - d])
-            k = int(hit.argmax())
-            if hit[k]:
-                return j0 + k
-            j0 = j1
-            chunk = min(chunk * 2, 1 << 16)
+def _chain_count(sim: SimConfig) -> int:
+    max_len = max(l for l in _lengths(sim) if math.isfinite(l))
+    return min(_MAX_CHAINS, max(1, int(sim.horizon / (_CHAIN_SPAN * max_len))))
 
 
-def _run_once(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
-    """One replication of any scheme.
+def _lines(u0, su, d0, sd, chunk):
+    """crossed(w, idx, t) for rows idx that cross at w >= u0 + su*t or w <= d0 + sd*t.
 
-    The ideal scheme is the band scan started at the cycle start itself, with
-    +-a on every cycle, the real-valued sample decoded, and unit delay.
+    Its reused buffers hold a walk's tiles (chunks of `chunk` steps, filled to
+    _WALK_FILL), so the array it returns is valid until its next call."""
+    lines = np.stack((u0, su, d0, sd), axis=1)
+    line = _tile_buffer(max(chunk, _WALK_FILL))
+    above, below = np.empty(line.size, dtype=bool), np.empty(line.size, dtype=bool)
+
+    def crossed(w, idx, t):
+        lv, up, dn = (buf[:w.size].reshape(w.shape) for buf in (line, above, below))
+        c = lines[idx]
+        np.multiply(c[:, 1:2], t, out=lv)
+        lv += c[:, 0:1]
+        np.greater_equal(w, lv, out=up)
+        np.multiply(c[:, 3:4], t, out=lv)
+        lv += c[:, 2:3]
+        np.less_equal(w, lv, out=dn)
+        up |= dn
+        return up
+
+    return crossed
+
+
+def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
+    """One replication: M chains in lockstep, one cycle each per generation.
+
+    The ideal scheme is the band test started at the cycle start itself,
+    with +-a on every cycle, the real-valued sample decoded, and unit delay.
     """
     cfg, eps = sim.cfg, sim.eps
     ideal = sim.scheme == IDEAL
-    lens = (1.0, 1.0, 1.0, 1.0) if ideal else sim.cb.lengths
+    a, b, mu, sigma2 = cfg.a, cfg.b, cfg.mu, cfg.sigma2
+    lens = np.array(_lengths(sim))
+    len_steps = np.array([round(l / eps) if math.isfinite(l) else -1 for l in lens])
+    m = _chain_count(sim)
+    chunk = min(_TILE, max(1, round(_CHUNK_SPAN * min(lens) / eps)))
     n_steps = int(round(sim.horizon / eps))
-    burn_idx = int(round(_BURN_IN_FRAC * n_steps))
-    w = _PathWindow(rng, n_steps, math.sqrt(cfg.sigma2 * eps))
-    a, b, mu = cfg.a, cfg.b, cfg.mu
-    mu_eps = mu * eps
-    len_idx = [int(round(l / eps)) if math.isfinite(l) else -1 for l in lens]
+    step_sd = math.sqrt(sigma2 * eps)
 
-    ref = 0.0
-    d = 0
-    l_prev = lens[1]
-    reward = 0.0
-    duration = 0.0
-    events = bytearray()
-    log = CycleLog(eps) if log_cycles else None
+    x = np.zeros(m)  # error W - ref at the cycle start
+    l_prev = np.full(m, lens[1])
+    ref = np.zeros(m)  # decoded estimate
+    start = np.zeros(m, dtype=np.int64)  # grid index of the cycle start
+    reward = duration = 0.0
+    codes: list[np.ndarray] = []  # event codes of the measured generations
+    counts = np.zeros(4, dtype=np.int64)
+    columns: list[tuple] = []  # the log's columns, per measured generation
+    generation = 0
+    while True:
+        sq = np.sqrt(l_prev)  # infinite before a = b = 0's first cycle: the band is empty
+        athr = a * sq if a > 0.0 else np.zeros(m)
+        bthr = b * sq if b > 0.0 else np.zeros(m)
+        inside = (-bthr < x) & (x < athr)
+        band = np.ones(m, dtype=bool) if ideal else inside
+        upward = ~band & (x >= athr)
+        downward = ~band & ~upward
+        # each row's lines (see _lines), t the time since the cycle start:
+        # the band's two levels, or one sloped line
+        u0 = np.where(downward, -bthr, np.where(upward, np.inf, athr))
+        su = np.where(downward, -mu, 0.0)
+        d0 = np.where(upward, athr, np.where(downward, -np.inf, -bthr))
+        sd = np.where(upward, mu, 0.0)
 
-    while d < n_steps:
-        athr = a * math.sqrt(l_prev) if a > 0.0 else 0.0
-        bthr = b * math.sqrt(l_prev) if b > 0.0 else 0.0
-        x = w.at(d) - ref
-        if ideal or -bthr < x < athr:
-            # band exit (events 2/3); a tie (athr = bthr = 0) goes up
-            up, dn = ref + athr, ref - bthr
-            j = w.first(d, d if ideal else d + 1, lambda seg, k: (seg >= up) | (seg <= dn))
-            if j < 0:
-                break
-            wj = w.at(j)
-            event = 2 if wj >= up else 3
-            z = wj - ref if ideal else (athr if event == 2 else -bthr)
-        else:
-            # the sloped line started at d catches the process (events 1/4); a
-            # sample on the boundary is the sloped event (tau = 0 limit)
-            upward = x >= athr
-            thr = athr if upward else bthr
-            if upward:
-                j = w.first(d, d + 1, lambda seg, k: seg - ref <= thr + mu_eps * k)
-            else:
-                j = w.first(d, d + 1, lambda seg, k: seg - ref >= -(thr + mu_eps * k))
-            if j < 0:
-                break
-            z = thr + mu * ((j - d) * eps)
-            event, z = (1, z) if upward else (4, -z)
-        steps = len_idx[event - 1]
-        if steps < 0:
+        # the waiting phase; ideal rows outside the band sample at once
+        e = x.copy()  # the error at the sample
+        t_hit = np.zeros(m)
+        wait = np.zeros(m)
+        walk = np.flatnonzero(inside) if ideal else np.arange(m)
+        if walk.size:
+            pos = x[walk]
+            acc = pos * pos  # squared errors at the grid points before the sample
+
+            def visit(w, idx, hit, j, t):
+                acc[idx] += np.einsum("ij,ij->i", w, w)
+                rows = np.flatnonzero(hit)
+                if rows.size:
+                    # take back the sample's column and the ones after it
+                    jr = j[rows]
+                    tail = np.where(np.arange(w.shape[1]) >= jr[:, None], w[rows], 0.0)
+                    acc[idx[rows]] -= np.einsum("ij,ij->i", tail, tail)
+                    i = walk[idx[rows]]
+                    e[i] = w[rows, jr]
+                    t_hit[i] = t[jr]
+
+            crossed = _lines(u0[walk], su[walk], d0[walk], sd[walk], chunk)
+            stuck = _first_crossings(rng, pos, n_steps, walk.size, chunk, eps, 0.0, crossed,
+                                     visit, sd=step_sd, fill=_WALK_FILL)
+            if stuck.size:
+                raise HorizonError(f"a waiting phase passed the horizon {sim.horizon}")
+            wait[walk] = acc
+        k = np.rint(t_hit / eps).astype(np.int64)
+
+        event = np.where(band, np.where(e >= athr, 2, 3), np.where(upward, 1, 4))
+        level = e if ideal else np.where(event == 2, athr, -bthr)
+        z = np.where(band, level, np.where(upward, athr + mu * t_hit, -(bthr + mu * t_hit)))
+        n = len_steps[event - 1]
+        if (n < 0).any():
             raise WienerCodingError(
-                f"event {event} with infinite code length occurred at index {j}"
+                f"event {event[n < 0][0]} with infinite code length occurred"
             )
-        d_new = j + steps
-        if d_new > n_steps:
-            break
-        if d >= burn_idx:
-            err = w.span(d, d_new) - ref
-            sq = float(np.add.reduce(err * err)) * eps
-            dur = (d_new - d) * eps
-            reward += sq
-            duration += dur
-            events.append(event)
-            if log is not None:
-                log.append(j, d_new, event, z, lens[event - 1], ref + z, sq, dur)
-        ref += z
+        # the transmission: no event can fire, so only its end is drawn, and
+        # its grid reward is the discrete Brownian bridge's mean between the
+        # errors e at the sample and y at the delivery
+        span = n * eps
+        y = e + np.sqrt(sigma2 * span) * rng.standard_normal(m)
+        r = 1.0 - 1.0 / n
+        dy = y - e
+        tx = span * (e * e + e * dy * r + dy * dy * (r * (1.0 + r) / 6.0))
+        tx += sigma2 * (span * span - eps * eps) / 6.0
+        cycle_reward = wait * eps + tx
+        cycle_duration = (k + n) * eps
+        w_hat = ref + z
+        if generation >= _BURN_IN_CYCLES:
+            reward += float(cycle_reward.sum())
+            duration += float(cycle_duration.sum())
+            codes.append(event.astype(np.uint8))
+            counts += np.bincount(event, minlength=5)[1:]
+            if log_cycles:
+                columns.append((start + k, start + k + n, event, z, lens[event - 1], w_hat,
+                                cycle_reward, cycle_duration))
+            if duration >= sim.horizon:
+                break
+        x = y - z
+        ref = w_hat
         l_prev = lens[event - 1]
-        d = d_new
-    codes = np.frombuffer(events, dtype=np.uint8)
-    counts = np.bincount(codes, minlength=5)[1:]
-    lengths = np.array(lens)[codes - 1]
-    return _RepOutcome(reward, duration, len(events), counts, lengths, log)
+        start += k + n
+        generation += 1
+
+    lengths = np.empty((m, len(codes)))  # chain-major
+    for g, c in enumerate(codes):
+        lengths[:, g] = lens[c - 1]
+    log = None
+    if log_cycles:
+        log = CycleLog(eps, *(np.stack(col, axis=1).ravel().tolist() for col in zip(*columns)))
+    return _RepOutcome(reward, duration, counts, lengths.ravel(), log)
 
 
 def _run_replicated(sim: SimConfig) -> SimulationReport:
     outcomes: list[_RepOutcome] = []
     for rep in range(sim.replications):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=sim.seed, spawn_key=(rep,)))
-        out = _run_once(sim, rng, sim.log_cycles and rep == 0)
-        if out.n_cycles == 0:
-            raise HorizonError(
-                f"replication {rep}: no complete cycle after burn-in; horizon too short"
-            )
-        outcomes.append(out)
+        outcomes.append(_run_chains(sim, rng, sim.log_cycles and rep == 0))
     rep_mse = np.array([o.reward / o.duration for o in outcomes])
-    rep_sr = np.array([o.n_cycles / o.duration for o in outcomes])
+    rep_sr = np.array([o.lengths.size / o.duration for o in outcomes])
     n = len(outcomes)
     mse_ci = sr_ci = math.nan
     if n > 1:
@@ -484,7 +467,7 @@ def _run_replicated(sim: SimConfig) -> SimulationReport:
         sr_hat=float(rep_sr.mean()),
         sr_ci=sr_ci,
         event_counts=sum(o.event_counts for o in outcomes),
-        n_cycles=sum(o.n_cycles for o in outcomes),
+        n_cycles=sum(o.lengths.size for o in outcomes),
         total_time=sum(o.duration for o in outcomes),
         rep_mse=rep_mse,
         rep_sr=rep_sr,
@@ -530,13 +513,19 @@ def length_independence_test(
 ) -> IndependenceResult:
     """Chi-square contingency test on consecutive code-length pairs.
 
-    Pairs are formed within each replication (no cross-replication pairs).
-    Needs at least min_cycles cycles and at least two distinct length values.
+    Pairs are formed within each replication's chain-major sequence, so a
+    chain's last cycle pairs with the next chain's first (chains are
+    independent) but no pair crosses replications.  Needs an integer
+    min_cycles >= 2, at least min_cycles cycles, at least one pair and at
+    least two distinct length values.
     """
+    _integer("min_cycles", min_cycles, 2)
     total = sum(len(seq) for seq in report.length_sequences)
     if total < min_cycles:
         raise ParameterError(f"need >= {min_cycles} cycles for the test, got {total}")
     seqs = [seq for seq in report.length_sequences if len(seq) >= 2]
+    if not seqs:
+        raise ParameterError("independence test needs a replication of >= 2 cycles")
     pooled = np.concatenate(seqs)
     categories = np.unique(pooled)
     k = categories.size

@@ -8,8 +8,10 @@ patterns (KKT points from linear solves and 1-D root searches) instead of
 the interior-point Newton solver, and bisection on J(theta), solved by that
 enumeration, instead of Dinkelbach's update.  ``verify_ktilde_negative``
 evaluates the boundary-optimality constant Ktilde over a threshold grid,
-whose sign the tests check.  The hitting-time helpers at the end are closed
-forms and a wrapper that only the tests call.
+whose sign the tests check.  The hitting-time helpers are closed forms and
+a wrapper that only the tests call.  The sequential engine at the end walks
+one long grid path per replication, step by step, where the simulator runs
+many short chains and draws each transmission at once.
 """
 
 import math
@@ -25,6 +27,7 @@ from wiener_coding import (
     DriftHitSpec,
     InfeasibleError,
     ParameterError,
+    SimConfig,
     ThresholdConfig,
     mse_exact,
     sample_hit_times,
@@ -483,3 +486,170 @@ def band_exit_lower_prob(x: float, a_level: float, b_level: float) -> float:
 def sample_hit_time(spec: DriftHitSpec, step: float, rng_seed: int, horizon=None) -> float:
     """Single-path wrapper around sample_hit_times."""
     return float(sample_hit_times(spec, step, 1, rng_seed, horizon=horizon)[0])
+
+
+# ------------------------------------------------------ sequential engine --
+# The reference for the simulator's chain engine: one long grid path per
+# replication, walked step by step through every waiting phase and every
+# transmission, with the same crossing rule, decoded values and ledger.
+# Complete cycles are measured after a burn-in of 1% of the horizon.
+
+_BURN_IN_FRAC = 0.01
+# Grid points in a fresh path window; doubled when one cycle spans more.
+_BLOCK = 1 << 17
+
+
+class _PathWindow:
+    """Grid points of one replication's Wiener path, generated block by block.
+
+    Holds w[base:end] in a reused buffer.  A read past ``end`` keeps only the
+    points from the earliest index the caller still needs (the current cycle
+    start; at least the last point, which carries the running sum), moves
+    them to the front and refills the rest.  The buffer doubles only when one
+    cycle spans all of it, so memory follows the longest cycle, not the
+    horizon.  Refills draw and sum in the same order as one full-length draw
+    and cumsum, so the path does not depend on the block size.
+    """
+
+    def __init__(self, rng, n_steps: int, step_sd: float):
+        self.rng = rng
+        self.last = n_steps
+        self.step_sd = step_sd
+        size = min(_BLOCK, n_steps + 1)
+        self.buf = np.zeros(size)
+        self.offsets = np.arange(size, dtype=float)  # steps j - d since the cycle start
+        self.base = 0
+        self.end = 1  # w[0] = 0
+        self._fill()
+
+    def _fill(self) -> None:
+        n = self.end - self.base
+        count = min(self.buf.size - n, self.last + 1 - self.end)
+        if count == 0:
+            return
+        block = self.buf[n:n + count]
+        self.rng.standard_normal(out=block)
+        block *= self.step_sd
+        block[0] += self.buf[n - 1]
+        np.cumsum(block, out=block)
+        self.end += count
+
+    def _extend(self, keep: int) -> bool:
+        """Drop points before ``keep`` and generate more; False past the horizon."""
+        if self.end > self.last:
+            return False
+        keep = min(keep, self.end - 1)
+        live = self.buf[keep - self.base:self.end - self.base]
+        if live.size == self.buf.size:
+            self.buf = np.empty(2 * live.size)
+            self.offsets = np.arange(self.buf.size, dtype=float)
+        self.buf[:live.size] = live
+        self.base = keep
+        self._fill()
+        return True
+
+    def at(self, i: int) -> float:
+        while i >= self.end:
+            self._extend(i)
+        return float(self.buf[i - self.base])
+
+    def span(self, lo: int, hi: int) -> np.ndarray:
+        """View of w[lo:hi]."""
+        while hi > self.end:
+            self._extend(lo)
+        return self.buf[lo - self.base:hi - self.base]
+
+    def first(self, d: int, start: int, crossed) -> int:
+        """First index j >= start where the path crosses; -1 past the horizon.
+
+        ``crossed(seg, k)`` maps a chunk seg = w[j0:j1] and k = j - d for its
+        points to a bool array.  Chunks grow from 512 to 2**16 points, and the
+        points from the cycle start d on stay in the window.
+        """
+        j0, chunk = start, 512
+        while True:
+            while j0 >= self.end:
+                if not self._extend(d):
+                    return -1
+            j1 = min(j0 + chunk, self.end)
+            hit = crossed(self.buf[j0 - self.base:j1 - self.base], self.offsets[j0 - d:j1 - d])
+            k = int(hit.argmax())
+            if hit[k]:
+                return j0 + k
+            j0 = j1
+            chunk = min(chunk * 2, 1 << 16)
+
+
+def _run_once(sim: SimConfig, rng) -> tuple[float, float, int]:
+    """One replication of any scheme: (summed reward, measured time, cycles).
+
+    The ideal scheme is the band scan started at the cycle start itself, with
+    +-a on every cycle, the real-valued sample decoded, and unit delay.
+    """
+    cfg, eps = sim.cfg, sim.eps
+    ideal = sim.scheme == "ideal-benchmark"
+    lens = (1.0, 1.0, 1.0, 1.0) if ideal else sim.cb.lengths
+    n_steps = int(round(sim.horizon / eps))
+    burn_idx = int(round(_BURN_IN_FRAC * n_steps))
+    w = _PathWindow(rng, n_steps, math.sqrt(cfg.sigma2 * eps))
+    a, b, mu = cfg.a, cfg.b, cfg.mu
+    mu_eps = mu * eps
+    len_idx = [int(round(l / eps)) if math.isfinite(l) else -1 for l in lens]
+
+    ref = 0.0
+    d = 0
+    l_prev = lens[1]
+    reward = 0.0
+    duration = 0.0
+    n_cycles = 0
+
+    while d < n_steps:
+        athr = a * math.sqrt(l_prev) if a > 0.0 else 0.0
+        bthr = b * math.sqrt(l_prev) if b > 0.0 else 0.0
+        x = w.at(d) - ref
+        if ideal or -bthr < x < athr:
+            # band exit (events 2/3); a tie (athr = bthr = 0) goes up
+            up, dn = ref + athr, ref - bthr
+            j = w.first(d, d if ideal else d + 1, lambda seg, k: (seg >= up) | (seg <= dn))
+            if j < 0:
+                break
+            wj = w.at(j)
+            event = 2 if wj >= up else 3
+            z = wj - ref if ideal else (athr if event == 2 else -bthr)
+        else:
+            # the sloped line started at d catches the process (events 1/4); a
+            # sample on the boundary is the sloped event (tau = 0 limit)
+            upward = x >= athr
+            thr = athr if upward else bthr
+            if upward:
+                j = w.first(d, d + 1, lambda seg, k: seg - ref <= thr + mu_eps * k)
+            else:
+                j = w.first(d, d + 1, lambda seg, k: seg - ref >= -(thr + mu_eps * k))
+            if j < 0:
+                break
+            z = thr + mu * ((j - d) * eps)
+            event, z = (1, z) if upward else (4, -z)
+        d_new = j + len_idx[event - 1]
+        if d_new > n_steps:
+            break
+        if d >= burn_idx:
+            err = w.span(d, d_new) - ref
+            reward += float(np.add.reduce(err * err)) * eps
+            duration += (d_new - d) * eps
+            n_cycles += 1
+        ref += z
+        l_prev = lens[event - 1]
+        d = d_new
+    return reward, duration, n_cycles
+
+
+def sequential_engine(sim: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """rep_mse and rep_sr of the sequential engine, one replication per
+    SeedSequence(sim.seed, spawn_key=(rep,)) stream."""
+    mse, sr = [], []
+    for rep in range(sim.replications):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=sim.seed, spawn_key=(rep,)))
+        reward, duration, n_cycles = _run_once(sim, rng)
+        mse.append(reward / duration)
+        sr.append(n_cycles / duration)
+    return np.array(mse), np.array(sr)

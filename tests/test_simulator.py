@@ -23,7 +23,7 @@ from wiener_coding import (
     run,
     run_benchmark,
 )
-from wiener_coding import simulator
+from wiener_coding import hitting_times, simulator
 from wiener_coding.mse_model import INTEGER
 
 UNIT2 = Codebook.uniform(2, mode=INTEGER)
@@ -172,65 +172,65 @@ GOLDEN_CONFIGS = {
 
 
 def _golden_run(name, **kw):
-    sim = sim_cfg(**GOLDEN_CONFIGS[name], **kw)
+    sim = sim_cfg(**{**GOLDEN_CONFIGS[name], **kw})
     return (run_benchmark if sim.scheme == "ideal-benchmark" else run)(sim)
 
 
 class TestGolden:
-    """Reports pinned to exact values: any change to the path, the crossing
-    scans or the accumulation order shows here."""
+    """Reports pinned to exact values: any change to the walk, the chain
+    count, the crossing rule or the accumulation order shows here."""
 
-    SPEC = dict(a=1.0, b=1.0, burn_in_frac=0.01, eps=0.01, mu=10.0, replications=2,
+    SPEC = dict(a=1.0, b=1.0, burn_in_cycles=2, eps=0.01, mu=10.0, replications=2,
                 sigma2=1.0)
     EXPECTED = {
         "monotone": (
             dict(horizon=600.0, lengths=[1.0, 3.0, 4.0, 5.0], scheme="monotone", seed=11),
             {
-                "event_counts": {"1": 35, "2": 91, "3": 83, "4": 34},
-                "mse_ci": 0.25927891016782173,
-                "mse_hat": 4.8344526679197095,
-                "n_cycles": 243,
-                "rep_mse": [4.966737826168598, 4.70216750967082],
-                "rep_sr": [0.20821695190696274, 0.20483058803447993],
-                "sr_ci": 0.003318636595033155,
-                "sr_hat": 0.20652376997072133,
-                "total_time": 1176.5799999999992,
+                "event_counts": {"1": 48, "2": 77, "3": 86, "4": 38},
+                "mse_ci": 1.5771444882256613,
+                "mse_hat": 4.789314869180225,
+                "n_cycles": 249,
+                "rep_mse": [3.9846493139630508, 5.593980424397399],
+                "rep_sr": [0.19977026419617439, 0.21434980558971123],
+                "sr_ci": 0.014287950565666105,
+                "sr_hat": 0.2070600348929428,
+                "total_time": 1202.51,
             },
-            [123, 120],
-            "8aae33d5b43ebe8dc8a9ab3e5046fc12316d05f1e96ab7077e96afbf5ff58cd6",
+            [120, 129],
+            "8dbf21bfb58a7573aa32091579ee67e0ee00bc21b450fe82bb9415b3ea5a1afc",
         ),
         "ideal": (
             dict(horizon=300.0, lengths=None, scheme="ideal-benchmark", seed=12),
             {
-                "event_counts": {"1": 0, "2": 184, "3": 199, "4": 0},
-                "mse_ci": 0.208280674316347,
-                "mse_hat": 1.4497642013313463,
-                "n_cycles": 383,
-                "rep_mse": [1.5560298514927478, 1.3434985511699447],
-                "rep_sr": [0.6454883406556269, 0.6501642341945754],
-                "sr_ci": 0.004582375668169512,
-                "sr_hat": 0.6478262874251011,
-                "total_time": 591.21,
+                "event_counts": {"1": 0, "2": 193, "3": 185, "4": 0},
+                "mse_ci": 0.17836946761943687,
+                "mse_hat": 1.2548141280146616,
+                "n_cycles": 378,
+                "rep_mse": [1.3458189584327416, 1.1638092975965815],
+                "rep_sr": [0.6515515482575932, 0.5901832846978592],
+                "sr_ci": 0.06014089828853933,
+                "sr_hat": 0.6208674164777261,
+                "total_time": 608.8799999999999,
             },
-            [191, 192],
-            "26ab2730b5090d2e64fcf157a806f36d691d49d8a0b91597cd6f97e414056a4e",
+            [198, 180],
+            "c26b7485a1b5e4ed800841f7e1cc9d73a9205c88788a19d4d597dccf63620221",
         ),
         "origin": (
             dict(a=0.0, b=0.0, horizon=200.0, lengths=[1.0, None, None, 1.0], scheme="monotone",
                  seed=13),
             {
-                "event_counts": {"1": 191, "2": 0, "3": 0, "4": 173},
-                "mse_ci": 0.14042760767367427,
-                "mse_hat": 1.5692621578698183,
-                "n_cycles": 364,
-                "rep_mse": [1.4976154192608009, 1.6409088964788359],
-                "rep_sr": [0.9234828496042219, 0.9221259563256828],
-                "sr_ci": 0.0013297554129682696,
-                "sr_hat": 0.9228044029649524,
-                "total_time": 394.44999999999993,
+                "event_counts": {"1": 185, "2": 0, "3": 0, "4": 187},
+                "mse_ci": 0.10561844538541511,
+                "mse_hat": 1.455635514603537,
+                "n_cycles": 372,
+                "rep_mse": [1.4017485526722027, 1.5095224765348711],
+                "rep_sr": [0.9219787845742042, 0.9222988049784302],
+                "sr_ci": 0.00031361999614144316,
+                "sr_hat": 0.9221387947763172,
+                "total_time": 403.41,
             },
-            [182, 182],
-            "56eacf8daf013680d31510ce839b6c53911509d6e203bde0586ffba8f9ec0f2c",
+            [186, 186],
+            "40e3fdcc418d8bd029ae1efdc5e97a93a2800c9c3f251676f06c2e89497d5763",
         ),
     }
 
@@ -243,104 +243,175 @@ class TestGolden:
         assert _digest(rep.length_sequences) == digest
 
 
-class TestPathWindow:
+class TestPathWindowFirst:
+    """The walk's first crossings (_first_crossings over _lines' rows) against
+    np.flatnonzero over the fully drawn paths."""
+
+    N, STEP, SD, SEED = 400, 1e-2, 0.1, 5
+    INF = math.inf
+    ROWS = {  # (start, u0, su, d0, sd): crossed at w >= u0 + su*t or w <= d0 + sd*t
+        "band": [(0.0, 1.5, 0.0, -1.2, 0.0), (0.3, 1.4, 0.0, -1.4, 0.0),
+                 (-0.2, 1.6, 0.0, -1.3, 0.0)],
+        "sloped-up": [(0.9, INF, 0.0, 0.5, 1.0), (1.5, INF, 0.0, 1.0, 0.2),
+                      (0.0, INF, 0.0, -0.6, 0.5)],  # the line rises to the path
+        "sloped-down": [(-0.9, -0.5, -1.0, -INF, 0.0), (-1.2, -1.0, -0.3, -INF, 0.0),
+                        (0.0, 0.6, -0.5, -INF, 0.0)],
+    }
+
+    def walk(self, rows, chunk):
+        """First crossing index and value of each row, walked in chunks of `chunk`
+        steps, with each surviving row's last value and the survivors."""
+        start, u0, su, d0, sl = (np.array(c, dtype=float) for c in zip(*rows))
+        crossed = simulator._lines(u0, su, d0, sl, chunk)
+        got = np.full(start.size, -1)
+        values = np.full(start.size, np.nan)
+
+        def visit(w, idx, hit, j, t):
+            walked = round(t[0] / self.STEP) - 1  # steps before this chunk
+            got[idx[hit]] = walked + j[hit]
+            values[idx[hit]] = w[hit, j[hit]]
+
+        pos = start.copy()
+        stuck = hitting_times._first_crossings(np.random.default_rng(self.SEED), pos, self.N,
+                                               start.size, chunk, self.STEP, 0.0, crossed,
+                                               visit, sd=self.SD)
+        return got, values, pos, stuck
+
+    def brute(self, rows):
+        """The rows' full paths, drawn as one tile draws them, and their first
+        crossing indices (-1 for none)."""
+        start, u0, su, d0, sl = (np.array(c, dtype=float) for c in zip(*rows))
+        t = (1 + np.arange(self.N)) * self.STEP
+        steps = np.random.default_rng(self.SEED).standard_normal((start.size, self.N))
+        paths = start[:, None] + np.cumsum(steps * self.SD, axis=1)
+        want = []
+        for i, path in enumerate(paths):
+            hit = np.flatnonzero((path >= u0[i] + su[i] * t) | (path <= d0[i] + sl[i] * t))
+            want.append(int(hit[0]) if hit.size else -1)
+        return paths, np.array(want)
+
+    @pytest.mark.parametrize("kind", list(ROWS))
+    def test_matches_brute_force(self, kind):
+        # all rows in one tile walked in one chunk draw exactly the full paths;
+        # one row walked in 7-step chunks draws its full path chunk by chunk
+        rows = self.ROWS[kind]
+        paths, want = self.brute(rows)
+        got, values, _, stuck = self.walk(rows, self.N)
+        assert got.tolist() == want.tolist() and stuck.size == 0 and min(want) > 0
+        assert values.tolist() == paths[np.arange(len(rows)), want].tolist()
+        for row in rows:
+            path, (k,) = self.brute([row])
+            got, values, _, _ = self.walk([row], 7)
+            assert got.tolist() == [k] and k > 7  # crossed past the first chunk
+            assert values[0] == pytest.approx(path[0, k], rel=1e-12, abs=1e-12)
+
+    def test_crossing_at_start(self):
+        # rows that cross on the first column: together in one chunk, and each
+        # alone in 1-step chunks
+        rows = [(0.95, self.INF, 0.0, 0.5, 500.0), (-0.95, -0.5, -500.0, -self.INF, 0.0),
+                (2.0, 0.0, 0.0, -self.INF, 0.0), (-2.0, self.INF, 0.0, 0.0, 0.0)]
+        paths, want = self.brute(rows)
+        assert want.tolist() == [0] * len(rows)
+        got, values, _, stuck = self.walk(rows, self.N)
+        assert got.tolist() == want.tolist() and stuck.size == 0
+        assert values.tolist() == paths[:, 0].tolist()
+        for row in rows:
+            path, _ = self.brute([row])
+            got, values, _, _ = self.walk([row], 1)
+            assert got.tolist() == [0] and values.tolist() == [path[0, 0]]
+
+    def test_no_crossing(self):
+        # a row that never crosses survives the walk with its last value; the
+        # crossing row beside it does not
+        rows = [(0.0, 1e9, 0.0, -1e9, 0.0), self.ROWS["band"][0]]
+        paths, want = self.brute(rows)
+        assert want[0] == -1 and want[1] > 0
+        got, _, pos, stuck = self.walk(rows, self.N)
+        assert got.tolist() == want.tolist() and stuck.tolist() == [0]
+        assert pos[0] == paths[0, -1]
+
+
+class TestChainEngine:
+    """The lockstep chains: the kernel's per-row lines, and what a report
+    does and does not depend on."""
+
     @pytest.mark.parametrize("name", list(GOLDEN_CONFIGS))
-    def test_block_size_does_not_change_reports(self, name, monkeypatch):
-        # a 64-point window refills, shifts and doubles many times per run
+    def test_tile_size_does_not_change_reports(self, name, monkeypatch):
+        # 64-double tiles split every chunk into many partial row tiles
         def snapshot():
             rep = _golden_run(name, log_cycles=True)
-            c = rep.cycles
-            return (rep.to_json_dict(), _digest(rep.length_sequences),
-                    (c.s_idx, c.d_idx, c.event, c.z, c.length, c.w_hat, c.reward, c.duration))
+            return rep.to_json_dict(), _digest(rep.length_sequences), rep.cycles
 
         want = snapshot()
-        monkeypatch.setattr(simulator, "_BLOCK", 64)
+        monkeypatch.setattr(hitting_times, "_TILE", 64)
         assert snapshot() == want
 
-    def test_memory_does_not_grow_with_horizon(self):
-        def peak(horizon):
+    def test_replications_are_independent(self):
+        # replication r draws from its own stream, so a 3-rep run repeats the
+        # 1- and 2-rep runs' replications, and replication 0's cycle log
+        reps = [_golden_run("monotone", replications=k, log_cycles=True) for k in (1, 2, 3)]
+        for k, rep in enumerate(reps):
+            for r in range(k + 1):
+                assert rep.rep_mse[r] == reps[-1].rep_mse[r]
+                assert rep.rep_sr[r] == reps[-1].rep_sr[r]
+                assert np.array_equal(rep.length_sequences[r], reps[-1].length_sequences[r])
+            assert rep.cycles == reps[-1].cycles
+
+    def test_replication_stops_at_horizon(self):
+        # a replication ends after the first generation whose chains' summed
+        # measured time reaches the horizon; a generation is one cycle per chain
+        sim = sim_cfg(cb=Codebook.integer(1, 3, 4, 5), horizon=3000.0, log_cycles=True)
+        rep = run(sim)
+        m = simulator._chain_count(sim)
+        assert m > 1 and rep.n_cycles % m == 0
+        last = sum(rep.cycles.duration[rep.n_cycles // m - 1::rep.n_cycles // m])
+        assert rep.total_time - last < sim.horizon <= rep.total_time
+
+    def test_chain_count_is_capped(self):
+        # the chain state does not grow with the horizon past _MAX_CHAINS
+        assert simulator._chain_count(sim_cfg(horizon=1e12)) == simulator._MAX_CHAINS
+        assert simulator._chain_count(sim_cfg(horizon=200.0)) == 3
+
+    def test_memory_does_not_grow_with_horizon(self, monkeypatch):
+        # the chain state grows with the chain count up to its cap; with both
+        # horizons at the cap, the engine's working memory (the peak less the
+        # returned length sequences, 8 bytes a cycle) must not grow
+        monkeypatch.setattr(simulator, "_MAX_CHAINS", 64)
+
+        def working(horizon):
             tracemalloc.start()
             try:
-                run(sim_cfg(horizon=horizon))
-                return tracemalloc.get_traced_memory()[1]
+                rep = run(sim_cfg(horizon=horizon))
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            assert simulator._chain_count(rep.config) == 64
+            return peak - sum(seq.nbytes for seq in rep.length_sequences)
 
-        short, long = peak(1e4), peak(1e5)
+        short, long = working(1e4), working(1e5)
         assert long <= 1.25 * short
 
+    def test_ideal_origin_is_the_grid_bridge_mean(self):
+        # at a = 0 every cycle samples at its start and is all transmission:
+        # X ~ N(0, 1) and the grid's left sum over one time unit has mean
+        # eps * sum(1 + i*eps for i < 1/eps) = 1 + (1 - eps)/2, here 1.495
+        rep = run_benchmark(sim_cfg(a=0.0, b=0.0, scheme="ideal-benchmark", cb=None,
+                                    horizon=1e5, replications=8, seed=8))
+        assert rep.sr_hat == 1.0 and rep.n_cycles > 500_000
+        assert rep.mse_hat == pytest.approx(1.495, abs=0.012)  # about 4 standard errors
 
-# crossing predicates of _run_once's three kinds, built from the path value w0
-# at the cycle start d; each maps (seg, k), k = j - d, to a bool array
-def _band(w0):
-    up, dn = w0 + 0.7, w0 - 0.4
-    return lambda seg, k: (seg >= up) | (seg <= dn)
-
-
-def _sloped_up(w0):  # the process starts 0.3 above the line
-    ref = w0 - 0.8
-    return lambda seg, k: seg - ref <= 0.5 + 1e-2 * k
-
-
-def _sloped_down(w0):
-    ref = w0 + 0.8
-    return lambda seg, k: seg - ref >= -(0.5 + 1e-2 * k)
-
-
-class TestPathWindowFirst:
-    """_PathWindow.first against np.flatnonzero over the fully drawn path."""
-
-    N, SD, SEED = 20_000, 0.1, 5
-
-    @pytest.fixture
-    def window(self, monkeypatch):
-        monkeypatch.setattr(simulator, "_BLOCK", 64)
-        return simulator._PathWindow(np.random.default_rng(self.SEED), self.N, self.SD)
-
-    @pytest.fixture(scope="class")
-    def path(self):
-        steps = np.random.default_rng(self.SEED).standard_normal(self.N) * self.SD
-        return np.concatenate(([0.0], np.cumsum(steps)))
-
-    @staticmethod
-    def brute(path, d, start, crossed):
-        k = np.arange(start - d, path.size - d, dtype=float)
-        hit = np.flatnonzero(crossed(path[start:], k))
-        return int(start + hit[0]) if hit.size else -1
-
-    @pytest.mark.parametrize("make", [_band, _sloped_up, _sloped_down],
-                             ids=["band", "sloped-up", "sloped-down"])
-    def test_matches_brute_force(self, window, path, make):
-        # cycles as _run_once runs them: scan from d + 1, next cycle 3 steps
-        # after the crossing; the first scan starts 200 steps in, so the
-        # window keeps w[0:] past its 64 points and has to double
-        d, start, n_cycles, past_end = 0, 200, 0, 0
-        while True:
-            w0 = window.at(d)
-            assert w0 == path[d]
-            crossed = make(w0)
-            end = window.end
-            j = window.first(d, start, crossed)
-            assert j == self.brute(path, d, start, crossed)
-            if j < 0:
-                break
-            n_cycles += 1
-            past_end += j >= end
-            d = j + 3
-            start = d + 1
-        assert window.buf.size > 64 and past_end > 10 and n_cycles > 50
-
-    def test_crossing_at_start(self, window, path):
-        for start in (0, 1, 63, 64, 65, 700):  # inside, at and past the first refill
-            up = path[start]
-            crossed = lambda seg, k: seg >= up
-            assert window.first(0, start, crossed) == start == self.brute(path, 0, start, crossed)
-
-    def test_no_crossing(self, window, path):
-        crossed = lambda seg, k: (seg >= 1e9) | (seg <= -1e9)
-        assert self.brute(path, 0, 0, crossed) == -1
-        assert window.first(0, 0, crossed) == -1
-        assert window.end == self.N + 1
+    @pytest.mark.parametrize("kw", [
+        dict(a=0.25, b=0.25),
+        dict(a=1.5, b=1.5),
+        dict(a=1.5, b=1.5, scheme="ideal-benchmark", cb=None),
+    ], ids=["uniform-0.25", "uniform-1.5", "ideal-1.5"])
+    def test_agrees_with_sequential_engine(self, kw):
+        sim = sim_cfg(**kw, horizon=1e4, replications=8, seed=41)
+        rep = (run_benchmark if sim.scheme == "ideal-benchmark" else run)(sim)
+        ref_mse, ref_sr = oracles.sequential_engine(sim)
+        for got, want in ((rep.rep_mse, ref_mse), (rep.rep_sr, ref_sr)):
+            se = math.hypot(got.std(ddof=1), want.std(ddof=1)) / math.sqrt(sim.replications)
+            assert abs(got.mean() - want.mean()) <= 4.0 * se
 
 
 @pytest.fixture(scope="module")
@@ -349,37 +420,45 @@ def logged():
     return run(sim_cfg(cb=cb, horizon=3000.0, log_cycles=True)), cb
 
 
+def _chains(rep) -> list[range]:
+    """The cycle log's rows of each chain (the log is chain-major)."""
+    m = simulator._chain_count(rep.config)
+    g = len(rep.cycles) // m
+    assert m > 1 and g * m == len(rep.cycles)
+    return [range(c * g, (c + 1) * g) for c in range(m)]
+
+
 class TestCycleInvariants:
     def test_decoder_ledger_exact(self, logged):
         # every delivery bumps the estimate by exactly the decoded value
         rep, _ = logged
         log = rep.cycles
-        for i in range(1, len(log)):
-            assert log.w_hat[i] == log.w_hat[i - 1] + log.z[i]
+        for rows in _chains(rep):
+            for i in rows[1:]:
+                assert log.w_hat[i] == log.w_hat[i - 1] + log.z[i]
+                assert log.s_idx[i] > log.d_idx[i - 1]  # the sample follows the delivery
 
     def test_decoder_full_sum_without_burn_in(self, monkeypatch):
-        monkeypatch.setattr(simulator, "_BURN_IN_FRAC", 0.0)
+        monkeypatch.setattr(simulator, "_BURN_IN_CYCLES", 0)
         rep = run(sim_cfg(horizon=1000.0, log_cycles=True))
         log = rep.cycles
-        acc = 0.0
-        for z, w_hat in zip(log.z, log.w_hat):
-            acc += z
-            assert w_hat == acc  # bit-exact from t = 0, no drift
+        for rows in _chains(rep):
+            acc = 0.0
+            for i in rows:
+                acc += log.z[i]
+                assert log.w_hat[i] == acc  # bit-exact from the chain's start, no drift
 
     def test_band_events_zero_quantization(self, logged):
-        rep, cb = logged
+        # L_n is the previous row's length, so each chain's first row is skipped
+        rep, _ = logged
         log = rep.cycles
-        l_prev = cb.l2  # convention for the very first cycle
-        # the log starts after burn-in; replay lengths to know L_n per row
-        # by rerunning the prefix is overkill: track from the log itself,
-        # seeding with the first row's reconstruction being unavailable --
-        # so only check rows after the first.
-        for i in range(1, len(log)):
-            l_prev = log.length[i - 1]
-            if log.event[i] == 2:
-                assert log.z[i] == 1.0 * math.sqrt(l_prev)
-            elif log.event[i] == 3:
-                assert log.z[i] == -1.0 * math.sqrt(l_prev)
+        for rows in _chains(rep):
+            for i in rows[1:]:
+                l_prev = log.length[i - 1]
+                if log.event[i] == 2:
+                    assert log.z[i] == 1.0 * math.sqrt(l_prev)
+                elif log.event[i] == 3:
+                    assert log.z[i] == -1.0 * math.sqrt(l_prev)
 
     def test_delivery_index_identity(self, logged):
         rep, _ = logged
@@ -509,26 +588,41 @@ class TestIndependence:
         with pytest.raises(ParameterError):
             length_independence_test(rep, min_cycles=10)
 
+    @staticmethod
+    def _with_lengths(rep, seqs):
+        return SimulationReport(
+            mse_hat=rep.mse_hat, mse_ci=rep.mse_ci, sr_hat=rep.sr_hat, sr_ci=rep.sr_ci,
+            event_counts=rep.event_counts, n_cycles=sum(len(s) for s in seqs),
+            total_time=rep.total_time, rep_mse=rep.rep_mse, rep_sr=rep.rep_sr,
+            length_sequences=seqs, cycles=None, config=rep.config,
+        )
+
+    @pytest.mark.parametrize("min_cycles", [2, 10])
+    def test_no_pair_raises_parameter_error(self, min_cycles):
+        # two one-cycle replications: enough cycles for min_cycles = 2, but no pair
+        base = run(sim_cfg(cb=Codebook.integer(1, 3, 4, 5), horizon=2000.0))
+        rep = self._with_lengths(base, [np.array([1.0]), np.array([3.0])])
+        with pytest.raises(ParameterError):
+            length_independence_test(rep, min_cycles=min_cycles)
+
+    @pytest.mark.parametrize("min_cycles", [1, 0, -5, 2.5, True, "10"])
+    def test_min_cycles_must_be_integer_at_least_two(self, min_cycles):
+        rep = run(sim_cfg(cb=Codebook.integer(1, 3, 4, 5), horizon=2000.0))
+        with pytest.raises(ParameterError, match="min_cycles"):
+            length_independence_test(rep, min_cycles=min_cycles)
+
+    def test_pairs_within_each_replication(self):
+        # each replication's chain-major sequence gives len - 1 pairs
+        rep = run(sim_cfg(cb=Codebook.integer(1, 3, 4, 5), horizon=2000.0, replications=3))
+        res = length_independence_test(rep, min_cycles=10)
+        assert res.n_pairs == rep.n_cycles - 3
+
     def test_detects_markov_dependence(self):
         seq = oracles.markov_length_sequence(
             20_000, stay_prob=0.2, values=(1.0, 3.0, 4.0, 5.0), seed=9
         )
         base = run(sim_cfg(cb=Codebook.integer(1, 3, 4, 5), horizon=2000.0))
-        doctored = SimulationReport(
-            mse_hat=base.mse_hat,
-            mse_ci=base.mse_ci,
-            sr_hat=base.sr_hat,
-            sr_ci=base.sr_ci,
-            event_counts=base.event_counts,
-            n_cycles=20_000,
-            total_time=base.total_time,
-            rep_mse=base.rep_mse,
-            rep_sr=base.rep_sr,
-            length_sequences=[seq],
-            cycles=None,
-            config=base.config,
-        )
-        res = length_independence_test(doctored)
+        res = length_independence_test(self._with_lengths(base, [seq]))
         assert res.p_value < 0.01
 
     def test_simulated_lengths_pass(self):
