@@ -47,8 +47,11 @@ depend on the config alone, so replication k, drawn from
 SeedSequence(seed, spawn_key=(k,)), does not depend on `replications`.
 Length sequences and the cycle log are chain-major, with grid indices
 counted from each chain's start.  A waiting phase longer than
-round(horizon/eps) steps raises HorizonError.  Memory is O(M) plus a few
-tiles of the walk, and 8 bytes per measured cycle for the length sequences.
+round(horizon/eps) steps raises HorizonError.  A replication draws its
+walks' and transmissions' normals, in that stream order, from one
+hitting_times._Normals source, whose thread draws them ahead of the walk.
+Memory is O(M) plus the source's ring and a few tiles of the walk, and 8
+bytes per measured cycle for the length sequences.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ import numpy as np
 
 from .errors import HorizonError, ParameterError, WienerCodingError
 from .gauss_stats import ThresholdConfig, _integer, event_probabilities
-from .hitting_times import _TILE, _first_crossings, _tile_buffer
+from .hitting_times import _TILE, _Normals, _first_crossings, _tile_buffer
 from .mse_model import INTEGER, Codebook
 
 __all__ = [
@@ -335,7 +338,7 @@ def _lines(u0, su, d0, sd, chunk):
     return crossed
 
 
-def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
+def _run_chains(sim: SimConfig, normals: _Normals, log_cycles: bool) -> _RepOutcome:
     """One replication: M chains in lockstep, one cycle each per generation.
 
     The ideal scheme is the band test started at the cycle start itself,
@@ -351,6 +354,7 @@ def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
     n_steps = int(round(sim.horizon / eps))
     step_sd = math.sqrt(sigma2 * eps)
 
+    draw = np.empty(m)  # the transmissions' normals, where the ring cannot lend them
     x = np.zeros(m)  # error W - ref at the cycle start
     l_prev = np.full(m, lens[1])
     ref = np.zeros(m)  # decoded estimate
@@ -397,7 +401,7 @@ def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
                     t_hit[i] = t[jr]
 
             crossed = _lines(u0[walk], su[walk], d0[walk], sd[walk], chunk)
-            stuck = _first_crossings(rng, pos, n_steps, walk.size, chunk, eps, 0.0, crossed,
+            stuck = _first_crossings(normals, pos, n_steps, walk.size, chunk, eps, 0.0, crossed,
                                      visit, sd=step_sd, fill=_WALK_FILL)
             if stuck.size:
                 raise HorizonError(f"a waiting phase passed the horizon {sim.horizon}")
@@ -416,7 +420,7 @@ def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
         # its grid reward is the discrete Brownian bridge's mean between the
         # errors e at the sample and y at the delivery
         span = n * eps
-        y = e + np.sqrt(sigma2 * span) * rng.standard_normal(m)
+        y = e + np.sqrt(sigma2 * span) * normals.take(m, draw)
         r = 1.0 - 1.0 / n
         dy = y - e
         tx = span * (e * e + e * dy * r + dy * dy * (r * (1.0 + r) / 6.0))
@@ -453,7 +457,8 @@ def _run_replicated(sim: SimConfig) -> SimulationReport:
     outcomes: list[_RepOutcome] = []
     for rep in range(sim.replications):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=sim.seed, spawn_key=(rep,)))
-        outcomes.append(_run_chains(sim, rng, sim.log_cycles and rep == 0))
+        with _Normals(rng) as normals:
+            outcomes.append(_run_chains(sim, normals, sim.log_cycles and rep == 0))
     rep_mse = np.array([o.reward / o.duration for o in outcomes])
     rep_sr = np.array([o.lengths.size / o.duration for o in outcomes])
     n = len(outcomes)

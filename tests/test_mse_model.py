@@ -311,6 +311,7 @@ class TestIntegralOracle:
     @pytest.mark.parametrize("kw", [
         dict(step=math.nan), dict(step=math.inf), dict(horizon=math.nan),
         dict(horizon=math.inf), dict(n_paths=2.5), dict(n_paths=True),
+        dict(seed=-1), dict(seed=1.5), dict(seed="3"), dict(seed=True), dict(seed=None),
     ])
     @pytest.mark.parametrize("stop", [DeterministicStop(1.0), BandStop(1, 1), SlopedStop(1, 2)])
     def test_non_finite_or_non_integer_args(self, stop, kw):

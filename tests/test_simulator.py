@@ -272,9 +272,9 @@ class TestPathWindowFirst:
             values[idx[hit]] = w[hit, j[hit]]
 
         pos = start.copy()
-        stuck = hitting_times._first_crossings(np.random.default_rng(self.SEED), pos, self.N,
-                                               start.size, chunk, self.STEP, 0.0, crossed,
-                                               visit, sd=self.SD)
+        with hitting_times._Normals(np.random.default_rng(self.SEED)) as normals:
+            stuck = hitting_times._first_crossings(normals, pos, self.N, start.size, chunk,
+                                                   self.STEP, 0.0, crossed, visit, sd=self.SD)
         return got, values, pos, stuck
 
     def brute(self, rows):
