@@ -20,7 +20,6 @@ usual O(sqrt(step)) threshold bias; oracle tests budget for it.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,110 +36,16 @@ __all__ = [
 # Batched walks (this sampler, mse_model's stopping-identity oracle and the
 # simulator's waiting phases) run their paths in batches, each batch in
 # chunks of grid steps over the paths still alive, and each chunk in row
-# tiles of about _TILE doubles (256 KiB) in one reused buffer, so scaling,
-# summing, crossing detection and the caller's accumulation all run while the
-# tile is in cache.  A tile's normals come from the walk's _Normals source,
-# and the first pass scales them from its ring into the tile, so the ring is
-# only read.  Peak memory is the ring, a few tiles and O(n_paths) per-path
-# state.  Row tiles take the stream in order exactly as one (alive paths x
-# chunk) draw would, so the tile size never changes a result.  The
-# batch and chunk sizes do (they fix the order in which the stream is
-# consumed), so they are part of what a seed means.
+# tiles of about _TILE doubles (256 KiB) drawn into one reused buffer, so
+# drawing, summing, crossing detection and the caller's accumulation all run
+# while the tile is in cache.  Peak memory is a few tiles plus O(n_paths)
+# per-path state.  Row tiles drawn in order consume the generator's stream
+# exactly as one (alive paths x chunk) draw would, so the tile size never
+# changes a result.  The batch and chunk sizes do (they fix the order in
+# which the stream is consumed), so they are part of what a seed means.
 _PATH_BATCH = 20_000
 _STEP_CHUNK = 512
 _TILE = 1 << 15
-# A source's producer thread draws ahead by up to _RING_DEPTH blocks of
-# _BLOCK normals.  Neither changes a result: only the generator's state after
-# the walk, which no caller reads, depends on them.
-_BLOCK = 1 << 15
-_RING_DEPTH = 4
-
-
-class _Normals:
-    """The standard normals of rng in stream order, drawn ahead on a thread.
-
-    A producer thread fills a ring of _RING_DEPTH blocks of _BLOCK normals
-    with rng.standard_normal, in stream order, while the caller works on what
-    it took before, so the draws (which release the GIL) overlap the caller's
-    numpy passes.  Use it as a context manager: the thread starts on entry
-    and is joined on exit, whichever way the body leaves.  The caller must
-    not touch rng in between.  An error raised in the producer is raised
-    again by the take that waits for its block.
-    """
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self._rng = rng
-        self._ring = np.empty((_RING_DEPTH, _BLOCK))
-        self._flat = self._ring.reshape(-1).view()
-        self._flat.flags.writeable = False  # the producer's blocks; the caller only reads
-        self._cv = threading.Condition(threading.Lock())
-        self._drawn = 0  # blocks the producer has filled
-        self._freed = 0  # blocks the caller has released
-        self._taken = 0  # normals handed out
-        self._closed = False
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(target=self._produce, name="wiener-normals")
-
-    def __enter__(self) -> _Normals:
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        with self._cv:
-            self._closed = True
-            self._cv.notify()
-        self._thread.join()
-
-    def _produce(self) -> None:
-        k = 0
-        try:
-            while True:
-                with self._cv:
-                    while k >= self._freed + _RING_DEPTH and not self._closed:
-                        self._cv.wait()
-                    if self._closed:
-                        return
-                self._rng.standard_normal(out=self._ring[k % _RING_DEPTH])
-                k += 1
-                with self._cv:
-                    self._drawn = k
-                    self._cv.notify()
-        except BaseException as e:  # handed to the caller, which raises it
-            with self._cv:
-                self._error = e
-                self._cv.notify()
-
-    def _sync(self, freed: int, block: int) -> None:
-        """Release the blocks before `freed`, then wait until `block` is drawn."""
-        with self._cv:
-            self._freed = freed
-            self._cv.notify()
-            while self._drawn <= block:
-                if self._error is not None:
-                    raise self._error
-                self._cv.wait()
-
-    def take(self, n: int, out: np.ndarray) -> np.ndarray:
-        """The next n normals, to be read before the next take.
-
-        They are a read-only view of the ring when its blocks hold them in
-        one piece, else out[:n] filled from the ring block by block.
-        """
-        p = self._taken
-        self._taken = q = p + n
-        b0, b1 = p // _BLOCK, (q - 1) // _BLOCK
-        if b0 % _RING_DEPTH + b1 - b0 < _RING_DEPTH:
-            # blocks before b0 hold only normals already taken: free them
-            self._sync(b0, b1)
-            i = b0 % _RING_DEPTH * _BLOCK + p % _BLOCK
-            return self._flat[i : i + n]
-        dst = out[:n]
-        for b in range(b0, b1 + 1):
-            self._sync(b, b)
-            lo, hi = max(p, b * _BLOCK), min(q, (b + 1) * _BLOCK)
-            i = b % _RING_DEPTH * _BLOCK
-            dst[lo - p : hi - p] = self._flat[i + lo - b * _BLOCK : i + hi - b * _BLOCK]
-        return dst
 
 
 @dataclass(frozen=True)
@@ -198,11 +103,11 @@ def _tile_buffer(chunk: int) -> np.ndarray:
     return np.empty(max(_TILE, chunk))
 
 
-def _first_crossings(normals, pos, n_steps, batch, chunk, step, drift, crossed, visit, sd=None,
+def _first_crossings(rng, pos, n_steps, batch, chunk, step, drift, crossed, visit, sd=None,
                      fill=0):
     """Walk len(pos) grid paths from pos until each first crosses its boundary.
 
-    Each grid step adds sd*Z + drift, Z taken from the _Normals source and sd
+    Each grid step adds sd*Z + drift, Z standard normal from rng and sd
     sqrt(step) unless given; batches, chunks and row tiles as described at
     _TILE.  A chunk spans `chunk` steps, or fill // (paths alive) when that
     is more, so that a few stragglers walk in long chunks.  ``crossed(w, idx,
@@ -228,7 +133,8 @@ def _first_crossings(normals, pos, n_steps, batch, chunk, step, drift, crossed, 
             for r0 in range(0, alive.size, rows):
                 idx = alive[r0 : r0 + rows]
                 w = buf[: idx.size * s].reshape(idx.size, s)
-                np.multiply(normals.take(w.size, buf).reshape(w.shape), scale, out=w)
+                rng.standard_normal(out=w)
+                w *= scale
                 if drift:
                     w += drift
                 np.cumsum(w, axis=1, out=w)
@@ -237,7 +143,8 @@ def _first_crossings(normals, pos, n_steps, batch, chunk, step, drift, crossed, 
                     hit, j = np.zeros(idx.size, dtype=bool), None
                 else:
                     c = crossed(w, idx, t)
-                    hit, j = c.any(axis=1), c.argmax(axis=1)
+                    j = c.argmax(axis=1)  # a row's first crossing, or 0 if none
+                    hit = c[np.arange(idx.size), j]
                 visit(w, idx, hit, j, t)
                 left = ~hit
                 pos[idx[left]] = w[left, -1]
@@ -272,11 +179,10 @@ def sample_hit_times(
     def record(w, idx, hit, j, t):
         times[idx[hit]] = t[j[hit]]
 
-    with _Normals(np.random.default_rng(rng_seed)) as normals:
-        stuck = _first_crossings(
-            normals, np.zeros(n_paths), n_steps, _PATH_BATCH, _STEP_CHUNK,
-            step, spec.mu * step, lambda w, idx, t: w >= spec.c, record,
-        )
+    stuck = _first_crossings(
+        np.random.default_rng(rng_seed), np.zeros(n_paths), n_steps, _PATH_BATCH, _STEP_CHUNK,
+        step, spec.mu * step, lambda w, idx, t: w >= spec.c, record,
+    )
     if stuck.size:
         raise HorizonError(
             f"{stuck.size} path(s) exceeded the horizon cap {horizon} "

@@ -44,7 +44,7 @@ from .gauss_stats import (
     gauss_tail,
     scheme_constants,
 )
-from .hitting_times import _PATH_BATCH, _Normals, _check_walk, _first_crossings, _tile_buffer
+from .hitting_times import _PATH_BATCH, _check_walk, _first_crossings, _tile_buffer
 
 __all__ = [
     "Codebook",
@@ -392,14 +392,11 @@ def mse_integral_oracle(
     _PATH_BATCH (20000) paths, chunks of 1024 grid steps (a deterministic
     stop takes its whole grid as one chunk, so it raises ParameterError
     before allocating when round(t/step) exceeds 10**7), each chunk walked in
-    row tiles of about 2**15 doubles in one reused buffer.  A producer
-    thread draws the normals ahead of the walk into a ring of four blocks
-    of that size, and each tile is scaled out of the ring.  Each tile's
+    row tiles of about 2**15 doubles in one reused buffer.  Each tile's
     squared path is summed in a second reused tile and each crossing's two
-    sides recorded while the tile is in cache, so memory is the ring and a
-    few tiles plus a few floats per path, and no tile-sized array is
-    allocated per tile.  A seed that is not an integer >= 0 raises
-    ParameterError.
+    sides recorded while the tile is in cache, so memory is a few tiles plus
+    a few floats per path, and no tile-sized array is allocated per tile.  A
+    seed that is not an integer >= 0 raises ParameterError.
     """
     _integer("seed", seed, 0)
     n_steps = _check_walk(n_paths, step, horizon)
@@ -426,8 +423,7 @@ def mse_integral_oracle(
             rhs[idx] = w[:, -1] ** 4 / 6.0
 
         batch = max(1, min(n_paths, int(2e7) // n_steps))
-        with _Normals(rng) as normals:
-            _first_crossings(normals, pos, n_steps, batch, n_steps, step, 0.0, None, record)
+        _first_crossings(rng, pos, n_steps, batch, n_steps, step, 0.0, None, record)
         return _summarize(lhs, rhs, 0)
 
     if isinstance(stop, BandStop):
@@ -463,9 +459,7 @@ def mse_integral_oracle(
         extra = presq[rows, -2] if w.shape[1] >= 2 else 0.0
         acc[i] += pos[i] ** 2 + extra
 
-    with _Normals(rng) as normals:
-        stuck = _first_crossings(normals, pos, n_steps, _PATH_BATCH, chunk, step, 0.0, crossed,
-                                 record)
+    stuck = _first_crossings(rng, pos, n_steps, _PATH_BATCH, chunk, step, 0.0, crossed, record)
     # truncated at the horizon: stopped there, flagged
     lhs[stuck] = step * acc[stuck] + 0.5 * step * (n_steps * step)
     rhs[stuck] = pos[stuck] ** 4 / 6.0

@@ -47,11 +47,8 @@ depend on the config alone, so replication k, drawn from
 SeedSequence(seed, spawn_key=(k,)), does not depend on `replications`.
 Length sequences and the cycle log are chain-major, with grid indices
 counted from each chain's start.  A waiting phase longer than
-round(horizon/eps) steps raises HorizonError.  A replication draws its
-walks' and transmissions' normals, in that stream order, from one
-hitting_times._Normals source, whose thread draws them ahead of the walk.
-Memory is O(M) plus the source's ring and a few tiles of the walk, and 8
-bytes per measured cycle for the length sequences.
+round(horizon/eps) steps raises HorizonError.  Memory is O(M) plus a few
+tiles of the walk, and 8 bytes per measured cycle for the length sequences.
 """
 
 from __future__ import annotations
@@ -66,7 +63,7 @@ import numpy as np
 
 from .errors import HorizonError, ParameterError, WienerCodingError
 from .gauss_stats import ThresholdConfig, _integer, event_probabilities
-from .hitting_times import _TILE, _Normals, _first_crossings, _tile_buffer
+from .hitting_times import _TILE, _first_crossings
 from .mse_model import INTEGER, Codebook
 
 __all__ = [
@@ -317,28 +314,32 @@ def _chain_count(sim: SimConfig) -> int:
 def _lines(u0, su, d0, sd, chunk):
     """crossed(w, idx, t) for rows idx that cross at w >= u0 + su*t or w <= d0 + sd*t.
 
-    Its reused buffers hold a walk's tiles (chunks of `chunk` steps, filled to
-    _WALK_FILL), so the array it returns is valid until its next call."""
-    lines = np.stack((u0, su, d0, sd), axis=1)
-    line = _tile_buffer(max(chunk, _WALK_FILL))
-    above, below = np.empty(line.size, dtype=bool), np.empty(line.size, dtype=bool)
+    A line of slope 0 is compared as its level, which equals u0 + 0*t
+    exactly, so band rows cost two comparisons and only the rows of a
+    sloped line evaluate it.  Its reused buffers hold a walk's tiles (chunks
+    of `chunk` steps, filled to _WALK_FILL), so the array it returns is
+    valid until its next call."""
+    flat_up = np.where(su == 0.0, u0, np.inf)
+    flat_dn = np.where(sd == 0.0, d0, -np.inf)
+    size = max(_TILE, chunk, _WALK_FILL)  # any row tile of the walk (see _tile_buffer)
+    above, below = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
 
     def crossed(w, idx, t):
-        lv, up, dn = (buf[:w.size].reshape(w.shape) for buf in (line, above, below))
-        c = lines[idx]
-        np.multiply(c[:, 1:2], t, out=lv)
-        lv += c[:, 0:1]
-        np.greater_equal(w, lv, out=up)
-        np.multiply(c[:, 3:4], t, out=lv)
-        lv += c[:, 2:3]
-        np.less_equal(w, lv, out=dn)
+        up, dn = (buf[:w.size].reshape(w.shape) for buf in (above, below))
+        np.greater_equal(w, flat_up[idx, None], out=up)
+        np.less_equal(w, flat_dn[idx, None], out=dn)
         up |= dn
+        for slope, level, cross in ((su, u0, np.greater_equal), (sd, d0, np.less_equal)):
+            rows = np.flatnonzero(slope[idx] != 0.0)
+            if rows.size:
+                i = idx[rows]
+                up[rows] |= cross(w[rows], slope[i, None] * t + level[i, None])
         return up
 
     return crossed
 
 
-def _run_chains(sim: SimConfig, normals: _Normals, log_cycles: bool) -> _RepOutcome:
+def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
     """One replication: M chains in lockstep, one cycle each per generation.
 
     The ideal scheme is the band test started at the cycle start itself,
@@ -354,7 +355,6 @@ def _run_chains(sim: SimConfig, normals: _Normals, log_cycles: bool) -> _RepOutc
     n_steps = int(round(sim.horizon / eps))
     step_sd = math.sqrt(sigma2 * eps)
 
-    draw = np.empty(m)  # the transmissions' normals, where the ring cannot lend them
     x = np.zeros(m)  # error W - ref at the cycle start
     l_prev = np.full(m, lens[1])
     ref = np.zeros(m)  # decoded estimate
@@ -394,14 +394,15 @@ def _run_chains(sim: SimConfig, normals: _Normals, log_cycles: bool) -> _RepOutc
                 if rows.size:
                     # take back the sample's column and the ones after it
                     jr = j[rows]
-                    tail = np.where(np.arange(w.shape[1]) >= jr[:, None], w[rows], 0.0)
+                    tail = w[rows]
+                    tail[np.arange(w.shape[1]) < jr[:, None]] = 0.0
                     acc[idx[rows]] -= np.einsum("ij,ij->i", tail, tail)
                     i = walk[idx[rows]]
                     e[i] = w[rows, jr]
                     t_hit[i] = t[jr]
 
             crossed = _lines(u0[walk], su[walk], d0[walk], sd[walk], chunk)
-            stuck = _first_crossings(normals, pos, n_steps, walk.size, chunk, eps, 0.0, crossed,
+            stuck = _first_crossings(rng, pos, n_steps, walk.size, chunk, eps, 0.0, crossed,
                                      visit, sd=step_sd, fill=_WALK_FILL)
             if stuck.size:
                 raise HorizonError(f"a waiting phase passed the horizon {sim.horizon}")
@@ -420,7 +421,7 @@ def _run_chains(sim: SimConfig, normals: _Normals, log_cycles: bool) -> _RepOutc
         # its grid reward is the discrete Brownian bridge's mean between the
         # errors e at the sample and y at the delivery
         span = n * eps
-        y = e + np.sqrt(sigma2 * span) * normals.take(m, draw)
+        y = e + np.sqrt(sigma2 * span) * rng.standard_normal(m)
         r = 1.0 - 1.0 / n
         dy = y - e
         tx = span * (e * e + e * dy * r + dy * dy * (r * (1.0 + r) / 6.0))
@@ -457,8 +458,7 @@ def _run_replicated(sim: SimConfig) -> SimulationReport:
     outcomes: list[_RepOutcome] = []
     for rep in range(sim.replications):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=sim.seed, spawn_key=(rep,)))
-        with _Normals(rng) as normals:
-            outcomes.append(_run_chains(sim, normals, sim.log_cycles and rep == 0))
+        outcomes.append(_run_chains(sim, rng, sim.log_cycles and rep == 0))
     rep_mse = np.array([o.reward / o.duration for o in outcomes])
     rep_sr = np.array([o.lengths.size / o.duration for o in outcomes])
     n = len(outcomes)

@@ -2,12 +2,9 @@ import hashlib
 import math
 import threading
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oracles import (
     band_exit_lower_prob,
@@ -234,91 +231,29 @@ class _Boom(Exception):
     pass
 
 
-class _FailingRng:
-    """Draws `good` blocks from default_rng(seed), then raises _Boom."""
-
-    def __init__(self, seed, good):
-        self.rng, self.good = np.random.default_rng(seed), good
-
-    def standard_normal(self, out):
-        if self.good == 0:
-            raise _Boom("producer failed")
-        self.good -= 1
-        self.rng.standard_normal(out=out)
-
-
 def _walk_with_failing_visit():
     def visit(w, idx, hit, j, t):
         raise _Boom("visit failed")
 
-    with hitting_times._Normals(np.random.default_rng(1)) as normals:
-        hitting_times._first_crossings(normals, np.zeros(10), 100, 10, 50, 1e-2, 0.0, None,
-                                       visit)
+    hitting_times._first_crossings(np.random.default_rng(1), np.zeros(10), 100, 10, 50, 1e-2,
+                                   0.0, None, visit)
 
 
-class TestNormals:
-    """The walks' normal source: the generator's stream in order, whatever
-    the split of the requests, and no thread left behind."""
-
-    @given(
-        block=st.sampled_from([1, 3, 64, hitting_times._BLOCK]),
-        parts=st.lists(st.one_of(st.sampled_from([0, 1]), st.integers(0, 300)), max_size=40),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    def test_any_split_is_the_stream(self, block, parts, seed):
-        # sizes up to 300 against blocks of 1, 3 and 64 cross block boundaries,
-        # wrap the ring and exceed it; the real block size takes them in one piece
-        with mock.patch.object(hitting_times, "_BLOCK", block):
-            got = []
-            with hitting_times._Normals(np.random.default_rng(seed)) as normals:
-                for n in parts:
-                    z = normals.take(n, np.empty(n))
-                    assert z.shape == (n,)
-                    got.append(z.copy())
-        want = np.random.default_rng(seed).standard_normal(sum(parts))
-        assert np.array_equal(np.concatenate([np.empty(0), *got]), want)
-
-    def test_requests_longer_than_the_ring(self):
-        n = 3 * hitting_times._RING_DEPTH * hitting_times._BLOCK + 5
-        with hitting_times._Normals(np.random.default_rng(4)) as normals:
-            first = normals.take(7, np.empty(7)).copy()
-            rest = normals.take(n, np.empty(n)).copy()
-        want = np.random.default_rng(4).standard_normal(7 + n)
-        assert np.array_equal(np.concatenate([first, rest]), want)
-
-    @pytest.mark.parametrize("good", [0, 2])
-    def test_producer_error_reaches_the_caller(self, good):
-        # the blocks drawn before the failure are handed out; the take that
-        # needs the next block raises the producer's error, within seconds
-        seen = {}
-
-        def consume():
-            try:
-                with hitting_times._Normals(_FailingRng(6, good)) as normals:
-                    n = good * hitting_times._BLOCK
-                    seen["good"] = normals.take(n, np.empty(n)).copy()
-                    normals.take(1, np.empty(1))
-            except _Boom as e:
-                seen["error"] = e
-
-        worker = threading.Thread(target=consume)
-        worker.start()
-        worker.join(timeout=30)
-        assert not worker.is_alive()
-        assert isinstance(seen.get("error"), _Boom)
-        want = np.random.default_rng(6).standard_normal(good * hitting_times._BLOCK)
-        assert np.array_equal(seen["good"], want)
+class TestWalkThreads:
+    """Every walk runs on the caller's thread and leaves no thread behind."""
 
     @pytest.mark.parametrize("walk,error", [
         (lambda: sample_hit_times(DriftHitSpec(1, 2), 1e-3, 300, rng_seed=3), None),
         (lambda: mse_integral_oracle(BandStop(1, 1), n_paths=100, step=1e-2, seed=1), None),
+        (lambda: run(SimConfig(1e-2, 600.0, ThresholdConfig(1.0, 1.0, 10.0),
+                               Codebook.integer(1, 3, 4, 5), seed=3)), None),
         (lambda: sample_hit_times(DriftHitSpec(5, 0.1), 1e-3, 50, rng_seed=2, horizon=0.5),
          HorizonError),
         (lambda: run(SimConfig(1e-2, 800.0, ThresholdConfig(40.0, 40.0, 0.01, 1.0),
                                Codebook.integer(8, 8, 8, 8), seed=3)), HorizonError),
         (lambda: _walk_with_failing_visit(), _Boom),
-    ], ids=["return", "oracle-return", "hit-horizon", "simulator-horizon", "visit-raises"])
+    ], ids=["return", "oracle-return", "simulator-return", "hit-horizon", "simulator-horizon",
+            "visit-raises"])
     def test_no_thread_outlives_a_walk(self, walk, error):
         before = threading.enumerate()
         if error is None:

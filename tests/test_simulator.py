@@ -272,9 +272,9 @@ class TestPathWindowFirst:
             values[idx[hit]] = w[hit, j[hit]]
 
         pos = start.copy()
-        with hitting_times._Normals(np.random.default_rng(self.SEED)) as normals:
-            stuck = hitting_times._first_crossings(normals, pos, self.N, start.size, chunk,
-                                                   self.STEP, 0.0, crossed, visit, sd=self.SD)
+        stuck = hitting_times._first_crossings(np.random.default_rng(self.SEED), pos, self.N,
+                                               start.size, chunk, self.STEP, 0.0, crossed,
+                                               visit, sd=self.SD)
         return got, values, pos, stuck
 
     def brute(self, rows):
@@ -304,6 +304,27 @@ class TestPathWindowFirst:
             got, values, _, _ = self.walk([row], 7)
             assert got.tolist() == [k] and k > 7  # crossed past the first chunk
             assert values[0] == pytest.approx(path[0, k], rel=1e-12, abs=1e-12)
+
+    def test_lines_equal_the_two_line_test(self):
+        # band rows compared as levels and sloped rows on their one line give
+        # exactly w >= u0 + su*t | w <= d0 + sd*t, on values that tie with a
+        # line, at signed zeros and with infinite levels
+        rng = np.random.default_rng(3)
+        rows = [r for kind in self.ROWS.values() for r in kind] * 5
+        rows += [(0.0, 0.0, 0.0, -0.0, 0.0), (0.0, -0.0, 0.0, 0.0, 0.0),
+                 (0.0, self.INF, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, -self.INF, 0.0)]
+        _, u0, su, d0, sl = (np.array(c, dtype=float) for c in zip(*rows))
+        crossed = simulator._lines(u0, su, d0, sl, 64)
+        t = (17 + np.arange(64)) * self.STEP
+        idx = rng.permutation(len(rows))[: len(rows) - 3]
+        w = rng.standard_normal((idx.size, t.size))
+        w[:, :8] = np.round(w[:, :8])  # exact hits on the integer levels
+        w[:, 8:16] = (u0[idx, None] + su[idx, None] * t[8:16])  # ties with the upper line
+        w[:, 16:24] = (d0[idx, None] + sl[idx, None] * t[16:24])  # and with the lower
+        w[:, 24] = -0.0
+        w = np.nan_to_num(w, posinf=5.0, neginf=-5.0)
+        want = (w >= u0[idx, None] + su[idx, None] * t) | (w <= d0[idx, None] + sl[idx, None] * t)
+        assert np.array_equal(crossed(w, idx, t), want)
 
     def test_crossing_at_start(self):
         # rows that cross on the first column: together in one chunk, and each
