@@ -13,8 +13,9 @@ and moments
     E[tau_c^4] = c^4/mu^4 + 6c^3/mu^5 + 15c^2/mu^6 + 15c/mu^7
 
 A grid Monte Carlo sampler is included as the test oracle for these moments.
-It detects the first grid index at or beyond the level, which carries the
-usual O(sqrt(step)) threshold bias; oracle tests budget for it.
+It walks B(t) against the falling line c - mu*t and detects the first grid
+index at or beyond it, which carries the usual O(sqrt(step)) threshold bias;
+oracle tests budget for it.
 """
 
 from __future__ import annotations
@@ -33,16 +34,17 @@ __all__ = [
     "sample_hit_times",
 ]
 
-# Batched walks (this sampler, mse_model's stopping-identity oracle and the
-# simulator's waiting phases) run their paths in batches, each batch in
-# chunks of grid steps over the paths still alive, and each chunk in row
-# tiles of about _TILE doubles (256 KiB) drawn into one reused buffer, so
-# drawing, summing, crossing detection and the caller's accumulation all run
-# while the tile is in cache.  Peak memory is a few tiles plus O(n_paths)
-# per-path state.  Row tiles drawn in order consume the generator's stream
-# exactly as one (alive paths x chunk) draw would, so the tile size never
-# changes a result.  The batch and chunk sizes do (they fix the order in
-# which the stream is consumed), so they are part of what a seed means.
+# Every batched walk (this sampler, mse_model's stopping-identity oracle and
+# the simulator's waiting phases) runs through _first_crossings: its paths in
+# batches, each batch in chunks of grid steps over the paths still alive, and
+# each chunk in row tiles of about _TILE doubles (256 KiB) drawn into one
+# reused buffer, so drawing, summing, the crossing test and the left sums of
+# squares all run while the tile is in cache.  Peak memory is a few tiles
+# plus O(n_paths) per-path state.  Row tiles drawn in order consume the
+# generator's stream exactly as one (alive paths x chunk) draw would, so the
+# tile size never changes a result.  The batch and chunk sizes do (they fix
+# the order in which the stream is consumed), so they are part of what a
+# seed means.
 _PATH_BATCH = 20_000
 _STEP_CHUNK = 512
 _TILE = 1 << 15
@@ -98,61 +100,99 @@ def _check_walk(n_paths: int, step: float, horizon: float) -> int:
     return math.ceil(horizon / step)
 
 
-def _tile_buffer(chunk: int) -> np.ndarray:
-    """An uninitialized buffer that holds any row tile of a chunk of `chunk` steps."""
-    return np.empty(max(_TILE, chunk))
+def _first_crossings(rng, pos, lines, n_steps, batch, chunk, step, sd=None, fill=0):
+    """Walk len(pos) grid paths from pos until each first crosses one of its lines.
 
+    Each grid step adds sd*Z, Z standard normal from rng and sd sqrt(step)
+    unless given; batches, chunks and row tiles as described at _TILE.  A
+    chunk spans `chunk` steps, or fill // (paths alive) when that is more,
+    so that a few stragglers walk in long chunks.  lines = (u0, su, d0, sl),
+    scalars or per-path arrays: a path crosses at the first grid point where
+    w >= u0 + su*t or w <= d0 + sl*t, t the time since the start.  A line of
+    slope 0 is compared as its level, which equals u0 + 0*t exactly, so a
+    band path costs two comparisons, only the paths of a sloped line
+    evaluate it, and a side that no path can cross is not tested.  Lines
+    given as scalars are evaluated once per tile, not once per path.
 
-def _first_crossings(rng, pos, n_steps, batch, chunk, step, drift, crossed, visit, sd=None,
-                     fill=0):
-    """Walk len(pos) grid paths from pos until each first crosses its boundary.
-
-    Each grid step adds sd*Z + drift, Z standard normal from rng and sd
-    sqrt(step) unless given; batches, chunks and row tiles as described at
-    _TILE.  A chunk spans `chunk` steps, or fill // (paths alive) when that
-    is more, so that a few stragglers walk in long chunks.  ``crossed(w, idx,
-    t)`` maps a tile w (rows = paths idx, columns = grid points at times t
-    since the start) to a bool array, or is None for no boundary.
-    ``visit(w, idx, hit, j, t)`` then sees the tile before the buffer is
-    reused: hit marks rows that crossed and j their first crossing column.
-    pos is set in place to each surviving path's last value.  Returns the
-    indices of the paths still alive after n_steps.
+    Returns (k, w, sq, stuck): each path's stop step (its first crossing, or
+    n_steps), its value there, its sum of squares at the grid points before
+    that step (the start included), and the indices of the paths that never
+    crossed.  w is pos, set in place.
     """
     n = pos.size
+    shared = all(np.ndim(v) == 0 for v in lines)  # one line pair for every path
+    u0, su, d0, sl = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in lines)
+    ge, le = np.greater_equal, np.less_equal
+    # the sides that can be crossed: levels of lines of slope 0, and sloped lines
+    levels = [(v, cross) for v, cross in ((np.where(su == 0.0, u0, np.inf), ge),
+                                          (np.where(sl == 0.0, d0, -np.inf), le))
+              if np.isfinite(v).any()]
+    sloped = [(slope, v, cross) for slope, v, cross in ((su, u0, ge), (sl, d0, le)) if slope.any()]
     scale = math.sqrt(step) if sd is None else sd
-    buf = _tile_buffer(max(chunk, fill))
+    size = max(_TILE, chunk, fill)  # holds any row tile
+    buf, spare = np.empty(size), np.empty(size)
+    above, below = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    k = np.full(n, n_steps, dtype=np.int64)
+    sq = pos * pos
     stuck = []
     for start in range(0, n, batch):
         alive = np.arange(start, min(start + batch, n))
         elapsed = 0
         while alive.size and elapsed < n_steps:
             s = min(max(chunk, fill // alive.size), n_steps - elapsed)
-            t = (elapsed + 1 + np.arange(s)) * step
+            cols = np.arange(s)
+            t = (elapsed + 1 + cols) * step
             rows = max(1, _TILE // s)
             live = np.empty(alive.size, dtype=bool)
             for r0 in range(0, alive.size, rows):
                 idx = alive[r0 : r0 + rows]
-                w = buf[: idx.size * s].reshape(idx.size, s)
+                w, line, up, dn = (b[: idx.size * s].reshape(idx.size, s)
+                                   for b in (buf, spare, above, below))
                 rng.standard_normal(out=w)
                 w *= scale
-                if drift:
-                    w += drift
                 np.cumsum(w, axis=1, out=w)
                 w += pos[idx, None]
-                if crossed is None:
-                    hit, j = np.zeros(idx.size, dtype=bool), None
-                else:
-                    c = crossed(w, idx, t)
-                    j = c.argmax(axis=1)  # a row's first crossing, or 0 if none
-                    hit = c[np.arange(idx.size), j]
-                visit(w, idx, hit, j, t)
+                # shared lines are evaluated on one row and broadcast
+                at = idx[:1] if shared else idx
+                up.fill(False)
+                for level, cross in levels:
+                    cross(w, level[at, None], out=dn)
+                    up |= dn
+                for slope, level, cross in sloped:
+                    on = np.flatnonzero(slope[idx] != 0.0)
+                    if on.size:
+                        # a tile whose every row is sloped is not copied
+                        sel = slice(None) if on.size == idx.size else on
+                        i = at if shared else idx[sel]
+                        v, c = line[: i.size], dn[: on.size]
+                        np.multiply(slope[i, None], t, out=v)
+                        v += level[i, None]
+                        cross(w[sel], v, out=c)
+                        up[sel] |= c
+                j = up.argmax(axis=1)  # a row's first crossing, or 0 if none
+                hit = up[np.arange(idx.size), j]
+                sq[idx] += np.einsum("ij,ij->i", w, w)
+                on = np.flatnonzero(hit)
+                if on.size:
+                    # take back the crossing's column and the ones after it, in
+                    # reused buffers (take buffers a fresh copy unless mode="clip")
+                    jr = j[on]
+                    tail, head = line[: on.size], dn[: on.size]
+                    np.take(w, on, axis=0, out=tail, mode="clip")
+                    np.less(cols, jr[:, None], out=head)
+                    np.copyto(tail, 0.0, where=head)
+                    i = idx[on]
+                    sq[i] -= np.einsum("ij,ij->i", tail, tail)
+                    k[i] = elapsed + 1 + jr
+                    pos[i] = w[on, jr]
                 left = ~hit
                 pos[idx[left]] = w[left, -1]
                 live[r0 : r0 + rows] = left
             alive = alive[live]
             elapsed += s
+        sq[alive] -= pos[alive] ** 2  # a path that never crossed stops at its last point
         stuck.append(alive)
-    return np.concatenate(stuck)
+    return k, pos, sq, np.concatenate(stuck)
 
 
 def sample_hit_times(
@@ -174,18 +214,13 @@ def sample_hit_times(
     if horizon is None:
         horizon = 1e6 / spec.mu
     n_steps = _check_walk(n_paths, step, horizon)
-    times = np.full(n_paths, np.nan)
-
-    def record(w, idx, hit, j, t):
-        times[idx[hit]] = t[j[hit]]
-
-    stuck = _first_crossings(
-        np.random.default_rng(rng_seed), np.zeros(n_paths), n_steps, _PATH_BATCH, _STEP_CHUNK,
-        step, spec.mu * step, lambda w, idx, t: w >= spec.c, record,
+    k, _, _, stuck = _first_crossings(
+        np.random.default_rng(rng_seed), np.zeros(n_paths), (spec.c, -spec.mu, -np.inf, 0.0),
+        n_steps, _PATH_BATCH, _STEP_CHUNK, step,
     )
     if stuck.size:
         raise HorizonError(
             f"{stuck.size} path(s) exceeded the horizon cap {horizon} "
             f"(c={spec.c}, mu={spec.mu}, step={step})"
         )
-    return times
+    return k * step

@@ -44,7 +44,7 @@ from .gauss_stats import (
     gauss_tail,
     scheme_constants,
 )
-from .hitting_times import _PATH_BATCH, _check_walk, _first_crossings, _tile_buffer
+from .hitting_times import _PATH_BATCH, _check_walk, _first_crossings
 
 __all__ = [
     "Codebook",
@@ -61,10 +61,6 @@ __all__ = [
 
 RELAXED = "relaxed-real"
 INTEGER = "integer-prefix"
-
-# a deterministic stop walks each path as one row of t/step doubles, held
-# twice (the walk and its square): 80 MB per buffer at this many steps
-_MAX_ROW_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -384,83 +380,39 @@ def mse_integral_oracle(
 
     The integral uses the left-Riemann sum plus the discrete-martingale
     compensator step*tau/2, which makes the two sides agree exactly in
-    expectation for the simulated walk at any step size.  Paths alive at the
-    horizon are stopped there and counted in n_truncated (flagged, not
-    raised).
+    expectation for the simulated walk at any step size; tau is the time
+    walked, k*step for a stop at grid step k.  Paths alive at the horizon
+    are stopped there and counted in n_truncated (flagged, not raised).  A
+    deterministic stop at t walks round(t/step) steps, at least one, and
+    raises ParameterError when t > horizon.
 
-    The paths run through hitting_times' batched crossing kernel: batches of
-    _PATH_BATCH (20000) paths, chunks of 1024 grid steps (a deterministic
-    stop takes its whole grid as one chunk, so it raises ParameterError
-    before allocating when round(t/step) exceeds 10**7), each chunk walked in
-    row tiles of about 2**15 doubles in one reused buffer.  Each tile's
-    squared path is summed in a second reused tile and each crossing's two
-    sides recorded while the tile is in cache, so memory is a few tiles plus
-    a few floats per path, and no tile-sized array is allocated per tile.  A
-    seed that is not an integer >= 0 raises ParameterError.
+    Every stop is a pair of lines for hitting_times' first-crossing kernel:
+    a deterministic stop none, a band stop its two levels, a sloped stop one
+    falling line.  The kernel walks batches of _PATH_BATCH (20000) paths in
+    chunks of 1024 grid steps, each chunk in row tiles of about 2**15
+    doubles in reused buffers, and returns each path's stop step, value and
+    left sum of squares, so memory is a few tiles plus a few floats per
+    path.  An n_paths that is not an integer >= 2 or a seed that is not an
+    integer >= 0 raises ParameterError.
     """
     _integer("seed", seed, 0)
+    _integer("n_paths", n_paths, 2)
     n_steps = _check_walk(n_paths, step, horizon)
-    if isinstance(stop, DeterministicStop) and not stop.t / step <= _MAX_ROW_STEPS + 0.5:
-        raise ParameterError(
-            f"a deterministic stop at t = {stop.t} with step {step} walks rows of "
-            f"{stop.t / step:.3g} steps; the limit is {_MAX_ROW_STEPS}"
-        )
-    lhs = np.empty(n_paths)
-    rhs = np.empty(n_paths)
-    pos = np.zeros(n_paths)  # walk position at the end of the last chunk
-    rng = np.random.default_rng(seed)
-
     if isinstance(stop, DeterministicStop):
-        n_steps = max(1, int(round(stop.t / step)))
-        scratch = _tile_buffer(n_steps)  # the squared tile
-
-        def record(w, idx, hit, j, t):
-            # left endpoints are W_0 = 0 and the first n_steps-1 values
-            rows, cols = w.shape[0], w.shape[1] - 1
-            sq = scratch[: rows * cols].reshape(rows, cols)
-            np.square(w[:, :-1], out=sq)
-            lhs[idx] = step * np.sum(sq, axis=1) + 0.5 * step * stop.t
-            rhs[idx] = w[:, -1] ** 4 / 6.0
-
-        batch = max(1, min(n_paths, int(2e7) // n_steps))
-        _first_crossings(rng, pos, n_steps, batch, n_steps, step, 0.0, None, record)
-        return _summarize(lhs, rhs, 0)
-
-    if isinstance(stop, BandStop):
-
-        def crossed(w: np.ndarray, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
-            return (w >= stop.a_level) | (w <= -stop.b_level)
-
+        if stop.t > horizon:
+            raise ParameterError(f"a deterministic stop at t = {stop.t} is past the "
+                                 f"horizon {horizon}")
+        n_steps = max(1, round(stop.t / step))
+        lines = (np.inf, 0.0, -np.inf, 0.0)
+    elif isinstance(stop, BandStop):
+        lines = (stop.a_level, 0.0, -stop.b_level, 0.0)
     elif isinstance(stop, SlopedStop):
-
-        def crossed(w: np.ndarray, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
-            return w >= stop.c - stop.mu * t
-
+        lines = (stop.c, -stop.mu, -np.inf, 0.0)
     else:
         raise ParameterError(f"unknown stop spec {stop!r}")
-
-    acc = np.zeros(n_paths)  # sum of squared left endpoints before pos
-    chunk = 1024
-    scratch = _tile_buffer(chunk)  # the squared tile, then its row prefix sums
-
-    def record(w, idx, hit, j, t):
-        presq = scratch[: w.size].reshape(w.shape)
-        np.multiply(w, w, out=presq)
-        np.cumsum(presq, axis=1, out=presq)
-        rows = np.flatnonzero(hit)
-        if rows.size:
-            jj = j[rows]
-            partial = np.where(jj >= 1, presq[rows, np.maximum(jj - 1, 0)], 0.0)
-            i = idx[rows]
-            lhs[i] = step * (acc[i] + pos[i] ** 2 + partial) + 0.5 * step * t[jj]
-            rhs[i] = w[rows, jj] ** 4 / 6.0
-        rows = np.flatnonzero(~hit)
-        i = idx[rows]
-        extra = presq[rows, -2] if w.shape[1] >= 2 else 0.0
-        acc[i] += pos[i] ** 2 + extra
-
-    stuck = _first_crossings(rng, pos, n_steps, _PATH_BATCH, chunk, step, 0.0, crossed, record)
-    # truncated at the horizon: stopped there, flagged
-    lhs[stuck] = step * acc[stuck] + 0.5 * step * (n_steps * step)
-    rhs[stuck] = pos[stuck] ** 4 / 6.0
-    return _summarize(lhs, rhs, stuck.size)
+    k, w, sq, stuck = _first_crossings(np.random.default_rng(seed), np.zeros(n_paths), lines,
+                                       n_steps, _PATH_BATCH, 1024, step)
+    lhs = step * sq + 0.5 * step * (k * step)
+    # a deterministic stop is no crossing: its paths all stop at n_steps
+    truncated = 0 if isinstance(stop, DeterministicStop) else stuck.size
+    return _summarize(lhs, w**4 / 6.0, truncated)

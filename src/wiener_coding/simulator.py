@@ -12,8 +12,11 @@ and the decoded estimate ref, and the previous code length L:
   band codewords.
 
 The waiting phase is walked on a grid of step eps through hitting_times'
-first-crossing kernel, and a crossing is the first grid point past the line
-(O(sqrt(eps)) overshoot accepted).  The decoder uses the protocol-implied
+first-crossing kernel, each chain with its own lines (the band's two levels
+or one sloped line), and a crossing is the first grid point past a line
+(O(sqrt(eps)) overshoot accepted).  The kernel returns each chain's stop
+step, its error there and its left sum of squared errors, which give the
+sample time, the sample and the waiting phase's reward.  The decoder uses the protocol-implied
 value, so estimator and monitor agree exactly.  SimConfig rejects mu*eps > 1
 for the sloped schemes, whose decoded values are multiples of mu*eps (at
 a = b = 1, lengths 2, the MSE is off by +0.25% at mu*eps = 0.1, +3.5% at 1
@@ -311,34 +314,6 @@ def _chain_count(sim: SimConfig) -> int:
     return min(_MAX_CHAINS, max(1, int(sim.horizon / (_CHAIN_SPAN * max_len))))
 
 
-def _lines(u0, su, d0, sd, chunk):
-    """crossed(w, idx, t) for rows idx that cross at w >= u0 + su*t or w <= d0 + sd*t.
-
-    A line of slope 0 is compared as its level, which equals u0 + 0*t
-    exactly, so band rows cost two comparisons and only the rows of a
-    sloped line evaluate it.  Its reused buffers hold a walk's tiles (chunks
-    of `chunk` steps, filled to _WALK_FILL), so the array it returns is
-    valid until its next call."""
-    flat_up = np.where(su == 0.0, u0, np.inf)
-    flat_dn = np.where(sd == 0.0, d0, -np.inf)
-    size = max(_TILE, chunk, _WALK_FILL)  # any row tile of the walk (see _tile_buffer)
-    above, below = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
-
-    def crossed(w, idx, t):
-        up, dn = (buf[:w.size].reshape(w.shape) for buf in (above, below))
-        np.greater_equal(w, flat_up[idx, None], out=up)
-        np.less_equal(w, flat_dn[idx, None], out=dn)
-        up |= dn
-        for slope, level, cross in ((su, u0, np.greater_equal), (sd, d0, np.less_equal)):
-            rows = np.flatnonzero(slope[idx] != 0.0)
-            if rows.size:
-                i = idx[rows]
-                up[rows] |= cross(w[rows], slope[i, None] * t + level[i, None])
-        return up
-
-    return crossed
-
-
 def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
     """One replication: M chains in lockstep, one cycle each per generation.
 
@@ -372,8 +347,8 @@ def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
         band = np.ones(m, dtype=bool) if ideal else inside
         upward = ~band & (x >= athr)
         downward = ~band & ~upward
-        # each row's lines (see _lines), t the time since the cycle start:
-        # the band's two levels, or one sloped line
+        # each row's lines (see hitting_times._first_crossings), t the time
+        # since the cycle start: the band's two levels, or one sloped line
         u0 = np.where(downward, -bthr, np.where(upward, np.inf, athr))
         su = np.where(downward, -mu, 0.0)
         d0 = np.where(upward, athr, np.where(downward, -np.inf, -bthr))
@@ -381,33 +356,16 @@ def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
 
         # the waiting phase; ideal rows outside the band sample at once
         e = x.copy()  # the error at the sample
-        t_hit = np.zeros(m)
-        wait = np.zeros(m)
+        k = np.zeros(m, dtype=np.int64)  # its grid steps
+        wait = np.zeros(m)  # squared errors at the grid points before the sample
         walk = np.flatnonzero(inside) if ideal else np.arange(m)
         if walk.size:
-            pos = x[walk]
-            acc = pos * pos  # squared errors at the grid points before the sample
-
-            def visit(w, idx, hit, j, t):
-                acc[idx] += np.einsum("ij,ij->i", w, w)
-                rows = np.flatnonzero(hit)
-                if rows.size:
-                    # take back the sample's column and the ones after it
-                    jr = j[rows]
-                    tail = w[rows]
-                    tail[np.arange(w.shape[1]) < jr[:, None]] = 0.0
-                    acc[idx[rows]] -= np.einsum("ij,ij->i", tail, tail)
-                    i = walk[idx[rows]]
-                    e[i] = w[rows, jr]
-                    t_hit[i] = t[jr]
-
-            crossed = _lines(u0[walk], su[walk], d0[walk], sd[walk], chunk)
-            stuck = _first_crossings(rng, pos, n_steps, walk.size, chunk, eps, 0.0, crossed,
-                                     visit, sd=step_sd, fill=_WALK_FILL)
+            lines = (u0[walk], su[walk], d0[walk], sd[walk])
+            k[walk], e[walk], wait[walk], stuck = _first_crossings(
+                rng, x[walk], lines, n_steps, walk.size, chunk, eps, sd=step_sd, fill=_WALK_FILL)
             if stuck.size:
                 raise HorizonError(f"a waiting phase passed the horizon {sim.horizon}")
-            wait[walk] = acc
-        k = np.rint(t_hit / eps).astype(np.int64)
+        t_hit = k * eps
 
         event = np.where(band, np.where(e >= athr, 2, 3), np.where(upward, 1, 4))
         level = e if ideal else np.where(event == 2, athr, -bthr)

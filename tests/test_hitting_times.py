@@ -227,18 +227,6 @@ class TestKernel:
         assert peak <= 8 * 2**20
 
 
-class _Boom(Exception):
-    pass
-
-
-def _walk_with_failing_visit():
-    def visit(w, idx, hit, j, t):
-        raise _Boom("visit failed")
-
-    hitting_times._first_crossings(np.random.default_rng(1), np.zeros(10), 100, 10, 50, 1e-2,
-                                   0.0, None, visit)
-
-
 class TestWalkThreads:
     """Every walk runs on the caller's thread and leaves no thread behind."""
 
@@ -251,9 +239,7 @@ class TestWalkThreads:
          HorizonError),
         (lambda: run(SimConfig(1e-2, 800.0, ThresholdConfig(40.0, 40.0, 0.01, 1.0),
                                Codebook.integer(8, 8, 8, 8), seed=3)), HorizonError),
-        (lambda: _walk_with_failing_visit(), _Boom),
-    ], ids=["return", "oracle-return", "simulator-return", "hit-horizon", "simulator-horizon",
-            "visit-raises"])
+    ], ids=["return", "oracle-return", "simulator-return", "hit-horizon", "simulator-horizon"])
     def test_no_thread_outlives_a_walk(self, walk, error):
         before = threading.enumerate()
         if error is None:

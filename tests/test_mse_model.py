@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from wiener_coding import hitting_times, mse_model
+from wiener_coding import hitting_times
 from wiener_coding.code_optimizer import threshold_grid
 from wiener_coding import (
     BandStop,
@@ -312,6 +312,7 @@ class TestIntegralOracle:
         dict(step=math.nan), dict(step=math.inf), dict(horizon=math.nan),
         dict(horizon=math.inf), dict(n_paths=2.5), dict(n_paths=True),
         dict(seed=-1), dict(seed=1.5), dict(seed="3"), dict(seed=True), dict(seed=None),
+        dict(n_paths=1),
     ])
     @pytest.mark.parametrize("stop", [DeterministicStop(1.0), BandStop(1, 1), SlopedStop(1, 2)])
     def test_non_finite_or_non_integer_args(self, stop, kw):
@@ -329,30 +330,29 @@ class TestIntegralOracle:
             make()
 
 
-# IntegralCheck fields at small n, seed 3, step 1e-3, captured before the
-# row-tile kernel: C4's three stops, a band stop truncated at a tight horizon,
-# and a deterministic stop whose 50000-step rows exceed one tile and run in
-# two path batches.
+# IntegralCheck fields at small n, seed 3, step 1e-3: C4's three stops, a
+# band stop truncated at a tight horizon, and a deterministic stop of 50000
+# steps, walked in 1024-step chunks in two path batches.
 GOLDEN_CHECKS = [
     (DeterministicStop(1.0), {}, dict(
-        lhs=0.5140261106107636, lhs_se=0.027045330438109975, rhs=0.4792068166293673,
-        rhs_se=0.054660296942325354, diff=0.03481929398139639, diff_se=0.036725997108385346,
+        lhs=0.5140261106107636, lhs_se=0.02704533043810997, rhs=0.4792068166293673,
+        rhs_se=0.054660296942325354, diff=0.034819293981396375, diff_se=0.036725997108385346,
         n_paths=450, n_truncated=0)),
     (BandStop(1, 1), {}, dict(
-        lhs=0.19467345133642644, lhs_se=0.006923002605950334, rhs=0.17917810276949359,
-        rhs_se=0.000504611630089123, diff=0.015495348566932828, diff_se=0.006959810931642057,
+        lhs=0.19467345133642644, lhs_se=0.006923002605950335, rhs=0.17917810276949359,
+        rhs_se=0.000504611630089123, diff=0.015495348566932843, diff_se=0.006959810931642057,
         n_paths=450, n_truncated=0)),
     (SlopedStop(1, 2), {}, dict(
-        lhs=0.400315238126972, lhs_se=0.09227585419881024, rhs=0.39633961382850613,
-        rhs_se=0.18884505332550672, diff=0.003975624298465866, diff_se=0.10668752800608267,
+        lhs=0.40031523812697184, lhs_se=0.0922758541988102, rhs=0.39633961382850613,
+        rhs_se=0.18884505332550672, diff=0.003975624298465755, diff_se=0.10668752800608274,
         n_paths=450, n_truncated=0)),
     (BandStop(3, 3), dict(horizon=0.05), dict(
         lhs=0.0012600218434101627, lhs_se=6.952882115666493e-05, rhs=0.0012140816146240633,
-        rhs_se=0.00016280052604239256, diff=4.594022878609941e-05,
+        rhs_se=0.00016280052604239256, diff=4.5940228786099485e-05,
         diff_se=0.00012073225432895988, n_paths=450, n_truncated=450)),
     (DeterministicStop(50.0), {}, dict(
-        lhs=1302.6961352230298, lhs_se=75.10942504913352, rhs=1253.9273829472215,
-        rhs_se=185.69407780509104, diff=48.768752275807984, diff_se=136.73444895405422,
+        lhs=1215.9597228504406, lhs_se=67.01369577705613, rhs=1051.2809588458263,
+        rhs_se=132.22977860741156, diff=164.67876400461475, diff_se=89.81274755465613,
         n_paths=450, n_truncated=0)),
 ]
 
@@ -367,7 +367,7 @@ class TestIntegralOracleKernel:
     @pytest.mark.parametrize("tile", [1, 3000])
     def test_tile_size_does_not_change_output(self, monkeypatch, tile):
         # 1 -> one row per tile; 3000 -> 2 rows of a 1024-step chunk and 3 of
-        # the 1000-step deterministic rows, so partial tiles occur
+        # the deterministic stop's 1000-step chunk, so partial tiles occur
         monkeypatch.setattr(hitting_times, "_TILE", tile)
         for stop, kw, want in GOLDEN_CHECKS[:4]:
             r = mse_integral_oracle(stop, n_paths=450, step=1e-3, seed=3, **kw)
@@ -394,22 +394,29 @@ class TestIntegralOracleKernel:
         assert faults.pop("scipy") == []
         assert faults["BandStop"] < 5000 and faults["SlopedStop"] < 5000, faults
 
-    def test_long_deterministic_row_rejected_before_allocating(self, monkeypatch):
-        # one row of t/step doubles per path: 8 GB per buffer at t = 1e6
+    def test_long_deterministic_row_rejected_before_allocating(self):
+        # a deterministic stop past the horizon is rejected before any walk
         tracemalloc.start()
         try:
             for t in (1e6, 10_000.001, 1e308):
-                with pytest.raises(ParameterError, match="limit"):
+                with pytest.raises(ParameterError, match="horizon"):
                     mse_integral_oracle(DeterministicStop(t), step=1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        # round(t/step) at the limit is accepted, one step more is not
-        monkeypatch.setattr(mse_model, "_MAX_ROW_STEPS", 1000)
-        assert mse_integral_oracle(DeterministicStop(1.0004), n_paths=4, step=1e-3).n_paths == 4
-        with pytest.raises(ParameterError, match="limit"):
-            mse_integral_oracle(DeterministicStop(1.001), n_paths=4, step=1e-3)
+        # a stop at the horizon is accepted, one just past it is not
+        assert mse_integral_oracle(DeterministicStop(1.0), horizon=1.0, n_paths=4,
+                                   step=1e-3).n_paths == 4
+        with pytest.raises(ParameterError, match="horizon"):
+            mse_integral_oracle(DeterministicStop(1.0000001), horizon=1.0, n_paths=4, step=1e-3)
+
+    def test_deterministic_stop_walks_whole_steps(self):
+        # t = 1.0004 and t = 1.0 both walk 1000 steps, so the compensator
+        # step*tau/2 takes the time walked and the checks are the same
+        a, b = (mse_integral_oracle(DeterministicStop(t), n_paths=100, step=1e-3, seed=3)
+                for t in (1.0004, 1.0))
+        assert a == b
 
     def test_memory_is_a_few_tiles(self):
         # the old full (paths x chunk) matrices peaked at 489.5 MiB here

@@ -244,8 +244,8 @@ class TestGolden:
 
 
 class TestPathWindowFirst:
-    """The walk's first crossings (_first_crossings over _lines' rows) against
-    np.flatnonzero over the fully drawn paths."""
+    """The walk kernel's first crossings (hitting_times._first_crossings over
+    each path's lines) against np.flatnonzero over the fully drawn paths."""
 
     N, STEP, SD, SEED = 400, 1e-2, 0.1, 5
     INF = math.inf
@@ -259,85 +259,94 @@ class TestPathWindowFirst:
     }
 
     def walk(self, rows, chunk):
-        """First crossing index and value of each row, walked in chunks of `chunk`
-        steps, with each surviving row's last value and the survivors."""
-        start, u0, su, d0, sl = (np.array(c, dtype=float) for c in zip(*rows))
-        crossed = simulator._lines(u0, su, d0, sl, chunk)
-        got = np.full(start.size, -1)
-        values = np.full(start.size, np.nan)
-
-        def visit(w, idx, hit, j, t):
-            walked = round(t[0] / self.STEP) - 1  # steps before this chunk
-            got[idx[hit]] = walked + j[hit]
-            values[idx[hit]] = w[hit, j[hit]]
-
-        pos = start.copy()
-        stuck = hitting_times._first_crossings(np.random.default_rng(self.SEED), pos, self.N,
-                                               start.size, chunk, self.STEP, 0.0, crossed,
-                                               visit, sd=self.SD)
-        return got, values, pos, stuck
+        """Each row's first crossing index (-1 for none), its value there (its
+        last value if none), its left sum of squares and the survivors, walked
+        in chunks of `chunk` steps."""
+        start, *lines = (np.array(c, dtype=float) for c in zip(*rows))
+        k, w, sq, stuck = hitting_times._first_crossings(
+            np.random.default_rng(self.SEED), start, lines, self.N, start.size, chunk,
+            self.STEP, sd=self.SD)
+        got = np.where(k < self.N, k - 1, -1)
+        got[stuck] = -1
+        return got, w, sq, stuck
 
     def brute(self, rows):
-        """The rows' full paths, drawn as one tile draws them, and their first
-        crossing indices (-1 for none)."""
+        """The rows' full paths, drawn as one tile draws them, their first
+        crossing indices (-1 for none) and their left sums of squares up to
+        the crossing (the whole path but its last point if none)."""
         start, u0, su, d0, sl = (np.array(c, dtype=float) for c in zip(*rows))
         t = (1 + np.arange(self.N)) * self.STEP
         steps = np.random.default_rng(self.SEED).standard_normal((start.size, self.N))
         paths = start[:, None] + np.cumsum(steps * self.SD, axis=1)
-        want = []
+        want, sums = [], []
         for i, path in enumerate(paths):
             hit = np.flatnonzero((path >= u0[i] + su[i] * t) | (path <= d0[i] + sl[i] * t))
             want.append(int(hit[0]) if hit.size else -1)
-        return paths, np.array(want)
+            sums.append(start[i] ** 2 + np.sum(path[: hit[0] if hit.size else -1] ** 2))
+        return paths, np.array(want), np.array(sums)
 
     @pytest.mark.parametrize("kind", list(ROWS))
     def test_matches_brute_force(self, kind):
         # all rows in one tile walked in one chunk draw exactly the full paths;
         # one row walked in 7-step chunks draws its full path chunk by chunk
         rows = self.ROWS[kind]
-        paths, want = self.brute(rows)
-        got, values, _, stuck = self.walk(rows, self.N)
+        paths, want, sums = self.brute(rows)
+        got, values, sq, stuck = self.walk(rows, self.N)
         assert got.tolist() == want.tolist() and stuck.size == 0 and min(want) > 0
         assert values.tolist() == paths[np.arange(len(rows)), want].tolist()
+        assert sq == pytest.approx(sums, rel=1e-12)
         for row in rows:
-            path, (k,) = self.brute([row])
-            got, values, _, _ = self.walk([row], 7)
+            path, (k,), (total,) = self.brute([row])
+            got, values, sq, _ = self.walk([row], 7)
             assert got.tolist() == [k] and k > 7  # crossed past the first chunk
             assert values[0] == pytest.approx(path[0, k], rel=1e-12, abs=1e-12)
+            assert sq[0] == pytest.approx(total, rel=1e-12)
 
     def test_lines_equal_the_two_line_test(self):
-        # band rows compared as levels and sloped rows on their one line give
-        # exactly w >= u0 + su*t | w <= d0 + sd*t, on values that tie with a
-        # line, at signed zeros and with infinite levels
-        rng = np.random.default_rng(3)
-        rows = [r for kind in self.ROWS.values() for r in kind] * 5
-        rows += [(0.0, 0.0, 0.0, -0.0, 0.0), (0.0, -0.0, 0.0, 0.0, 0.0),
-                 (0.0, self.INF, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, -self.INF, 0.0)]
-        _, u0, su, d0, sl = (np.array(c, dtype=float) for c in zip(*rows))
-        crossed = simulator._lines(u0, su, d0, sl, 64)
-        t = (17 + np.arange(64)) * self.STEP
-        idx = rng.permutation(len(rows))[: len(rows) - 3]
-        w = rng.standard_normal((idx.size, t.size))
-        w[:, :8] = np.round(w[:, :8])  # exact hits on the integer levels
-        w[:, 8:16] = (u0[idx, None] + su[idx, None] * t[8:16])  # ties with the upper line
-        w[:, 16:24] = (d0[idx, None] + sl[idx, None] * t[16:24])  # and with the lower
-        w[:, 24] = -0.0
-        w = np.nan_to_num(w, posinf=5.0, neginf=-5.0)
-        want = (w >= u0[idx, None] + su[idx, None] * t) | (w <= d0[idx, None] + sl[idx, None] * t)
-        assert np.array_equal(crossed(w, idx, t), want)
+        # paths that stand still (sd = 0) cross first where w >= u0 + su*t |
+        # w <= d0 + sd*t first holds: band rows compared as levels and sloped
+        # rows on their one line, on values that tie with a line at a grid
+        # point, at signed zeros and with infinite levels; in tiles that mix
+        # band and sloped rows and in tiles whose every row is sloped
+        n = 64
+        t = (1 + np.arange(n)) * self.STEP
+        rows = [r[1:] for kind in self.ROWS.values() for r in kind]
+        rows += [(0.0, 0.0, -0.0, 0.0), (-0.0, 0.0, 0.0, 0.0),
+                 (self.INF, 0.0, 0.0, 0.0), (0.0, 0.0, -self.INF, 0.0)]
+        cases = []
+        for u0, su, d0, sl in rows:
+            ties = [level + slope * t[c] for level, slope in ((u0, su), (d0, sl))
+                    for c in (0, 8, 17, 63)]
+            for v in [0.0, -0.0, 1.0, -1.0, 2.5, -2.5] + ties:
+                if math.isfinite(v):
+                    cases.append((v, u0, su, d0, sl))
+        pos, u0, su, d0, sl = (np.array(c, dtype=float) for c in zip(*cases))
+        crossed = ((pos[:, None] >= u0[:, None] + su[:, None] * t)
+                   | (pos[:, None] <= d0[:, None] + sl[:, None] * t))
+        want = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, n)
+        assert 0 < (want == 1).sum() and (want == n).sum() < want.size
+        for subset in (np.arange(want.size), np.flatnonzero(su), np.flatnonzero(sl)):
+            lines = [line[subset] for line in (u0, su, d0, sl)]
+            k, w, _, stuck = hitting_times._first_crossings(
+                np.random.default_rng(3), pos[subset].copy(), lines, n, subset.size, n,
+                self.STEP, sd=0.0)
+            assert k.tolist() == want[subset].tolist()
+            assert stuck.tolist() == np.flatnonzero(~crossed[subset].any(axis=1)).tolist()
+            assert np.array_equal(w, pos[subset])
 
     def test_crossing_at_start(self):
         # rows that cross on the first column: together in one chunk, and each
         # alone in 1-step chunks
         rows = [(0.95, self.INF, 0.0, 0.5, 500.0), (-0.95, -0.5, -500.0, -self.INF, 0.0),
                 (2.0, 0.0, 0.0, -self.INF, 0.0), (-2.0, self.INF, 0.0, 0.0, 0.0)]
-        paths, want = self.brute(rows)
+        paths, want, _ = self.brute(rows)
         assert want.tolist() == [0] * len(rows)
-        got, values, _, stuck = self.walk(rows, self.N)
+        got, values, sq, stuck = self.walk(rows, self.N)
         assert got.tolist() == want.tolist() and stuck.size == 0
         assert values.tolist() == paths[:, 0].tolist()
+        assert sq == pytest.approx([r[0] ** 2 for r in rows], rel=1e-12)  # the start alone
         for row in rows:
-            path, _ = self.brute([row])
+            path, _, _ = self.brute([row])
             got, values, _, _ = self.walk([row], 1)
             assert got.tolist() == [0] and values.tolist() == [path[0, 0]]
 
@@ -345,11 +354,12 @@ class TestPathWindowFirst:
         # a row that never crosses survives the walk with its last value; the
         # crossing row beside it does not
         rows = [(0.0, 1e9, 0.0, -1e9, 0.0), self.ROWS["band"][0]]
-        paths, want = self.brute(rows)
+        paths, want, sums = self.brute(rows)
         assert want[0] == -1 and want[1] > 0
-        got, _, pos, stuck = self.walk(rows, self.N)
+        got, values, sq, stuck = self.walk(rows, self.N)
         assert got.tolist() == want.tolist() and stuck.tolist() == [0]
-        assert pos[0] == paths[0, -1]
+        assert values[0] == paths[0, -1]
+        assert sq == pytest.approx(sums, rel=1e-12)
 
 
 class TestChainEngine:
