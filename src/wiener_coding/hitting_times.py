@@ -42,12 +42,12 @@ __all__ = [
 # squares all run while the tile is in cache.  Peak memory is a few tiles
 # plus O(n_paths) per-path state.  Row tiles drawn in order consume the
 # generator's stream exactly as one (alive paths x chunk) draw would, so the
-# tile size never changes a result.  The batch and chunk sizes do (they fix
-# the order in which the stream is consumed), so they are part of what a
-# seed means.
+# tile size never changes a result.  The batch size and the chunk lengths
+# (_next_chunk, in integers) fix the stream's order on any platform.
 _PATH_BATCH = 20_000
-_STEP_CHUNK = 512
 _TILE = 1 << 15
+_FIRST_CHUNK, _MAX_CHUNK = 16, 1 << 15  # chunk lengths, in grid steps
+_CHUNK_COST, _ROW_COST = 2048, 4  # fixed costs of a chunk and of a row in it, in draws
 
 
 @dataclass(frozen=True)
@@ -100,19 +100,29 @@ def _check_walk(n_paths: int, step: float, horizon: float) -> int:
     return math.ceil(horizon / step)
 
 
-def _first_crossings(rng, pos, lines, n_steps, batch, chunk, step, sd=None, fill=0):
+def _next_chunk(s: int, before: int, after: int) -> int:
+    """Steps in the chunk after one of s that left `after` > 0 of `before` paths alive:
+    2*s if none crossed, else sqrt(2*(_CHUNK_COST/after + _ROW_COST)/h) for the hazard
+    h = (before - after)/(before*s), which trades the h*s/2 draws wasted past a crossing
+    per step against the fixed costs per step, capped at 2*s and _MAX_CHUNK."""
+    if after == before:
+        return min(2 * s, _MAX_CHUNK)
+    n = math.isqrt(2 * (_CHUNK_COST + _ROW_COST * after) * before * s // (after * (before - after)))
+    return min(n, 2 * s, _MAX_CHUNK)
+
+
+def _first_crossings(rng, pos, lines, n_steps, batch, step, sd=None):
     """Walk len(pos) grid paths from pos until each first crosses one of its lines.
 
     Each grid step adds sd*Z, Z standard normal from rng and sd sqrt(step)
-    unless given; batches, chunks and row tiles as described at _TILE.  A
-    chunk spans `chunk` steps, or fill // (paths alive) when that is more,
-    so that a few stragglers walk in long chunks.  lines = (u0, su, d0, sl),
-    scalars or per-path arrays: a path crosses at the first grid point where
-    w >= u0 + su*t or w <= d0 + sl*t, t the time since the start.  A line of
-    slope 0 is compared as its level, which equals u0 + 0*t exactly, so a
-    band path costs two comparisons, only the paths of a sloped line
-    evaluate it, and a side that no path can cross is not tested.  Lines
-    given as scalars are evaluated once per tile, not once per path.
+    unless given; batches and row tiles as described at _TILE, and chunks of
+    _FIRST_CHUNK steps and then _next_chunk's (_MAX_CHUNK if no path can
+    cross).  lines = (u0, su, d0, sl), scalars or per-path arrays: a path
+    crosses at the first grid point where w >= u0 + su*t or w <= d0 + sl*t,
+    t the time since the start.  A line of slope 0 is compared as its level,
+    which equals u0 + 0*t exactly, so a band path costs two comparisons, only
+    the paths of a sloped line evaluate it, and a side no path can cross is
+    not tested.
 
     Returns (k, w, sq, stuck): each path's stop step (its first crossing, or
     n_steps), its value there, its sum of squares at the grid points before
@@ -129,17 +139,16 @@ def _first_crossings(rng, pos, lines, n_steps, batch, chunk, step, sd=None, fill
               if np.isfinite(v).any()]
     sloped = [(slope, v, cross) for slope, v, cross in ((su, u0, ge), (sl, d0, le)) if slope.any()]
     scale = math.sqrt(step) if sd is None else sd
-    size = max(_TILE, chunk, fill)  # holds any row tile
-    buf, spare = np.empty(size), np.empty(size)
-    above, below = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    size = max(_TILE, _MAX_CHUNK)  # holds any row tile
+    buf, spare, above, below = (np.empty(size, dtype=d) for d in (float, float, bool, bool))
     k = np.full(n, n_steps, dtype=np.int64)
     sq = pos * pos
     stuck = []
     for start in range(0, n, batch):
         alive = np.arange(start, min(start + batch, n))
-        elapsed = 0
+        elapsed, s = 0, _FIRST_CHUNK if levels or sloped else _MAX_CHUNK
         while alive.size and elapsed < n_steps:
-            s = min(max(chunk, fill // alive.size), n_steps - elapsed)
+            s = min(s, n_steps - elapsed)
             cols = np.arange(s)
             t = (elapsed + 1 + cols) * step
             rows = max(1, _TILE // s)
@@ -150,8 +159,8 @@ def _first_crossings(rng, pos, lines, n_steps, batch, chunk, step, sd=None, fill
                                    for b in (buf, spare, above, below))
                 rng.standard_normal(out=w)
                 w *= scale
+                w[:, 0] += pos[idx]  # each row's start, summed in order with its steps
                 np.cumsum(w, axis=1, out=w)
-                w += pos[idx, None]
                 # shared lines are evaluated on one row and broadcast
                 at = idx[:1] if shared else idx
                 up.fill(False)
@@ -188,8 +197,9 @@ def _first_crossings(rng, pos, lines, n_steps, batch, chunk, step, sd=None, fill
                 left = ~hit
                 pos[idx[left]] = w[left, -1]
                 live[r0 : r0 + rows] = left
-            alive = alive[live]
+            before, alive = alive.size, alive[live]
             elapsed += s
+            s = _next_chunk(s, before, alive.size) if alive.size else s
         sq[alive] -= pos[alive] ** 2  # a path that never crossed stops at its last point
         stuck.append(alive)
     return k, pos, sq, np.concatenate(stuck)
@@ -214,10 +224,8 @@ def sample_hit_times(
     if horizon is None:
         horizon = 1e6 / spec.mu
     n_steps = _check_walk(n_paths, step, horizon)
-    k, _, _, stuck = _first_crossings(
-        np.random.default_rng(rng_seed), np.zeros(n_paths), (spec.c, -spec.mu, -np.inf, 0.0),
-        n_steps, _PATH_BATCH, _STEP_CHUNK, step,
-    )
+    k, _, _, stuck = _first_crossings(np.random.default_rng(rng_seed), np.zeros(n_paths),
+                                      (spec.c, -spec.mu, -np.inf, 0.0), n_steps, _PATH_BATCH, step)
     if stuck.size:
         raise HorizonError(
             f"{stuck.size} path(s) exceeded the horizon cap {horizon} "

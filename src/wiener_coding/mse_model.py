@@ -388,12 +388,9 @@ def mse_integral_oracle(
 
     Every stop is a pair of lines for hitting_times' first-crossing kernel:
     a deterministic stop none, a band stop its two levels, a sloped stop one
-    falling line.  The kernel walks batches of _PATH_BATCH (20000) paths in
-    chunks of 1024 grid steps, each chunk in row tiles of about 2**15
-    doubles in reused buffers, and returns each path's stop step, value and
-    left sum of squares, so memory is a few tiles plus a few floats per
-    path.  An n_paths that is not an integer >= 2 or a seed that is not an
-    integer >= 0 raises ParameterError.
+    falling line; memory is a few tiles plus a few floats per path.  An
+    n_paths that is not an integer >= 2 or a seed that is not an integer
+    >= 0 raises ParameterError.
     """
     _integer("seed", seed, 0)
     _integer("n_paths", n_paths, 2)
@@ -411,7 +408,7 @@ def mse_integral_oracle(
     else:
         raise ParameterError(f"unknown stop spec {stop!r}")
     k, w, sq, stuck = _first_crossings(np.random.default_rng(seed), np.zeros(n_paths), lines,
-                                       n_steps, _PATH_BATCH, 1024, step)
+                                       n_steps, _PATH_BATCH, step)
     lhs = step * sq + 0.5 * step * (k * step)
     # a deterministic stop is no crossing: its paths all stop at n_steps
     truncated = 0 if isinstance(stop, DeterministicStop) else stuck.size

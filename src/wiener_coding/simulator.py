@@ -45,8 +45,8 @@ _BURN_IN_CYCLES cycles (the second still scales with the first's length).
 A replication stops after the first generation at which its chains' summed
 measured time reaches `horizon`.  M = horizon/(32 * longest length), capped
 at _MAX_CHAINS: a chain forgets its start in one cycle, so it can be short,
-and many chains share a generation's Python work.  M and the walk chunk
-depend on the config alone, so replication k, drawn from
+and many chains share a generation's Python work.  M depends on the config
+alone and the walk's chunks on its own draws, so replication k, drawn from
 SeedSequence(seed, spawn_key=(k,)), does not depend on `replications`.
 Length sequences and the cycle log are chain-major, with grid indices
 counted from each chain's start.  A waiting phase longer than
@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import HorizonError, ParameterError, WienerCodingError
 from .gauss_stats import ThresholdConfig, _integer, event_probabilities
-from .hitting_times import _TILE, _first_crossings
+from .hitting_times import _first_crossings
 from .mse_model import INTEGER, Codebook
 
 __all__ = [
@@ -85,13 +85,10 @@ UNIFORM = "uniform-benchmark"
 IDEAL = "ideal-benchmark"
 
 _CSV_COLUMNS = ("s_n", "d_n", "event", "z_n", "length")
-# The chain count, chunk and fill fix the order in which a seed's stream is
-# drawn, so they are part of what a seed means.
+# The chain count orders a seed's draws, so it is part of what a seed means.
 _BURN_IN_CYCLES = 2  # cycles each chain runs before it is measured
 _MAX_CHAINS = 4096  # bounds the chain state whatever the horizon
 _CHAIN_SPAN = 32.0  # measured time per chain, in longest code lengths
-_CHUNK_SPAN = 0.5  # grid steps per walk chunk, in shortest code lengths
-_WALK_FILL = 1 << 13  # least steps x paths alive per chunk: longer chunks for stragglers
 
 
 @dataclass(frozen=True)
@@ -326,9 +323,7 @@ def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
     lens = np.array(_lengths(sim))
     len_steps = np.array([round(l / eps) if math.isfinite(l) else -1 for l in lens])
     m = _chain_count(sim)
-    chunk = min(_TILE, max(1, round(_CHUNK_SPAN * min(lens) / eps)))
     n_steps = int(round(sim.horizon / eps))
-    step_sd = math.sqrt(sigma2 * eps)
 
     x = np.zeros(m)  # error W - ref at the cycle start
     l_prev = np.full(m, lens[1])
@@ -362,7 +357,7 @@ def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
         if walk.size:
             lines = (u0[walk], su[walk], d0[walk], sd[walk])
             k[walk], e[walk], wait[walk], stuck = _first_crossings(
-                rng, x[walk], lines, n_steps, walk.size, chunk, eps, sd=step_sd, fill=_WALK_FILL)
+                rng, x[walk], lines, n_steps, walk.size, eps, sd=math.sqrt(sigma2 * eps))
             if stuck.size:
                 raise HorizonError(f"a waiting phase passed the horizon {sim.horizon}")
         t_hit = k * eps

@@ -8,10 +8,11 @@ patterns (KKT points from linear solves and 1-D root searches) instead of
 the interior-point Newton solver, and bisection on J(theta), solved by that
 enumeration, instead of Dinkelbach's update.  ``verify_ktilde_negative``
 evaluates the boundary-optimality constant Ktilde over a threshold grid,
-whose sign the tests check.  The hitting-time helpers are closed forms and
-a wrapper that only the tests call.  The sequential engine at the end walks
-one long grid path per replication, step by step, where the simulator runs
-many short chains and draws each transmission at once.
+whose sign the tests check.  The hitting-time helpers are closed forms, a
+wrapper that only the tests call and a reference walker that draws each
+chunk whole where the kernel draws it in row tiles.  The sequential engine
+at the end walks one long grid path per replication, step by step, where
+the simulator runs many short chains and draws each transmission at once.
 """
 
 import math
@@ -33,6 +34,7 @@ from wiener_coding import (
     sample_hit_times,
     scheme_constants,
 )
+from wiener_coding import hitting_times
 from wiener_coding.code_optimizer import QpInstance, QpSolution, build_qp
 
 SQRT2PI = math.sqrt(2 * math.pi)
@@ -486,6 +488,46 @@ def band_exit_lower_prob(x: float, a_level: float, b_level: float) -> float:
 def sample_hit_time(spec: DriftHitSpec, step: float, rng_seed: int, horizon=None) -> float:
     """Single-path wrapper around sample_hit_times."""
     return float(sample_hit_times(spec, step, 1, rng_seed, horizon=horizon)[0])
+
+
+def chunked_walk(rng, start, lines, n_steps, step, sd):
+    """The walk kernel's reference: hitting_times._first_crossings over one
+    batch, drawn chunk by chunk on its schedule (_FIRST_CHUNK steps, then
+    _next_chunk's), each chunk's whole (alive x s) block at once, each row's
+    first crossing found with np.flatnonzero.
+
+    Returns each row's first crossing index (-1 for none), its value there
+    (its last value if none) and its sum of squares at the grid points
+    before it, the start included (the whole path but its last point if
+    none).
+    """
+    start = np.asarray(start, dtype=float)
+    u0, su, d0, sl = (np.broadcast_to(np.asarray(v, dtype=float), start.shape) for v in lines)
+    first = np.full(start.size, -1)
+    value, sums = start.copy(), start * start
+    alive, elapsed, s = np.arange(start.size), 0, hitting_times._FIRST_CHUNK
+    while alive.size and elapsed < n_steps:
+        s = min(s, n_steps - elapsed)
+        t = (elapsed + 1 + np.arange(s)) * step
+        steps = rng.standard_normal((alive.size, s)) * sd
+        steps[:, 0] += value[alive]  # each row's start, summed in order with its steps
+        paths = np.cumsum(steps, axis=1)
+        left = []
+        for i, path in zip(alive, paths):
+            hit = np.flatnonzero((path >= u0[i] + su[i] * t) | (path <= d0[i] + sl[i] * t))
+            end = hit[0] if hit.size else s
+            sums[i] += np.sum(path[:end] ** 2)
+            value[i] = path[min(end, s - 1)]
+            if hit.size:
+                first[i] = elapsed + end
+            else:
+                left.append(i)
+        before, alive = alive.size, np.array(left, dtype=np.int64)
+        elapsed += s
+        if alive.size:
+            s = hitting_times._next_chunk(s, before, alive.size)
+    sums[alive] -= value[alive] ** 2
+    return first, value, sums
 
 
 # ------------------------------------------------------ sequential engine --

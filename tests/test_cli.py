@@ -122,7 +122,7 @@ GOLDEN_STDOUT = [
      "dd71db2d0534367363a7db1e9c157b537481118a4704db053d47f846bea1e870"),
     (["simulate", "--a", "1", "--b", "1", "--mu", "10", "--l", "2,2,2,2", "--eps", "1e-2",
       "--horizon", "1000", "--seed", "5", "--reps", "2"],
-     "eb7bc18a1d77c223e1ef7d8726cdc76e55f4e51ab98ff6090fa3b71cb4209b93"),
+     "d81a520b09055e470ee6b878c0074714be8597bc409df59e031bc8435b31ca50"),
 ]
 
 

@@ -2,6 +2,7 @@ import hashlib
 import math
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from oracles import (
     laplace_transform,
     sample_hit_time,
 )
-from wiener_coding import hitting_times
+from wiener_coding import hitting_times, mse_model, simulator
 from wiener_coding import (
     BandStop,
     Codebook,
@@ -20,6 +21,7 @@ from wiener_coding import (
     HorizonError,
     ParameterError,
     SimConfig,
+    SlopedStop,
     ThresholdConfig,
     hit_moments,
     mse_integral_oracle,
@@ -182,14 +184,14 @@ class TestSpecTypes:
 
 
 # SHA-256 of sample_hit_times output at C3's three (c, mu), rng_seed=11, sizes
-# whose longest paths span 10-20 chunks; captured before the row-tile kernel,
-# so the kernel consumes the random stream exactly as the old full draws did.
+# whose longest paths span many chunks; re-captured when the kernel began to
+# size its chunks from the crossings it sees.
 GOLDEN_HITS = {
-    (1, 1, 1e-3, 300): "829c0da97dc475d20294fe280f0a16589a06c4afe9c916593624bfe9b07280cf",
-    (2, 1, 1e-3, 200): "7cc5a3ae8dca33b5bdfe87328d55ad60335eda5e6bd77a9918b5bbf45b1b16fd",
-    (1, 10, 1e-4, 500): "8cac7d9f0a6b2045cef32f89c76e7b88f417ccd0868f56818342045b33c59675",
+    (1, 1, 1e-3, 300): "2fb74fd831bfd3b8aeb773e3d3545255b33b7296f7471404328c34cb90252c21",
+    (2, 1, 1e-3, 200): "156c06b104f62cd8fe8a4a8a04ffd83c3de178c20d295c30b7b1e0340cea3db2",
+    (1, 10, 1e-4, 500): "326127d18b74323d3cefd1c6ea0e558f8febd9531e7899b1efe8a23ddf356574",
 }
-GOLDEN_HITS_BATCH_128 = "2184f169348fe07bb1a4b688eae0a14a86557686f546afb65e927ce62acf3f11"
+GOLDEN_HITS_BATCH_128 = "d468be0f45b397d7cde75976fc71e5d0ef1f39ab58da3567ce30cbf2cdd4a64c"
 
 
 def _sha(times: np.ndarray) -> str:
@@ -225,6 +227,100 @@ class TestKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+
+class TestChunkSchedule:
+    """hitting_times._next_chunk: the length of a batch's next chunk from the
+    crossings seen in its last one."""
+
+    CAP = hitting_times._MAX_CHUNK
+    CASES = [(s, before, after) for s in (8, 9, 16, 100, 512, 4096, 1 << 14, 1 << 15)
+             for before in (1, 2, 7, 1000, 20_000, 1 << 62)
+             for after in sorted({1, before // 3 + 1, before - 1, before}) if after >= 1]
+
+    def test_doubles_after_no_crossing(self):
+        for s in (8, 16, 1000, self.CAP // 2):
+            for n in (1, 500, 20_000):
+                assert hitting_times._next_chunk(s, n, n) == 2 * s
+        assert hitting_times._next_chunk(self.CAP, 40, 40) == self.CAP
+
+    def test_bounds(self):
+        # at most twice the last chunk and at most the cap; never below
+        # isqrt(8*s) >= 8, since a row's cost alone asks for that much
+        for s, before, after in self.CASES:
+            n = hitting_times._next_chunk(s, before, after)
+            assert 8 <= min(math.isqrt(8 * s), self.CAP) <= n <= min(2 * s, self.CAP), (
+                s, before, after, n)
+
+    def test_follows_the_hazard(self):
+        # more crossings in the last chunk give a shorter next one; a walk
+        # whose paths barely cross grows its chunks to the cap
+        lengths = [hitting_times._next_chunk(512, 1000, 1000 - c) for c in (1, 10, 100, 500)]
+        assert lengths == sorted(lengths, reverse=True) and lengths[0] > lengths[-1]
+        s = 16
+        for _ in range(20):
+            s = hitting_times._next_chunk(s, 10_000, 9_999)
+        assert s == self.CAP
+
+    def test_integers_only(self):
+        # floor(sqrt(x)) == isqrt(floor(x)) for a rational x >= 0, so the rule
+        # in exact rationals gives the same lengths, also where a float would
+        # round (counts near 2**62)
+        cost, row = hitting_times._CHUNK_COST, hitting_times._ROW_COST
+        for s, before, after in self.CASES:
+            n = hitting_times._next_chunk(s, before, after)
+            assert type(n) is int
+            if after < before:
+                hazard = Fraction(before - after, before * s)
+                x = 2 * (Fraction(cost, after) + row) / hazard
+                want = min(math.isqrt(math.floor(x)), 2 * s, self.CAP)
+                assert n == want, (s, before, after)
+
+
+class _CountingRng:
+    """A generator that counts the normals drawn through it."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, 0
+
+    def standard_normal(self, size=None, out=None):
+        self.drawn += out.size if out is not None else int(np.prod(size))
+        return self.rng.standard_normal(size, out=out)
+
+
+class TestDrawCount:
+    """A walk draws little more than the grid steps its paths walk: a chunk
+    of s steps is drawn for every path alive in it, so a path that crosses
+    at its step j wastes s - j normals."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        seen = {"drawn": 0, "used": 0}
+        kernel = hitting_times._first_crossings
+
+        def walk(rng, pos, lines, n_steps, *args, **kw):
+            counting = _CountingRng(rng)
+            out = kernel(counting, pos, lines, n_steps, *args, **kw)
+            seen["drawn"] += counting.drawn
+            seen["used"] += int(out[0].sum())
+            return out
+
+        for module in (hitting_times, mse_model, simulator):
+            monkeypatch.setattr(module, "_first_crossings", walk)
+        return seen
+
+    @pytest.mark.parametrize("call,bound", [
+        (lambda: mse_integral_oracle(SlopedStop(1, 2), n_paths=2000, step=1e-3, seed=1), 1.15),
+        (lambda: mse_integral_oracle(BandStop(1, 1), n_paths=2000, step=1e-3, seed=1), 1.15),
+        (lambda: run(SimConfig(1e-2, 1e5, ThresholdConfig(1.0, 1.0, 10.0),
+                               Codebook.uniform(2, mode="integer-prefix"), seed=7)), 1.3),
+    ], ids=["sloped", "band", "readme-simulate"])
+    def test_drawn_over_used(self, counted, call, bound):
+        # fixed chunks (1024 steps for the oracle, 100 for this simulation,
+        # longer for stragglers) drew 2.18, 1.52 and 1.64 times the steps used
+        call()
+        assert counted["used"] > 0
+        assert counted["drawn"] / counted["used"] <= bound, counted
 
 
 class TestWalkThreads:

@@ -332,27 +332,30 @@ class TestIntegralOracle:
 
 # IntegralCheck fields at small n, seed 3, step 1e-3: C4's three stops, a
 # band stop truncated at a tight horizon, and a deterministic stop of 50000
-# steps, walked in 1024-step chunks in two path batches.
+# steps.  The deterministic stops walk chunks of up to 2**15 steps, so the
+# 1000-step one is one chunk and draws what fixed 1024-step chunks drew; the
+# others were re-captured when the kernel began to size its chunks from the
+# crossings it sees.
 GOLDEN_CHECKS = [
     (DeterministicStop(1.0), {}, dict(
         lhs=0.5140261106107636, lhs_se=0.02704533043810997, rhs=0.4792068166293673,
         rhs_se=0.054660296942325354, diff=0.034819293981396375, diff_se=0.036725997108385346,
         n_paths=450, n_truncated=0)),
     (BandStop(1, 1), {}, dict(
-        lhs=0.19467345133642644, lhs_se=0.006923002605950335, rhs=0.17917810276949359,
-        rhs_se=0.000504611630089123, diff=0.015495348566932843, diff_se=0.006959810931642057,
+        lhs=0.18492094781848664, lhs_se=0.006815539725668764, rhs=0.1797064799326745,
+        rhs_se=0.0005776802920474688, diff=0.005214467885812152, diff_se=0.006833256190806684,
         n_paths=450, n_truncated=0)),
     (SlopedStop(1, 2), {}, dict(
-        lhs=0.40031523812697184, lhs_se=0.0922758541988102, rhs=0.39633961382850613,
-        rhs_se=0.18884505332550672, diff=0.003975624298465755, diff_se=0.10668752800608274,
+        lhs=0.3436128930502291, lhs_se=0.0528244919985207, rhs=0.2013229436947026,
+        rhs_se=0.049184785938910534, diff=0.14228994935552647, diff_se=0.018181542183330537,
         n_paths=450, n_truncated=0)),
     (BandStop(3, 3), dict(horizon=0.05), dict(
-        lhs=0.0012600218434101627, lhs_se=6.952882115666493e-05, rhs=0.0012140816146240633,
-        rhs_se=0.00016280052604239256, diff=4.5940228786099485e-05,
-        diff_se=0.00012073225432895988, n_paths=450, n_truncated=450)),
+        lhs=0.0012864022081580683, lhs_se=7.477680897356094e-05, rhs=0.00173120118748383,
+        rhs_se=0.0003169032216049406, diff=-0.0004447989793257614,
+        diff_se=0.00027195575481186746, n_paths=450, n_truncated=450)),
     (DeterministicStop(50.0), {}, dict(
-        lhs=1215.9597228504406, lhs_se=67.01369577705613, rhs=1051.2809588458263,
-        rhs_se=132.22977860741156, diff=164.67876400461475, diff_se=89.81274755465613,
+        lhs=1236.85986882074, lhs_se=76.96782664072607, rhs=1306.4555487296177,
+        rhs_se=222.76112696218502, diff=-69.59567990887723, diff_se=167.33142256200264,
         n_paths=450, n_truncated=0)),
 ]
 

@@ -186,31 +186,31 @@ class TestGolden:
         "monotone": (
             dict(horizon=600.0, lengths=[1.0, 3.0, 4.0, 5.0], scheme="monotone", seed=11),
             {
-                "event_counts": {"1": 48, "2": 77, "3": 86, "4": 38},
-                "mse_ci": 1.5771444882256613,
-                "mse_hat": 4.789314869180225,
-                "n_cycles": 249,
-                "rep_mse": [3.9846493139630508, 5.593980424397399],
-                "rep_sr": [0.19977026419617439, 0.21434980558971123],
-                "sr_ci": 0.014287950565666105,
-                "sr_hat": 0.2070600348929428,
-                "total_time": 1202.51,
+                "event_counts": {"1": 36, "2": 87, "3": 81, "4": 27},
+                "mse_ci": 0.01504017699588198,
+                "mse_hat": 3.8952672660274623,
+                "n_cycles": 231,
+                "rep_mse": [3.887593706335686, 3.902940825719239],
+                "rep_sr": [0.1863567260065715, 0.19371502367628066],
+                "sr_ci": 0.0072111317163149795,
+                "sr_hat": 0.1900358748414261,
+                "total_time": 1215.71,
             },
-            [120, 129],
-            "8dbf21bfb58a7573aa32091579ee67e0ee00bc21b450fe82bb9415b3ea5a1afc",
+            [114, 117],
+            "82059c41898429e4ef6a8231f10d7d63002b62c53cb6bd009a1eaeead6fe1f7f",
         ),
         "ideal": (
             dict(horizon=300.0, lengths=None, scheme="ideal-benchmark", seed=12),
             {
                 "event_counts": {"1": 0, "2": 193, "3": 185, "4": 0},
-                "mse_ci": 0.17836946761943687,
-                "mse_hat": 1.2548141280146616,
+                "mse_ci": 0.08000196090196035,
+                "mse_hat": 1.326000853894942,
                 "n_cycles": 378,
-                "rep_mse": [1.3458189584327416, 1.1638092975965815],
-                "rep_sr": [0.6515515482575932, 0.5901832846978592],
-                "sr_ci": 0.06014089828853933,
-                "sr_hat": 0.6208674164777261,
-                "total_time": 608.8799999999999,
+                "rep_mse": [1.366818180885738, 1.2851835269041458],
+                "rep_sr": [0.6400517213512202, 0.5816771691711101],
+                "sr_ci": 0.057207061136507906,
+                "sr_hat": 0.6108644452611651,
+                "total_time": 618.8,
             },
             [198, 180],
             "c26b7485a1b5e4ed800841f7e1cc9d73a9205c88788a19d4d597dccf63620221",
@@ -219,15 +219,15 @@ class TestGolden:
             dict(a=0.0, b=0.0, horizon=200.0, lengths=[1.0, None, None, 1.0], scheme="monotone",
                  seed=13),
             {
-                "event_counts": {"1": 185, "2": 0, "3": 0, "4": 187},
-                "mse_ci": 0.10561844538541511,
-                "mse_hat": 1.455635514603537,
+                "event_counts": {"1": 181, "2": 0, "3": 0, "4": 191},
+                "mse_ci": 0.05118737945717529,
+                "mse_hat": 1.6355017992149252,
                 "n_cycles": 372,
-                "rep_mse": [1.4017485526722027, 1.5095224765348711],
-                "rep_sr": [0.9219787845742042, 0.9222988049784302],
-                "sr_ci": 0.00031361999614144316,
-                "sr_hat": 0.9221387947763172,
-                "total_time": 403.41,
+                "rep_mse": [1.609385789287795, 1.6616178091420555],
+                "rep_sr": [0.917748063354221, 0.9161207703295076],
+                "sr_ci": 0.001594747164219159,
+                "sr_hat": 0.9169344168418643,
+                "total_time": 405.70000000000016,
             },
             [186, 186],
             "40e3fdcc418d8bd029ae1efdc5e97a93a2800c9c3f251676f06c2e89497d5763",
@@ -245,7 +245,8 @@ class TestGolden:
 
 class TestPathWindowFirst:
     """The walk kernel's first crossings (hitting_times._first_crossings over
-    each path's lines) against np.flatnonzero over the fully drawn paths."""
+    each path's lines) against np.flatnonzero over the drawn paths: several
+    rows against oracles.chunked_walk, one row against its whole path."""
 
     N, STEP, SD, SEED = 400, 1e-2, 0.1, 5
     INF = math.inf
@@ -258,48 +259,53 @@ class TestPathWindowFirst:
                         (0.0, 0.6, -0.5, -INF, 0.0)],
     }
 
-    def walk(self, rows, chunk):
+    def walk(self, rows):
         """Each row's first crossing index (-1 for none), its value there (its
-        last value if none), its left sum of squares and the survivors, walked
-        in chunks of `chunk` steps."""
+        last value if none), its left sum of squares and the survivors."""
         start, *lines = (np.array(c, dtype=float) for c in zip(*rows))
         k, w, sq, stuck = hitting_times._first_crossings(
-            np.random.default_rng(self.SEED), start, lines, self.N, start.size, chunk,
-            self.STEP, sd=self.SD)
+            np.random.default_rng(self.SEED), start, lines, self.N, start.size, self.STEP,
+            sd=self.SD)
         got = np.where(k < self.N, k - 1, -1)
         got[stuck] = -1
         return got, w, sq, stuck
 
-    def brute(self, rows):
-        """The rows' full paths, drawn as one tile draws them, their first
-        crossing indices (-1 for none) and their left sums of squares up to
-        the crossing (the whole path but its last point if none)."""
-        start, u0, su, d0, sl = (np.array(c, dtype=float) for c in zip(*rows))
+    def reference(self, rows):
+        """oracles.chunked_walk over the rows on the kernel's chunk schedule."""
+        start, *lines = (np.array(c, dtype=float) for c in zip(*rows))
+        return oracles.chunked_walk(np.random.default_rng(self.SEED), start, lines, self.N,
+                                    self.STEP, self.SD)
+
+    def brute(self, row):
+        """One row's full path, drawn at once with its start folded into the
+        first step as the kernel folds it, its first crossing index (-1 for
+        none) and its left sum of squares up to the crossing (the whole path
+        but its last point if none).  A single row draws the same normals in
+        any chunking, and sums them in the same order."""
+        start, u0, su, d0, sl = row
         t = (1 + np.arange(self.N)) * self.STEP
-        steps = np.random.default_rng(self.SEED).standard_normal((start.size, self.N))
-        paths = start[:, None] + np.cumsum(steps * self.SD, axis=1)
-        want, sums = [], []
-        for i, path in enumerate(paths):
-            hit = np.flatnonzero((path >= u0[i] + su[i] * t) | (path <= d0[i] + sl[i] * t))
-            want.append(int(hit[0]) if hit.size else -1)
-            sums.append(start[i] ** 2 + np.sum(path[: hit[0] if hit.size else -1] ** 2))
-        return paths, np.array(want), np.array(sums)
+        steps = np.random.default_rng(self.SEED).standard_normal(self.N) * self.SD
+        steps[0] += start
+        path = np.cumsum(steps)
+        hit = np.flatnonzero((path >= u0 + su * t) | (path <= d0 + sl * t))
+        k = int(hit[0]) if hit.size else -1
+        return path, k, start**2 + np.sum(path[: k if hit.size else -1] ** 2)
 
     @pytest.mark.parametrize("kind", list(ROWS))
     def test_matches_brute_force(self, kind):
-        # all rows in one tile walked in one chunk draw exactly the full paths;
-        # one row walked in 7-step chunks draws its full path chunk by chunk
+        # the rows together cross where the chunk-by-chunk reference says; each
+        # row alone crosses where its whole path does, past the first chunk
         rows = self.ROWS[kind]
-        paths, want, sums = self.brute(rows)
-        got, values, sq, stuck = self.walk(rows, self.N)
+        want, values, sums = self.reference(rows)
+        got, w, sq, stuck = self.walk(rows)
         assert got.tolist() == want.tolist() and stuck.size == 0 and min(want) > 0
-        assert values.tolist() == paths[np.arange(len(rows)), want].tolist()
+        assert w.tolist() == values.tolist()
         assert sq == pytest.approx(sums, rel=1e-12)
         for row in rows:
-            path, (k,), (total,) = self.brute([row])
-            got, values, sq, _ = self.walk([row], 7)
-            assert got.tolist() == [k] and k > 7  # crossed past the first chunk
-            assert values[0] == pytest.approx(path[0, k], rel=1e-12, abs=1e-12)
+            path, k, total = self.brute(row)
+            got, w, sq, _ = self.walk([row])
+            assert got.tolist() == [k] and k >= hitting_times._FIRST_CHUNK
+            assert w.tolist() == [path[k]]
             assert sq[0] == pytest.approx(total, rel=1e-12)
 
     def test_lines_equal_the_two_line_test(self):
@@ -328,37 +334,36 @@ class TestPathWindowFirst:
         for subset in (np.arange(want.size), np.flatnonzero(su), np.flatnonzero(sl)):
             lines = [line[subset] for line in (u0, su, d0, sl)]
             k, w, _, stuck = hitting_times._first_crossings(
-                np.random.default_rng(3), pos[subset].copy(), lines, n, subset.size, n,
-                self.STEP, sd=0.0)
+                np.random.default_rng(3), pos[subset].copy(), lines, n, subset.size, self.STEP,
+                sd=0.0)
             assert k.tolist() == want[subset].tolist()
             assert stuck.tolist() == np.flatnonzero(~crossed[subset].any(axis=1)).tolist()
             assert np.array_equal(w, pos[subset])
 
     def test_crossing_at_start(self):
-        # rows that cross on the first column: together in one chunk, and each
-        # alone in 1-step chunks
+        # rows that cross on the first column: together, and each alone
         rows = [(0.95, self.INF, 0.0, 0.5, 500.0), (-0.95, -0.5, -500.0, -self.INF, 0.0),
                 (2.0, 0.0, 0.0, -self.INF, 0.0), (-2.0, self.INF, 0.0, 0.0, 0.0)]
-        paths, want, _ = self.brute(rows)
+        want, values, _ = self.reference(rows)
         assert want.tolist() == [0] * len(rows)
-        got, values, sq, stuck = self.walk(rows, self.N)
+        got, w, sq, stuck = self.walk(rows)
         assert got.tolist() == want.tolist() and stuck.size == 0
-        assert values.tolist() == paths[:, 0].tolist()
+        assert w.tolist() == values.tolist()
         assert sq == pytest.approx([r[0] ** 2 for r in rows], rel=1e-12)  # the start alone
         for row in rows:
-            path, _, _ = self.brute([row])
-            got, values, _, _ = self.walk([row], 1)
-            assert got.tolist() == [0] and values.tolist() == [path[0, 0]]
+            path, _, _ = self.brute(row)
+            got, w, _, _ = self.walk([row])
+            assert got.tolist() == [0] and w.tolist() == [path[0]]
 
     def test_no_crossing(self):
         # a row that never crosses survives the walk with its last value; the
         # crossing row beside it does not
         rows = [(0.0, 1e9, 0.0, -1e9, 0.0), self.ROWS["band"][0]]
-        paths, want, sums = self.brute(rows)
+        want, values, sums = self.reference(rows)
         assert want[0] == -1 and want[1] > 0
-        got, values, sq, stuck = self.walk(rows, self.N)
+        got, w, sq, stuck = self.walk(rows)
         assert got.tolist() == want.tolist() and stuck.tolist() == [0]
-        assert values[0] == paths[0, -1]
+        assert w.tolist() == values.tolist()
         assert sq == pytest.approx(sums, rel=1e-12)
 
 
