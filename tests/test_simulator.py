@@ -554,14 +554,17 @@ class TestAgainstAnalytics:
 
     def test_ideal_matches_monotone_at_origin(self):
         # large slope: the monotone scheme with unit codewords degenerates to
-        # ideal zero-wait sampling; fine grid keeps mu*eps = 0.1
+        # ideal zero-wait sampling; fine grid keeps mu*eps = 0.1. The scheme
+        # still sits 0.8% above the ideal (mse_exact 1.5121 against 1.5), so
+        # the 3% allowance leaves 2.2% for noise: 24 replications a side keep
+        # the gap's spread near 0.009, where 6 left it near 0.018
         mono = run(
             sim_cfg(a=0.0, b=0.0, mu=100.0, cb=Codebook.integer(1, math.inf, math.inf, 1),
-                    eps=1e-3, horizon=5000.0, replications=6)
+                    eps=1e-3, horizon=5000.0, replications=24)
         )
         ideal = run_benchmark(
             sim_cfg(a=0.0, b=0.0, mu=100.0, scheme="ideal-benchmark", cb=None,
-                    eps=1e-3, horizon=5000.0, replications=6, seed=33)
+                    eps=1e-3, horizon=5000.0, replications=24, seed=33)
         )
         gap = abs(mono.mse_hat - ideal.mse_hat)
         joint = math.hypot(mono.mse_ci, ideal.mse_ci)
