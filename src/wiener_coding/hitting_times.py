@@ -38,12 +38,13 @@ __all__ = [
 # the simulator's waiting phases) runs through _first_crossings: its paths in
 # batches, each batch in chunks of grid steps over the paths still alive, and
 # each chunk in row tiles of about _TILE doubles (256 KiB) drawn into one
-# reused buffer, so drawing, summing, the crossing test and the left sums of
-# squares all run while the tile is in cache.  Peak memory is a few tiles
-# plus O(n_paths) per-path state.  Row tiles drawn in order consume the
-# generator's stream exactly as one (alive paths x chunk) draw would, so the
-# tile size never changes a result.  The batch size and the chunk lengths
-# (_next_chunk, in integers) fix the stream's order on any platform.
+# reused buffer, so drawing, summing, the crossing test and, for callers that
+# read them, the left sums of squares all run while the tile is in cache.
+# Peak memory is a few tiles plus O(n_paths) per-path state.  Row tiles drawn
+# in order consume the generator's stream exactly as one (alive paths x chunk)
+# draw would, so the tile size never changes a result.  The batch size and the
+# chunk lengths (_next_chunk, in integers) fix the stream's order on any
+# platform.
 _PATH_BATCH = 20_000
 _TILE = 1 << 15
 _FIRST_CHUNK, _MAX_CHUNK = 16, 1 << 15  # chunk lengths, in grid steps
@@ -111,7 +112,7 @@ def _next_chunk(s: int, before: int, after: int) -> int:
     return min(n, 2 * s, _MAX_CHUNK)
 
 
-def _first_crossings(rng, pos, lines, n_steps, batch, step, sd=None):
+def _first_crossings(rng, pos, lines, n_steps, batch, step, sd=None, squares=True):
     """Walk len(pos) grid paths from pos until each first crosses one of its lines.
 
     Each grid step adds sd*Z, Z standard normal from rng and sd sqrt(step)
@@ -126,8 +127,9 @@ def _first_crossings(rng, pos, lines, n_steps, batch, step, sd=None):
 
     Returns (k, w, sq, stuck): each path's stop step (its first crossing, or
     n_steps), its value there, its sum of squares at the grid points before
-    that step (the start included), and the indices of the paths that never
-    crossed.  w is pos, set in place.
+    that step (the start included; None unless squares), and the indices of
+    the paths that never crossed.  w is pos, set in place.  squares=False
+    walks the same paths and skips only the sums.
     """
     n = pos.size
     shared = all(np.ndim(v) == 0 for v in lines)  # one line pair for every path
@@ -140,9 +142,10 @@ def _first_crossings(rng, pos, lines, n_steps, batch, step, sd=None):
     sloped = [(slope, v, cross) for slope, v, cross in ((su, u0, ge), (sl, d0, le)) if slope.any()]
     scale = math.sqrt(step) if sd is None else sd
     size = max(_TILE, _MAX_CHUNK)  # holds any row tile
-    buf, spare, above, below = (np.empty(size, dtype=d) for d in (float, float, bool, bool))
+    # two allocations, not four: the allocator maps each large one afresh per call
+    (buf, spare), (above, below) = (np.empty((2, size), dtype=d) for d in (float, bool))
     k = np.full(n, n_steps, dtype=np.int64)
-    sq = pos * pos
+    sq = pos * pos if squares else None
     stuck = []
     for start in range(0, n, batch):
         alive = np.arange(start, min(start + batch, n))
@@ -160,7 +163,7 @@ def _first_crossings(rng, pos, lines, n_steps, batch, step, sd=None):
                 rng.standard_normal(out=w)
                 w *= scale
                 w[:, 0] += pos[idx]  # each row's start, summed in order with its steps
-                np.cumsum(w, axis=1, out=w)
+                np.add.accumulate(w, axis=1, out=w)  # cumsum's values, less call overhead
                 # shared lines are evaluated on one row and broadcast
                 at = idx[:1] if shared else idx
                 up.fill(False)
@@ -168,7 +171,7 @@ def _first_crossings(rng, pos, lines, n_steps, batch, step, sd=None):
                     cross(w, level[at, None], out=dn)
                     up |= dn
                 for slope, level, cross in sloped:
-                    on = np.flatnonzero(slope[idx] != 0.0)
+                    on = (slope[idx] != 0.0).nonzero()[0]
                     if on.size:
                         # a tile whose every row is sloped is not copied
                         sel = slice(None) if on.size == idx.size else on
@@ -180,18 +183,19 @@ def _first_crossings(rng, pos, lines, n_steps, batch, step, sd=None):
                         up[sel] |= c
                 j = up.argmax(axis=1)  # a row's first crossing, or 0 if none
                 hit = up[np.arange(idx.size), j]
-                sq[idx] += np.einsum("ij,ij->i", w, w)
-                on = np.flatnonzero(hit)
+                if squares:
+                    sq[idx] += np.einsum("ij,ij->i", w, w)
+                on = hit.nonzero()[0]
                 if on.size:
-                    # take back the crossing's column and the ones after it, in
-                    # reused buffers (take buffers a fresh copy unless mode="clip")
-                    jr = j[on]
-                    tail, head = line[: on.size], dn[: on.size]
-                    np.take(w, on, axis=0, out=tail, mode="clip")
-                    np.less(cols, jr[:, None], out=head)
-                    np.copyto(tail, 0.0, where=head)
-                    i = idx[on]
-                    sq[i] -= np.einsum("ij,ij->i", tail, tail)
+                    jr, i = j[on], idx[on]
+                    if squares:
+                        # take back the crossing's column and the ones after it, in
+                        # reused buffers (take buffers a fresh copy unless mode="clip")
+                        tail, head = line[: on.size], dn[: on.size]
+                        np.take(w, on, axis=0, out=tail, mode="clip")
+                        np.less(cols, jr[:, None], out=head)
+                        np.copyto(tail, 0.0, where=head)
+                        sq[i] -= np.einsum("ij,ij->i", tail, tail)
                     k[i] = elapsed + 1 + jr
                     pos[i] = w[on, jr]
                 left = ~hit
@@ -200,7 +204,8 @@ def _first_crossings(rng, pos, lines, n_steps, batch, step, sd=None):
             before, alive = alive.size, alive[live]
             elapsed += s
             s = _next_chunk(s, before, alive.size) if alive.size else s
-        sq[alive] -= pos[alive] ** 2  # a path that never crossed stops at its last point
+        if squares:
+            sq[alive] -= pos[alive] ** 2  # a path that never crossed stops at its last point
         stuck.append(alive)
     return k, pos, sq, np.concatenate(stuck)
 
@@ -225,7 +230,8 @@ def sample_hit_times(
         horizon = 1e6 / spec.mu
     n_steps = _check_walk(n_paths, step, horizon)
     k, _, _, stuck = _first_crossings(np.random.default_rng(rng_seed), np.zeros(n_paths),
-                                      (spec.c, -spec.mu, -np.inf, 0.0), n_steps, _PATH_BATCH, step)
+                                      (spec.c, -spec.mu, -np.inf, 0.0), n_steps, _PATH_BATCH, step,
+                                      squares=False)
     if stuck.size:
         raise HorizonError(
             f"{stuck.size} path(s) exceeded the horizon cap {horizon} "

@@ -211,12 +211,36 @@ class TestKernel:
 
     @pytest.mark.parametrize("tile", [1, 3000])
     def test_tile_size_does_not_change_output(self, monkeypatch, tile):
-        # 1 -> one row per tile; 3000 -> 5 rows of a 512-step chunk, so most
-        # chunks end on a partial tile
+        # 1 -> one row per tile; 3000 -> 3000 // s rows of each s-step chunk
+        # (187 of the first, 16-step one), so most chunks split into several
+        # tiles and end on a partial one
         monkeypatch.setattr(hitting_times, "_TILE", tile)
         for key, digest in GOLDEN_HITS.items():
             c, mu, step, n = key
             assert _sha(sample_hit_times(DriftHitSpec(c, mu), step, n, rng_seed=11)) == digest
+
+    INF = math.inf
+    MIXED = [(0.5, 0.0, -0.5, 0.0), (INF, 0.0, -0.4, 0.6), (0.4, -0.6, -INF, 0.0)]
+    WALKS = {  # (lines, grid steps): each path crosses at w >= u0 + su*t or w <= d0 + sd*t
+        "band": ((0.6, 0.0, -0.6, 0.0), 5000),
+        "sloped": ((0.6, -1.0, -INF, 0.0), 5000),
+        "mixed": (tuple(np.array(v) for v in zip(*(MIXED * 100))), 5000),  # band, rising, falling
+        "none": ((INF, 0.0, -INF, 0.0), 700),  # a fixed-time stop
+    }
+
+    @pytest.mark.parametrize("tile", [1, 3000])
+    @pytest.mark.parametrize("kind", list(WALKS))
+    def test_walk_without_squares_is_the_same_walk(self, monkeypatch, kind, tile):
+        # squares=False skips only the sums: same stops, values and survivors
+        monkeypatch.setattr(hitting_times, "_TILE", tile)
+        lines, n_steps = self.WALKS[kind]
+        start = np.random.default_rng(4).normal(0.0, 0.1, 300)
+        summed, bare = (hitting_times._first_crossings(
+            np.random.default_rng(9), start.copy(), lines, n_steps, 128, 1e-3, squares=squares)
+            for squares in (True, False))
+        assert summed[2] is not None and bare[2] is None
+        for i in (0, 1, 3):  # k, w, stuck
+            np.testing.assert_array_equal(bare[i], summed[i])
 
     def test_memory_is_a_few_tiles(self):
         # the old full (paths x chunk) draws peaked at 71.3 MiB here

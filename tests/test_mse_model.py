@@ -369,8 +369,9 @@ class TestIntegralOracleKernel:
 
     @pytest.mark.parametrize("tile", [1, 3000])
     def test_tile_size_does_not_change_output(self, monkeypatch, tile):
-        # 1 -> one row per tile; 3000 -> 2 rows of a 1024-step chunk and 3 of
-        # the deterministic stop's 1000-step chunk, so partial tiles occur
+        # 1 -> one row per tile; 3000 -> 3000 // s rows of each s-step chunk
+        # (187 of the first, 16-step one) and 3 of the deterministic stop's
+        # one 1000-step chunk, so partial tiles occur
         monkeypatch.setattr(hitting_times, "_TILE", tile)
         for stop, kw, want in GOLDEN_CHECKS[:4]:
             r = mse_integral_oracle(stop, n_paths=450, step=1e-3, seed=3, **kw)
