@@ -9,7 +9,8 @@ starts a comment.  A key the command does not read is an error, and so is a
 flag given in a run that would not read it.
 
 Relative --out paths are placed under $WIENER_CODING_OUTDIR when it is set.
-Existing output files are never overwritten without --force.  Outputs embed
+Existing output files are never overwritten without --force, and are refused
+before the command computes anything.  Outputs embed
 the resolved parameter set and contain nothing non-deterministic, so the
 same invocation always produces byte-identical files.
 
@@ -140,6 +141,8 @@ class _Resolver:
         flags = {k: str(v) for k, v in vars(args).items() if k in self.row and v is not None}
         config = _read_config(args.config, self.command, self.row) if args.config else {}
         self.given = {**config, **flags}
+        # every output is resolved, and refused, before the command does any work
+        self.outputs = {key: self._path(key) for key in ("out", "cycles-out") if key in self.row}
 
     def raw(self, key: str) -> str | None:
         if key not in self.row:
@@ -158,9 +161,9 @@ class _Resolver:
             if key in self.given:
                 raise ParameterError(f"--{key} is not used {when}")
 
-    def output(self, key: str) -> Path | None:
-        """The path given for key, under $WIENER_CODING_OUTDIR when relative,
-        with its directory made; refused when it exists and --force is absent."""
+    def _path(self, key: str) -> Path | None:
+        """The path given for key, under $WIENER_CODING_OUTDIR when relative;
+        refused when it exists and --force is absent."""
         path = self.raw(key)
         if path is None:
             return None
@@ -170,7 +173,13 @@ class _Resolver:
             p = Path(outdir) / p
         if p.exists() and not self.force:
             raise ParameterError(f"refusing to overwrite {p} (pass --force)")
-        p.parent.mkdir(parents=True, exist_ok=True)
+        return p
+
+    def output(self, key: str) -> Path | None:
+        """The path resolved for key, with its directory made."""
+        p = self.outputs[key]
+        if p is not None:
+            p.parent.mkdir(parents=True, exist_ok=True)
         return p
 
 

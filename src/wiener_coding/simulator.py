@@ -56,7 +56,6 @@ tiles of the walk, and 8 bytes per measured cycle for the length sequences.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -85,6 +84,7 @@ UNIFORM = "uniform-benchmark"
 IDEAL = "ideal-benchmark"
 
 _CSV_COLUMNS = ("s_n", "d_n", "event", "z_n", "length")
+_CSV_BLOCK = 4096  # rows formatted per write
 # The chain count orders a seed's draws, so it is part of what a seed means.
 _BURN_IN_CYCLES = 2  # cycles each chain runs before it is measured
 _MAX_CHAINS = 4096  # bounds the chain state whatever the horizon
@@ -220,13 +220,31 @@ class CycleLog:
             )
 
     def to_csv(self, path) -> None:
+        """Write the columns s_n, d_n, event, z_n and length, one row per cycle.
+
+        The bytes are those of csv.writer's default dialect: a header row of
+        the column names, then one row per cycle of replication 0 in the
+        log's chain-major order, every row ending in CRLF.  Each float is its
+        Python repr (s_n = s_idx * eps and d_n = d_idx * eps) and the event a
+        decimal int.  Each distinct value is formatted once, and rows are
+        written _CSV_BLOCK at a time.
+        """
+        eps = self.eps
+        grid = {i: repr(i * eps) for i in {*self.s_idx, *self.d_idx}}
+        events = {e: str(e) for e in set(self.event)}
+        # 0.0 and -0.0 are one dict key but print apart, so zeros are formatted per row
+        z_text = {v: repr(v) for v in set(self.z) if v}
+        length_text = {v: repr(v) for v in set(self.length) if v}
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_CSV_COLUMNS)
-            eps = self.eps
-            s_n = [s * eps for s in self.s_idx]
-            d_n = [d * eps for d in self.d_idx]
-            writer.writerows(zip(s_n, d_n, self.event, self.z, self.length))
+            fh.write(",".join(_CSV_COLUMNS) + "\r\n")
+            for lo in range(0, len(self), _CSV_BLOCK):
+                block = slice(lo, lo + _CSV_BLOCK)
+                rows = zip(map(grid.__getitem__, self.s_idx[block]),
+                           map(grid.__getitem__, self.d_idx[block]),
+                           map(events.__getitem__, self.event[block]),
+                           [z_text[v] if v else repr(v) for v in self.z[block]],
+                           [length_text[v] if v else repr(v) for v in self.length[block]])
+                fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 @dataclass

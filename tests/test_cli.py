@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wiener_coding
-from wiener_coding import Codebook, ThresholdConfig, mse_exact
+from wiener_coding import Codebook, SimConfig, ThresholdConfig, cli, mse_exact, run
 from wiener_coding.cli import _Resolver, _build_parser, main
+from wiener_coding.mse_model import INTEGER
 
 
 def read_csv(path: Path):
@@ -301,6 +303,16 @@ class TestSimulate:
         assert list(rows[0].keys()) == ["s_n", "d_n", "event", "z_n", "length"]
         assert len(rows) > 50
 
+    def test_cycle_log_is_the_api_log(self, tmp_path):
+        # the file holds replication 0's log, byte for byte as the API writes it
+        cyc, ref = tmp_path / "cycles.csv", tmp_path / "ref.csv"
+        assert main(self.ARGS + ["--out", str(tmp_path / "rep.json"),
+                                 "--cycles-out", str(cyc)]) == 0
+        sim = SimConfig(1e-2, 1000.0, ThresholdConfig(1, 1, 10),
+                        Codebook(2, 2, 2, 2, mode=INTEGER), 5, replications=2)
+        run(replace(sim, replications=1, log_cycles=True)).cycles.to_csv(ref)
+        assert cyc.read_bytes() == ref.read_bytes()
+
     def test_coarse_grid_for_slope_exit_code(self, capsys):
         # mu*eps = 10: the run would report mse_hat 30 against an analytic 2.80
         rc = main(["simulate", "--a", "1", "--b", "1", "--mu", "1000", "--l", "2,2,2,2",
@@ -580,6 +592,31 @@ class TestOverwrite:
         assert not out.exists() and cyc.read_text() == "keep\n"
         assert main(argv + ["--force"]) == 0
         assert read_csv(cyc)
+
+    @pytest.mark.parametrize("argv", [
+        TestSimulate.ARGS + ["--out", "old.txt"],
+        TestSimulate.ARGS + ["--out", "new.json", "--cycles-out", "old.txt"],
+        ["sweep", "--grid", "0:1:0.5", "--fmax", "0.5", "--mu", "10", "--simulate",
+         "--horizon", "300", "--out", "old.txt"],
+    ], ids=["simulate-out", "simulate-cycles-out", "sweep-simulate-out"])
+    def test_existing_output_refused_before_any_work(self, tmp_path, monkeypatch, argv):
+        calls = []
+
+        def never(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} ran before the outputs were checked")
+            return call
+
+        for name in ("run", "run_benchmark", "dinkelbach_solve"):
+            monkeypatch.setattr(cli, name, never(name))
+        monkeypatch.setenv("WIENER_CODING_OUTDIR", str(tmp_path))
+        old = tmp_path / "old.txt"
+        old.write_text("keep\n")
+        assert main(argv) == 2
+        assert old.read_text() == "keep\n"
+        assert calls == []
+        assert not (tmp_path / "new.json").exists()
 
     def test_output_directory_made(self, tmp_path):
         cyc = tmp_path / "new" / "cycles.csv"

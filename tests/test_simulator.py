@@ -2,10 +2,14 @@ import csv
 import hashlib
 import io
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
@@ -526,6 +530,63 @@ class TestCycleInvariants:
     def test_event_counts_sum_to_cycles(self, logged):
         rep, _ = logged
         assert int(rep.event_counts.sum()) == rep.n_cycles
+
+
+def _csv_reference(log) -> bytes:
+    """The cycle log as csv.writer writes it, the format CycleLog.to_csv keeps."""
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["s_n", "d_n", "event", "z_n", "length"])
+    for r in log.records():
+        writer.writerow([r.s_n, r.d_n, r.event, r.z_n, r.length])
+    return want.getvalue().encode()
+
+
+def _hand_log(eps, s_idx, d_idx, event, z, length) -> simulator.CycleLog:
+    zeros = [0.0] * len(s_idx)
+    return simulator.CycleLog(eps, s_idx, d_idx, event, z, length, zeros, zeros, zeros)
+
+
+class TestCsvFormat:
+    """to_csv formats each distinct value once; its bytes stay csv.writer's."""
+
+    @pytest.mark.parametrize("log", [
+        # a = b = 0 decodes both +0.0 (event 2) and -0.0 (event 3)
+        _hand_log(1e-2, [0, 3, 5, 9, 12], [2, 5, 7, 11, 14], [2, 3, 3, 2, 1],
+                  [0.0, -0.0, -0.0, 0.0, 0.5], [2.0, 2.0, 2.0, 2.0, 2.0]),
+        _hand_log(1e-2, [7], [9], [4], [-1.25], [2.0]),
+        _hand_log(0.5, [1, 4, 9, 15], [3, 10, 17, 25], [1, 2, 3, 4],
+                  [1.5, 1.0, -1.0, -2.5], [1.0, 3.0, 4.0, 5.0]),
+        # two chains whose grid indices both count from their own start
+        _hand_log(1e-2, [3, 8, 3, 8, 3], [5, 10, 5, 10, 5], [2, 3, 2, 3, 2],
+                  [1.0, -1.0, 1.0, -1.0, 1.0], [2.0, 2.0, 2.0, 2.0, 2.0]),
+        # repr switches to exponent form at >= 1e16 and below 1e-4
+        _hand_log(1e3, [10 ** 13, 3 * 10 ** 13], [10 ** 13 + 1, 3 * 10 ** 13 + 2], [1, 4],
+                  [2.5e17, -1e16], [1e-5, 3e-7]),
+        _hand_log(1e-7, [3, 900], [5, 1200], [2, 3], [4e-5, -9.999e-5], [2e-7, 3e-5]),
+        _hand_log(1e-2, [], [], [], [], []),
+    ], ids=["signed-zeros", "one-row", "four-lengths", "repeated-indices", "large",
+            "small", "empty"])
+    def test_same_bytes_as_csv_writer(self, log, tmp_path):
+        out = tmp_path / "cycles.csv"
+        log.to_csv(out)
+        assert out.read_bytes() == _csv_reference(log)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_random_logs(self, data):
+        n = data.draw(st.integers(0, 40))
+        index = st.integers(0, 2 ** 53 - 1)
+        # a few values that repeat, as a log's do, and any float
+        value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 1e-5, 1e16]), st.floats())
+        eps = data.draw(st.floats(1e-12, 1e6))
+        columns = [data.draw(st.lists(s, min_size=n, max_size=n))
+                   for s in (index, index, st.integers(1, 4), value, value)]
+        log = _hand_log(eps, *columns)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "cycles.csv"
+            log.to_csv(out)
+            assert out.read_bytes() == _csv_reference(log)
 
 
 class TestAgainstAnalytics:
