@@ -141,8 +141,16 @@ class _Resolver:
         flags = {k: str(v) for k, v in vars(args).items() if k in self.row and v is not None}
         config = _read_config(args.config, self.command, self.row) if args.config else {}
         self.given = {**config, **flags}
+        # argparse checks the choices of flags; a config file's are checked here
+        for key, choices in _CHOICES.items():
+            if key in self.given and self.given[key] not in choices:
+                raise ParameterError(f"--{key} must be one of {', '.join(choices)}, "
+                                     f"got {self.given[key]!r}")
         # every output is resolved, and refused, before the command does any work
         self.outputs = {key: self._path(key) for key in ("out", "cycles-out") if key in self.row}
+        paths = [p.resolve() for p in self.outputs.values() if p is not None]
+        if len(set(paths)) < len(paths):
+            raise ParameterError(f"--out and --cycles-out both name {paths[0]}")
 
     def raw(self, key: str) -> str | None:
         if key not in self.row:
@@ -204,7 +212,7 @@ def _emit(rows: list[dict], meta: dict, res: _Resolver) -> None:
             for row in rows:
                 writer.writerow([_fmt_cell(row[c]) for c in cols])
         text = buf.getvalue()
-    elif fmt == "json":
+    else:
         def _clean(v):
             if isinstance(v, float) and not math.isfinite(v):
                 return None if math.isnan(v) else ("inf" if v > 0 else "-inf")
@@ -215,8 +223,6 @@ def _emit(rows: list[dict], meta: dict, res: _Resolver) -> None:
             "rows": [{k: _clean(v) for k, v in row.items()} for row in rows],
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        raise ParameterError(f"--format must be csv or json, got {fmt!r}")
     out = res.output("out")
     if out is None:
         sys.stdout.write(text)

@@ -118,12 +118,12 @@ def _first_crossings(rng, pos, lines, n_steps, batch, step, sd=None, squares=Tru
     Each grid step adds sd*Z, Z standard normal from rng and sd sqrt(step)
     unless given; batches and row tiles as described at _TILE, and chunks of
     _FIRST_CHUNK steps and then _next_chunk's (_MAX_CHUNK if no path can
-    cross).  lines = (u0, su, d0, sl), scalars or per-path arrays: a path
-    crosses at the first grid point where w >= u0 + su*t or w <= d0 + sl*t,
-    t the time since the start.  A line of slope 0 is compared as its level,
-    which equals u0 + 0*t exactly, so a band path costs two comparisons, only
-    the paths of a sloped line evaluate it, and a side no path can cross is
-    not tested.
+    cross).  lines = (u0, su, d0, sl), all scalars (shared by every path) or
+    all per-path float arrays: a path crosses at the first grid point where
+    w >= u0 + su*t or w <= d0 + sl*t, t the time since the start.  A line of
+    slope 0 is compared as its level, which equals u0 + 0*t exactly, so a
+    band path costs two comparisons, only the paths of a sloped line
+    evaluate it, and a side no path can cross is not tested.
 
     Returns (k, w, sq, stuck): each path's stop step (its first crossing, or
     n_steps), its value there, its sum of squares at the grid points before
@@ -132,14 +132,18 @@ def _first_crossings(rng, pos, lines, n_steps, batch, step, sd=None, squares=Tru
     walks the same paths and skips only the sums.
     """
     n = pos.size
-    shared = all(np.ndim(v) == 0 for v in lines)  # one line pair for every path
-    u0, su, d0, sl = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in lines)
+    # shared lines are held as one row, which every tile is compared with
+    shared = all(np.ndim(v) == 0 for v in lines)
+    u0, su, d0, sl = (np.asarray(v, dtype=float).reshape(-1) for v in lines)
+    row0 = np.zeros(1, dtype=np.intp)  # the row of shared lines
     ge, le = np.greater_equal, np.less_equal
-    # the sides that can be crossed: levels of lines of slope 0, and sloped lines
+    # the sides that can be crossed: levels of lines of slope 0, and sloped
+    # lines with the mask of their paths (None: every path, for shared lines)
     levels = [(v, cross) for v, cross in ((np.where(su == 0.0, u0, np.inf), ge),
                                           (np.where(sl == 0.0, d0, -np.inf), le))
               if np.isfinite(v).any()]
-    sloped = [(slope, v, cross) for slope, v, cross in ((su, u0, ge), (sl, d0, le)) if slope.any()]
+    sloped = [(slope, v, cross, None if shared else slope != 0.0)
+              for slope, v, cross in ((su, u0, ge), (sl, d0, le)) if slope.any()]
     scale = math.sqrt(step) if sd is None else sd
     size = max(_TILE, _MAX_CHUNK)  # holds any row tile
     # two allocations, not four: the allocator maps each large one afresh per call
@@ -156,6 +160,7 @@ def _first_crossings(rng, pos, lines, n_steps, batch, step, sd=None, squares=Tru
             t = (elapsed + 1 + cols) * step
             rows = max(1, _TILE // s)
             live = np.empty(alive.size, dtype=bool)
+            tile_rows = np.arange(min(rows, alive.size))
             for r0 in range(0, alive.size, rows):
                 idx = alive[r0 : r0 + rows]
                 w, line, up, dn = (b[: idx.size * s].reshape(idx.size, s)
@@ -164,27 +169,32 @@ def _first_crossings(rng, pos, lines, n_steps, batch, step, sd=None, squares=Tru
                 w *= scale
                 w[:, 0] += pos[idx]  # each row's start, summed in order with its steps
                 np.add.accumulate(w, axis=1, out=w)  # cumsum's values, less call overhead
-                # shared lines are evaluated on one row and broadcast
-                at = idx[:1] if shared else idx
-                up.fill(False)
-                for level, cross in levels:
-                    cross(w, level[at, None], out=dn)
-                    up |= dn
-                for slope, level, cross in sloped:
-                    on = (slope[idx] != 0.0).nonzero()[0]
-                    if on.size:
-                        # a tile whose every row is sloped is not copied
-                        sel = slice(None) if on.size == idx.size else on
-                        i = at if shared else idx[sel]
-                        v, c = line[: i.size], dn[: on.size]
-                        np.multiply(slope[i, None], t, out=v)
-                        v += level[i, None]
-                        cross(w[sel], v, out=c)
-                        up[sel] |= c
+                at = row0 if shared else idx
+                # the first level writes up; every later side is or'ed into it
+                for later, (level, cross) in enumerate(levels):
+                    cross(w, level[at, None], out=dn if later else up)
+                    if later:
+                        up |= dn
+                if not levels:
+                    up.fill(False)
+                for slope, level, cross, mask in sloped:
+                    sel, i, c = slice(None), at, dn
+                    if mask is not None:
+                        on = mask[idx].nonzero()[0]
+                        if not on.size:
+                            continue
+                        if on.size < idx.size:  # a tile whose every row is sloped is not copied
+                            sel, i, c = on, idx[on], dn[: on.size]
+                    v = line[: i.size]
+                    np.multiply(slope[i, None], t, out=v)
+                    v += level[i, None]
+                    cross(w[sel], v, out=c)
+                    up[sel] |= c
                 j = up.argmax(axis=1)  # a row's first crossing, or 0 if none
-                hit = up[np.arange(idx.size), j]
+                hit = up[tile_rows[: idx.size], j]
                 if squares:
                     sq[idx] += np.einsum("ij,ij->i", w, w)
+                pos[idx] = w[:, -1]  # each row's last value; a crossing row's is set below
                 on = hit.nonzero()[0]
                 if on.size:
                     jr, i = j[on], idx[on]
@@ -192,15 +202,13 @@ def _first_crossings(rng, pos, lines, n_steps, batch, step, sd=None, squares=Tru
                         # take back the crossing's column and the ones after it, in
                         # reused buffers (take buffers a fresh copy unless mode="clip")
                         tail, head = line[: on.size], dn[: on.size]
-                        np.take(w, on, axis=0, out=tail, mode="clip")
+                        w.take(on, axis=0, out=tail, mode="clip")
                         np.less(cols, jr[:, None], out=head)
                         np.copyto(tail, 0.0, where=head)
                         sq[i] -= np.einsum("ij,ij->i", tail, tail)
                     k[i] = elapsed + 1 + jr
                     pos[i] = w[on, jr]
-                left = ~hit
-                pos[idx[left]] = w[left, -1]
-                live[r0 : r0 + rows] = left
+                np.logical_not(hit, out=live[r0 : r0 + rows])
             before, alive = alive.size, alive[live]
             elapsed += s
             s = _next_chunk(s, before, alive.size) if alive.size else s

@@ -47,7 +47,10 @@ measured time reaches `horizon`.  M = horizon/(32 * longest length), capped
 at _MAX_CHAINS: a chain forgets its start in one cycle, so it can be short,
 and many chains share a generation's Python work.  M depends on the config
 alone and the walk's chunks on its own draws, so replication k, drawn from
-SeedSequence(seed, spawn_key=(k,)), does not depend on `replications`.
+an SFC64 generator seeded by SeedSequence(seed, spawn_key=(k,)), does not
+depend on `replications`.  SFC64 draws normals cheaper than numpy's default
+PCG64; hitting_times' and mse_model's Monte Carlo oracles keep PCG64, the
+streams their acceptance checks were judged on.
 Length sequences and the cycle log are chain-major, with grid indices
 counted from each chain's start.  A waiting phase longer than
 round(horizon/eps) steps raises HorizonError.  Memory is O(M) plus a few
@@ -367,17 +370,22 @@ def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
         d0 = np.where(upward, athr, np.where(downward, -np.inf, -bthr))
         sd = np.where(upward, mu, 0.0)
 
-        # the waiting phase; ideal rows outside the band sample at once
-        e = x.copy()  # the error at the sample
-        k = np.zeros(m, dtype=np.int64)  # its grid steps
-        wait = np.zeros(m)  # squared errors at the grid points before the sample
-        walk = np.flatnonzero(inside) if ideal else np.arange(m)
-        if walk.size:
-            lines = (u0[walk], su[walk], d0[walk], sd[walk])
-            k[walk], e[walk], wait[walk], stuck = _first_crossings(
-                rng, x[walk], lines, n_steps, walk.size, eps, sd=math.sqrt(sigma2 * eps))
-            if stuck.size:
-                raise HorizonError(f"a waiting phase passed the horizon {sim.horizon}")
+        # the waiting phase: the error e at the sample, its grid steps k and
+        # the squared errors at the grid points before it (x is walked in
+        # place); ideal rows outside the band sample at once
+        step_sd = math.sqrt(sigma2 * eps)
+        if ideal:
+            e, k, wait, stuck = x, np.zeros(m, dtype=np.int64), np.zeros(m), ()
+            walk = np.flatnonzero(inside)
+            if walk.size:
+                lines = (u0[walk], su[walk], d0[walk], sd[walk])
+                k[walk], e[walk], wait[walk], stuck = _first_crossings(
+                    rng, x[walk], lines, n_steps, walk.size, eps, sd=step_sd)
+        else:
+            k, e, wait, stuck = _first_crossings(rng, x, (u0, su, d0, sd), n_steps, m, eps,
+                                                 sd=step_sd)
+        if len(stuck):
+            raise HorizonError(f"a waiting phase passed the horizon {sim.horizon}")
         t_hit = k * eps
 
         event = np.where(band, np.where(e >= athr, 2, 3), np.where(upward, 1, 4))
@@ -428,7 +436,8 @@ def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
 def _run_replicated(sim: SimConfig) -> SimulationReport:
     outcomes: list[_RepOutcome] = []
     for rep in range(sim.replications):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=sim.seed, spawn_key=(rep,)))
+        seq = np.random.SeedSequence(entropy=sim.seed, spawn_key=(rep,))
+        rng = np.random.Generator(np.random.SFC64(seq))
         outcomes.append(_run_chains(sim, rng, sim.log_cycles and rep == 0))
     rep_mse = np.array([o.reward / o.duration for o in outcomes])
     rep_sr = np.array([o.lengths.size / o.duration for o in outcomes])

@@ -124,7 +124,7 @@ GOLDEN_STDOUT = [
      "dd71db2d0534367363a7db1e9c157b537481118a4704db053d47f846bea1e870"),
     (["simulate", "--a", "1", "--b", "1", "--mu", "10", "--l", "2,2,2,2", "--eps", "1e-2",
       "--horizon", "1000", "--seed", "5", "--reps", "2"],
-     "d81a520b09055e470ee6b878c0074714be8597bc409df59e031bc8435b31ca50"),
+     "49443d2b00436259ab1497f1f2e3782b8dad8eb208adb4d2e50c6af4b80c0f8e"),
 ]
 
 
@@ -432,6 +432,21 @@ class TestConfigPrecedence:
                      "--out", str(out2)]) == 0
         assert float(read_csv(out2)[0]["mu"]) == 25.0  # flag beats config
 
+    @pytest.mark.parametrize("argv,key,called", [
+        (["optimize", "--fmax", "0.5", "--grid", "0:3:0.01"], "format", "optimize_threshold"),
+        (["sweep", "--grid", "0:1:0.5"], "format", "dinkelbach_solve"),
+        (TestSimulate.ARGS, "scheme", "run"),
+    ], ids=["optimize-format", "sweep-format", "simulate-scheme"])
+    def test_bad_choice_refused_before_any_work(self, tmp_path, monkeypatch, argv, key, called,
+                                                capsys):
+        calls = []
+        monkeypatch.setattr(cli, called, lambda *args, **kw: calls.append(called))
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(f"{key} = xml\n")
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert calls == []
+        assert f"--{key} must be one of" in capsys.readouterr().err
+
     def test_bad_config_line(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("this is not a key value line\n")
@@ -617,6 +632,19 @@ class TestOverwrite:
         assert old.read_text() == "keep\n"
         assert calls == []
         assert not (tmp_path / "new.json").exists()
+
+    @pytest.mark.parametrize("names", [("same.txt", "same.txt"), ("same.txt", "./same.txt"),
+                                       ("same.txt", None)], ids=["equal", "dot", "relative"])
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    def test_one_file_for_two_outputs_refused(self, tmp_path, monkeypatch, names, force):
+        # the cycle CSV would overwrite the report; None: the absolute path
+        # that --out resolves to under $WIENER_CODING_OUTDIR
+        monkeypatch.setattr(cli, "run", lambda sim: pytest.fail("the simulator ran"))
+        monkeypatch.setenv("WIENER_CODING_OUTDIR", str(tmp_path))
+        out, cycles = names
+        cycles = cycles or str(tmp_path / out)
+        assert main(TestSimulate.ARGS + ["--out", out, "--cycles-out", cycles] + force) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_output_directory_made(self, tmp_path):
         cyc = tmp_path / "new" / "cycles.csv"

@@ -26,6 +26,7 @@ from wiener_coding import (
     hit_moments,
     mse_integral_oracle,
     run,
+    run_benchmark,
     sample_hit_times,
 )
 
@@ -242,6 +243,20 @@ class TestKernel:
         for i in (0, 1, 3):  # k, w, stuck
             np.testing.assert_array_equal(bare[i], summed[i])
 
+    @pytest.mark.parametrize("tile", [1, 3000])
+    @pytest.mark.parametrize("kind", ["band", "sloped", "none"])
+    def test_scalar_lines_walk_as_per_path_arrays(self, monkeypatch, kind, tile):
+        # shared lines are compared as one row; the same values given per path
+        # must walk the same paths
+        monkeypatch.setattr(hitting_times, "_TILE", tile)
+        lines, n_steps = self.WALKS[kind]
+        start = np.random.default_rng(4).normal(0.0, 0.1, 300)
+        shared, per_path = (hitting_times._first_crossings(
+            np.random.default_rng(9), start.copy(), given, n_steps, 128, 1e-3)
+            for given in (lines, tuple(np.full(start.size, v) for v in lines)))
+        for got, want in zip(per_path, shared):  # k, w, sq, stuck
+            np.testing.assert_array_equal(got, want)
+
     def test_memory_is_a_few_tiles(self):
         # the old full (paths x chunk) draws peaked at 71.3 MiB here
         tracemalloc.start()
@@ -345,6 +360,38 @@ class TestDrawCount:
         call()
         assert counted["used"] > 0
         assert counted["drawn"] / counted["used"] <= bound, counted
+
+
+class TestBitGenerator:
+    """The hit sampler and the stopping-identity oracle draw from PCG64, the
+    streams their acceptance checks were judged on; the simulator draws from
+    SFC64, whose normals are cheaper."""
+
+    @pytest.mark.parametrize("call,want", [
+        (lambda: sample_hit_times(DriftHitSpec(1, 2), 1e-3, 50, rng_seed=3), np.random.PCG64),
+        (lambda: mse_integral_oracle(BandStop(1, 1), n_paths=100, step=1e-2, seed=1),
+         np.random.PCG64),
+        (lambda: run(SimConfig(1e-2, 600.0, ThresholdConfig(1.0, 1.0, 10.0),
+                               Codebook.integer(1, 3, 4, 5), seed=3, replications=2)),
+         np.random.SFC64),
+        (lambda: run_benchmark(SimConfig(1e-2, 300.0, ThresholdConfig(1.0, 1.0, 10.0), None,
+                                         seed=3, scheme="ideal-benchmark")), np.random.SFC64),
+        (lambda: run_benchmark(SimConfig(1e-2, 300.0, ThresholdConfig(1.0, 1.0, 10.0), None,
+                                         seed=3, scheme="uniform-benchmark")), np.random.SFC64),
+    ], ids=["sample_hit_times", "mse_integral_oracle", "run", "run_benchmark-ideal",
+            "run_benchmark-uniform"])
+    def test_walks_draw_from(self, monkeypatch, call, want):
+        seen = set()
+        kernel = hitting_times._first_crossings
+
+        def walk(rng, *args, **kw):
+            seen.add(type(rng.bit_generator))
+            return kernel(rng, *args, **kw)
+
+        for module in (hitting_times, mse_model, simulator):
+            monkeypatch.setattr(module, "_first_crossings", walk)
+        call()
+        assert seen == {want}
 
 
 class TestWalkThreads:
