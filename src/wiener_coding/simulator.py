@@ -54,7 +54,8 @@ streams their acceptance checks were judged on.
 Length sequences and the cycle log are chain-major, with grid indices
 counted from each chain's start.  A waiting phase longer than
 round(horizon/eps) steps raises HorizonError.  Memory is O(M) plus a few
-tiles of the walk, and 8 bytes per measured cycle for the length sequences.
+tiles of the walk, and 8 bytes per measured cycle for the length sequences;
+a cycle log adds 57 bytes per logged cycle in numpy columns (see CycleLog).
 """
 
 from __future__ import annotations
@@ -87,7 +88,10 @@ UNIFORM = "uniform-benchmark"
 IDEAL = "ideal-benchmark"
 
 _CSV_COLUMNS = ("s_n", "d_n", "event", "z_n", "length")
-_CSV_BLOCK = 4096  # rows formatted per write
+_CSV_BLOCK = 4096  # rows converted to Python scalars and formatted at a time
+_LOG_DTYPES = {"s_idx": np.int64, "d_idx": np.int64, "event": np.uint8, "z": np.float64,
+               "length": np.float64, "w_hat": np.float64, "reward": np.float64,
+               "duration": np.float64}
 # The chain count orders a seed's draws, so it is part of what a seed means.
 _BURN_IN_CYCLES = 2  # cycles each chain runs before it is measured
 _MAX_CHAINS = 4096  # bounds the chain state whatever the horizon
@@ -189,38 +193,68 @@ class CycleRecord:
         return self.d_idx * self.eps
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key) on its first lookup."""
+
+    def __init__(self, fn) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 @dataclass
 class CycleLog:
     """Columnar log of every measured cycle of replication 0, chain-major.
 
     s_idx (the sample) and d_idx (the delivery) are grid indices counted from
-    the start of the cycle's chain.
+    the start of the cycle's chain.  Each column is a numpy array: s_idx and
+    d_idx int64, event uint8, the rest float64, 57 bytes per cycle.  Lists
+    are converted; columns that are not 1-D or not of one length are a
+    ParameterError.  records() and to_csv convert _CSV_BLOCK rows at a time
+    to Python scalars, so the log never exists whole as Python objects.  Two
+    logs are equal when their eps and every column are (a NaN equals nothing).
     """
 
     eps: float
-    s_idx: list[int]
-    d_idx: list[int]
-    event: list[int]
-    z: list[float]
-    length: list[float]
-    w_hat: list[float]  # decoded estimate in effect after the delivery
-    reward: list[float]
-    duration: list[float]
+    s_idx: np.ndarray
+    d_idx: np.ndarray
+    event: np.ndarray
+    z: np.ndarray
+    length: np.ndarray
+    w_hat: np.ndarray  # decoded estimate in effect after the delivery
+    reward: np.ndarray
+    duration: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in _LOG_DTYPES.items():
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        shapes = {name: getattr(self, name).shape for name in _LOG_DTYPES}
+        if len(set(shapes.values())) > 1 or self.s_idx.ndim != 1:
+            raise ParameterError(f"cycle log columns must be 1-D of one length; got {shapes}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CycleLog):
+            return NotImplemented
+        return self.eps == other.eps and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _LOG_DTYPES)
 
     def __len__(self) -> int:
         return len(self.s_idx)
 
+    def _blocks(self, *columns: np.ndarray) -> Iterator[list[list]]:
+        """The columns as Python scalars, _CSV_BLOCK rows at a time."""
+        for lo in range(0, len(self), _CSV_BLOCK):
+            yield [col[lo : lo + _CSV_BLOCK].tolist() for col in columns]
+
     def records(self) -> Iterator[CycleRecord]:
-        for i in range(len(self)):
-            yield CycleRecord(
-                s_idx=self.s_idx[i],
-                d_idx=self.d_idx[i],
-                event=self.event[i],
-                z_n=self.z[i],
-                length=self.length[i],
-                w_hat=self.w_hat[i],
-                eps=self.eps,
-            )
+        eps = self.eps
+        for block in self._blocks(self.s_idx, self.d_idx, self.event, self.z, self.length,
+                                  self.w_hat):
+            for row in zip(*block):
+                yield CycleRecord(*row, eps)
 
     def to_csv(self, path) -> None:
         """Write the columns s_n, d_n, event, z_n and length, one row per cycle.
@@ -229,24 +263,24 @@ class CycleLog:
         the column names, then one row per cycle of replication 0 in the
         log's chain-major order, every row ending in CRLF.  Each float is its
         Python repr (s_n = s_idx * eps and d_n = d_idx * eps) and the event a
-        decimal int.  Each distinct value is formatted once, and rows are
-        written _CSV_BLOCK at a time.
+        decimal int.  Each distinct value is formatted on its first row, and
+        rows are converted and written _CSV_BLOCK at a time.
         """
         eps = self.eps
-        grid = {i: repr(i * eps) for i in {*self.s_idx, *self.d_idx}}
-        events = {e: str(e) for e in set(self.event)}
-        # 0.0 and -0.0 are one dict key but print apart, so zeros are formatted per row
-        z_text = {v: repr(v) for v in set(self.z) if v}
-        length_text = {v: repr(v) for v in set(self.length) if v}
+        grid = _Memo(lambda i: repr(i * eps))
+        events = _Memo(str)
+        # 0.0 and -0.0 are one dict key but print apart, and a NaN matches no
+        # key, so zeros and NaNs are formatted per row
+        z_text, length_text = _Memo(repr), _Memo(repr)
         with open(path, "w", newline="") as fh:
             fh.write(",".join(_CSV_COLUMNS) + "\r\n")
-            for lo in range(0, len(self), _CSV_BLOCK):
-                block = slice(lo, lo + _CSV_BLOCK)
-                rows = zip(map(grid.__getitem__, self.s_idx[block]),
-                           map(grid.__getitem__, self.d_idx[block]),
-                           map(events.__getitem__, self.event[block]),
-                           [z_text[v] if v else repr(v) for v in self.z[block]],
-                           [length_text[v] if v else repr(v) for v in self.length[block]])
+            for s, d, e, z, length in self._blocks(self.s_idx, self.d_idx, self.event, self.z,
+                                                   self.length):
+                rows = zip(map(grid.__getitem__, s),
+                           map(grid.__getitem__, d),
+                           map(events.__getitem__, e),
+                           [z_text[v] if v and v == v else repr(v) for v in z],
+                           [length_text[v] if v and v == v else repr(v) for v in length])
                 fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
@@ -353,7 +387,8 @@ def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
     reward = duration = 0.0
     codes: list[np.ndarray] = []  # event codes of the measured generations
     counts = np.zeros(4, dtype=np.int64)
-    columns: list[tuple] = []  # the log's columns, per measured generation
+    # the log's s_idx, d_idx, z, w_hat, reward and duration, per measured generation
+    columns: tuple[list[np.ndarray], ...] = tuple([] for _ in range(6))
     generation = 0
     while True:
         sq = np.sqrt(l_prev)  # infinite before a = b = 0's first cycle: the band is empty
@@ -363,25 +398,26 @@ def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
         band = np.ones(m, dtype=bool) if ideal else inside
         upward = ~band & (x >= athr)
         downward = ~band & ~upward
-        # each row's lines (see hitting_times._first_crossings), t the time
-        # since the cycle start: the band's two levels, or one sloped line
-        u0 = np.where(downward, -bthr, np.where(upward, np.inf, athr))
-        su = np.where(downward, -mu, 0.0)
-        d0 = np.where(upward, athr, np.where(downward, -np.inf, -bthr))
-        sd = np.where(upward, mu, 0.0)
 
         # the waiting phase: the error e at the sample, its grid steps k and
         # the squared errors at the grid points before it (x is walked in
-        # place); ideal rows outside the band sample at once
+        # place), each row walked with its lines (see
+        # hitting_times._first_crossings), t the time since the cycle start
         step_sd = math.sqrt(sigma2 * eps)
         if ideal:
+            # rows outside the band sample at once; the rest walk the band,
+            # whose levels every row shares: +-a, as the unit delay makes L = 1
             e, k, wait, stuck = x, np.zeros(m, dtype=np.int64), np.zeros(m), ()
             walk = np.flatnonzero(inside)
             if walk.size:
-                lines = (u0[walk], su[walk], d0[walk], sd[walk])
                 k[walk], e[walk], wait[walk], stuck = _first_crossings(
-                    rng, x[walk], lines, n_steps, walk.size, eps, sd=step_sd)
+                    rng, x[walk], (a, 0.0, -b, 0.0), n_steps, walk.size, eps, sd=step_sd)
         else:
+            # the band's two levels, or one sloped line
+            u0 = np.where(downward, -bthr, np.where(upward, np.inf, athr))
+            su = np.where(downward, -mu, 0.0)
+            d0 = np.where(upward, athr, np.where(downward, -np.inf, -bthr))
+            sd = np.where(upward, mu, 0.0)
             k, e, wait, stuck = _first_crossings(rng, x, (u0, su, d0, sd), n_steps, m, eps,
                                                  sd=step_sd)
         if len(stuck):
@@ -414,8 +450,9 @@ def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
             codes.append(event.astype(np.uint8))
             counts += np.bincount(event, minlength=5)[1:]
             if log_cycles:
-                columns.append((start + k, start + k + n, event, z, lens[event - 1], w_hat,
-                                cycle_reward, cycle_duration))
+                for col, value in zip(columns, (start + k, start + k + n, z, w_hat,
+                                                cycle_reward, cycle_duration)):
+                    col.append(value)
             if duration >= sim.horizon:
                 break
         x = y - z
@@ -424,13 +461,22 @@ def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
         start += k + n
         generation += 1
 
-    lengths = np.empty((m, len(codes)))  # chain-major
-    for g, c in enumerate(codes):
-        lengths[:, g] = lens[c - 1]
+    events = _chain_major(codes)
+    lengths = lens[events - 1]
     log = None
     if log_cycles:
-        log = CycleLog(eps, *(np.stack(col, axis=1).ravel().tolist() for col in zip(*columns)))
-    return _RepOutcome(reward, duration, counts, lengths.ravel(), log)
+        s_idx, d_idx, z, w_hat, cycle_reward, cycle_duration = map(_chain_major, columns)
+        log = CycleLog(eps, s_idx, d_idx, events, z, lengths.copy(), w_hat, cycle_reward,
+                       cycle_duration)
+    return _RepOutcome(reward, duration, counts, lengths, log)
+
+
+def _chain_major(generations: list[np.ndarray]) -> np.ndarray:
+    """One value per chain per generation, as one chain-major array; empties
+    the list, so each column's pieces are freed once it is built."""
+    column = np.stack(generations, axis=1).ravel()
+    generations.clear()
+    return column
 
 
 def _run_replicated(sim: SimConfig) -> SimulationReport:

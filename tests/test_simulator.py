@@ -548,26 +548,28 @@ def _hand_log(eps, s_idx, d_idx, event, z, length) -> simulator.CycleLog:
     return simulator.CycleLog(eps, s_idx, d_idx, event, z, length, zeros, zeros, zeros)
 
 
+HAND_LOGS = {
+    # a = b = 0 decodes both +0.0 (event 2) and -0.0 (event 3)
+    "signed-zeros": _hand_log(1e-2, [0, 3, 5, 9, 12], [2, 5, 7, 11, 14], [2, 3, 3, 2, 1],
+                              [0.0, -0.0, -0.0, 0.0, 0.5], [2.0, 2.0, 2.0, 2.0, 2.0]),
+    "one-row": _hand_log(1e-2, [7], [9], [4], [-1.25], [2.0]),
+    "four-lengths": _hand_log(0.5, [1, 4, 9, 15], [3, 10, 17, 25], [1, 2, 3, 4],
+                              [1.5, 1.0, -1.0, -2.5], [1.0, 3.0, 4.0, 5.0]),
+    # two chains whose grid indices both count from their own start
+    "repeated-indices": _hand_log(1e-2, [3, 8, 3, 8, 3], [5, 10, 5, 10, 5], [2, 3, 2, 3, 2],
+                                  [1.0, -1.0, 1.0, -1.0, 1.0], [2.0, 2.0, 2.0, 2.0, 2.0]),
+    # repr switches to exponent form at >= 1e16 and below 1e-4
+    "large": _hand_log(1e3, [10 ** 13, 3 * 10 ** 13], [10 ** 13 + 1, 3 * 10 ** 13 + 2], [1, 4],
+                       [2.5e17, -1e16], [1e-5, 3e-7]),
+    "small": _hand_log(1e-7, [3, 900], [5, 1200], [2, 3], [4e-5, -9.999e-5], [2e-7, 3e-5]),
+    "empty": _hand_log(1e-2, [], [], [], [], []),
+}
+
+
 class TestCsvFormat:
     """to_csv formats each distinct value once; its bytes stay csv.writer's."""
 
-    @pytest.mark.parametrize("log", [
-        # a = b = 0 decodes both +0.0 (event 2) and -0.0 (event 3)
-        _hand_log(1e-2, [0, 3, 5, 9, 12], [2, 5, 7, 11, 14], [2, 3, 3, 2, 1],
-                  [0.0, -0.0, -0.0, 0.0, 0.5], [2.0, 2.0, 2.0, 2.0, 2.0]),
-        _hand_log(1e-2, [7], [9], [4], [-1.25], [2.0]),
-        _hand_log(0.5, [1, 4, 9, 15], [3, 10, 17, 25], [1, 2, 3, 4],
-                  [1.5, 1.0, -1.0, -2.5], [1.0, 3.0, 4.0, 5.0]),
-        # two chains whose grid indices both count from their own start
-        _hand_log(1e-2, [3, 8, 3, 8, 3], [5, 10, 5, 10, 5], [2, 3, 2, 3, 2],
-                  [1.0, -1.0, 1.0, -1.0, 1.0], [2.0, 2.0, 2.0, 2.0, 2.0]),
-        # repr switches to exponent form at >= 1e16 and below 1e-4
-        _hand_log(1e3, [10 ** 13, 3 * 10 ** 13], [10 ** 13 + 1, 3 * 10 ** 13 + 2], [1, 4],
-                  [2.5e17, -1e16], [1e-5, 3e-7]),
-        _hand_log(1e-7, [3, 900], [5, 1200], [2, 3], [4e-5, -9.999e-5], [2e-7, 3e-5]),
-        _hand_log(1e-2, [], [], [], [], []),
-    ], ids=["signed-zeros", "one-row", "four-lengths", "repeated-indices", "large",
-            "small", "empty"])
+    @pytest.mark.parametrize("log", HAND_LOGS.values(), ids=list(HAND_LOGS))
     def test_same_bytes_as_csv_writer(self, log, tmp_path):
         out = tmp_path / "cycles.csv"
         log.to_csv(out)
@@ -588,6 +590,65 @@ class TestCsvFormat:
             out = Path(tmp) / "cycles.csv"
             log.to_csv(out)
             assert out.read_bytes() == _csv_reference(log)
+
+
+def _records_reference(log) -> list[simulator.CycleRecord]:
+    """The log's records read row by row from its columns, as Python scalars."""
+    return [simulator.CycleRecord(int(log.s_idx[i]), int(log.d_idx[i]), int(log.event[i]),
+                                  float(log.z[i]), float(log.length[i]), float(log.w_hat[i]),
+                                  log.eps)
+            for i in range(len(log))]
+
+
+class TestCycleLogColumns:
+    """The log keeps numpy columns and converts them to Python scalars a
+    block of rows at a time."""
+
+    @pytest.mark.parametrize("s_idx,event", [
+        ([0, 3, 5], [2, 3]),
+        ([[0], [3], [5]], [[2], [3], [3]]),
+    ], ids=["unequal", "2-d"])
+    def test_bad_columns_refused(self, s_idx, event):
+        with pytest.raises(ParameterError, match="1-D of one length"):
+            simulator.CycleLog(1e-2, s_idx, [2, 5, 7], event, [1.0, 1.0, 1.0],
+                               [2.0, 2.0, 2.0], [0.0] * 3, [0.0] * 3, [0.0] * 3)
+
+    @pytest.mark.parametrize("name", [*HAND_LOGS, "logged"])
+    def test_block_boundaries(self, name, logged, monkeypatch):
+        # 3-row blocks split every log of more than 3 rows
+        log = logged[0].cycles if name == "logged" else HAND_LOGS[name]
+        want_csv, want_records = _csv_reference(log), _records_reference(log)
+        monkeypatch.setattr(simulator, "_CSV_BLOCK", 3)
+        got = list(log.records())
+        assert got == want_records
+        assert {type(v) for r in got for v in (r.s_idx, r.d_idx, r.event)} <= {int}
+        assert {type(v) for r in got for v in (r.z_n, r.length, r.w_hat)} <= {float}
+        assert _csv_reference(log) == want_csv
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "cycles.csv"
+            log.to_csv(out)
+            assert out.read_bytes() == want_csv
+
+    def test_dtypes_and_memory(self):
+        # the README config at horizon 1e5: the columns hold 57 bytes a cycle
+        # and the run peaks near 80; the same log in Python lists peaks
+        # above 300 bytes a cycle
+        tracemalloc.start()
+        try:
+            rep = run(sim_cfg(horizon=1e5, seed=7, log_cycles=True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        log = rep.cycles
+        columns = {name: getattr(log, name) for name in (
+            "s_idx", "d_idx", "event", "z", "length", "w_hat", "reward", "duration")}
+        assert {name: col.dtype for name, col in columns.items()} == {
+            "s_idx": np.int64, "d_idx": np.int64, "event": np.uint8, "z": np.float64,
+            "length": np.float64, "w_hat": np.float64, "reward": np.float64,
+            "duration": np.float64}
+        assert len(log) == rep.n_cycles > 30_000
+        assert sum(col.nbytes for col in columns.values()) <= 64 * len(log)
+        assert peak <= 150 * len(log)
 
 
 class TestAgainstAnalytics:
