@@ -36,15 +36,15 @@ __all__ = [
 
 # Every batched walk (this sampler, mse_model's stopping-identity oracle and
 # the simulator's waiting phases) runs through _first_crossings: its paths in
-# batches, each batch in chunks of grid steps over the paths still alive, and
-# each chunk in row tiles of about _TILE doubles (256 KiB) drawn into one
-# reused buffer, so drawing, summing, the crossing test and, for callers that
-# read them, the left sums of squares all run while the tile is in cache.
-# Peak memory is a few tiles plus O(n_paths) per-path state.  Row tiles drawn
-# in order consume the generator's stream exactly as one (alive paths x chunk)
-# draw would, so the tile size never changes a result.  The batch size and the
-# chunk lengths (_next_chunk, in integers) fix the stream's order on any
-# platform.
+# batches of _PATH_BATCH, each batch in chunks of grid steps over the paths
+# still alive, and each chunk in row tiles of about _TILE doubles (256 KiB)
+# drawn into one reused buffer, so drawing, summing, the crossing test and, for
+# callers that read them, the left sums of squares all run while the tile is in
+# cache.  Peak memory is a few tiles plus O(n_paths) per-path state.  Row tiles
+# drawn in order consume the generator's stream exactly as one (alive paths x
+# chunk) draw would, so the tile size never changes a result.  The fixed batch
+# size (a simulator generation is one batch) and the chunk lengths (_next_chunk,
+# in integers) fix the stream's order on any platform.
 _PATH_BATCH = 20_000
 _TILE = 1 << 15
 _FIRST_CHUNK, _MAX_CHUNK = 16, 1 << 15  # chunk lengths, in grid steps
@@ -112,24 +112,25 @@ def _next_chunk(s: int, before: int, after: int) -> int:
     return min(n, 2 * s, _MAX_CHUNK)
 
 
-def _first_crossings(rng, pos, lines, n_steps, batch, step, sd=None, squares=True):
+def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True):
     """Walk len(pos) grid paths from pos until each first crosses one of its lines.
 
     Each grid step adds sd*Z, Z standard normal from rng and sd sqrt(step)
-    unless given; batches and row tiles as described at _TILE, and chunks of
-    _FIRST_CHUNK steps and then _next_chunk's (_MAX_CHUNK if no path can
-    cross).  lines = (u0, su, d0, sl), all scalars (shared by every path) or
-    all per-path float arrays: a path crosses at the first grid point where
-    w >= u0 + su*t or w <= d0 + sl*t, t the time since the start.  A line of
-    slope 0 is compared as its level, which equals u0 + 0*t exactly, so a
-    band path costs two comparisons, only the paths of a sloped line
+    unless given; batches of _PATH_BATCH paths and row tiles as described at
+    _TILE, and chunks of _FIRST_CHUNK steps and then _next_chunk's (_MAX_CHUNK
+    if no path can cross).  lines = (u0, su, d0, sl), all scalars (shared by
+    every path) or all per-path float arrays: a path crosses at the first grid
+    point where w >= u0 + su*t or w <= d0 + sl*t, t the time since the start.
+    A line of slope 0 is compared as its level, which equals u0 + 0*t exactly,
+    so a band path costs two comparisons, only the paths of a sloped line
     evaluate it, and a side no path can cross is not tested.
 
     Returns (k, w, sq, stuck): each path's stop step (its first crossing, or
     n_steps), its value there, its sum of squares at the grid points before
     that step (the start included; None unless squares), and the indices of
     the paths that never crossed.  w is pos, set in place.  squares=False
-    walks the same paths and skips only the sums.
+    walks the same paths and skips only the sums.  Zero paths draw nothing
+    and return empty arrays.
     """
     n = pos.size
     # shared lines are held as one row, which every tile is compared with
@@ -150,9 +151,9 @@ def _first_crossings(rng, pos, lines, n_steps, batch, step, sd=None, squares=Tru
     (buf, spare), (above, below) = (np.empty((2, size), dtype=d) for d in (float, bool))
     k = np.full(n, n_steps, dtype=np.int64)
     sq = pos * pos if squares else None
-    stuck = []
-    for start in range(0, n, batch):
-        alive = np.arange(start, min(start + batch, n))
+    stuck = [np.arange(0)]  # none, if there are no paths
+    for start in range(0, n, _PATH_BATCH):
+        alive = np.arange(start, min(start + _PATH_BATCH, n))
         elapsed, s = 0, _FIRST_CHUNK if levels or sloped else _MAX_CHUNK
         while alive.size and elapsed < n_steps:
             s = min(s, n_steps - elapsed)
@@ -238,7 +239,7 @@ def sample_hit_times(
         horizon = 1e6 / spec.mu
     n_steps = _check_walk(n_paths, step, horizon)
     k, _, _, stuck = _first_crossings(np.random.default_rng(rng_seed), np.zeros(n_paths),
-                                      (spec.c, -spec.mu, -np.inf, 0.0), n_steps, _PATH_BATCH, step,
+                                      (spec.c, -spec.mu, -np.inf, 0.0), n_steps, step,
                                       squares=False)
     if stuck.size:
         raise HorizonError(

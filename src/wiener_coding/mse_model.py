@@ -44,7 +44,7 @@ from .gauss_stats import (
     gauss_tail,
     scheme_constants,
 )
-from .hitting_times import _PATH_BATCH, _check_walk, _first_crossings
+from .hitting_times import _check_walk, _first_crossings
 
 __all__ = [
     "Codebook",
@@ -408,7 +408,7 @@ def mse_integral_oracle(
     else:
         raise ParameterError(f"unknown stop spec {stop!r}")
     k, w, sq, stuck = _first_crossings(np.random.default_rng(seed), np.zeros(n_paths), lines,
-                                       n_steps, _PATH_BATCH, step)
+                                       n_steps, step)
     lhs = step * sq + 0.5 * step * (k * step)
     # a deterministic stop is no crossing: its paths all stop at n_steps
     truncated = 0 if isinstance(stop, DeterministicStop) else stuck.size

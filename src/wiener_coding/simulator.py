@@ -11,18 +11,21 @@ and the decoded estimate ref, and the previous code length L:
   a boundary is the sloped event (tau = 0), so a = b = 0 runs with infinite
   band codewords.
 
-The waiting phase is walked on a grid of step eps through hitting_times'
-first-crossing kernel, each chain with its own lines (the band's two levels
-or one sloped line), and a crossing is the first grid point past a line
-(O(sqrt(eps)) overshoot accepted).  The kernel returns each chain's stop
-step, its error there and its left sum of squared errors, which give the
-sample time, the sample and the waiting phase's reward.  The decoder uses the protocol-implied
-value, so estimator and monitor agree exactly.  SimConfig rejects mu*eps > 1
-for the sloped schemes, whose decoded values are multiples of mu*eps (at
-a = b = 1, lengths 2, the MSE is off by +0.25% at mu*eps = 0.1, +3.5% at 1
-and +960% at 10).  The ideal benchmark (b = a) samples the real value once
-|X| >= a, testing the cycle start itself, and delivers it after one time
-unit; the uniform benchmark fixes all lengths to 2.
+The waiting phase is walked on a grid of step eps, one call of
+hitting_times' first-crossing kernel per generation, and a crossing is the
+first grid point past a line (O(sqrt(eps)) overshoot accepted).  The
+monotone and uniform schemes walk every chain in place on its own lines (the
+band's two levels or one sloped line).  The kernel returns each walked
+chain's stop step, its error there and its left sum of squared errors: the
+sample time, the sample and the waiting phase's reward.  The decoder uses
+the protocol-implied value, so estimator and monitor agree exactly.
+SimConfig rejects mu*eps > 1 for the sloped schemes, whose decoded values
+are multiples of mu*eps (at a = b = 1, lengths 2, the MSE is off by +0.25%
+at mu*eps = 0.1, +3.5% at 1 and +960% at 10).  The ideal benchmark (b = a)
+tests the cycle start itself: a chain with |X| >= a samples its real value
+at once, and the rest walk the levels +-a they share (its unit delay makes
+L = 1); each sample is delivered after one time unit.  The uniform benchmark
+fixes all lengths to 2.
 
 No event can fire during a transmission, so it is not walked: the error at
 the delivery is y = x + sqrt(sigma2*l)*N(0, 1), x the error at the sample,
@@ -155,7 +158,7 @@ class SimConfig:
         # a transmission occupies round(l/eps) grid steps, so every finite
         # length (the ideal scheme's unit delay included) must be a whole
         # number >= 1 of them, or the run would silently change it
-        for l in (1.0,) if cb is None else cb.lengths:
+        for l in _lengths(self):
             n = l / self.eps
             if math.isfinite(l) and (round(n) < 1 or abs(n - round(n)) > 1e-9 * n):
                 raise ParameterError(
@@ -167,7 +170,7 @@ class SimConfig:
                 f"mu*eps = {self.cfg.mu * self.eps:g} > 1: the grid of step eps = {self.eps} "
                 f"cannot resolve the sloped thresholds of slope mu = {self.cfg.mu}"
             )
-        max_len = 1.0 if cb is None else max(l for l in cb.lengths if math.isfinite(l))
+        max_len = max(l for l in _lengths(self) if math.isfinite(l))
         if self.horizon < 100.0 * max_len:
             raise ParameterError(
                 f"horizon {self.horizon} too short; need >= 100 * max length = {100 * max_len}"
@@ -369,65 +372,61 @@ def _chain_count(sim: SimConfig) -> int:
 def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
     """One replication: M chains in lockstep, one cycle each per generation.
 
-    The ideal scheme is the band test started at the cycle start itself,
-    with +-a on every cycle, the real-valued sample decoded, and unit delay.
+    A generation's waiting phases are one kernel call: on every row, in
+    place, with its own lines, or for the ideal scheme on the rows inside
+    the band, with the levels +-a they share; its other rows sample at once.
     """
     cfg, eps = sim.cfg, sim.eps
     ideal = sim.scheme == IDEAL
     a, b, mu, sigma2 = cfg.a, cfg.b, cfg.mu, cfg.sigma2
     lens = np.array(_lengths(sim))
     len_steps = np.array([round(l / eps) if math.isfinite(l) else -1 for l in lens])
+    # the thresholds a*sqrt(L) and b*sqrt(L) after each event; a zero factor
+    # stays 0 at L = inf (the empty band before a = b = 0's first cycle)
+    a_tab, b_tab = (v * np.sqrt(lens) if v > 0.0 else np.zeros(4) for v in (a, b))
     m = _chain_count(sim)
     n_steps = int(round(sim.horizon / eps))
+    step_sd = math.sqrt(sigma2 * eps)
 
     x = np.zeros(m)  # error W - ref at the cycle start
-    l_prev = np.full(m, lens[1])
+    prev = np.full(m, 1)  # the previous event, less 1
     ref = np.zeros(m)  # decoded estimate
     start = np.zeros(m, dtype=np.int64)  # grid index of the cycle start
     reward = duration = 0.0
     codes: list[np.ndarray] = []  # event codes of the measured generations
-    counts = np.zeros(4, dtype=np.int64)
     # the log's s_idx, d_idx, z, w_hat, reward and duration, per measured generation
     columns: tuple[list[np.ndarray], ...] = tuple([] for _ in range(6))
     generation = 0
     while True:
-        sq = np.sqrt(l_prev)  # infinite before a = b = 0's first cycle: the band is empty
-        athr = a * sq if a > 0.0 else np.zeros(m)
-        bthr = b * sq if b > 0.0 else np.zeros(m)
+        athr, bthr = a_tab[prev], b_tab[prev]
         inside = (-bthr < x) & (x < athr)
-        band = np.ones(m, dtype=bool) if ideal else inside
-        upward = ~band & (x >= athr)
-        downward = ~band & ~upward
+        band = inside | ideal  # the ideal scheme has no sloped events
+        sloped = ~band
+        upward = sloped & (x >= athr)
+        downward = sloped ^ upward
+        walk = inside if ideal else slice(None)
+        # the ideal scheme's shared levels, or each row's band levels or sloped line
+        lines = (a, 0.0, -b, 0.0) if ideal else (
+            np.where(downward, -bthr, np.where(upward, np.inf, athr)), np.where(downward, -mu, 0.0),
+            np.where(upward, athr, np.where(downward, -np.inf, -bthr)), np.where(upward, mu, 0.0))
 
-        # the waiting phase: the error e at the sample, its grid steps k and
-        # the squared errors at the grid points before it (x is walked in
-        # place), each row walked with its lines (see
-        # hitting_times._first_crossings), t the time since the cycle start
-        step_sd = math.sqrt(sigma2 * eps)
-        if ideal:
-            # rows outside the band sample at once; the rest walk the band,
-            # whose levels every row shares: +-a, as the unit delay makes L = 1
-            e, k, wait, stuck = x, np.zeros(m, dtype=np.int64), np.zeros(m), ()
-            walk = np.flatnonzero(inside)
-            if walk.size:
-                k[walk], e[walk], wait[walk], stuck = _first_crossings(
-                    rng, x[walk], (a, 0.0, -b, 0.0), n_steps, walk.size, eps, sd=step_sd)
-        else:
-            # the band's two levels, or one sloped line
-            u0 = np.where(downward, -bthr, np.where(upward, np.inf, athr))
-            su = np.where(downward, -mu, 0.0)
-            d0 = np.where(upward, athr, np.where(downward, -np.inf, -bthr))
-            sd = np.where(upward, mu, 0.0)
-            k, e, wait, stuck = _first_crossings(rng, x, (u0, su, d0, sd), n_steps, m, eps,
-                                                 sd=step_sd)
-        if len(stuck):
+        # the waiting phase (see hitting_times._first_crossings): each walked
+        # row's grid steps k to its sample, its error e there (x, set in place)
+        # and its sum of squared errors at the grid points before it; a row
+        # not walked samples at its cycle start
+        k, wait = np.zeros(m, dtype=np.int64), np.zeros(m)
+        k[walk], x[walk], wait[walk], stuck = _first_crossings(rng, x[walk], lines, n_steps,
+                                                               eps, sd=step_sd)
+        if stuck.size:
             raise HorizonError(f"a waiting phase passed the horizon {sim.horizon}")
-        t_hit = k * eps
+        e = x
+        climb = mu * (k * eps)  # the sloped lines' rise since the cycle start
 
         event = np.where(band, np.where(e >= athr, 2, 3), np.where(upward, 1, 4))
         level = e if ideal else np.where(event == 2, athr, -bthr)
-        z = np.where(band, level, np.where(upward, athr + mu * t_hit, -(bthr + mu * t_hit)))
-        n = len_steps[event - 1]
+        z = np.where(band, level, np.where(upward, athr + climb, -(bthr + climb)))
+        prev = event - 1  # the next cycle's previous event
+        n = len_steps[prev]
         if (n < 0).any():
             raise WienerCodingError(
                 f"event {event[n < 0][0]} with infinite code length occurred"
@@ -448,7 +447,6 @@ def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
             reward += float(cycle_reward.sum())
             duration += float(cycle_duration.sum())
             codes.append(event.astype(np.uint8))
-            counts += np.bincount(event, minlength=5)[1:]
             if log_cycles:
                 for col, value in zip(columns, (start + k, start + k + n, z, w_hat,
                                                 cycle_reward, cycle_duration)):
@@ -457,7 +455,6 @@ def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
                 break
         x = y - z
         ref = w_hat
-        l_prev = lens[event - 1]
         start += k + n
         generation += 1
 
@@ -468,7 +465,7 @@ def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
         s_idx, d_idx, z, w_hat, cycle_reward, cycle_duration = map(_chain_major, columns)
         log = CycleLog(eps, s_idx, d_idx, events, z, lengths.copy(), w_hat, cycle_reward,
                        cycle_duration)
-    return _RepOutcome(reward, duration, counts, lengths, log)
+    return _RepOutcome(reward, duration, np.bincount(events, minlength=5)[1:], lengths, log)
 
 
 def _chain_major(generations: list[np.ndarray]) -> np.ndarray:

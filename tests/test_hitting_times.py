@@ -10,6 +10,7 @@ import pytest
 from oracles import (
     band_exit_lower_prob,
     band_exit_upper_prob,
+    chunked_walk,
     laplace_transform,
     sample_hit_time,
 )
@@ -234,10 +235,11 @@ class TestKernel:
     def test_walk_without_squares_is_the_same_walk(self, monkeypatch, kind, tile):
         # squares=False skips only the sums: same stops, values and survivors
         monkeypatch.setattr(hitting_times, "_TILE", tile)
+        monkeypatch.setattr(hitting_times, "_PATH_BATCH", 128)  # 3 batches, the last partial
         lines, n_steps = self.WALKS[kind]
         start = np.random.default_rng(4).normal(0.0, 0.1, 300)
         summed, bare = (hitting_times._first_crossings(
-            np.random.default_rng(9), start.copy(), lines, n_steps, 128, 1e-3, squares=squares)
+            np.random.default_rng(9), start.copy(), lines, n_steps, 1e-3, squares=squares)
             for squares in (True, False))
         assert summed[2] is not None and bare[2] is None
         for i in (0, 1, 3):  # k, w, stuck
@@ -249,13 +251,29 @@ class TestKernel:
         # shared lines are compared as one row; the same values given per path
         # must walk the same paths
         monkeypatch.setattr(hitting_times, "_TILE", tile)
+        monkeypatch.setattr(hitting_times, "_PATH_BATCH", 128)  # 3 batches, the last partial
         lines, n_steps = self.WALKS[kind]
         start = np.random.default_rng(4).normal(0.0, 0.1, 300)
         shared, per_path = (hitting_times._first_crossings(
-            np.random.default_rng(9), start.copy(), given, n_steps, 128, 1e-3)
+            np.random.default_rng(9), start.copy(), given, n_steps, 1e-3)
             for given in (lines, tuple(np.full(start.size, v) for v in lines)))
         for got, want in zip(per_path, shared):  # k, w, sq, stuck
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("per_path", [False, True], ids=["shared", "per-path"])
+    @pytest.mark.parametrize("kind", ["band", "sloped", "none"])
+    def test_zero_paths(self, kind, per_path):
+        # a walk of no paths (an ideal-scheme generation with no row inside its
+        # band) draws nothing and returns empty arrays
+        lines, n_steps = self.WALKS[kind]
+        if per_path:
+            lines = tuple(np.full(0, v) for v in lines)
+        rng = np.random.default_rng(9)
+        k, w, sq, stuck = hitting_times._first_crossings(rng, np.zeros(0), lines, n_steps, 1e-3)
+        for got in (k, w, sq, stuck):
+            assert got.shape == (0,)
+        assert k.dtype == stuck.dtype == np.int64
+        assert rng.bit_generator.state == np.random.default_rng(9).bit_generator.state
 
     def test_memory_is_a_few_tiles(self):
         # the old full (paths x chunk) draws peaked at 71.3 MiB here
@@ -266,6 +284,128 @@ class TestKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+
+class TestKernelFirstCrossings:
+    """The walk kernel's first crossings (hitting_times._first_crossings over
+    each path's lines) against np.flatnonzero over the drawn paths: several
+    rows against chunked_walk, one row against its whole path."""
+
+    N, STEP, SD, SEED = 400, 1e-2, 0.1, 5
+    INF = math.inf
+    ROWS = {  # (start, u0, su, d0, sd): crossed at w >= u0 + su*t or w <= d0 + sd*t
+        "band": [(0.0, 1.5, 0.0, -1.2, 0.0), (0.3, 1.4, 0.0, -1.4, 0.0),
+                 (-0.2, 1.6, 0.0, -1.3, 0.0)],
+        "sloped-up": [(0.9, INF, 0.0, 0.5, 1.0), (1.5, INF, 0.0, 1.0, 0.2),
+                      (0.0, INF, 0.0, -0.6, 0.5)],  # the line rises to the path
+        "sloped-down": [(-0.9, -0.5, -1.0, -INF, 0.0), (-1.2, -1.0, -0.3, -INF, 0.0),
+                        (0.0, 0.6, -0.5, -INF, 0.0)],
+    }
+
+    def walk(self, rows):
+        """Each row's first crossing index (-1 for none), its value there (its
+        last value if none), its left sum of squares and the survivors."""
+        start, *lines = (np.array(c, dtype=float) for c in zip(*rows))
+        k, w, sq, stuck = hitting_times._first_crossings(
+            np.random.default_rng(self.SEED), start, lines, self.N, self.STEP, sd=self.SD)
+        got = np.where(k < self.N, k - 1, -1)
+        got[stuck] = -1
+        return got, w, sq, stuck
+
+    def reference(self, rows):
+        """chunked_walk over the rows on the kernel's chunk schedule."""
+        start, *lines = (np.array(c, dtype=float) for c in zip(*rows))
+        return chunked_walk(np.random.default_rng(self.SEED), start, lines, self.N,
+                                    self.STEP, self.SD)
+
+    def brute(self, row):
+        """One row's full path, drawn at once with its start folded into the
+        first step as the kernel folds it, its first crossing index (-1 for
+        none) and its left sum of squares up to the crossing (the whole path
+        but its last point if none).  A single row draws the same normals in
+        any chunking, and sums them in the same order."""
+        start, u0, su, d0, sl = row
+        t = (1 + np.arange(self.N)) * self.STEP
+        steps = np.random.default_rng(self.SEED).standard_normal(self.N) * self.SD
+        steps[0] += start
+        path = np.cumsum(steps)
+        hit = np.flatnonzero((path >= u0 + su * t) | (path <= d0 + sl * t))
+        k = int(hit[0]) if hit.size else -1
+        return path, k, start**2 + np.sum(path[: k if hit.size else -1] ** 2)
+
+    @pytest.mark.parametrize("kind", list(ROWS))
+    def test_matches_brute_force(self, kind):
+        # the rows together cross where the chunk-by-chunk reference says; each
+        # row alone crosses where its whole path does, past the first chunk
+        rows = self.ROWS[kind]
+        want, values, sums = self.reference(rows)
+        got, w, sq, stuck = self.walk(rows)
+        assert got.tolist() == want.tolist() and stuck.size == 0 and min(want) > 0
+        assert w.tolist() == values.tolist()
+        assert sq == pytest.approx(sums, rel=1e-12)
+        for row in rows:
+            path, k, total = self.brute(row)
+            got, w, sq, _ = self.walk([row])
+            assert got.tolist() == [k] and k >= hitting_times._FIRST_CHUNK
+            assert w.tolist() == [path[k]]
+            assert sq[0] == pytest.approx(total, rel=1e-12)
+
+    def test_lines_equal_the_two_line_test(self):
+        # paths that stand still (sd = 0) cross first where w >= u0 + su*t |
+        # w <= d0 + sd*t first holds: band rows compared as levels and sloped
+        # rows on their one line, on values that tie with a line at a grid
+        # point, at signed zeros and with infinite levels; in tiles that mix
+        # band and sloped rows and in tiles whose every row is sloped
+        n = 64
+        t = (1 + np.arange(n)) * self.STEP
+        rows = [r[1:] for kind in self.ROWS.values() for r in kind]
+        rows += [(0.0, 0.0, -0.0, 0.0), (-0.0, 0.0, 0.0, 0.0),
+                 (self.INF, 0.0, 0.0, 0.0), (0.0, 0.0, -self.INF, 0.0)]
+        cases = []
+        for u0, su, d0, sl in rows:
+            ties = [level + slope * t[c] for level, slope in ((u0, su), (d0, sl))
+                    for c in (0, 8, 17, 63)]
+            for v in [0.0, -0.0, 1.0, -1.0, 2.5, -2.5] + ties:
+                if math.isfinite(v):
+                    cases.append((v, u0, su, d0, sl))
+        pos, u0, su, d0, sl = (np.array(c, dtype=float) for c in zip(*cases))
+        crossed = ((pos[:, None] >= u0[:, None] + su[:, None] * t)
+                   | (pos[:, None] <= d0[:, None] + sl[:, None] * t))
+        want = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, n)
+        assert 0 < (want == 1).sum() and (want == n).sum() < want.size
+        for subset in (np.arange(want.size), np.flatnonzero(su), np.flatnonzero(sl)):
+            lines = [line[subset] for line in (u0, su, d0, sl)]
+            k, w, _, stuck = hitting_times._first_crossings(
+                np.random.default_rng(3), pos[subset].copy(), lines, n, self.STEP, sd=0.0)
+            assert k.tolist() == want[subset].tolist()
+            assert stuck.tolist() == np.flatnonzero(~crossed[subset].any(axis=1)).tolist()
+            assert np.array_equal(w, pos[subset])
+
+    def test_crossing_at_start(self):
+        # rows that cross on the first column: together, and each alone
+        rows = [(0.95, self.INF, 0.0, 0.5, 500.0), (-0.95, -0.5, -500.0, -self.INF, 0.0),
+                (2.0, 0.0, 0.0, -self.INF, 0.0), (-2.0, self.INF, 0.0, 0.0, 0.0)]
+        want, values, _ = self.reference(rows)
+        assert want.tolist() == [0] * len(rows)
+        got, w, sq, stuck = self.walk(rows)
+        assert got.tolist() == want.tolist() and stuck.size == 0
+        assert w.tolist() == values.tolist()
+        assert sq == pytest.approx([r[0] ** 2 for r in rows], rel=1e-12)  # the start alone
+        for row in rows:
+            path, _, _ = self.brute(row)
+            got, w, _, _ = self.walk([row])
+            assert got.tolist() == [0] and w.tolist() == [path[0]]
+
+    def test_no_crossing(self):
+        # a row that never crosses survives the walk with its last value; the
+        # crossing row beside it does not
+        rows = [(0.0, 1e9, 0.0, -1e9, 0.0), self.ROWS["band"][0]]
+        want, values, sums = self.reference(rows)
+        assert want[0] == -1 and want[1] > 0
+        got, w, sq, stuck = self.walk(rows)
+        assert got.tolist() == want.tolist() and stuck.tolist() == [0]
+        assert w.tolist() == values.tolist()
+        assert sq == pytest.approx(sums, rel=1e-12)
 
 
 class TestChunkSchedule:

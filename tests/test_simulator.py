@@ -247,129 +247,24 @@ class TestGolden:
         assert [len(seq) for seq in rep.length_sequences] == n_lengths
         assert _digest(rep.length_sequences) == digest
 
-
-class TestPathWindowFirst:
-    """The walk kernel's first crossings (hitting_times._first_crossings over
-    each path's lines) against np.flatnonzero over the drawn paths: several
-    rows against oracles.chunked_walk, one row against its whole path."""
-
-    N, STEP, SD, SEED = 400, 1e-2, 0.1, 5
-    INF = math.inf
-    ROWS = {  # (start, u0, su, d0, sd): crossed at w >= u0 + su*t or w <= d0 + sd*t
-        "band": [(0.0, 1.5, 0.0, -1.2, 0.0), (0.3, 1.4, 0.0, -1.4, 0.0),
-                 (-0.2, 1.6, 0.0, -1.3, 0.0)],
-        "sloped-up": [(0.9, INF, 0.0, 0.5, 1.0), (1.5, INF, 0.0, 1.0, 0.2),
-                      (0.0, INF, 0.0, -0.6, 0.5)],  # the line rises to the path
-        "sloped-down": [(-0.9, -0.5, -1.0, -INF, 0.0), (-1.2, -1.0, -0.3, -INF, 0.0),
-                        (0.0, 0.6, -0.5, -INF, 0.0)],
+    CSV = {  # run: (golden config, overrides, SHA-256 of its CycleLog.to_csv)
+        "monotone": ("monotone", {},
+                     "2f09fc2fee5fea11d26958f6a7adc41e64b23ff56ac9663bde90042587c582c4"),
+        "ideal": ("ideal", {}, "107784fbe527b75d20eee57b62421268fecec643134738e3399a03f8c8aab6eb"),
+        "origin": ("origin", {},
+                   "7a859742d42ce3bf9d62585f0666d79f1f218d89def5ee3129235fdd8e353827"),
+        # at b = 0 event 3 decodes to -b*sqrt(L) = -0.0, and the CSV keeps its sign
+        "monotone-b0": ("monotone", dict(b=0.0),
+                        "b5bb160fe01a71b14012bc0a7db6a1e164079b12ef1abc4660f69f1fba11299d"),
     }
 
-    def walk(self, rows):
-        """Each row's first crossing index (-1 for none), its value there (its
-        last value if none), its left sum of squares and the survivors."""
-        start, *lines = (np.array(c, dtype=float) for c in zip(*rows))
-        k, w, sq, stuck = hitting_times._first_crossings(
-            np.random.default_rng(self.SEED), start, lines, self.N, start.size, self.STEP,
-            sd=self.SD)
-        got = np.where(k < self.N, k - 1, -1)
-        got[stuck] = -1
-        return got, w, sq, stuck
-
-    def reference(self, rows):
-        """oracles.chunked_walk over the rows on the kernel's chunk schedule."""
-        start, *lines = (np.array(c, dtype=float) for c in zip(*rows))
-        return oracles.chunked_walk(np.random.default_rng(self.SEED), start, lines, self.N,
-                                    self.STEP, self.SD)
-
-    def brute(self, row):
-        """One row's full path, drawn at once with its start folded into the
-        first step as the kernel folds it, its first crossing index (-1 for
-        none) and its left sum of squares up to the crossing (the whole path
-        but its last point if none).  A single row draws the same normals in
-        any chunking, and sums them in the same order."""
-        start, u0, su, d0, sl = row
-        t = (1 + np.arange(self.N)) * self.STEP
-        steps = np.random.default_rng(self.SEED).standard_normal(self.N) * self.SD
-        steps[0] += start
-        path = np.cumsum(steps)
-        hit = np.flatnonzero((path >= u0 + su * t) | (path <= d0 + sl * t))
-        k = int(hit[0]) if hit.size else -1
-        return path, k, start**2 + np.sum(path[: k if hit.size else -1] ** 2)
-
-    @pytest.mark.parametrize("kind", list(ROWS))
-    def test_matches_brute_force(self, kind):
-        # the rows together cross where the chunk-by-chunk reference says; each
-        # row alone crosses where its whole path does, past the first chunk
-        rows = self.ROWS[kind]
-        want, values, sums = self.reference(rows)
-        got, w, sq, stuck = self.walk(rows)
-        assert got.tolist() == want.tolist() and stuck.size == 0 and min(want) > 0
-        assert w.tolist() == values.tolist()
-        assert sq == pytest.approx(sums, rel=1e-12)
-        for row in rows:
-            path, k, total = self.brute(row)
-            got, w, sq, _ = self.walk([row])
-            assert got.tolist() == [k] and k >= hitting_times._FIRST_CHUNK
-            assert w.tolist() == [path[k]]
-            assert sq[0] == pytest.approx(total, rel=1e-12)
-
-    def test_lines_equal_the_two_line_test(self):
-        # paths that stand still (sd = 0) cross first where w >= u0 + su*t |
-        # w <= d0 + sd*t first holds: band rows compared as levels and sloped
-        # rows on their one line, on values that tie with a line at a grid
-        # point, at signed zeros and with infinite levels; in tiles that mix
-        # band and sloped rows and in tiles whose every row is sloped
-        n = 64
-        t = (1 + np.arange(n)) * self.STEP
-        rows = [r[1:] for kind in self.ROWS.values() for r in kind]
-        rows += [(0.0, 0.0, -0.0, 0.0), (-0.0, 0.0, 0.0, 0.0),
-                 (self.INF, 0.0, 0.0, 0.0), (0.0, 0.0, -self.INF, 0.0)]
-        cases = []
-        for u0, su, d0, sl in rows:
-            ties = [level + slope * t[c] for level, slope in ((u0, su), (d0, sl))
-                    for c in (0, 8, 17, 63)]
-            for v in [0.0, -0.0, 1.0, -1.0, 2.5, -2.5] + ties:
-                if math.isfinite(v):
-                    cases.append((v, u0, su, d0, sl))
-        pos, u0, su, d0, sl = (np.array(c, dtype=float) for c in zip(*cases))
-        crossed = ((pos[:, None] >= u0[:, None] + su[:, None] * t)
-                   | (pos[:, None] <= d0[:, None] + sl[:, None] * t))
-        want = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, n)
-        assert 0 < (want == 1).sum() and (want == n).sum() < want.size
-        for subset in (np.arange(want.size), np.flatnonzero(su), np.flatnonzero(sl)):
-            lines = [line[subset] for line in (u0, su, d0, sl)]
-            k, w, _, stuck = hitting_times._first_crossings(
-                np.random.default_rng(3), pos[subset].copy(), lines, n, subset.size, self.STEP,
-                sd=0.0)
-            assert k.tolist() == want[subset].tolist()
-            assert stuck.tolist() == np.flatnonzero(~crossed[subset].any(axis=1)).tolist()
-            assert np.array_equal(w, pos[subset])
-
-    def test_crossing_at_start(self):
-        # rows that cross on the first column: together, and each alone
-        rows = [(0.95, self.INF, 0.0, 0.5, 500.0), (-0.95, -0.5, -500.0, -self.INF, 0.0),
-                (2.0, 0.0, 0.0, -self.INF, 0.0), (-2.0, self.INF, 0.0, 0.0, 0.0)]
-        want, values, _ = self.reference(rows)
-        assert want.tolist() == [0] * len(rows)
-        got, w, sq, stuck = self.walk(rows)
-        assert got.tolist() == want.tolist() and stuck.size == 0
-        assert w.tolist() == values.tolist()
-        assert sq == pytest.approx([r[0] ** 2 for r in rows], rel=1e-12)  # the start alone
-        for row in rows:
-            path, _, _ = self.brute(row)
-            got, w, _, _ = self.walk([row])
-            assert got.tolist() == [0] and w.tolist() == [path[0]]
-
-    def test_no_crossing(self):
-        # a row that never crosses survives the walk with its last value; the
-        # crossing row beside it does not
-        rows = [(0.0, 1e9, 0.0, -1e9, 0.0), self.ROWS["band"][0]]
-        want, values, sums = self.reference(rows)
-        assert want[0] == -1 and want[1] > 0
-        got, w, sq, stuck = self.walk(rows)
-        assert got.tolist() == want.tolist() and stuck.tolist() == [0]
-        assert w.tolist() == values.tolist()
-        assert sq == pytest.approx(sums, rel=1e-12)
+    @pytest.mark.parametrize("name", list(CSV))
+    def test_cycle_csv(self, name, tmp_path):
+        config, kw, digest = self.CSV[name]
+        _golden_run(config, log_cycles=True, **kw).cycles.to_csv(tmp_path / "cycles.csv")
+        data = (tmp_path / "cycles.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+        assert (b",3,-0.0," in data) == (name == "monotone-b0")
 
 
 class TestChainEngine:
@@ -412,6 +307,11 @@ class TestChainEngine:
         # the chain state does not grow with the horizon past _MAX_CHAINS
         assert simulator._chain_count(sim_cfg(horizon=1e12)) == simulator._MAX_CHAINS
         assert simulator._chain_count(sim_cfg(horizon=200.0)) == 3
+
+    def test_generation_is_one_batch(self):
+        # a generation's walk is one kernel batch, so its draws follow the rows
+        # in order whatever the chain count
+        assert simulator._MAX_CHAINS <= hitting_times._PATH_BATCH
 
     def test_memory_does_not_grow_with_horizon(self, monkeypatch):
         # the chain state grows with the chain count up to its cap; with both
