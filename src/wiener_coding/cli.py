@@ -44,7 +44,7 @@ from .errors import (
 )
 from .gauss_stats import ThresholdConfig, scheme_constants
 from .mse_model import INTEGER, Codebook, ideal_benchmark_mse, mse_exact
-from .simulator import IDEAL, MONOTONE, UNIFORM, SimConfig, run, run_benchmark
+from .simulator import IDEAL, MONOTONE, UNIFORM, SimConfig, run
 
 __all__ = ["main", "entry"]
 
@@ -53,8 +53,8 @@ ENV_OUTDIR = "WIENER_CODING_OUTDIR"
 _HELP = {
     "a": "upper threshold coefficient",
     "b": "lower threshold coefficient",
-    "mu": "threshold slope (default inf, the large-slope limit; "
-          "simulations need a finite value)",
+    "mu": "threshold slope (default inf, the large-slope limit: a sample "
+          "beyond the band is taken at once)",
     "sigma2": "process variance (default 1)",
     "l": "code lengths l1,l2,l3,l4 (inf allowed)",
     "fmax": "max sampling rate; number or inf (sweep: a comma-separated list)",
@@ -236,14 +236,6 @@ def _cfg_from(res: _Resolver, a: float, b: float) -> ThresholdConfig:
     )
 
 
-def _require_finite_mu(mu: float) -> None:
-    if math.isinf(mu):
-        raise ParameterError(
-            "--mu: the simulator needs a finite slope; the default mu = inf is the "
-            "closed forms' large-slope limit"
-        )
-
-
 def cmd_analyze(res: _Resolver) -> int:
     lengths = _parse_lengths(res.require("l"))
     cb = Codebook.relaxed(*lengths)
@@ -314,9 +306,7 @@ def cmd_optimize(res: _Resolver) -> int:
 
 
 def cmd_simulate(res: _Resolver) -> int:
-    scheme = res.require("scheme")
     cfg = _cfg_from(res, _parse_float("a", res.require("a")), _parse_float("b", res.require("b")))
-    _require_finite_mu(cfg.mu)
     lengths = res.raw("l")
     sim = SimConfig(
         eps=_parse_float("eps", res.require("eps")),
@@ -324,11 +314,11 @@ def cmd_simulate(res: _Resolver) -> int:
         cfg=cfg,
         cb=None if lengths is None else Codebook(*_parse_lengths(lengths), mode=INTEGER),
         seed=_parse_int("seed", res.require("seed")),
-        scheme=scheme,
+        scheme=res.require("scheme"),
         replications=_parse_int("reps", res.require("reps")),
         log_cycles=res.raw("cycles-out") is not None,
     )
-    report = run(sim) if scheme == MONOTONE else run_benchmark(sim)
+    report = run(sim)
     out, cycles_out = res.output("out"), res.output("cycles-out")
     if out is None:
         sys.stdout.write(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
@@ -347,9 +337,7 @@ def cmd_sweep(res: _Resolver) -> int:
     if flag not in ("true", "false"):
         raise ParameterError(f"--simulate: expected true or false, got {flag!r}")
     simulate = flag == "true"
-    if simulate:
-        _require_finite_mu(mu)
-    else:
+    if not simulate:
         res.unread(("eps", "horizon", "seed", "reps"), "without --simulate")
     rows = []
     any_feasible = False
@@ -412,20 +400,16 @@ def _sweep_sim_columns(res: _Resolver, cfg: ThresholdConfig, rc: RateConstraint)
     seed = _parse_int("seed", res.require("seed"))
     reps = _parse_int("reps", res.require("reps"))
     out: dict = {}
-    uni = run_benchmark(
-        SimConfig(eps, horizon, cfg, Codebook.uniform(2, mode=INTEGER), seed,
-                  scheme=UNIFORM, replications=reps)
-    )
+    uni = run(SimConfig(eps, horizon, cfg, Codebook.uniform(2, mode=INTEGER), seed,
+                        scheme=UNIFORM, replications=reps))
     out["sim_mse_uniform"] = uni.mse_hat
     out["sim_sr_uniform"] = uni.sr_hat
-    ideal = run_benchmark(
-        SimConfig(eps, horizon, cfg, None, seed, scheme=IDEAL, replications=reps)
-    )
+    ideal = run(SimConfig(eps, horizon, cfg, None, seed, scheme=IDEAL, replications=reps))
     out["sim_mse_ideal"] = ideal.mse_hat
     out["sim_sr_ideal"] = ideal.sr_hat
     try:
         icb, _ = integer_oracle(cfg, rc)
-        rep = run(SimConfig(eps, horizon, cfg, icb, seed, scheme=MONOTONE, replications=reps))
+        rep = run(SimConfig(eps, horizon, cfg, icb, seed, replications=reps))
         out["sim_mse_integer"] = rep.mse_hat
         out["sim_sr_integer"] = rep.sr_hat
         out["l1_integer"] = icb.l1

@@ -129,10 +129,14 @@ def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True):
     n_steps), its value there, its sum of squares at the grid points before
     that step (the start included; None unless squares), and the indices of
     the paths that never crossed.  w is pos, set in place.  squares=False
-    walks the same paths and skips only the sums.  Zero paths draw nothing
-    and return empty arrays.
+    walks the same paths and skips only the sums.  Zero paths return empty
+    arrays at once, before any line or buffer is built or any draw made.
     """
     n = pos.size
+    k = np.full(n, n_steps, dtype=np.int64)
+    sq = pos * pos if squares else None
+    if not n:  # no paths: no lines, buffers or draws
+        return k, pos, sq, np.arange(0)
     # shared lines are held as one row, which every tile is compared with
     shared = all(np.ndim(v) == 0 for v in lines)
     u0, su, d0, sl = (np.asarray(v, dtype=float).reshape(-1) for v in lines)
@@ -149,9 +153,7 @@ def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True):
     size = max(_TILE, _MAX_CHUNK)  # holds any row tile
     # two allocations, not four: the allocator maps each large one afresh per call
     (buf, spare), (above, below) = (np.empty((2, size), dtype=d) for d in (float, bool))
-    k = np.full(n, n_steps, dtype=np.int64)
-    sq = pos * pos if squares else None
-    stuck = [np.arange(0)]  # none, if there are no paths
+    stuck = []
     for start in range(0, n, _PATH_BATCH):
         alive = np.arange(start, min(start + _PATH_BATCH, n))
         elapsed, s = 0, _FIRST_CHUNK if levels or sloped else _MAX_CHUNK

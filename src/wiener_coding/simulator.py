@@ -9,23 +9,26 @@ and the decoded estimate ref, and the previous code length L:
   a*sqrt(L) + mu*t (or its mirror) started at the cycle start to catch the
   error (events 1/4); the decoded value is threshold + mu*tau.  A sample on
   a boundary is the sloped event (tau = 0), so a = b = 0 runs with infinite
-  band codewords.
+  band codewords.  At mu = inf, the closed forms' and the optimizer's
+  large-slope regime, the line catches the error at once: the cycle samples
+  at its start (tau = 0) and decodes the sample X itself.
 
 The waiting phase is walked on a grid of step eps, one call of
 hitting_times' first-crossing kernel per generation, and a crossing is the
-first grid point past a line (O(sqrt(eps)) overshoot accepted).  The
-monotone and uniform schemes walk every chain in place on its own lines (the
-band's two levels or one sloped line).  The kernel returns each walked
-chain's stop step, its error there and its left sum of squared errors: the
-sample time, the sample and the waiting phase's reward.  The decoder uses
-the protocol-implied value, so estimator and monitor agree exactly.
-SimConfig rejects mu*eps > 1 for the sloped schemes, whose decoded values
-are multiples of mu*eps (at a = b = 1, lengths 2, the MSE is off by +0.25%
-at mu*eps = 0.1, +3.5% at 1 and +960% at 10).  The ideal benchmark (b = a)
-tests the cycle start itself: a chain with |X| >= a samples its real value
-at once, and the rest walk the levels +-a they share (its unit delay makes
-L = 1); each sample is delivered after one time unit.  The uniform benchmark
-fixes all lengths to 2.
+first grid point past a line (O(sqrt(eps)) overshoot accepted).  At a finite
+slope every chain walks in place on its own lines (the band's two levels or
+one sloped line); at mu = inf only the chains strictly inside their band
+walk, on its two levels.  The kernel returns each walked chain's stop step,
+its error there and its left sum of squared errors: the sample time, the
+sample and the waiting phase's reward.  The decoder uses the
+protocol-implied value, so estimator and monitor agree exactly.  SimConfig
+rejects a finite mu with mu*eps > 1, since decoded sloped values are
+multiples of mu*eps (at a = b = 1, lengths 2, the MSE is off by +0.25% at
+mu*eps = 0.1, +3.5% at 1 and +960% at 10).  The ideal benchmark (b = a) is
+the mu = inf rule at a unit delay (L = 1), whatever its config's mu: a chain
+with |X| >= a samples at once, a chain inside walks to +-a, and either way
+the decoder receives the sample's real value, delivered after one time
+unit.  The uniform benchmark fixes all lengths to 2.
 
 No event can fire during a transmission, so it is not walked: the error at
 the delivery is y = x + sqrt(sigma2*l)*N(0, 1), x the error at the sample,
@@ -126,9 +129,6 @@ class SimConfig:
         _integer("replications", self.replications, 1)
         if self.scheme not in (MONOTONE, UNIFORM, IDEAL):
             raise ParameterError(f"unknown scheme {self.scheme!r}")
-        if math.isinf(self.cfg.mu):
-            raise ParameterError("the simulator needs a finite slope mu; mu = inf is the "
-                                 "closed forms' large-slope limit")
         cb = self.cb
         if self.scheme == UNIFORM:
             if cb is None:
@@ -165,7 +165,7 @@ class SimConfig:
                     f"length {l} is {n:g} grid steps of eps = {self.eps}; "
                     f"need a whole number >= 1"
                 )
-        if self.scheme != IDEAL and self.cfg.mu * self.eps > 1.0:
+        if math.isfinite(_slope(self)) and self.cfg.mu * self.eps > 1.0:
             raise ParameterError(
                 f"mu*eps = {self.cfg.mu * self.eps:g} > 1: the grid of step eps = {self.eps} "
                 f"cannot resolve the sloped thresholds of slope mu = {self.cfg.mu}"
@@ -316,7 +316,7 @@ class SimulationReport:
                 "horizon": self.config.horizon,
                 "a": cfg.a,
                 "b": cfg.b,
-                "mu": cfg.mu,
+                "mu": _num(cfg.mu),
                 "sigma2": cfg.sigma2,
                 "lengths": None if cb is None else [_num(l) for l in cb.lengths],
                 "seed": self.config.seed,
@@ -364,6 +364,11 @@ def _lengths(sim: SimConfig) -> tuple[float, ...]:
     return (1.0, 1.0, 1.0, 1.0) if sim.scheme == IDEAL else sim.cb.lengths
 
 
+def _slope(sim: SimConfig) -> float:
+    """The sloped lines' slope; the ideal scheme samples beyond its band at once."""
+    return math.inf if sim.scheme == IDEAL else sim.cfg.mu
+
+
 def _chain_count(sim: SimConfig) -> int:
     max_len = max(l for l in _lengths(sim) if math.isfinite(l))
     return min(_MAX_CHAINS, max(1, int(sim.horizon / (_CHAIN_SPAN * max_len))))
@@ -372,13 +377,17 @@ def _chain_count(sim: SimConfig) -> int:
 def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
     """One replication: M chains in lockstep, one cycle each per generation.
 
-    A generation's waiting phases are one kernel call: on every row, in
-    place, with its own lines, or for the ideal scheme on the rows inside
-    the band, with the levels +-a they share; its other rows sample at once.
+    A generation's waiting phases are one kernel call on its rows' own
+    lines: at a finite slope on every row, in place; at mu = inf (the ideal
+    scheme's slope) on the rows strictly inside their band, with its two
+    levels, while each other row samples at its cycle start (k = 0, z = x,
+    event 1 or 4).
     """
     cfg, eps = sim.cfg, sim.eps
     ideal = sim.scheme == IDEAL
-    a, b, mu, sigma2 = cfg.a, cfg.b, cfg.mu, cfg.sigma2
+    a, b, sigma2 = cfg.a, cfg.b, cfg.sigma2
+    mu = _slope(sim)
+    at_once = math.isinf(mu)  # a row beyond its band samples at its cycle start
     lens = np.array(_lengths(sim))
     len_steps = np.array([round(l / eps) if math.isfinite(l) else -1 for l in lens])
     # the thresholds a*sqrt(L) and b*sqrt(L) after each event; a zero factor
@@ -400,15 +409,16 @@ def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
     while True:
         athr, bthr = a_tab[prev], b_tab[prev]
         inside = (-bthr < x) & (x < athr)
-        band = inside | ideal  # the ideal scheme has no sloped events
-        sloped = ~band
-        upward = sloped & (x >= athr)
-        downward = sloped ^ upward
-        walk = inside if ideal else slice(None)
-        # the ideal scheme's shared levels, or each row's band levels or sloped line
-        lines = (a, 0.0, -b, 0.0) if ideal else (
-            np.where(downward, -bthr, np.where(upward, np.inf, athr)), np.where(downward, -mu, 0.0),
-            np.where(upward, athr, np.where(downward, -np.inf, -bthr)), np.where(upward, mu, 0.0))
+        upward = x >= athr  # on or above the band (at a = b = 0, x = 0 goes up)
+        if at_once:  # only the rows inside walk, on their band levels
+            walk = inside.nonzero()[0]
+            lines = (athr[walk], np.zeros(walk.size), -bthr[walk], np.zeros(walk.size))
+        else:  # every row walks in place, on its band levels or its sloped line
+            walk, downward = slice(None), ~(inside | upward)
+            lines = (np.where(downward, -bthr, np.where(upward, np.inf, athr)),
+                     np.where(downward, -mu, 0.0),
+                     np.where(upward, athr, np.where(downward, -np.inf, -bthr)),
+                     np.where(upward, mu, 0.0))
 
         # the waiting phase (see hitting_times._first_crossings): each walked
         # row's grid steps k to its sample, its error e there (x, set in place)
@@ -420,11 +430,15 @@ def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
         if stuck.size:
             raise HorizonError(f"a waiting phase passed the horizon {sim.horizon}")
         e = x
-        climb = mu * (k * eps)  # the sloped lines' rise since the cycle start
+        if at_once:  # the sloped line passes the sample at the cycle start
+            caught = e
+        else:
+            climb = mu * (k * eps)  # the sloped lines' rise since the cycle start
+            caught = np.where(upward, athr + climb, -(bthr + climb))
 
-        event = np.where(band, np.where(e >= athr, 2, 3), np.where(upward, 1, 4))
+        event = np.where(inside, np.where(e >= athr, 2, 3), np.where(upward, 1, 4))
         level = e if ideal else np.where(event == 2, athr, -bthr)
-        z = np.where(band, level, np.where(upward, athr + climb, -(bthr + climb)))
+        z = np.where(inside, level, caught)
         prev = event - 1  # the next cycle's previous event
         n = len_steps[prev]
         if (n < 0).any():
@@ -506,16 +520,12 @@ def _run_replicated(sim: SimConfig) -> SimulationReport:
 
 
 def run(sim: SimConfig) -> SimulationReport:
-    """Simulate the monotone-threshold scheme."""
-    if sim.scheme != MONOTONE:
-        raise ParameterError(f"run() handles the monotone scheme; got {sim.scheme!r}")
+    """Simulate sim's scheme: monotone, uniform benchmark or ideal benchmark."""
     return _run_replicated(sim)
 
 
 def run_benchmark(sim: SimConfig) -> SimulationReport:
-    """Simulate a benchmark scheme (uniform length-2 code or ideal sampling)."""
-    if sim.scheme not in (UNIFORM, IDEAL):
-        raise ParameterError(f"run_benchmark() needs a benchmark scheme; got {sim.scheme!r}")
+    """The same as run; the benchmarks' former entry point, kept for its callers."""
     return _run_replicated(sim)
 
 

@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -358,12 +359,20 @@ class TestSimulate:
         ["simulate", "--a", "1", "--b", "1", "--scheme", "ideal-benchmark", "--horizon", "300"],
         ["sweep", "--grid", "0:1:0.5", "--fmax", "0.5", "--simulate", "--horizon", "300"],
     ])
-    def test_default_slope_cannot_be_simulated(self, tmp_path, argv, capsys):
-        # the default mu = inf is the large-slope limit; a simulation needs --mu
+    def test_default_slope_is_simulated(self, tmp_path, argv):
+        # the default mu = inf, the closed forms' large-slope limit, samples a
+        # cycle that starts beyond its band at once; its report writes mu as null
         out = tmp_path / "s.out"
-        assert main(argv + ["--out", str(out)]) == 2
-        assert "--mu" in capsys.readouterr().err
-        assert not out.exists()
+        assert main(argv + ["--out", str(out)]) == 0
+        if argv[0] == "sweep":
+            assert "# mu=inf" in out.read_text().splitlines()
+            assert len(read_csv(out)) == 3
+        else:
+            report = json.loads(out.read_text())
+            assert report["spec"]["mu"] is None
+            jsonschema = pytest.importorskip("jsonschema")
+            schema_path = Path(wiener_coding.__file__).parent / "schemas" / "report.schema.json"
+            jsonschema.validate(report, json.loads(schema_path.read_text()))
 
     def test_benchmark_scheme(self, tmp_path):
         # one replication's MSE spreads by about 0.07 here, so 8 of them put
@@ -539,6 +548,28 @@ class TestFlagTable:
         assert flag in capsys.readouterr().err
 
 
+def _readme_commands() -> list[str]:
+    """The `wiener-coding ...` examples of the README's "Command line" block,
+    each with its backslash continuations joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("wiener-coding ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+class TestReadmeExamples:
+    def test_every_command_has_an_example(self):
+        assert {line.split()[1] for line in README_COMMANDS} == set(ROWS)
+
+    @pytest.mark.parametrize("line", README_COMMANDS)
+    def test_example_parses(self, line):
+        args = _build_parser().parse_args(shlex.split(line)[1:])
+        assert args.command == line.split()[1]
+
+
 class TestFlagsReadOnlyInSomeRuns:
     @pytest.mark.parametrize("argv,flag", [
         (["analyze", "--a", "1", "--b", "1", "--grid", "0:1:0.5", "--l", "2,2,2,2"], "--grid"),
@@ -623,7 +654,7 @@ class TestOverwrite:
                 raise AssertionError(f"{name} ran before the outputs were checked")
             return call
 
-        for name in ("run", "run_benchmark", "dinkelbach_solve"):
+        for name in ("run", "dinkelbach_solve"):
             monkeypatch.setattr(cli, name, never(name))
         monkeypatch.setenv("WIENER_CODING_OUTDIR", str(tmp_path))
         old = tmp_path / "old.txt"

@@ -74,10 +74,13 @@ class TestSimConfigValidation:
     @pytest.mark.parametrize("scheme,cb", [
         ("monotone", UNIT2), ("uniform-benchmark", None), ("ideal-benchmark", None),
     ])
-    def test_infinite_slope_rejected(self, scheme, cb):
-        # mu = inf is the closed forms' limit; a grid cannot catch up at that slope
-        with pytest.raises(ParameterError, match="finite slope"):
-            sim_cfg(mu=math.inf, scheme=scheme, cb=cb)
+    def test_infinite_slope_accepted(self, scheme, cb):
+        # mu = inf samples beyond the band at the cycle start, so no grid bound
+        # applies, even at an eps whose mu*eps would be 10 at mu = 1000
+        rep = run(sim_cfg(mu=math.inf, scheme=scheme, cb=cb, horizon=500.0))
+        assert rep.n_cycles > 0 and rep.config.cfg.mu == math.inf
+        assert rep.to_json_dict()["spec"]["mu"] is None
+        sim_cfg(mu=math.inf, eps=0.5, scheme=scheme, cb=cb)
 
     def test_ideal_requires_symmetric_band(self):
         # the ideal scheme samples on a +-a band; a different b would be ignored
@@ -176,8 +179,7 @@ GOLDEN_CONFIGS = {
 
 
 def _golden_run(name, **kw):
-    sim = sim_cfg(**{**GOLDEN_CONFIGS[name], **kw})
-    return (run_benchmark if sim.scheme == "ideal-benchmark" else run)(sim)
+    return run(sim_cfg(**{**GOLDEN_CONFIGS[name], **kw}))
 
 
 class TestGolden:
@@ -204,10 +206,12 @@ class TestGolden:
             [105, 120],
             "a697dc72b9311ef9b55c78d8a359ed519b66ddcc474d6187b288fda8864a0b17",
         ),
+        # the ideal scheme samples at mu = inf: a cycle that starts on or
+        # beyond +-a is event 1 or 4
         "ideal": (
             dict(horizon=300.0, lengths=None, scheme="ideal-benchmark", seed=12),
             {
-                "event_counts": {"1": 0, "2": 186, "3": 192, "4": 0},
+                "event_counts": {"1": 52, "2": 134, "3": 131, "4": 61},
                 "mse_ci": 0.1645829126131042,
                 "mse_hat": 1.3230073950130101,
                 "n_cycles": 378,
@@ -250,7 +254,7 @@ class TestGolden:
     CSV = {  # run: (golden config, overrides, SHA-256 of its CycleLog.to_csv)
         "monotone": ("monotone", {},
                      "2f09fc2fee5fea11d26958f6a7adc41e64b23ff56ac9663bde90042587c582c4"),
-        "ideal": ("ideal", {}, "107784fbe527b75d20eee57b62421268fecec643134738e3399a03f8c8aab6eb"),
+        "ideal": ("ideal", {}, "989b35545d4002942ff77c1ccaf5cdf688938b3da2de3bbdd92d544f202c7a93"),
         "origin": ("origin", {},
                    "7a859742d42ce3bf9d62585f0666d79f1f218d89def5ee3129235fdd8e353827"),
         # at b = 0 event 3 decodes to -b*sqrt(L) = -0.0, and the CSV keeps its sign
@@ -308,6 +312,11 @@ class TestChainEngine:
         assert simulator._chain_count(sim_cfg(horizon=1e12)) == simulator._MAX_CHAINS
         assert simulator._chain_count(sim_cfg(horizon=200.0)) == 3
 
+    def test_run_benchmark_is_run(self):
+        # the benchmarks' former entry point takes every scheme, as run does
+        sim = sim_cfg(**GOLDEN_CONFIGS["monotone"])
+        assert run_benchmark(sim).to_json_dict() == run(sim).to_json_dict()
+
     def test_generation_is_one_batch(self):
         # a generation's walk is one kernel batch, so its draws follow the rows
         # in order whatever the chain count
@@ -348,7 +357,7 @@ class TestChainEngine:
     ], ids=["uniform-0.25", "uniform-1.5", "ideal-1.5"])
     def test_agrees_with_sequential_engine(self, kw):
         sim = sim_cfg(**kw, horizon=1e4, replications=8, seed=41)
-        rep = (run_benchmark if sim.scheme == "ideal-benchmark" else run)(sim)
+        rep = run(sim)
         ref_mse, ref_sr = oracles.sequential_engine(sim)
         for got, want in ((rep.rep_mse, ref_mse), (rep.rep_sr, ref_sr)):
             se = math.hypot(got.std(ddof=1), want.std(ddof=1)) / math.sqrt(sim.replications)
@@ -629,6 +638,45 @@ class TestAgainstAnalytics:
         freq = rep.event_counts / rep.n_cycles
         sigma = np.sqrt(p * (1 - p) / rep.n_cycles)
         assert np.all(np.abs(freq - p) <= 4 * sigma)
+
+
+class TestInfiniteSlope:
+    """mu = inf: a cycle that starts on or beyond its band samples at once
+    (events 1 and 4 with no wait), and only the cycles inside walk."""
+
+    def test_ideal_is_the_unit_codebook_at_origin(self):
+        # at a = 0 every cycle samples at its start, so the ideal scheme and the
+        # unit codebook draw one stream and decode the same samples
+        origin = dict(a=0.0, b=0.0, mu=math.inf, horizon=500.0, replications=2)
+        ideal = run(sim_cfg(**origin, scheme="ideal-benchmark", cb=None))
+        unit = run(sim_cfg(**origin, cb=Codebook.integer(1, math.inf, math.inf, 1)))
+        assert (ideal.mse_hat, ideal.sr_hat) == (unit.mse_hat, unit.sr_hat)
+        assert ideal.event_counts.tolist() == unit.event_counts.tolist()
+        assert ideal.event_counts[1:3].sum() == 0
+        assert _digest(ideal.length_sequences) == _digest(unit.length_sequences)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
+    def test_ideal_event_frequencies(self, a):
+        # the ideal scheme runs at mu = inf whatever its config's slope (10
+        # here); C9's gate of 5 standard deviations per event
+        rep = run(sim_cfg(a=a, b=a, scheme="ideal-benchmark", cb=None, horizon=1e4,
+                          replications=2))
+        p = np.array(event_probabilities(ThresholdConfig(a, a, math.inf)).as_tuple())
+        n = rep.n_cycles
+        dev = np.abs(rep.event_counts - n * p) / np.sqrt(n * p * (1 - p))
+        assert np.all(dev <= 5.0), dev
+
+    @pytest.mark.parametrize("a", [0.5, 1.0])
+    @pytest.mark.parametrize("lengths", [(2, 2, 2, 2), (1, 3, 4, 5)])
+    def test_against_closed_form(self, lengths, a):
+        # C2's 5% at mu = inf.  Over 8 seeds at half this horizon the SR read
+        # -3.80% (sd 0.40%) at a = 1, lengths 2, the worst of the four; the MSE
+        # stayed within 1.4%
+        cfg, cb = ThresholdConfig(a, a, math.inf), Codebook.integer(*lengths)
+        rep = run(sim_cfg(a=a, b=a, mu=math.inf, cb=cb, horizon=1e5, replications=2))
+        ex = mse_exact(cfg, cb)
+        assert rep.mse_hat == pytest.approx(ex.mse, rel=0.05)
+        assert rep.sr_hat == pytest.approx(ex.sr, rel=0.05)
 
 
 class TestHorizonErrors:
