@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -339,6 +340,8 @@ def cmd_sweep(res: _Resolver) -> int:
     simulate = flag == "true"
     if not simulate:
         res.unread(("eps", "horizon", "seed", "reps"), "without --simulate")
+    runs = _sweep_runs(res) if simulate else None
+    benchmarks: dict[float, dict] = {}  # the benchmark columns depend on a alone
     rows = []
     any_feasible = False
     for fmax in fmaxes:
@@ -370,14 +373,11 @@ def cmd_sweep(res: _Resolver) -> int:
                     rate_active=False,
                     capped=False,
                 )
-            uni = mse_exact(large, Codebook.uniform(2.0))
-            row["mse_uniform"] = uni.mse
-            row["sr_uniform"] = uni.sr
-            ideal_mse, ideal_sr = ideal_benchmark_mse(a)
-            row["mse_ideal"] = ideal_mse
-            row["sr_ideal"] = ideal_sr
-            if simulate:
-                row.update(_sweep_sim_columns(res, cfg, rc))
+            if a not in benchmarks:
+                benchmarks[a] = _benchmark_columns(cfg, runs)
+            row.update(benchmarks[a])
+            if runs is not None:
+                row.update(_integer_columns(cfg, rc, runs))
             rows.append(row)
     if not any_feasible:
         raise InfeasibleError("no feasible sweep point under the given rate constraints")
@@ -392,34 +392,50 @@ def cmd_sweep(res: _Resolver) -> int:
     return 0
 
 
-def _sweep_sim_columns(res: _Resolver, cfg: ThresholdConfig, rc: RateConstraint) -> dict:
-    """Simulation overlays: uniform and ideal benchmarks plus the best
-    integer codebook (relaxed optima have non-integer lengths)."""
+def _sweep_runs(res: _Resolver):
+    """sweep --simulate's runs: (cfg, cb, scheme) -> (mse_hat, sr_hat), each
+    distinct run simulated once."""
     eps = _parse_float("eps", res.require("eps"))
     horizon = _parse_float("horizon", res.require("horizon"))
     seed = _parse_int("seed", res.require("seed"))
     reps = _parse_int("reps", res.require("reps"))
-    out: dict = {}
-    uni = run(SimConfig(eps, horizon, cfg, Codebook.uniform(2, mode=INTEGER), seed,
-                        scheme=UNIFORM, replications=reps))
-    out["sim_mse_uniform"] = uni.mse_hat
-    out["sim_sr_uniform"] = uni.sr_hat
-    ideal = run(SimConfig(eps, horizon, cfg, None, seed, scheme=IDEAL, replications=reps))
-    out["sim_mse_ideal"] = ideal.mse_hat
-    out["sim_sr_ideal"] = ideal.sr_hat
+
+    @functools.cache
+    def simulated(sim: SimConfig) -> tuple[float, float]:
+        rep = run(sim)
+        return rep.mse_hat, rep.sr_hat
+
+    return lambda cfg, cb, scheme=MONOTONE: simulated(
+        SimConfig(eps, horizon, cfg, cb, seed, scheme=scheme, replications=reps))
+
+
+def _benchmark_columns(cfg: ThresholdConfig, runs) -> dict:
+    """The uniform and ideal benchmarks at cfg's a: closed forms at mu = inf,
+    and with --simulate their runs."""
+    uni = mse_exact(replace(cfg, mu=math.inf), Codebook.uniform(2.0))
+    out = {"mse_uniform": uni.mse, "sr_uniform": uni.sr}
+    out["mse_ideal"], out["sr_ideal"] = ideal_benchmark_mse(cfg.a)
+    if runs is not None:
+        out["sim_mse_uniform"], out["sim_sr_uniform"] = runs(cfg, None, UNIFORM)
+        out["sim_mse_ideal"], out["sim_sr_ideal"] = runs(cfg, None, IDEAL)
+    return out
+
+
+def _integer_columns(cfg: ThresholdConfig, rc: RateConstraint, runs) -> dict:
+    """The run of the best integer codebook (relaxed optima have non-integer
+    lengths), and its lengths."""
+    names = ("sim_mse_integer", "sim_sr_integer", "l1_integer", "l2_integer")
     try:
         icb, _ = integer_oracle(cfg, rc)
-        rep = run(SimConfig(eps, horizon, cfg, icb, seed, replications=reps))
-        out["sim_mse_integer"] = rep.mse_hat
-        out["sim_sr_integer"] = rep.sr_hat
-        out["l1_integer"] = icb.l1
-        out["l2_integer"] = icb.l2
     except InfeasibleError:
-        out["sim_mse_integer"] = math.nan
-        out["sim_sr_integer"] = math.nan
-        out["l1_integer"] = math.nan
-        out["l2_integer"] = math.nan
-    return out
+        return dict.fromkeys(names, math.nan)
+    # integer_oracle gives an event that cannot fire the length inf, so a
+    # codebook whose finite lengths are all 2 runs as the uniform benchmark
+    if all(l == 2.0 for l in icb.lengths if math.isfinite(l)):
+        mse, sr = runs(cfg, None, UNIFORM)
+    else:
+        mse, sr = runs(cfg, icb)
+    return dict(zip(names, (mse, sr, icb.l1, icb.l2)))
 
 
 # command: (handler, help, {flag its handler reads: default, None for none}).

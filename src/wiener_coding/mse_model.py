@@ -40,8 +40,6 @@ from .gauss_stats import (
     _finite_real,
     _integer,
     _positive_fields,
-    gauss_pdf,
-    gauss_tail,
     scheme_constants,
 )
 from .hitting_times import _check_walk, _first_crossings
@@ -68,10 +66,11 @@ class Codebook:
     """Code lengths for the four events, in bit-duration time units.
 
     ``integer-prefix`` mode requires integer lengths >= 1 satisfying the
-    Kraft inequality (sum 2^-li <= 1); this is what the simulator runs.
+    Kraft inequality (sum 2^-li <= 1), the design's constraint.
     ``relaxed-real`` mode allows any positive real lengths, infinity
     included -- analytics reject an infinite length unless its event has
-    exactly zero probability weight.
+    exactly zero probability weight.  The simulator runs either mode's
+    lengths as the four delays, each a whole number of grid steps.
     """
 
     l1: float
@@ -117,6 +116,9 @@ class Codebook:
     @property
     def lengths(self) -> tuple[float, float, float, float]:
         return (self.l1, self.l2, self.l3, self.l4)
+
+
+UNIT_DELAYS = Codebook.uniform(1.0)  # the ideal benchmark's: a sample arrives 1 time unit on
 
 
 @dataclass(frozen=True)
@@ -275,29 +277,12 @@ def mse_exact(cfg: ThresholdConfig, cb: Codebook) -> MseBreakdown:
 def ideal_benchmark_mse(a: float) -> tuple[float, float]:
     """(mse, sr) of the ideal-sampling benchmark: real-valued samples, unit delay.
 
-    The source samples whenever |W - West| >= a with the channel free.  With
-    X ~ N(0,1) the post-delivery error, the exit value Y satisfies
-
-        E[Y^2] = 2*G2(a) + a^2*(1 - 2Q(a)),  E[Y^4] = 2*G4(a) + a^4*(1 - 2Q(a))
-
-    and mse = 1 + E[Y^4]/(6*E[Y^2]), sr = 1/E[Y^2].  Derived with the same
-    optional-stopping machinery as the main scheme and validated against the
-    ideal-benchmark simulator.
+    The source samples whenever |W - West| >= a with the channel free, which
+    is the scheme at b = a with unit delays at mu = inf.  tests/oracles.py
+    derives it independently, from the exit value's moments.
     """
-    a = _finite_real("a", a)
-    if a < 0:
-        raise ParameterError(f"threshold a must be >= 0, got {a}")
-    try:
-        a4 = a**4
-    except OverflowError:
-        raise ParameterError(f"threshold too large for the closed forms: a={a}") from None
-    q = gauss_tail(a)
-    g2 = a * gauss_pdf(a) + q
-    g4 = (a**3 + 3 * a) * gauss_pdf(a) + 3 * q
-    p_band = 1.0 - 2.0 * q
-    ey2 = 2.0 * g2 + a * a * p_band
-    ey4 = 2.0 * g4 + a4 * p_band
-    return 1.0 + ey4 / (6.0 * ey2), 1.0 / ey2
+    bd = mse_exact(ThresholdConfig(a, a, math.inf), UNIT_DELAYS)
+    return bd.mse, bd.sr
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,11 @@ sample and the waiting phase's reward.  The decoder uses the
 protocol-implied value, so estimator and monitor agree exactly.  SimConfig
 rejects a finite mu with mu*eps > 1, since decoded sloped values are
 multiples of mu*eps (at a = b = 1, lengths 2, the MSE is off by +0.25% at
-mu*eps = 0.1, +3.5% at 1 and +960% at 10).  The ideal benchmark (b = a) is
-the mu = inf rule at a unit delay (L = 1), whatever its config's mu: a chain
-with |X| >= a samples at once, a chain inside walks to +-a, and either way
-the decoder receives the sample's real value, delivered after one time
-unit.  The uniform benchmark fixes all lengths to 2.
+mu*eps = 0.1, +3.5% at 1 and +960% at 10).  The benchmarks are codebooks.
+The uniform benchmark fixes all lengths to 2.  The ideal benchmark (b = a)
+is unit delays (L = 1) at mu = inf, to which SimConfig sets its codebook
+and slope: a chain with |X| >= a samples at once, a chain inside walks to
++-a, and either way the decoder receives the sample's real value.
 
 No event can fire during a transmission, so it is not walked: the error at
 the delivery is y = x + sqrt(sigma2*l)*N(0, 1), x the error at the sample,
@@ -37,8 +37,9 @@ by its mean given x and y, the discrete Brownian bridge's
 l*(x^2 + x*d*r + d^2*r*(1 + r)/6) + sigma2*(l^2 - eps^2)/6, d = y - x,
 r = 1 - eps/l, which tends to l*(x^2 + x*y + y^2)/3 + sigma2*l^2/6
 (Glasserman 2004, Monte Carlo Methods in Financial Engineering, 3.1).
-SimConfig requires every finite length, and the ideal unit delay, to be a
-whole number >= 1 of grid steps (to within 1e-9 relative).
+SimConfig takes any four delays (Kraft is the design's constraint, not the
+run's), but requires every finite one to be a whole number >= 1 of grid
+steps (to within 1e-9 relative).
 
 Chains.  A cycle starts from X ~ N(0, sigma2*L) whatever came before, on
 thresholds that scale with sqrt(L), so cycles are independent but for the
@@ -68,7 +69,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -76,7 +77,7 @@ import numpy as np
 from .errors import HorizonError, ParameterError, WienerCodingError
 from .gauss_stats import ThresholdConfig, _integer, event_probabilities
 from .hitting_times import _first_crossings
-from .mse_model import INTEGER, Codebook
+from .mse_model import INTEGER, UNIT_DELAYS, Codebook
 
 __all__ = [
     "SimConfig",
@@ -106,6 +107,11 @@ _CHAIN_SPAN = 32.0  # measured time per chain, in longest code lengths
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One simulation: grid step eps, horizon, thresholds and slope cfg, and
+    cb, the delays after events 1..4.  An ideal-benchmark config is built
+    with cb None or unit delays, and a uniform-benchmark one with cb None or
+    lengths 2; either is filled in, the ideal one at mu = inf."""
+
     eps: float
     horizon: float
     cfg: ThresholdConfig
@@ -129,48 +135,50 @@ class SimConfig:
         _integer("replications", self.replications, 1)
         if self.scheme not in (MONOTONE, UNIFORM, IDEAL):
             raise ParameterError(f"unknown scheme {self.scheme!r}")
-        cb = self.cb
-        if self.scheme == UNIFORM:
-            if cb is None:
-                cb = Codebook.uniform(2, mode=INTEGER)
-                object.__setattr__(self, "cb", cb)
-            elif cb.lengths != (2.0, 2.0, 2.0, 2.0):
-                raise ParameterError(f"uniform benchmark fixes code lengths to 2, got {cb.lengths}")
-        elif self.scheme == IDEAL:
-            if cb is not None:
-                raise ParameterError("ideal benchmark transmits real values; no code lengths")
+        if self.scheme == IDEAL:
+            # real-valued samples, each delivered after one time unit, and a
+            # sample at once beyond the band: unit delays at mu = inf
+            if self.cb is not None and self.cb.lengths != UNIT_DELAYS.lengths:
+                raise ParameterError(f"ideal benchmark delivers after unit delays; got code "
+                                     f"lengths {self.cb.lengths}")
             if self.cfg.b != self.cfg.a:
                 raise ParameterError(
                     f"ideal benchmark samples on a symmetric band; need b = a, "
                     f"got a={self.cfg.a}, b={self.cfg.b}"
                 )
-        elif cb is None:
+            object.__setattr__(self, "cb", UNIT_DELAYS)
+            object.__setattr__(self, "cfg", replace(self.cfg, mu=math.inf))
+        elif self.scheme == UNIFORM:
+            if self.cb is None:
+                object.__setattr__(self, "cb", Codebook.uniform(2, mode=INTEGER))
+            elif self.cb.lengths != (2.0, 2.0, 2.0, 2.0):
+                raise ParameterError(f"uniform benchmark fixes code lengths to 2, got "
+                                     f"{self.cb.lengths}")
+        elif self.cb is None:
             raise ParameterError("monotone scheme requires a codebook of code lengths")
-        if cb is not None:
-            if cb.mode != INTEGER:
-                raise ParameterError("simulator requires an integer-prefix codebook")
-            probs = event_probabilities(self.cfg).as_tuple()
-            for i, (p, l) in enumerate(zip(probs, cb.lengths)):
-                if math.isinf(l) and p > 0.0:
-                    raise ParameterError(
-                        f"l{i + 1} is infinite but event {i + 1} has probability {p}"
-                    )
+        lengths = self.cb.lengths
+        probs = event_probabilities(self.cfg).as_tuple()
+        for i, (p, l) in enumerate(zip(probs, lengths)):
+            if math.isinf(l) and p > 0.0:
+                raise ParameterError(
+                    f"l{i + 1} is infinite but event {i + 1} has probability {p}"
+                )
         # a transmission occupies round(l/eps) grid steps, so every finite
-        # length (the ideal scheme's unit delay included) must be a whole
-        # number >= 1 of them, or the run would silently change it
-        for l in _lengths(self):
+        # length must be a whole number >= 1 of them, or the run would
+        # silently change it
+        for l in lengths:
             n = l / self.eps
             if math.isfinite(l) and (round(n) < 1 or abs(n - round(n)) > 1e-9 * n):
                 raise ParameterError(
                     f"length {l} is {n:g} grid steps of eps = {self.eps}; "
                     f"need a whole number >= 1"
                 )
-        if math.isfinite(_slope(self)) and self.cfg.mu * self.eps > 1.0:
+        if math.isfinite(self.cfg.mu) and self.cfg.mu * self.eps > 1.0:
             raise ParameterError(
                 f"mu*eps = {self.cfg.mu * self.eps:g} > 1: the grid of step eps = {self.eps} "
                 f"cannot resolve the sloped thresholds of slope mu = {self.cfg.mu}"
             )
-        max_len = max(l for l in _lengths(self) if math.isfinite(l))
+        max_len = max(l for l in lengths if math.isfinite(l))
         if self.horizon < 100.0 * max_len:
             raise ParameterError(
                 f"horizon {self.horizon} too short; need >= 100 * max length = {100 * max_len}"
@@ -318,7 +326,7 @@ class SimulationReport:
                 "b": cfg.b,
                 "mu": _num(cfg.mu),
                 "sigma2": cfg.sigma2,
-                "lengths": None if cb is None else [_num(l) for l in cb.lengths],
+                "lengths": [_num(l) for l in cb.lengths],
                 "seed": self.config.seed,
                 "replications": self.config.replications,
                 "burn_in_cycles": _BURN_IN_CYCLES,
@@ -359,18 +367,8 @@ class _RepOutcome:
     log: CycleLog | None
 
 
-def _lengths(sim: SimConfig) -> tuple[float, ...]:
-    """Code lengths of events 1..4; the ideal scheme's unit delay."""
-    return (1.0, 1.0, 1.0, 1.0) if sim.scheme == IDEAL else sim.cb.lengths
-
-
-def _slope(sim: SimConfig) -> float:
-    """The sloped lines' slope; the ideal scheme samples beyond its band at once."""
-    return math.inf if sim.scheme == IDEAL else sim.cfg.mu
-
-
 def _chain_count(sim: SimConfig) -> int:
-    max_len = max(l for l in _lengths(sim) if math.isfinite(l))
+    max_len = max(l for l in sim.cb.lengths if math.isfinite(l))
     return min(_MAX_CHAINS, max(1, int(sim.horizon / (_CHAIN_SPAN * max_len))))
 
 
@@ -378,17 +376,16 @@ def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
     """One replication: M chains in lockstep, one cycle each per generation.
 
     A generation's waiting phases are one kernel call on its rows' own
-    lines: at a finite slope on every row, in place; at mu = inf (the ideal
-    scheme's slope) on the rows strictly inside their band, with its two
-    levels, while each other row samples at its cycle start (k = 0, z = x,
-    event 1 or 4).
+    lines: at a finite slope on every row, in place; at mu = inf on the rows
+    strictly inside their band, with its two levels, while each other row
+    samples at its cycle start (k = 0, z = x, event 1 or 4).
     """
     cfg, eps = sim.cfg, sim.eps
     ideal = sim.scheme == IDEAL
     a, b, sigma2 = cfg.a, cfg.b, cfg.sigma2
-    mu = _slope(sim)
+    mu = cfg.mu
     at_once = math.isinf(mu)  # a row beyond its band samples at its cycle start
-    lens = np.array(_lengths(sim))
+    lens = np.array(sim.cb.lengths)
     len_steps = np.array([round(l / eps) if math.isfinite(l) else -1 for l in lens])
     # the thresholds a*sqrt(L) and b*sqrt(L) after each event; a zero factor
     # stays 0 at L = inf (the empty band before a = b = 0's first cycle)

@@ -2,8 +2,9 @@
 
 Everything here is deliberately computed by a different route than the
 library: adaptive quadrature on the defining integrals instead of closed
-forms, a dense grid scan of the fractional objective instead of the
-Dinkelbach machinery, an enumeration of the QP's constraint-activity
+forms, the ideal benchmark from its exit value's moments instead of
+mse_exact at unit delays, a dense grid scan of the fractional objective
+instead of the Dinkelbach machinery, an enumeration of the QP's constraint-activity
 patterns (KKT points from linear solves and 1-D root searches) instead of
 the interior-point Newton solver, and bisection on J(theta), solved by that
 enumeration, instead of Dinkelbach's update.  ``verify_ktilde_negative``
@@ -100,6 +101,28 @@ def oracle_mse_large_mu(a: float, b: float, lengths) -> tuple[float, float]:
     m2 = sum(pi * li * li for pi, li in zip(p, lengths) if pi > 0)
     lt = sum(qi * li for qi, li in zip(pt, lengths) if qi > 0)
     return c["k"] * m2 / m1 + lt, 1.0 / (c["d"] * m1)
+
+
+def ideal_benchmark(a: float) -> tuple[float, float]:
+    """(mse, sr) of the ideal-sampling benchmark from the exit value's moments.
+
+    The source samples whenever |W - West| >= a with the channel free and
+    delivers the real value after one time unit.  With X ~ N(0,1) the error
+    after a delivery, the exit value Y satisfies
+
+        E[Y^2] = 2*G2(a) + a^2*(1 - 2Q(a)),  E[Y^4] = 2*G4(a) + a^4*(1 - 2Q(a))
+
+    (G_n(t) = int_t^inf x^n phi), and by optional stopping mse = 1 +
+    E[Y^4]/(6*E[Y^2]) and sr = 1/E[Y^2].  The library takes the same values
+    from mse_exact at unit delays and mu = inf.
+    """
+    q = 0.5 * math.erfc(a / math.sqrt(2.0))
+    g2 = a * phi(a) + q
+    g4 = (a**3 + 3 * a) * phi(a) + 3 * q
+    p_band = 1.0 - 2.0 * q
+    ey2 = 2.0 * g2 + a * a * p_band
+    ey4 = 2.0 * g4 + a**4 * p_band
+    return 1.0 + ey4 / (6.0 * ey2), 1.0 / ey2
 
 
 def grid_search_theta(
@@ -630,7 +653,7 @@ def _run_once(sim: SimConfig, rng) -> tuple[float, float, int]:
     """
     cfg, eps = sim.cfg, sim.eps
     ideal = sim.scheme == "ideal-benchmark"
-    lens = (1.0, 1.0, 1.0, 1.0) if ideal else sim.cb.lengths
+    lens = sim.cb.lengths  # the ideal scheme's are unit delays
     n_steps = int(round(sim.horizon / eps))
     burn_idx = int(round(_BURN_IN_FRAC * n_steps))
     w = _PathWindow(rng, n_steps, math.sqrt(cfg.sigma2 * eps))

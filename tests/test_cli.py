@@ -111,16 +111,19 @@ SWEEP_ARGV = ["sweep", "--grid", "0:2:0.05", "--fmax", "inf,0.5,0.35,0.2"]
 
 # SHA-256 of stdout.  The optimize runs bind the Kraft and rate constraints
 # alone and together; the optimize-0.2 and sweep digests were re-captured
-# with the interior-point QP solver, whose last digits differ.  The sweep ran at the old default slope 1e6; the analyze run
-# pins the finite-slope closed form; the simulate run pins the chain engine's
-# report.
+# with the interior-point QP solver, whose last digits differ.  The sweep ran
+# at the old default slope 1e6; its digest was re-captured again when the
+# ideal columns became mse_exact at unit delays, which moved mse_ideal and
+# sr_ideal by at most 3 ulp at 15 of its 41 thresholds and nothing else.  The
+# analyze run pins the finite-slope closed form; the simulate run pins the
+# chain engine's report.
 GOLDEN_STDOUT = [
     (["optimize", "--fmax", "0.5", "--grid", "0:3:0.01"],
      "5d1cfd8549b2b1eaaccf739cd6d7245a54469805beeedb1ac9344d3ed8f0bf8f"),
     (["optimize", "--fmax", "0.2", "--grid", "0:3:0.01"],
      "33ff70881af0505f65e6b6544fd15e933413e1320d14221310d2c460bfa54b09"),
     (SWEEP_ARGV + ["--mu", "1e6"],
-     "28519f4f9a5181381e3e7dbee344383ddb2756a55ec9a205f0c83fb5d78eb59d"),
+     "0e2a97ba6640c2f01e910c6e614bb4b873c82baa26ca57bf1502e28be7fba279"),
     (["analyze", "--l", "1,3,4,5", "--grid", "0:3:0.01", "--mu", "10"],
      "dd71db2d0534367363a7db1e9c157b537481118a4704db053d47f846bea1e870"),
     (["simulate", "--a", "1", "--b", "1", "--mu", "10", "--l", "2,2,2,2", "--eps", "1e-2",
@@ -419,6 +422,29 @@ class TestSweep:
         assert all(r or k for r, k in zip(rate, kraft))
         assert rate[0] and not rate[-1]
         assert kraft[-1]
+
+    def test_simulate_runs_each_distinct_run_once(self, tmp_path, monkeypatch):
+        # the uniform and ideal runs depend on a alone, and integer_oracle's
+        # codebook runs as the uniform one when its finite lengths are all 2:
+        # 15 runs for 5 thresholds at 3 rates, where each point ran 3
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda sim: calls.append(sim) or run(sim))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid", "0:2:0.5", "--fmax", "inf,0.5,0.2", "--simulate",
+                     "--horizon", "1000", "--reps", "1", "--out", str(out)]) == 0
+        assert len(calls) == len(set(calls)) == 15
+        # each row holds the runs each point made on its own
+        for row in read_csv(out):
+            a, cfg = float(row["a"]), ThresholdConfig(float(row["a"]), float(row["a"]), math.inf)
+            icb = cli.integer_oracle(cfg, cli.RateConstraint(float(row["fmax"])))[0]
+            for name, sim in (("uniform", SimConfig(1e-2, 1000.0, cfg, None, 0,
+                                                    scheme="uniform-benchmark")),
+                              ("ideal", SimConfig(1e-2, 1000.0, cfg, None, 0,
+                                                  scheme="ideal-benchmark")),
+                              ("integer", SimConfig(1e-2, 1000.0, cfg, icb, 0))):
+                rep = run(sim)
+                assert row[f"sim_mse_{name}"] == repr(rep.mse_hat), (a, name)
+                assert row[f"sim_sr_{name}"] == repr(rep.sr_hat), (a, name)
 
     def test_deterministic_files(self, tmp_path):
         args = ["sweep", "--grid", "0:0.5:0.25", "--fmax", "inf,0.5"]

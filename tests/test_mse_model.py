@@ -277,6 +277,21 @@ class TestIdealBenchmark:
         assert min(mses) < mses[0]
 
 
+class TestIdealBenchmarkOracle:
+    """ideal_benchmark_mse is mse_exact at unit delays and mu = inf; the
+    oracle derives the same curve from the exit value's moments."""
+
+    def test_matches_exit_moments(self):
+        # the two routes round apart by at most 5 ulp over these points
+        for a in [*threshold_grid((0.0, 3.0, 0.01)), 4.0, 8.0, 38.5, 1e3, 1e6, 1e20, 1e70]:
+            mse, sr = ideal_benchmark_mse(a)
+            bd = mse_exact(ThresholdConfig(a, a, INF), Codebook.uniform(1.0))
+            assert (mse, sr) == (bd.mse, bd.sr)
+            ref_mse, ref_sr = oracles.ideal_benchmark(a)
+            assert abs(mse - ref_mse) <= 8 * math.ulp(ref_mse), a
+            assert abs(sr - ref_sr) <= 8 * math.ulp(ref_sr), a
+
+
 class TestIntegralOracle:
     def test_deterministic_exact_value(self):
         r = mse_integral_oracle(DeterministicStop(1.0), n_paths=20_000, step=1e-3, seed=3)

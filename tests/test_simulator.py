@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import hashlib
 import io
+import json
 import math
 import tempfile
 import tracemalloc
@@ -55,9 +57,37 @@ class TestSimConfigValidation:
         with pytest.raises(ParameterError):
             sim_cfg(cb=None)
 
-    def test_codebook_must_be_integer_mode(self):
-        with pytest.raises(ParameterError):
-            sim_cfg(cb=Codebook.uniform(2.0))
+    def test_codebook_takes_whole_step_delays(self):
+        # Kraft is the design's constraint, not the run's: a relaxed codebook
+        # runs when each delay is a whole number of grid steps, 0.5 included
+        assert sim_cfg(cb=Codebook.uniform(2.0)).cb == Codebook.uniform(2.0)
+        sim_cfg(eps=0.1, cb=Codebook.relaxed(0.5, 1.5, 1.5, 3.0))
+        with pytest.raises(ParameterError, match="grid steps"):
+            sim_cfg(eps=0.1, cb=Codebook.relaxed(0.5, 1.55, 1.5, 3.0))
+
+    @pytest.mark.parametrize("scheme,cb,mu", [
+        ("monotone", Codebook.integer(1, 3, 4, 5), 10.0),
+        ("uniform-benchmark", None, 10.0),
+        ("ideal-benchmark", None, 10.0),
+        ("ideal-benchmark", Codebook.uniform(1.0), math.inf),
+    ])
+    def test_replace_round_trips(self, scheme, cb, mu):
+        # a built config, its benchmark codebook and slope filled in, builds again
+        sim = sim_cfg(scheme=scheme, cb=cb, mu=mu)
+        assert dataclasses.replace(sim) == sim
+        assert dataclasses.replace(sim, seed=5).cb == sim.cb
+
+    @pytest.mark.parametrize("kw", [
+        dict(eps=0.1, cb=Codebook.relaxed(0.5, 1.5, 1.5, 3.0)),
+        dict(scheme="ideal-benchmark", cb=None),
+    ], ids=["half-unit", "ideal"])
+    def test_report_validates(self, kw):
+        # a delay is any whole number of grid steps, here below 1
+        jsonschema = pytest.importorskip("jsonschema")
+        report = run(sim_cfg(horizon=500.0, **kw)).to_json_dict()
+        schema = Path(simulator.__file__).parent / "schemas" / "report.schema.json"
+        jsonschema.validate(report, json.loads(schema.read_text()))
+        assert report["spec"]["lengths"] == list(sim_cfg(**kw).cb.lengths)
 
     def test_horizon_floor(self):
         with pytest.raises(ParameterError):
@@ -68,8 +98,11 @@ class TestSimConfigValidation:
             sim_cfg(cb=Codebook.integer(1, math.inf, math.inf, 1))  # a=b=1: p2 > 0
 
     def test_ideal_rejects_codebook(self):
-        with pytest.raises(ParameterError):
-            sim_cfg(scheme="ideal-benchmark", horizon=500.0)
+        # the ideal benchmark takes unit delays or none, which it fills in
+        for cb in (UNIT2, Codebook.relaxed(1, 1, 1, 2), Codebook.uniform(0.5),
+                   Codebook.relaxed(1, math.inf, math.inf, 1)):
+            with pytest.raises(ParameterError, match="unit delays"):
+                sim_cfg(a=0.0, b=0.0, scheme="ideal-benchmark", cb=cb, horizon=500.0)
 
     @pytest.mark.parametrize("scheme,cb", [
         ("monotone", UNIT2), ("uniform-benchmark", None), ("ideal-benchmark", None),
@@ -131,7 +164,10 @@ class TestSimConfigValidation:
             sim_cfg(mu=1000.0, scheme=scheme, cb=cb)
 
     def test_ideal_scheme_has_no_slope_bound(self):
-        assert sim_cfg(mu=1000.0, scheme="ideal-benchmark", cb=None).cfg.mu == 1000.0
+        # the ideal scheme is unit delays at mu = inf, whatever slope it is given
+        sim = sim_cfg(mu=1000.0, sigma2=2.0, scheme="ideal-benchmark", cb=None)
+        assert sim.cfg == ThresholdConfig(1.0, 1.0, math.inf, 2.0)
+        assert sim.cb.lengths == (1.0, 1.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_seed_must_be_non_negative_integer(self, seed):
@@ -206,10 +242,11 @@ class TestGolden:
             [105, 120],
             "a697dc72b9311ef9b55c78d8a359ed519b66ddcc474d6187b288fda8864a0b17",
         ),
-        # the ideal scheme samples at mu = inf: a cycle that starts on or
-        # beyond +-a is event 1 or 4
+        # the ideal scheme is unit delays at mu = inf: a cycle that starts on
+        # or beyond +-a is event 1 or 4
         "ideal": (
-            dict(horizon=300.0, lengths=None, scheme="ideal-benchmark", seed=12),
+            dict(horizon=300.0, lengths=[1.0, 1.0, 1.0, 1.0], mu=None, scheme="ideal-benchmark",
+                 seed=12),
             {
                 "event_counts": {"1": 52, "2": 134, "3": 131, "4": 61},
                 "mse_ci": 0.1645829126131042,
@@ -657,7 +694,7 @@ class TestInfiniteSlope:
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
     def test_ideal_event_frequencies(self, a):
-        # the ideal scheme runs at mu = inf whatever its config's slope (10
+        # the ideal scheme runs at mu = inf whatever slope it is given (10
         # here); C9's gate of 5 standard deviations per event
         rep = run(sim_cfg(a=a, b=a, scheme="ideal-benchmark", cb=None, horizon=1e4,
                           replications=2))
