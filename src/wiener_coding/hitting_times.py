@@ -16,6 +16,16 @@ A grid Monte Carlo sampler is included as the test oracle for these moments.
 It walks B(t) against the falling line c - mu*t and detects the first grid
 index at or beyond it, which carries the usual O(sqrt(step)) threshold bias;
 oracle tests budget for it.
+
+The walk kernel, _first_crossings, can walk a path m grid steps at a time:
+one normal per span gives the path at the span ends, a span whose Brownian
+bridge reaches no line with probability 1e-15 or more (summed over its
+lines) is not walked, and every other span is filled in with the grid
+walk's own bridge, so the stops keep the grid walk's law.  The simulator
+picks m for each waiting phase; this sampler and mse_model's
+stopping-identity oracle walk every step (m = 1) and keep the exact streams
+their acceptance checks were judged on, until those checks move off the
+grid bias.
 """
 
 from __future__ import annotations
@@ -44,11 +54,15 @@ __all__ = [
 # drawn in order consume the generator's stream exactly as one (alive paths x
 # chunk) draw would, so the tile size never changes a result.  The fixed batch
 # size (a simulator generation is one batch) and the chunk lengths (_next_chunk,
-# in integers) fix the stream's order on any platform.
+# in integers) fix the stream's order on any platform.  A walk in spans of m
+# > 1 steps draws a chunk's span ends tile by tile and queues the spans it must
+# fill in, then fills them _TILE // m at a time in the rows' order, so there too
+# the tile size changes nothing; the queue adds a few numbers per queued span.
 _PATH_BATCH = 20_000
 _TILE = 1 << 15
-_FIRST_CHUNK, _MAX_CHUNK = 16, 1 << 15  # chunk lengths, in grid steps
+_FIRST_CHUNK, _MAX_CHUNK = 16, 1 << 15  # chunk lengths, in spans (grid steps at span 1)
 _CHUNK_COST, _ROW_COST = 2048, 4  # fixed costs of a chunk and of a row in it, in draws
+_SKIP_TOL = 1e-15  # the most a skipped span's bridge may cross its lines with
 
 
 @dataclass(frozen=True)
@@ -102,28 +116,98 @@ def _check_walk(n_paths: int, step: float, horizon: float) -> int:
 
 
 def _next_chunk(s: int, before: int, after: int) -> int:
-    """Steps in the chunk after one of s that left `after` > 0 of `before` paths alive:
+    """Spans (grid steps at span 1) in the chunk after one of s that left
+    `after` > 0 of `before` paths alive:
     2*s if none crossed, else sqrt(2*(_CHUNK_COST/after + _ROW_COST)/h) for the hazard
     h = (before - after)/(before*s), which trades the h*s/2 draws wasted past a crossing
-    per step against the fixed costs per step, capped at 2*s and _MAX_CHUNK."""
+    per span against the fixed costs per span, capped at 2*s and _MAX_CHUNK."""
     if after == before:
         return min(2 * s, _MAX_CHUNK)
     n = math.isqrt(2 * (_CHUNK_COST + _ROW_COST * after) * before * s // (after * (before - after)))
     return min(n, 2 * s, _MAX_CHUNK)
 
 
-def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True):
+def _bridge_squares(x, d, n, step, sigma2):
+    """Mean of step * sum_{i<n} B_i**2 over a discrete Brownian bridge of n
+    steps of variance sigma2*step each, from B_0 = x to B_n = x + d, given
+    both ends: span*(x^2 + x*d*r + d^2*r*(1 + r)/6) + sigma2*(span^2 - step^2)/6
+    with span = n*step and r = 1 - 1/n (Glasserman 2004, Monte Carlo Methods
+    in Financial Engineering, 3.1).  Read backwards (x the far end, d the
+    step back) it is the sum over B_1..B_n."""
+    span = n * step
+    r = 1.0 - 1.0 / n
+    out = span * (x * x + x * d * r + d * d * (r * (1.0 + r) / 6.0))
+    out += sigma2 * (span * span - step * step) / 6.0
+    return out
+
+
+def _skips(gaps, var):
+    """Which spans a walk observed at their ends may skip, for the lines of
+    `gaps`: one array per line of its gaps (the distance from the path to the
+    line, > 0 on the path's side) at a row's span ends, n + 1 of them on the
+    last axis for n spans; each is clipped at 0 in place.  A Brownian bridge
+    of variance var over a span whose end gaps to a straight line are
+    g0, g1 > 0 crosses it in between with probability exp(-2*g0*g1/var)
+    (Glasserman 2004, 6.4); a span is skipped when that bound, summed over
+    the lines, is below _SKIP_TOL.  A gap <= 0 (or NaN) at either end bounds
+    nothing, and an infinite line's gap bounds 0.  The exponentials are taken
+    only for spans whose nearest line alone does not decide the sum."""
+    # q = g0*g1 of each line, and the least of them: a span whose least q
+    # alone bounds the sum at or above the tolerance, or all of them below
+    # it, needs no exponential
+    cut = -0.5 * var * math.log(_SKIP_TOL)
+    q = []
+    for g in gaps:
+        np.maximum(g, 0.0, out=g)  # a NaN gap stays NaN and fails every test below
+        q.append(g[..., :-1] * g[..., 1:])
+    if not q:  # no line: nothing to cross
+        return np.True_
+    least = q[0]
+    for v in q[1:]:
+        least = np.minimum(least, v)
+    # 1e-9 margins keep the exponentials' rounding off the decided spans
+    skip = least > (cut + 0.5 * var * math.log(len(q))) * (1.0 + 1e-9)
+    near = (least > cut * (1.0 - 1e-9)) ^ skip
+    if near.any():
+        bound = sum(np.exp(v[near] * (-2.0 / var)) for v in q)
+        skip[near] = bound < _SKIP_TOL
+    return skip
+
+
+def _runs(r):
+    """The mask of each run's first entry in the sorted array r."""
+    first = np.empty(r.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(r[1:], r[:-1], out=first[1:])
+    return first
+
+
+def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True, span=1):
     """Walk len(pos) grid paths from pos until each first crosses one of its lines.
 
     Each grid step adds sd*Z, Z standard normal from rng and sd sqrt(step)
     unless given; batches of _PATH_BATCH paths and row tiles as described at
-    _TILE, and chunks of _FIRST_CHUNK steps and then _next_chunk's (_MAX_CHUNK
+    _TILE, and chunks of _FIRST_CHUNK spans and then _next_chunk's (_MAX_CHUNK
     if no path can cross).  lines = (u0, su, d0, sl), all scalars (shared by
     every path) or all per-path float arrays: a path crosses at the first grid
     point where w >= u0 + su*t or w <= d0 + sl*t, t the time since the start.
     A line of slope 0 is compared as its level, which equals u0 + 0*t exactly,
     so a band path costs two comparisons, only the paths of a sloped line
     evaluate it, and a side no path can cross is not tested.
+
+    span = m > 1 walks each row m grid steps at a time: one normal of
+    sd*sqrt(m) per span gives the path at the span ends, which are tested
+    as grid points.  A span whose Brownian bridge cannot reach a line
+    (_skips: a bound below _SKIP_TOL per span) is not walked; its grid
+    points add their mean sum of squares given its ends (_bridge_squares)
+    and no crossing.  Every other span up to the row's first crossing end is
+    filled in with the grid walk's own bridge given its ends, once every row
+    of the chunk has drawn its ends: m normals of sd, S_j their cumsum,
+    B_j = x0 + S_j - (j/m)*(S_m - (x1 - x0)), B_m = x1.  A row stops at the
+    first grid crossing in its first filled-in span that has one, and its
+    sum of squares is summed directly up to there.  The last chunk's spans
+    are shortened to fit, so no step past n_steps is walked.  m = 1 draws,
+    tests and sums exactly the plain grid walk.
 
     Returns (k, w, sq, stuck): each path's stop step (its first crossing, or
     n_steps), its value there, its sum of squares at the grid points before
@@ -149,50 +233,187 @@ def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True):
               if np.isfinite(v).any()]
     sloped = [(slope, v, cross, None if shared else slope != 0.0)
               for slope, v, cross in ((su, u0, ge), (sl, d0, le)) if slope.any()]
+    # a span's bridge is bounded against the lines of each side with one:
+    # (level, slope, mask of the sloped paths or None, upper side)
+    bounded = [(v, slope if slope.any() else None, None if shared else slope != 0.0, upper)
+               for v, slope, upper in ((u0, su, True), (d0, sl, False))
+               if span > 1 and np.isfinite(v).any()]
     scale = math.sqrt(step) if sd is None else sd
     size = max(_TILE, _MAX_CHUNK)  # holds any row tile
     # two allocations, not four: the allocator maps each large one afresh per call
     (buf, spare), (above, below) = (np.empty((2, size), dtype=d) for d in (float, bool))
+
+    def lines_at(slope, level, i, t, out):
+        """The sloped line of rows i at times t (a row, or one row per row)."""
+        np.multiply(slope[i, None], t, out=out)
+        out += level[i, None]
+        return out
+
+    def crossed(w, at, idx, t):
+        """up[r, c]: w[r, c] is on or past a line of row at[r] (idx[r] for a
+        sloped row's mask) at time t[c], or at t(rows)[r, c] when t maps the
+        rows whose lines are sloped to their times; a view of `above`."""
+        up, dn, line = (b[: w.size].reshape(w.shape) for b in (above, below, spare))
+        # the first level writes up; every later side is or'ed into it
+        for later, (level, cross) in enumerate(levels):
+            cross(w, level[at, None], out=dn if later else up)
+            if later:
+                up |= dn
+        if not levels:
+            up.fill(False)
+        for slope, level, cross, mask in sloped:
+            sel, i, c = slice(None), at, dn
+            if mask is not None:
+                on = mask[idx].nonzero()[0]
+                if not on.size:
+                    continue
+                if on.size < idx.size:  # a tile whose every row is sloped is not copied
+                    sel, i, c = on, idx[on], dn[: on.size]
+            tt = t if isinstance(t, np.ndarray) else t(sel)
+            v = lines_at(slope, level, i, tt, line[: i.size if tt.ndim == 1 else tt.shape[0]])
+            cross(w[sel], v, out=c)
+            up[sel] |= c
+        return up
+
+    def span_ends(path, at, idx, tp, var):
+        """A row tile's path at its span ends (the start first) against its
+        lines at times tp: each row's first crossing end j and whether it has
+        one, and the spans to skip and to fill in up to it."""
+        gaps = []
+        for level, slope, mask, upper in bounded:
+            line = level[at, None]
+            if slope is not None and mask is None:  # a shared sloped line
+                line = lines_at(slope, level, at, tp, np.empty((1, tp.size)))
+            g = np.subtract(line, path) if upper else np.subtract(path, line)
+            if slope is not None and mask is not None:  # the sloped rows' own lines
+                on = mask[idx].nonzero()[0]
+                if on.size:
+                    line = lines_at(slope, level, idx[on], tp, np.empty((on.size, tp.size)))
+                    g[on] = line - path[on] if upper else path[on] - line
+            gaps.append(g)
+        up = above[: path.size - path.shape[0]].reshape(path.shape[0], -1)
+        if gaps:
+            np.less_equal(gaps[0][:, 1:], 0.0, out=up)
+            for g in gaps[1:]:
+                up |= g[:, 1:] <= 0.0
+        else:
+            up.fill(False)
+        j = up.argmax(axis=1)  # a row's first crossing end, or 0 if none
+        hit = up[np.arange(j.size), j]
+        skip = _skips(gaps, var)
+        if not skip.ndim:  # no line: every span is skipped
+            skip = np.ones(up.shape, dtype=bool)
+        fill = ~skip
+        on = hit.nonzero()[0]
+        if on.size:  # nothing past a row's first crossing end is walked
+            upto = np.arange(up.shape[1]) <= j[on, None]
+            skip[on] &= upto
+            fill[on] &= upto
+        return j, hit, skip, fill
+
+    def fill_in(fills, skipped, alive, live, elapsed, m):
+        """Fill in a chunk's queued spans and find each row's stop: fills
+        holds, per row tile, the alive positions, span indices, start and end
+        values, whether the end crosses and (with sums) the skipped spans'
+        sum before each span to fill, in row-major order; skipped holds each
+        alive row's skipped sum.  Spans are filled _TILE // m at a time in
+        that order, so the draws do not depend on the tile size.  The ends'
+        crossings are those the ends were tested with.  Sets live, and k,
+        pos and sq of the alive rows."""
+        rows, spans, x0, x1, end_hits, prior = (
+            np.concatenate(col) if col[0] is not None else None for col in zip(*fills))
+        total = rows.size
+        first = np.full(alive.size, total)  # each row's stopping span, among the fills
+        summed = np.zeros(alive.size) if squares else None
+        steps = np.arange(1, m + 1)
+        frac = steps / m
+        per = max(1, _TILE // m)
+        for f0 in range(0, total, per):
+            f = slice(f0, f0 + per)
+            fr, fc, a0, a1 = rows[f], spans[f], x0[f], x1[f]
+            b = buf[: fr.size * m].reshape(fr.size, m)
+            rng.standard_normal(out=b)
+            b *= scale
+            np.add.accumulate(b, axis=1, out=b)
+            b -= frac * (b[:, -1] - (a1 - a0))[:, None]
+            b += a0[:, None]
+            b[:, -1] = a1
+            idx = alive[fr]
+            up = crossed(b, row0 if shared else idx, idx,
+                         lambda sel: (elapsed + fc[sel, None] * m + steps) * step)
+            up[:, -1] = end_hits[f]  # the end crosses as it did when tested
+            j = up.argmax(axis=1)
+            on = up[np.arange(fr.size), j].nonzero()[0]
+            if on.size:  # the first stopping span of each row not stopped before
+                on = on[_runs(fr[on])]
+                on = on[first[fr[on]] == total]
+                r = fr[on]
+                first[r] = f0 + on
+                k[alive[r]] = elapsed + fc[on] * m + j[on] + 1
+                pos[alive[r]] = b[on, j[on]]
+            if squares:
+                sums = np.einsum("ij,ij->i", b, b)
+                if on.size:  # a stopping span is summed up to its crossing
+                    head = b[on]
+                    head[np.arange(m) >= j[on, None]] = 0.0
+                    sums[on] = np.einsum("ij,ij->i", head, head)
+                keep = f0 + np.arange(fr.size) <= first[fr]  # not past the row's stop
+                np.add.at(summed, fr[keep], sums[keep])
+        hit = first < total
+        np.logical_not(hit, out=live)
+        if squares:
+            skipped[hit] = prior[first[hit]]
+            sq[alive] += skipped + summed
+
     stuck = []
     for start in range(0, n, _PATH_BATCH):
         alive = np.arange(start, min(start + _PATH_BATCH, n))
-        elapsed, s = 0, _FIRST_CHUNK if levels or sloped else _MAX_CHUNK
+        # chunk lengths count spans: whole spans of m steps, or one shorter span at the end
+        elapsed, spans = 0, _FIRST_CHUNK if levels or sloped else _MAX_CHUNK
         while alive.size and elapsed < n_steps:
-            s = min(s, n_steps - elapsed)
-            cols = np.arange(s)
-            t = (elapsed + 1 + cols) * step
-            rows = max(1, _TILE // s)
+            m = min(span, n_steps - elapsed)
+            spans = min(spans, (n_steps - elapsed) // m)
+            s = spans * m
+            cols = np.arange(spans)
+            rows = max(1, _TILE // spans)
             live = np.empty(alive.size, dtype=bool)
-            tile_rows = np.arange(min(rows, alive.size))
+            if m > 1:  # the chunk's spans to fill in, and each row's skipped sums
+                fills, skipped = [], np.zeros(alive.size)
+                var, tp = m * scale * scale, (elapsed + m * np.arange(spans + 1)) * step
+            else:
+                t = (elapsed + 1 + cols) * step
+                tile_rows = np.arange(min(rows, alive.size))
             for r0 in range(0, alive.size, rows):
                 idx = alive[r0 : r0 + rows]
-                w, line, up, dn = (b[: idx.size * s].reshape(idx.size, s)
-                                   for b in (buf, spare, above, below))
+                w = buf[: idx.size * spans].reshape(idx.size, spans)
                 rng.standard_normal(out=w)
-                w *= scale
-                w[:, 0] += pos[idx]  # each row's start, summed in order with its steps
-                np.add.accumulate(w, axis=1, out=w)  # cumsum's values, less call overhead
+                w *= scale * math.sqrt(m)
+                x0 = pos[idx]
+                w[:, 0] += x0  # each row's start, summed in order with its steps
                 at = row0 if shared else idx
-                # the first level writes up; every later side is or'ed into it
-                for later, (level, cross) in enumerate(levels):
-                    cross(w, level[at, None], out=dn if later else up)
-                    if later:
-                        up |= dn
-                if not levels:
-                    up.fill(False)
-                for slope, level, cross, mask in sloped:
-                    sel, i, c = slice(None), at, dn
-                    if mask is not None:
-                        on = mask[idx].nonzero()[0]
-                        if not on.size:
-                            continue
-                        if on.size < idx.size:  # a tile whose every row is sloped is not copied
-                            sel, i, c = on, idx[on], dn[: on.size]
-                    v = line[: i.size]
-                    np.multiply(slope[i, None], t, out=v)
-                    v += level[i, None]
-                    cross(w[sel], v, out=c)
-                    up[sel] |= c
+                if m > 1:
+                    path = np.empty((idx.size, spans + 1))
+                    path[:, 0] = x0
+                    np.add.accumulate(w, axis=1, out=path[:, 1:])
+                    j, hit, skip, fill = span_ends(path, at, idx, tp, var)
+                    r, c = fill.nonzero()  # row-major: each row's spans in order
+                    prior = np.zeros(0) if squares else None
+                    if squares:
+                        # each skipped span's mean sum, summed over each row, and
+                        # before each span to fill
+                        x1 = path[:, 1:]
+                        means = _bridge_squares(x1, path[:, :-1] - x1, m, 1.0, scale * scale)
+                        means *= skip
+                        np.add.reduce(means, axis=1, out=skipped[r0 : r0 + idx.size])
+                        if r.size:
+                            new = _runs(r)
+                            prior = np.cumsum(means[r[new]], axis=1)[np.cumsum(new) - 1, c]
+                    fills.append((r0 + r, c, path[r, c], path[r, c + 1], hit[r] & (c == j[r]),
+                                  prior))
+                    pos[idx] = path[:, -1]  # a row that stops in a filled span is set below
+                    continue
+                np.add.accumulate(w, axis=1, out=w)  # cumsum's values, less call overhead
+                up = crossed(w, at, idx, t)
                 j = up.argmax(axis=1)  # a row's first crossing, or 0 if none
                 hit = up[tile_rows[: idx.size], j]
                 if squares:
@@ -204,7 +425,7 @@ def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True):
                     if squares:
                         # take back the crossing's column and the ones after it, in
                         # reused buffers (take buffers a fresh copy unless mode="clip")
-                        tail, head = line[: on.size], dn[: on.size]
+                        tail, head = (b[: on.size * s].reshape(on.size, s) for b in (spare, below))
                         w.take(on, axis=0, out=tail, mode="clip")
                         np.less(cols, jr[:, None], out=head)
                         np.copyto(tail, 0.0, where=head)
@@ -212,9 +433,11 @@ def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True):
                     k[i] = elapsed + 1 + jr
                     pos[i] = w[on, jr]
                 np.logical_not(hit, out=live[r0 : r0 + rows])
+            if m > 1:
+                fill_in(fills, skipped, alive, live, elapsed, m)
             before, alive = alive.size, alive[live]
             elapsed += s
-            s = _next_chunk(s, before, alive.size) if alive.size else s
+            spans = _next_chunk(spans, before, alive.size) if alive.size else spans
         if squares:
             sq[alive] -= pos[alive] ** 2  # a path that never crossed stops at its last point
         stuck.append(alive)

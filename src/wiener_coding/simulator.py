@@ -15,7 +15,16 @@ and the decoded estimate ref, and the previous code length L:
 
 The waiting phase is walked on a grid of step eps, one call of
 hitting_times' first-crossing kernel per generation, and a crossing is the
-first grid point past a line (O(sqrt(eps)) overshoot accepted).  At a finite
+first grid point past a line (O(sqrt(eps)) overshoot accepted).  The kernel
+walks m grid steps per span: one normal gives a span's end, a span whose
+Brownian bridge reaches a line with probability below 1e-15 (summed over
+its lines) adds its grid points' mean squared error given its ends, and
+every other span is filled in step by step, so the walk keeps the grid's
+law.  _span picks m for each call from its band rows' half-widths and the
+step alone (no config field): about the root mean square half-width over
+4 step sds, and m = 1, every step walked, below 6.  At eps = 1e-3 the
+bands of codebook (1, 3, 4, 5) at a = b = 1 walk in spans of about 14; the
+README example (bands 14 step sds wide) walks every step.  At a finite
 slope every chain walks in place on its own lines (the band's two levels or
 one sloped line); at mu = inf only the chains strictly inside their band
 walk, on its two levels.  The kernel returns each walked chain's stop step,
@@ -76,7 +85,7 @@ import numpy as np
 
 from .errors import HorizonError, ParameterError, WienerCodingError
 from .gauss_stats import ThresholdConfig, _integer, event_probabilities
-from .hitting_times import _first_crossings
+from .hitting_times import _bridge_squares, _first_crossings
 from .mse_model import INTEGER, UNIT_DELAYS, Codebook
 
 __all__ = [
@@ -103,6 +112,9 @@ _LOG_DTYPES = {"s_idx": np.int64, "d_idx": np.int64, "event": np.uint8, "z": np.
 _BURN_IN_CYCLES = 2  # cycles each chain runs before it is measured
 _MAX_CHAINS = 4096  # bounds the chain state whatever the horizon
 _CHAIN_SPAN = 32.0  # measured time per chain, in longest code lengths
+# the walk's span rule (_span): steps near a line per step of span, and the
+# least and most steps per span
+_SPAN_NEAR, _MIN_SPAN, _MAX_SPAN = 16.0, 6, 64
 
 
 @dataclass(frozen=True)
@@ -372,6 +384,22 @@ def _chain_count(sim: SimConfig) -> int:
     return min(_MAX_CHAINS, max(1, int(sim.horizon / (_CHAIN_SPAN * max_len))))
 
 
+def _span(half2: np.ndarray, sd: float) -> int:
+    """Grid steps per span for a walk whose band rows have squared
+    half-widths half2, at step sd (see hitting_times._first_crossings).
+
+    A band row of half-width z step sds waits about z**2 steps, of which
+    about _SPAN_NEAR*m lie near enough to a level to be filled in; drawing one
+    normal per span for the rest, the walk costs about z**2/m + _SPAN_NEAR*m
+    per row, least at m = sqrt(mean(z**2)/_SPAN_NEAR).  Below _MIN_SPAN the
+    spans' own work outweighs the draws they save, so the walk keeps m = 1.
+    """
+    if not half2.size:
+        return 1
+    m = int(math.sqrt(float(half2.mean()) / _SPAN_NEAR) / sd)
+    return min(m, _MAX_SPAN) if m >= _MIN_SPAN else 1
+
+
 def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
     """One replication: M chains in lockstep, one cycle each per generation.
 
@@ -390,6 +418,16 @@ def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
     # the thresholds a*sqrt(L) and b*sqrt(L) after each event; a zero factor
     # stays 0 at L = inf (the empty band before a = b = 0's first cycle)
     a_tab, b_tab = (v * np.sqrt(lens) if v > 0.0 else np.zeros(4) for v in (a, b))
+    # each row's lines (u0, su, d0, sl) by its previous event, whether it is on
+    # or above its band and whether it is on or below it: inside, its two
+    # levels; above (and at a = b = 0 on both edges), the line rising from
+    # a*sqrt(L); below, the line falling from -b*sqrt(L)
+    line_tab = np.empty((4, 4, 2, 2))
+    for p, (at, bt) in enumerate(zip(a_tab, b_tab)):
+        line_tab[:, p, 0, 0] = at, 0.0, -bt, 0.0
+        line_tab[:, p, 1, :] = np.array([[np.inf, 0.0, at, mu]]).T
+        line_tab[:, p, 0, 1] = -bt, -mu, -np.inf, 0.0
+    half2 = ((a_tab + b_tab) / 2.0) ** 2  # each band's squared half-width
     m = _chain_count(sim)
     n_steps = int(round(sim.horizon / eps))
     step_sd = math.sqrt(sigma2 * eps)
@@ -405,17 +443,15 @@ def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
     generation = 0
     while True:
         athr, bthr = a_tab[prev], b_tab[prev]
-        inside = (-bthr < x) & (x < athr)
-        upward = x >= athr  # on or above the band (at a = b = 0, x = 0 goes up)
-        if at_once:  # only the rows inside walk, on their band levels
-            walk = inside.nonzero()[0]
-            lines = (athr[walk], np.zeros(walk.size), -bthr[walk], np.zeros(walk.size))
-        else:  # every row walks in place, on its band levels or its sloped line
-            walk, downward = slice(None), ~(inside | upward)
-            lines = (np.where(downward, -bthr, np.where(upward, np.inf, athr)),
-                     np.where(downward, -mu, 0.0),
-                     np.where(upward, athr, np.where(downward, -np.inf, -bthr)),
-                     np.where(upward, mu, 0.0))
+        low, high = -bthr < x, x < athr
+        inside = low & high
+        upward = ~high  # on or above the band (at a = b = 0, x = 0 goes up)
+        # at mu = inf only the rows inside walk, on their band levels; at a
+        # finite slope every row walks in place, on its band or its sloped line
+        walk = inside.nonzero()[0] if at_once else slice(None)
+        lines = tuple(line_tab[:, prev[walk], upward[walk].view(np.uint8),
+                               (~low[walk]).view(np.uint8)])
+        span = _span(half2[prev[inside]], step_sd)
 
         # the waiting phase (see hitting_times._first_crossings): each walked
         # row's grid steps k to its sample, its error e there (x, set in place)
@@ -423,7 +459,7 @@ def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
         # not walked samples at its cycle start
         k, wait = np.zeros(m, dtype=np.int64), np.zeros(m)
         k[walk], x[walk], wait[walk], stuck = _first_crossings(rng, x[walk], lines, n_steps,
-                                                               eps, sd=step_sd)
+                                                               eps, sd=step_sd, span=span)
         if stuck.size:
             raise HorizonError(f"a waiting phase passed the horizon {sim.horizon}")
         e = x
@@ -445,13 +481,8 @@ def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
         # the transmission: no event can fire, so only its end is drawn, and
         # its grid reward is the discrete Brownian bridge's mean between the
         # errors e at the sample and y at the delivery
-        span = n * eps
-        y = e + np.sqrt(sigma2 * span) * rng.standard_normal(m)
-        r = 1.0 - 1.0 / n
-        dy = y - e
-        tx = span * (e * e + e * dy * r + dy * dy * (r * (1.0 + r) / 6.0))
-        tx += sigma2 * (span * span - eps * eps) / 6.0
-        cycle_reward = wait * eps + tx
+        y = e + np.sqrt(sigma2 * (n * eps)) * rng.standard_normal(m)
+        cycle_reward = wait * eps + _bridge_squares(e, y - e, n, eps, sigma2)
         cycle_duration = (k + n) * eps
         w_hat = ref + z
         if generation >= _BURN_IN_CYCLES:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from oracles import (
     band_exit_lower_prob,
@@ -408,6 +409,162 @@ class TestKernelFirstCrossings:
         assert sq == pytest.approx(sums, rel=1e-12)
 
 
+class TestSpans:
+    """The walk in spans of m grid steps (_first_crossings' span): its law is
+    the grid walk's, and so are its stops, values and sums."""
+
+    EPS, N = 1e-3, 4000
+    INF = math.inf
+    MIXED = [(1.0, 0.0, -1.5, 0.0), (INF, 0.0, 0.5, 2.0), (-0.3, -3.0, -INF, 0.0)]
+    ROW = np.arange(N) % 3  # band, rising line and falling line rows in turn
+    CASES = {  # (lines, starts): each row crosses at w >= u0 + su*t or w <= d0 + sl*t
+        "band": ((2.0, 0.0, -2.0, 0.0), np.zeros(N)),
+        "sloped": ((INF, 0.0, 0.5, 1.0), np.full(N, 1.0)),  # a line rising to the path
+        "mixed": (tuple(np.array(MIXED).T[:, ROW]), np.array([0.0, 1.2, -1.0])[ROW]),
+    }
+
+    def walk(self, kind, span, seed):
+        lines, start = self.CASES[kind]
+        k, w, sq, stuck = hitting_times._first_crossings(
+            np.random.default_rng(seed), start.copy(), lines, 10**7, self.EPS, span=span)
+        assert stuck.size == 0
+        u0, su = (np.broadcast_to(np.asarray(v, dtype=float), start.shape) for v in lines[:2])
+        return k, w >= u0 + su * (k * self.EPS), sq
+
+    @pytest.mark.parametrize("span", [4, 16])
+    @pytest.mark.parametrize("kind", list(CASES))
+    def test_law_is_the_grid_walks(self, kind, span):
+        # a skipped span crosses with probability below 1e-15 and a filled-in
+        # one is the grid walk's own bridge, so the stop steps, the side each
+        # row stops on and the sums of squares follow the grid walk's law
+        (k1, up1, sq1), (km, upm, sqm) = self.walk(kind, 1, 1), self.walk(kind, span, 2)
+        assert stats.ks_2samp(k1, km).pvalue > 0.01
+        for a, b in ((up1, upm), (sq1, sqm)):
+            se = math.hypot(a.std(), b.std()) / math.sqrt(self.N)
+            assert abs(a.mean() - b.mean()) <= 4.0 * se + 1e-12
+
+    def test_far_spans_draw_one_normal(self):
+        # the +-2 band at step sd 0.032 is 63 step sds wide: the walk draws
+        # one normal per 16-step span and fills in few spans
+        counting = _CountingRng(np.random.default_rng(3))
+        lines, start = self.CASES["band"]
+        k, *_ = hitting_times._first_crossings(counting, start[:500].copy(), lines, 10**7,
+                                               self.EPS, span=16)
+        assert counting.drawn <= 0.2 * k.sum()
+
+    def test_fixed_time_stop_sums_the_bridge_mean(self):
+        # no line: every span is skipped.  700 steps are one chunk of 43 spans
+        # of 16 steps and one of a 12-step span, one normal each, and no step
+        # past 700; each span adds the mean of its grid points' squares given
+        # its ends, sum_j (x0 + (x1 - x0)*j/m)**2 + sd**2*j*(m - j)/m over
+        # j = 1..m, and the path's last point is not summed
+        n, n_steps, sd = 2000, 700, math.sqrt(self.EPS)
+        start = np.random.default_rng(4).normal(0.0, 1.0, n)
+        counting = _CountingRng(np.random.default_rng(5))
+        k, w, sq, stuck = hitting_times._first_crossings(
+            counting, start.copy(), (self.INF, 0.0, -self.INF, 0.0), n_steps, self.EPS, span=16)
+        assert counting.drawn == 44 * n and (k == n_steps).all() and stuck.size == n
+        rng = np.random.default_rng(5)
+        steps = np.hstack((rng.standard_normal((n, 43)) * (4 * sd),
+                           rng.standard_normal((n, 1)) * (math.sqrt(12) * sd)))
+        ends = np.cumsum(np.hstack((start[:, None], steps)), axis=1)
+        np.testing.assert_allclose(w, ends[:, -1], rtol=1e-12)
+        want = start**2 - ends[:, -1] ** 2
+        for c, m in enumerate([16] * 43 + [12]):
+            j = np.arange(1, m + 1)
+            x0, x1 = ends[:, c, None], ends[:, c + 1, None]
+            want += ((x0 + (x1 - x0) * j / m) ** 2 + sd * sd * j * (m - j) / m).sum(axis=1)
+        np.testing.assert_allclose(sq, want, rtol=1e-11)
+
+    @pytest.mark.parametrize("tile", [1, 64, 3000])
+    @pytest.mark.parametrize("kind", list(TestKernel.WALKS))
+    def test_tile_size_does_not_change_spans(self, monkeypatch, kind, tile):
+        # spans are filled in after every row of a chunk drew its ends, in the
+        # rows' order, so tiles of any size draw the same stream; squares=False
+        # and shared lines given per path walk the same paths
+        lines, n_steps = TestKernel.WALKS[kind]
+        start = np.random.default_rng(4).normal(0.0, 0.1, 300)
+
+        def walk(given=lines, squares=True):
+            return hitting_times._first_crossings(np.random.default_rng(9), start.copy(), given,
+                                                  n_steps, 1e-3, squares=squares, span=8)
+
+        monkeypatch.setattr(hitting_times, "_PATH_BATCH", 128)  # 3 batches, the last partial
+        want = walk()
+        monkeypatch.setattr(hitting_times, "_TILE", tile)
+        runs = [walk(), walk(squares=False)]
+        if all(np.ndim(v) == 0 for v in lines):
+            runs.append(walk(tuple(np.full(start.size, v) for v in lines)))
+        for got in runs:
+            for i in (0, 1, 3):  # k, w, stuck
+                np.testing.assert_array_equal(got[i], want[i])
+        np.testing.assert_array_equal(runs[0][2], want[2])
+        if kind != "none":
+            assert (want[0] < n_steps).any()
+
+    def test_zero_paths_draw_nothing(self):
+        rng = np.random.default_rng(9)
+        k, w, sq, stuck = hitting_times._first_crossings(
+            rng, np.zeros(0), (0.6, 0.0, -0.6, 0.0), 100, 1e-3, span=8)
+        assert k.shape == w.shape == sq.shape == stuck.shape == (0,)
+        assert rng.bit_generator.state == np.random.default_rng(9).bit_generator.state
+
+
+class TestSkipPredicate:
+    """hitting_times._skips: a span is skipped when its bridge bound, summed
+    over its lines, is below 1e-15 and every gap is positive."""
+
+    VAR = 1e-2
+    INF = math.inf
+
+    def skips(self, *pairs):
+        """Whether one span with end gaps (g0, g1) to each line is skipped."""
+        return bool(hitting_times._skips([np.array([g], dtype=float) for g in pairs],
+                                         self.VAR)[0])
+
+    def boundary(self):
+        """The least product g0*g1 whose bound exp(-2*g0*g1/var) is below
+        1e-15, and the product before it, whose bound is at or above it."""
+        q = -0.5 * self.VAR * math.log(1e-15)
+        while math.exp(-2.0 * q / self.VAR) < 1e-15:
+            q = math.nextafter(q, 0.0)
+        while math.exp(-2.0 * q / self.VAR) >= 1e-15:
+            q = math.nextafter(q, math.inf)
+        return q, math.nextafter(q, 0.0)
+
+    def test_far_spans_are_skipped(self):
+        assert self.skips((1.0, 1.0), (2.0, 0.9))
+
+    @pytest.mark.parametrize("g0,g1", [(1.0, 0.0), (1.0, -0.5), (0.0, 1.0), (-1.0, -1.0),
+                                       (1.0, -0.0), (math.nan, 1.0)])
+    def test_gap_at_or_past_a_line_is_refused(self, g0, g1):
+        # a span that ends on or past a line is walked, whatever the other line
+        assert not self.skips((g0, g1), (self.INF, self.INF))
+        assert not self.skips((self.INF, self.INF), (g0, g1))
+
+    def test_bound_at_the_tolerance_is_refused(self):
+        below, at = self.boundary()
+        assert math.exp(-2.0 * at / self.VAR) >= 1e-15 > math.exp(-2.0 * below / self.VAR)
+        assert self.skips((1.0, below), (self.INF, self.INF))
+        assert not self.skips((1.0, at), (self.INF, self.INF))
+        assert not self.skips((at, 1.0))
+
+    def test_bounds_are_summed_over_the_lines(self):
+        # two lines each bounded at 0.6e-15 sum to 1.2e-15: refused; at 0.4e-15
+        # each, 0.8e-15: skipped; at 0.3e-15 and 0.6e-15, 0.9e-15: skipped,
+        # whichever line comes first
+        q = {b: -0.5 * self.VAR * math.log(b) for b in (0.3e-15, 0.4e-15, 0.6e-15)}
+        assert not self.skips((1.0, q[0.6e-15]), (q[0.6e-15], 1.0))
+        assert self.skips((1.0, q[0.4e-15]), (q[0.4e-15], 1.0))
+        assert self.skips((1.0, q[0.3e-15]), (q[0.6e-15], 1.0))
+        assert self.skips((q[0.6e-15], 1.0), (1.0, q[0.3e-15]))
+
+    def test_infinite_lines_are_skipped(self):
+        assert self.skips((self.INF, self.INF), (self.INF, self.INF))
+        assert self.skips((self.INF, self.INF))
+        assert bool(hitting_times._skips([], self.VAR))  # no line at all
+
+
 class TestChunkSchedule:
     """hitting_times._next_chunk: the length of a batch's next chunk from the
     crossings seen in its last one."""
@@ -470,7 +627,7 @@ class _CountingRng:
 class TestDrawCount:
     """A walk draws little more than the grid steps its paths walk: a chunk
     of s steps is drawn for every path alive in it, so a path that crosses
-    at its step j wastes s - j normals."""
+    at its step j wastes s - j normals.  A walk in spans draws far fewer."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -500,6 +657,15 @@ class TestDrawCount:
         call()
         assert counted["used"] > 0
         assert counted["drawn"] / counted["used"] <= bound, counted
+
+    def test_c9_config_draws(self, counted):
+        # perfbench's C9 run (codebook (1, 3, 4, 5), a = b = 1, mu = 10,
+        # eps = 1e-3, horizon 6e4, seed 5): the grid walk drew 2.40e7 normals
+        # for 2.19e7 steps; its bands, 32 to 71 step sds wide, walk in spans
+        run(SimConfig(1e-3, 6e4, ThresholdConfig(1.0, 1.0, 10.0), Codebook.integer(1, 3, 4, 5),
+                      seed=5, replications=1))
+        assert counted["used"] > 2e7
+        assert counted["drawn"] <= 0.35 * 2.40e7, counted
 
 
 class TestBitGenerator:

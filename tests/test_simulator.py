@@ -391,14 +391,68 @@ class TestChainEngine:
         dict(a=0.25, b=0.25),
         dict(a=1.5, b=1.5),
         dict(a=1.5, b=1.5, scheme="ideal-benchmark", cb=None),
-    ], ids=["uniform-0.25", "uniform-1.5", "ideal-1.5"])
+        # C9's codebook at eps = 1e-3: its bands are 32 to 71 step sds wide,
+        # so the walk skips spans (see TestSpanRule)
+        dict(cb=Codebook.integer(1, 3, 4, 5), eps=1e-3, horizon=2000.0),
+    ], ids=["uniform-0.25", "uniform-1.5", "ideal-1.5", "c9-spans"])
     def test_agrees_with_sequential_engine(self, kw):
-        sim = sim_cfg(**kw, horizon=1e4, replications=8, seed=41)
+        sim = sim_cfg(**{"horizon": 1e4, **kw}, replications=8, seed=41)
         rep = run(sim)
         ref_mse, ref_sr = oracles.sequential_engine(sim)
         for got, want in ((rep.rep_mse, ref_mse), (rep.rep_sr, ref_sr)):
             se = math.hypot(got.std(ddof=1), want.std(ddof=1)) / math.sqrt(sim.replications)
             assert abs(got.mean() - want.mean()) <= 4.0 * se
+
+
+class TestSpanRule:
+    """simulator._span: the walk's steps per span, from a call's band rows and
+    step alone."""
+
+    def spans(self, sim, monkeypatch):
+        """The span of every kernel call of one run of sim."""
+        seen = []
+        kernel = hitting_times._first_crossings
+
+        def walk(*args, span=1, **kw):
+            seen.append(span)
+            return kernel(*args, span=span, **kw)
+
+        monkeypatch.setattr(simulator, "_first_crossings", walk)
+        run(sim)
+        return seen
+
+    @pytest.mark.parametrize("kw", [
+        dict(cb=UNIT2, horizon=1e4),  # the README quick start: bands 14 step sds wide
+        dict(cb=Codebook.integer(1, 3, 4, 5)),  # TestGolden's monotone codebook
+        dict(a=0.25, b=0.25, eps=1e-3),
+        dict(a=0.0, b=0.0, cb=Codebook.integer(1, math.inf, math.inf, 1)),  # no band row
+    ], ids=["readme", "golden", "narrow", "origin"])
+    def test_narrow_bands_walk_every_step(self, kw, monkeypatch):
+        assert set(self.spans(sim_cfg(**kw), monkeypatch)) == {1}
+
+    def test_wide_bands_walk_in_spans(self, monkeypatch):
+        # C9's bands at eps = 1e-3; the rule reads neither the horizon nor the
+        # replications, so every call of every replication agrees
+        sim = sim_cfg(cb=Codebook.integer(1, 3, 4, 5), eps=1e-3, horizon=600.0)
+        got = [self.spans(dataclasses.replace(sim, replications=r), monkeypatch)
+               for r in (1, 2)]
+        assert max(got[1]) >= 8  # a generation without a band row walks every step
+        assert all(m == 1 or simulator._MIN_SPAN <= m <= simulator._MAX_SPAN for m in got[1])
+        assert got[1][: len(got[0])] == got[0]
+        half2 = np.array([1.0, 3.0, 4.0, 5.0])
+        assert simulator._span(half2, math.sqrt(1e-3)) == 14
+        assert simulator._span(half2[:0], 0.01) == 1
+        assert simulator._span(np.array([1e6]), 1e-3) == simulator._MAX_SPAN
+
+    def test_tile_size_does_not_change_spans(self, monkeypatch):
+        # spans are filled in once every row drew its ends, so the tiles do not
+        # order the draws
+        sim = sim_cfg(cb=Codebook.integer(1, 3, 4, 5), eps=1e-3, horizon=600.0, replications=2,
+                      log_cycles=True)
+        want = run(sim)
+        monkeypatch.setattr(hitting_times, "_TILE", 64)
+        got = run(sim)
+        assert got.to_json_dict() == want.to_json_dict() and got.cycles == want.cycles
 
 
 @pytest.fixture(scope="module")
