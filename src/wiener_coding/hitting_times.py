@@ -17,12 +17,13 @@ It walks B(t) against the falling line c - mu*t and detects the first grid
 index at or beyond it, which carries the usual O(sqrt(step)) threshold bias;
 oracle tests budget for it.
 
-The walk kernel, _first_crossings, can walk a path m grid steps at a time:
-one normal per span gives the path at the span ends, a span whose Brownian
+The walk kernel, _first_crossings, walks a path m grid steps at a time: one
+normal per span gives the path at the span ends, a span whose Brownian
 bridge reaches no line with probability 1e-15 or more (summed over its
 lines) is not walked, and every other span is filled in with the grid
-walk's own bridge, so the stops keep the grid walk's law.  The simulator
-picks m for each waiting phase; this sampler and mse_model's
+walk's own bridge, so the stops keep the grid walk's law.  At m = 1 the
+span ends are the grid points and the walk is the plain grid walk.  The
+simulator picks m for each waiting phase; this sampler and mse_model's
 stopping-identity oracle walk every step (m = 1) and keep the exact streams
 their acceptance checks were judged on, until those checks move off the
 grid bias.
@@ -54,10 +55,11 @@ __all__ = [
 # drawn in order consume the generator's stream exactly as one (alive paths x
 # chunk) draw would, so the tile size never changes a result.  The fixed batch
 # size (a simulator generation is one batch) and the chunk lengths (_next_chunk,
-# in integers) fix the stream's order on any platform.  A walk in spans of m
-# > 1 steps draws a chunk's span ends tile by tile and queues the spans it must
-# fill in, then fills them _TILE // m at a time in the rows' order, so there too
-# the tile size changes nothing; the queue adds a few numbers per queued span.
+# in integers) fix the stream's order on any platform.  Each tile draws its
+# rows' span ends (the grid points at span 1); at span m > 1 it queues the
+# spans it must fill in, and the chunk fills them _TILE // m at a time in the
+# rows' order, so there too the tile size changes nothing; the queue adds a
+# few numbers per queued span.
 _PATH_BATCH = 20_000
 _TILE = 1 << 15
 _FIRST_CHUNK, _MAX_CHUNK = 16, 1 << 15  # chunk lengths, in spans (grid steps at span 1)
@@ -156,10 +158,10 @@ def _skips(gaps, var):
     # alone bounds the sum at or above the tolerance, or all of them below
     # it, needs no exponential
     cut = -0.5 * var * math.log(_SKIP_TOL)
-    q = []
-    for g in gaps:
-        np.maximum(g, 0.0, out=g)  # a NaN gap stays NaN and fails every test below
-        q.append(g[..., :-1] * g[..., 1:])
+    # (a NaN gap stays NaN and fails every test below; a product past the
+    # double range is inf, and its span is skipped)
+    with np.errstate(over="ignore"):
+        q = [np.maximum(g, 0.0, out=g)[..., :-1] * g[..., 1:] for g in gaps]
     if not q:  # no line: nothing to cross
         return np.True_
     least = q[0]
@@ -195,19 +197,22 @@ def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True, span
     so a band path costs two comparisons, only the paths of a sloped line
     evaluate it, and a side no path can cross is not tested.
 
-    span = m > 1 walks each row m grid steps at a time: one normal of
-    sd*sqrt(m) per span gives the path at the span ends, which are tested
-    as grid points.  A span whose Brownian bridge cannot reach a line
-    (_skips: a bound below _SKIP_TOL per span) is not walked; its grid
-    points add their mean sum of squares given its ends (_bridge_squares)
-    and no crossing.  Every other span up to the row's first crossing end is
-    filled in with the grid walk's own bridge given its ends, once every row
-    of the chunk has drawn its ends: m normals of sd, S_j their cumsum,
-    B_j = x0 + S_j - (j/m)*(S_m - (x1 - x0)), B_m = x1.  A row stops at the
-    first grid crossing in its first filled-in span that has one, and its
-    sum of squares is summed directly up to there.  The last chunk's spans
-    are shortened to fit, so no step past n_steps is walked.  m = 1 draws,
-    tests and sums exactly the plain grid walk.
+    Each row walks span = m grid steps at a time (a chunk's last spans are
+    shortened to fit, so no step past n_steps is walked).  One normal of
+    sd*sqrt(m) per span gives the path at the span ends, which are tested as
+    grid points; a row that crosses at an end stops there, unless the walk
+    in between crosses first.  At m = 1 the ends are the grid points, so
+    this is the plain grid walk, and a row's sum of squares is its ends'.
+    At m > 1 a span whose Brownian bridge cannot reach a line (_skips: a
+    bound below _SKIP_TOL per span) is not walked; its grid points add their
+    mean sum of squares given its ends (_bridge_squares) and no crossing.
+    Every other span up to the row's first crossing end is filled in with
+    the grid walk's own bridge given its ends, once every row of the chunk
+    has drawn its ends: m normals of sd, S_j their cumsum,
+    B_j = x0 + S_j - (j/m)*(S_m - (x1 - x0)), B_m = x1, tested with the
+    ends' test.  A row stops at the first grid crossing in its first
+    filled-in span that has one, and its sum of squares is summed directly
+    up to there.
 
     Returns (k, w, sq, stuck): each path's stop step (its first crossing, or
     n_steps), its value there, its sum of squares at the grid points before
@@ -275,52 +280,15 @@ def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True, span
             up[sel] |= c
         return up
 
-    def span_ends(path, at, idx, tp, var):
-        """A row tile's path at its span ends (the start first) against its
-        lines at times tp: each row's first crossing end j and whether it has
-        one, and the spans to skip and to fill in up to it."""
-        gaps = []
-        for level, slope, mask, upper in bounded:
-            line = level[at, None]
-            if slope is not None and mask is None:  # a shared sloped line
-                line = lines_at(slope, level, at, tp, np.empty((1, tp.size)))
-            g = np.subtract(line, path) if upper else np.subtract(path, line)
-            if slope is not None and mask is not None:  # the sloped rows' own lines
-                on = mask[idx].nonzero()[0]
-                if on.size:
-                    line = lines_at(slope, level, idx[on], tp, np.empty((on.size, tp.size)))
-                    g[on] = line - path[on] if upper else path[on] - line
-            gaps.append(g)
-        up = above[: path.size - path.shape[0]].reshape(path.shape[0], -1)
-        if gaps:
-            np.less_equal(gaps[0][:, 1:], 0.0, out=up)
-            for g in gaps[1:]:
-                up |= g[:, 1:] <= 0.0
-        else:
-            up.fill(False)
-        j = up.argmax(axis=1)  # a row's first crossing end, or 0 if none
-        hit = up[np.arange(j.size), j]
-        skip = _skips(gaps, var)
-        if not skip.ndim:  # no line: every span is skipped
-            skip = np.ones(up.shape, dtype=bool)
-        fill = ~skip
-        on = hit.nonzero()[0]
-        if on.size:  # nothing past a row's first crossing end is walked
-            upto = np.arange(up.shape[1]) <= j[on, None]
-            skip[on] &= upto
-            fill[on] &= upto
-        return j, hit, skip, fill
-
-    def fill_in(fills, skipped, alive, live, elapsed, m):
+    def fill_in(fills, alive, live, elapsed, m):
         """Fill in a chunk's queued spans and find each row's stop: fills
-        holds, per row tile, the alive positions, span indices, start and end
-        values, whether the end crosses and (with sums) the skipped spans'
-        sum before each span to fill, in row-major order; skipped holds each
-        alive row's skipped sum.  Spans are filled _TILE // m at a time in
-        that order, so the draws do not depend on the tile size.  The ends'
-        crossings are those the ends were tested with.  Sets live, and k,
-        pos and sq of the alive rows."""
-        rows, spans, x0, x1, end_hits, prior = (
+        holds, per row tile, the alive positions, span indices, and start and
+        end values of the spans to fill in, in row-major order, and with sums
+        the skipped spans' sum before each of them and each row's whole
+        skipped sum.  Spans are filled _TILE // m at a time in that order, so
+        the draws do not depend on the tile size.  Sets live, and k, pos and
+        sq of the alive rows."""
+        rows, spans, x0, x1, prior, skipped = (
             np.concatenate(col) if col[0] is not None else None for col in zip(*fills))
         total = rows.size
         first = np.full(alive.size, total)  # each row's stopping span, among the fills
@@ -337,11 +305,10 @@ def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True, span
             np.add.accumulate(b, axis=1, out=b)
             b -= frac * (b[:, -1] - (a1 - a0))[:, None]
             b += a0[:, None]
-            b[:, -1] = a1
+            b[:, -1] = a1  # the end crosses as it did when tested
             idx = alive[fr]
             up = crossed(b, row0 if shared else idx, idx,
                          lambda sel: (elapsed + fc[sel, None] * m + steps) * step)
-            up[:, -1] = end_hits[f]  # the end crosses as it did when tested
             j = up.argmax(axis=1)
             on = up[np.arange(fr.size), j].nonzero()[0]
             if on.size:  # the first stopping span of each row not stopped before
@@ -374,15 +341,13 @@ def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True, span
             m = min(span, n_steps - elapsed)
             spans = min(spans, (n_steps - elapsed) // m)
             s = spans * m
-            cols = np.arange(spans)
+            ends = np.arange(elapsed, elapsed + s + 1, m)  # grid steps of the start and span ends
+            tp = ends * step
+            t, ends = tp[1:], ends[1:]  # the span ends alone
             rows = max(1, _TILE // spans)
+            tile_rows = np.arange(min(rows, alive.size))
             live = np.empty(alive.size, dtype=bool)
-            if m > 1:  # the chunk's spans to fill in, and each row's skipped sums
-                fills, skipped = [], np.zeros(alive.size)
-                var, tp = m * scale * scale, (elapsed + m * np.arange(spans + 1)) * step
-            else:
-                t = (elapsed + 1 + cols) * step
-                tile_rows = np.arange(min(rows, alive.size))
+            fills, var = [], m * scale * scale  # the spans to fill in, and a span's variance
             for r0 in range(0, alive.size, rows):
                 idx = alive[r0 : r0 + rows]
                 w = buf[: idx.size * spans].reshape(idx.size, spans)
@@ -390,51 +355,70 @@ def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True, span
                 w *= scale * math.sqrt(m)
                 x0 = pos[idx]
                 w[:, 0] += x0  # each row's start, summed in order with its steps
-                at = row0 if shared else idx
-                if m > 1:
-                    path = np.empty((idx.size, spans + 1))
-                    path[:, 0] = x0
-                    np.add.accumulate(w, axis=1, out=path[:, 1:])
-                    j, hit, skip, fill = span_ends(path, at, idx, tp, var)
-                    r, c = fill.nonzero()  # row-major: each row's spans in order
-                    prior = np.zeros(0) if squares else None
-                    if squares:
-                        # each skipped span's mean sum, summed over each row, and
-                        # before each span to fill
-                        x1 = path[:, 1:]
-                        means = _bridge_squares(x1, path[:, :-1] - x1, m, 1.0, scale * scale)
-                        means *= skip
-                        np.add.reduce(means, axis=1, out=skipped[r0 : r0 + idx.size])
-                        if r.size:
-                            new = _runs(r)
-                            prior = np.cumsum(means[r[new]], axis=1)[np.cumsum(new) - 1, c]
-                    fills.append((r0 + r, c, path[r, c], path[r, c + 1], hit[r] & (c == j[r]),
-                                  prior))
-                    pos[idx] = path[:, -1]  # a row that stops in a filled span is set below
-                    continue
                 np.add.accumulate(w, axis=1, out=w)  # cumsum's values, less call overhead
+                at = row0 if shared else idx
                 up = crossed(w, at, idx, t)
-                j = up.argmax(axis=1)  # a row's first crossing, or 0 if none
+                j = up.argmax(axis=1)  # a row's first crossing end, or 0 if none
                 hit = up[tile_rows[: idx.size], j]
-                if squares:
+                if squares and m == 1:
                     sq[idx] += np.einsum("ij,ij->i", w, w)
                 pos[idx] = w[:, -1]  # each row's last value; a crossing row's is set below
                 on = hit.nonzero()[0]
                 if on.size:
                     jr, i = j[on], idx[on]
-                    if squares:
+                    ki = ends[jr]
+                    if squares and m == 1:
                         # take back the crossing's column and the ones after it, in
                         # reused buffers (take buffers a fresh copy unless mode="clip")
                         tail, head = (b[: on.size * s].reshape(on.size, s) for b in (spare, below))
                         w.take(on, axis=0, out=tail, mode="clip")
-                        np.less(cols, jr[:, None], out=head)
+                        np.less(ends, ki[:, None], out=head)
                         np.copyto(tail, 0.0, where=head)
                         sq[i] -= np.einsum("ij,ij->i", tail, tail)
-                    k[i] = elapsed + 1 + jr
+                    k[i] = ki
                     pos[i] = w[on, jr]
                 np.logical_not(hit, out=live[r0 : r0 + rows])
+                if m == 1:
+                    continue
+                # the spans up to each row's first crossing end that its bridge
+                # may cross inside, queued to fill in; fill_in stops a row
+                # earlier where one does
+                path = np.concatenate((x0[:, None], w), axis=1)
+                gaps = []
+                for level, slope, mask, upper in bounded:
+                    line = level[at, None]
+                    if slope is not None and mask is None:  # a shared sloped line
+                        line = lines_at(slope, level, at, tp, np.empty((1, tp.size)))
+                    g = np.subtract(line, path) if upper else np.subtract(path, line)
+                    if slope is not None and mask is not None:  # the sloped rows' own lines
+                        sel = mask[idx].nonzero()[0]
+                        if sel.size:
+                            line = lines_at(slope, level, idx[sel], tp,
+                                            np.empty((sel.size, tp.size)))
+                            g[sel] = line - path[sel] if upper else path[sel] - line
+                    gaps.append(g)
+                skip = _skips(gaps, var)
+                if not skip.ndim:  # no line: every span is skipped
+                    skip = np.ones(w.shape, dtype=bool)
+                fill = ~skip
+                if on.size:  # nothing past a row's first crossing end is walked
+                    upto = ends <= ki[:, None]
+                    skip[on] &= upto
+                    fill[on] &= upto
+                r, c = fill.nonzero()  # row-major: each row's spans in order
+                prior = skipped = None
+                if squares:
+                    # each skipped span's mean sum, summed over each row, and
+                    # before each span to fill
+                    x1 = path[:, 1:]
+                    means = _bridge_squares(x1, path[:, :-1] - x1, m, 1.0, scale * scale)
+                    means *= skip
+                    skipped = np.add.reduce(means, axis=1)
+                    new = _runs(r)
+                    prior = np.cumsum(means[r[new]], axis=1)[np.cumsum(new) - 1, c]
+                fills.append((r0 + r, c, path[r, c], path[r, c + 1], prior, skipped))
             if m > 1:
-                fill_in(fills, skipped, alive, live, elapsed, m)
+                fill_in(fills, alive, live, elapsed, m)
             before, alive = alive.size, alive[live]
             elapsed += s
             spans = _next_chunk(spans, before, alive.size) if alive.size else spans

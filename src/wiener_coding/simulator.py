@@ -16,13 +16,15 @@ and the decoded estimate ref, and the previous code length L:
 The waiting phase is walked on a grid of step eps, one call of
 hitting_times' first-crossing kernel per generation, and a crossing is the
 first grid point past a line (O(sqrt(eps)) overshoot accepted).  The kernel
-walks m grid steps per span: one normal gives a span's end, a span whose
-Brownian bridge reaches a line with probability below 1e-15 (summed over
-its lines) adds its grid points' mean squared error given its ends, and
-every other span is filled in step by step, so the walk keeps the grid's
-law.  _span picks m for each call from its band rows' half-widths and the
-step alone (no config field): about the root mean square half-width over
-4 step sds, and m = 1, every step walked, below 6.  At eps = 1e-3 the
+walks m grid steps per span, one walk for every m: one normal gives a
+span's end, tested as a grid point.  At m > 1 a span whose Brownian bridge
+reaches a line with probability below 1e-15 (summed over its lines) adds
+its grid points' mean squared error given its ends, and every other span
+up to the first crossing end is filled in step by step, so the walk keeps
+the grid's law; m = 1 is the plain grid walk.  _span picks m for each
+call from its band rows' half-widths and the step alone (no config field):
+about the root mean square half-width over 4 step sds, and m = 1, every
+step walked, below 6 or at a step sd of 0.  At eps = 1e-3 the
 bands of codebook (1, 3, 4, 5) at a = b = 1 walk in spans of about 14; the
 README example (bands 14 step sds wide) walks every step.  At a finite
 slope every chain walks in place on its own lines (the band's two levels or
@@ -392,12 +394,15 @@ def _span(half2: np.ndarray, sd: float) -> int:
     about _SPAN_NEAR*m lie near enough to a level to be filled in; drawing one
     normal per span for the rest, the walk costs about z**2/m + _SPAN_NEAR*m
     per row, least at m = sqrt(mean(z**2)/_SPAN_NEAR).  Below _MIN_SPAN the
-    spans' own work outweighs the draws they save, so the walk keeps m = 1.
+    spans' own work outweighs the draws they save, so the walk keeps m = 1,
+    as it does at sd = 0, where there is nothing to span.  A mean past the
+    double range is inf, and gives _MAX_SPAN.
     """
-    if not half2.size:
+    if not half2.size or not sd:
         return 1
-    m = int(math.sqrt(float(half2.mean()) / _SPAN_NEAR) / sd)
-    return min(m, _MAX_SPAN) if m >= _MIN_SPAN else 1
+    with np.errstate(over="ignore"):
+        m = math.sqrt(float(half2.mean()) / _SPAN_NEAR) / sd
+    return int(min(m, _MAX_SPAN)) if m >= _MIN_SPAN else 1
 
 
 def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
@@ -427,7 +432,8 @@ def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:
         line_tab[:, p, 0, 0] = at, 0.0, -bt, 0.0
         line_tab[:, p, 1, :] = np.array([[np.inf, 0.0, at, mu]]).T
         line_tab[:, p, 0, 1] = -bt, -mu, -np.inf, 0.0
-    half2 = ((a_tab + b_tab) / 2.0) ** 2  # each band's squared half-width
+    with np.errstate(over="ignore"):  # a square past the double range is inf
+        half2 = ((a_tab + b_tab) / 2.0) ** 2  # each band's squared half-width
     m = _chain_count(sim)
     n_steps = int(round(sim.horizon / eps))
     step_sd = math.sqrt(sigma2 * eps)

@@ -332,6 +332,19 @@ class TestSimulate:
         )
         assert rc == 4
 
+    @pytest.mark.parametrize("extra", [
+        ["--a", "1e154"], ["--a", "1e200"], ["--a", "1e300"],
+        ["--a", "1", "--mu", "10", "--sigma2", "5e-324"],  # the step sd underflows to 0
+    ], ids=["a1e154", "a1e200", "a1e300", "sigma2-5e-324"])
+    def test_unreachable_threshold_exit_code(self, extra, capsys):
+        # no waiting phase ends within the horizon: a runtime error, not a
+        # traceback (a RuntimeWarning would fail the test)
+        rc = main(["simulate", "--b", "1", "--l", "2,2,2,2", "--horizon", "300", *extra])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "runtime error: a waiting phase passed the horizon" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("flag,value", [
         ("--eps", "nan"), ("--eps", "inf"), ("--eps", "1e-300"), ("--horizon", "nan"),
         ("--horizon", "inf"), ("--seed", "-1"), ("--eps", "10"), ("--eps", "3"),

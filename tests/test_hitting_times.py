@@ -356,7 +356,9 @@ class TestKernelFirstCrossings:
         # w <= d0 + sd*t first holds: band rows compared as levels and sloped
         # rows on their one line, on values that tie with a line at a grid
         # point, at signed zeros and with infinite levels; in tiles that mix
-        # band and sloped rows and in tiles whose every row is sloped
+        # band and sloped rows and in tiles whose every row is sloped; and in
+        # spans of 1, 4 and 7 steps, where the span ends and the filled-in
+        # spans must give the same booleans (at 7 the walk ends in a 1-step span)
         n = 64
         t = (1 + np.arange(n)) * self.STEP
         rows = [r[1:] for kind in self.ROWS.values() for r in kind]
@@ -374,13 +376,15 @@ class TestKernelFirstCrossings:
                    | (pos[:, None] <= d0[:, None] + sl[:, None] * t))
         want = np.where(crossed.any(axis=1), crossed.argmax(axis=1) + 1, n)
         assert 0 < (want == 1).sum() and (want == n).sum() < want.size
-        for subset in (np.arange(want.size), np.flatnonzero(su), np.flatnonzero(sl)):
-            lines = [line[subset] for line in (u0, su, d0, sl)]
-            k, w, _, stuck = hitting_times._first_crossings(
-                np.random.default_rng(3), pos[subset].copy(), lines, n, self.STEP, sd=0.0)
-            assert k.tolist() == want[subset].tolist()
-            assert stuck.tolist() == np.flatnonzero(~crossed[subset].any(axis=1)).tolist()
-            assert np.array_equal(w, pos[subset])
+        for span in (1, 4, 7):
+            for subset in (np.arange(want.size), np.flatnonzero(su), np.flatnonzero(sl)):
+                lines = [line[subset] for line in (u0, su, d0, sl)]
+                k, w, _, stuck = hitting_times._first_crossings(
+                    np.random.default_rng(3), pos[subset].copy(), lines, n, self.STEP, sd=0.0,
+                    span=span)
+                assert k.tolist() == want[subset].tolist()
+                assert stuck.tolist() == np.flatnonzero(~crossed[subset].any(axis=1)).tolist()
+                assert np.array_equal(w, pos[subset])
 
     def test_crossing_at_start(self):
         # rows that cross on the first column: together, and each alone
@@ -479,28 +483,58 @@ class TestSpans:
     @pytest.mark.parametrize("tile", [1, 64, 3000])
     @pytest.mark.parametrize("kind", list(TestKernel.WALKS))
     def test_tile_size_does_not_change_spans(self, monkeypatch, kind, tile):
-        # spans are filled in after every row of a chunk drew its ends, in the
-        # rows' order, so tiles of any size draw the same stream; squares=False
-        # and shared lines given per path walk the same paths
+        # at span 1 (the grid walk) and span 8: spans are filled in after every
+        # row of a chunk drew its ends, in the rows' order, so tiles of any
+        # size draw the same stream; squares=False walks the same paths and
+        # skips only the sums; shared lines are compared as one row, and the
+        # same values given per path walk the same paths with the same sums
         lines, n_steps = TestKernel.WALKS[kind]
         start = np.random.default_rng(4).normal(0.0, 0.1, 300)
-
-        def walk(given=lines, squares=True):
-            return hitting_times._first_crossings(np.random.default_rng(9), start.copy(), given,
-                                                  n_steps, 1e-3, squares=squares, span=8)
-
         monkeypatch.setattr(hitting_times, "_PATH_BATCH", 128)  # 3 batches, the last partial
-        want = walk()
-        monkeypatch.setattr(hitting_times, "_TILE", tile)
-        runs = [walk(), walk(squares=False)]
-        if all(np.ndim(v) == 0 for v in lines):
-            runs.append(walk(tuple(np.full(start.size, v) for v in lines)))
-        for got in runs:
-            for i in (0, 1, 3):  # k, w, stuck
-                np.testing.assert_array_equal(got[i], want[i])
-        np.testing.assert_array_equal(runs[0][2], want[2])
-        if kind != "none":
-            assert (want[0] < n_steps).any()
+        default = hitting_times._TILE
+        for span in (1, 8):
+            def walk(given=lines, squares=True):
+                return hitting_times._first_crossings(np.random.default_rng(9), start.copy(),
+                                                      given, n_steps, 1e-3, squares=squares,
+                                                      span=span)
+
+            monkeypatch.setattr(hitting_times, "_TILE", default)
+            want = walk()
+            monkeypatch.setattr(hitting_times, "_TILE", tile)
+            summed, bare = walk(), walk(squares=False)
+            assert summed[2] is not None and bare[2] is None
+            runs = [summed, bare]
+            if all(np.ndim(v) == 0 for v in lines):
+                runs.append(walk(tuple(np.full(start.size, v) for v in lines)))
+            for got in runs:
+                for i in (0, 1, 3):  # k, w, stuck
+                    np.testing.assert_array_equal(got[i], want[i])
+            for got in runs[::2]:  # the walks with sums: summed and per-path
+                np.testing.assert_array_equal(got[2], want[2])
+            if kind != "none":
+                assert (want[0] < n_steps).any()
+
+    # SHA-256 of (k, w, sq, stuck) of each of TestKernel's walks at span 8,
+    # with the starts and seed of the test above and one path batch: a change
+    # to the span walk's stream, stops or sums shows here.  The 700-step
+    # "none" walk ends in a shortened 4-step span.
+    GOLDEN = {
+        "band": "9613c95ff1c39d24201675c24252764d4ccb3a95ea2d42e33c1fae71caed4f66",
+        "sloped": "e96a60eb4dab7e8d46c7205812ca21da8483119907095e975d0651be87d4fe26",
+        "mixed": "588758fa0749c71d0620b7770b3e847eec044e3d1a11ca1abec8738be4ab7079",
+        "none": "c402f70e9559820465b8cd2c00f37fc5bd35ed33aa52e09f723ea46b001845e1",
+    }
+
+    @pytest.mark.parametrize("kind", list(GOLDEN))
+    def test_golden_span_walks(self, kind):
+        lines, n_steps = TestKernel.WALKS[kind]
+        start = np.random.default_rng(4).normal(0.0, 0.1, 300)
+        out = hitting_times._first_crossings(np.random.default_rng(9), start, lines, n_steps,
+                                             1e-3, span=8)
+        h = hashlib.sha256()
+        for a in out:
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == self.GOLDEN[kind]
 
     def test_zero_paths_draw_nothing(self):
         rng = np.random.default_rng(9)

@@ -211,6 +211,9 @@ GOLDEN_CONFIGS = {
     "ideal": dict(horizon=300.0, scheme="ideal-benchmark", cb=None, seed=12, replications=2),
     "origin": dict(a=0.0, b=0.0, horizon=200.0, cb=Codebook.integer(1, math.inf, math.inf, 1),
                    seed=13, replications=2),
+    # bands 32 to 71 step sds wide: the kernel walks spans of 11 to 16 steps
+    "span": dict(eps=1e-3, horizon=2000.0, cb=Codebook.integer(1, 3, 4, 5), seed=11,
+                 replications=2),
 }
 
 
@@ -278,6 +281,23 @@ class TestGolden:
             [186, 186],
             "40e3fdcc418d8bd029ae1efdc5e97a93a2800c9c3f251676f06c2e89497d5763",
         ),
+        "span": (
+            dict(eps=0.001, horizon=2000.0, lengths=[1.0, 3.0, 4.0, 5.0], scheme="monotone",
+                 seed=11),
+            {
+                "event_counts": {"1": 145, "2": 273, "3": 282, "4": 116},
+                "mse_ci": 0.6192540903023469,
+                "mse_hat": 4.420351721003131,
+                "n_cycles": 816,
+                "rep_mse": [4.7362976854431045, 4.104405756563159],
+                "rep_sr": [0.20347290344362925, 0.19977691577738194],
+                "sr_ci": 0.0036220679129223723,
+                "sr_hat": 0.2016249096105056,
+                "total_time": 4047.459,
+            },
+            [408, 408],
+            "71d45918c0534d99ee0de7b88f08e46d6d2f402e6bf44104aab6483e51764905",
+        ),
     }
 
     @pytest.mark.parametrize("name", list(GOLDEN_CONFIGS))
@@ -294,6 +314,7 @@ class TestGolden:
         "ideal": ("ideal", {}, "989b35545d4002942ff77c1ccaf5cdf688938b3da2de3bbdd92d544f202c7a93"),
         "origin": ("origin", {},
                    "7a859742d42ce3bf9d62585f0666d79f1f218d89def5ee3129235fdd8e353827"),
+        "span": ("span", {}, "1eb71e923d970fc19f175136c6eba96bb333f4c876de0fd7cd1636c602528c1a"),
         # at b = 0 event 3 decodes to -b*sqrt(L) = -0.0, and the CSV keeps its sign
         "monotone-b0": ("monotone", dict(b=0.0),
                         "b5bb160fe01a71b14012bc0a7db6a1e164079b12ef1abc4660f69f1fba11299d"),
@@ -443,6 +464,8 @@ class TestSpanRule:
         assert simulator._span(half2, math.sqrt(1e-3)) == 14
         assert simulator._span(half2[:0], 0.01) == 1
         assert simulator._span(np.array([1e6]), 1e-3) == simulator._MAX_SPAN
+        assert simulator._span(np.full(8, 1e308), 1e-3) == simulator._MAX_SPAN  # mean is inf
+        assert simulator._span(half2, 0.0) == 1  # a step of sd 0 has nothing to span
 
     def test_tile_size_does_not_change_spans(self, monkeypatch):
         # spans are filled in once every row drew its ends, so the tiles do not
@@ -776,6 +799,16 @@ class TestHorizonErrors:
         cb = Codebook.integer(8, 8, 8, 8)
         with pytest.raises(HorizonError):
             run(sim_cfg(cb=cb, horizon=800.0, mu=0.01, a=40.0, b=40.0, seed=3))
+
+    @pytest.mark.parametrize("kw", [
+        dict(a=1e154, mu=math.inf), dict(a=1e200, mu=math.inf), dict(a=1e300, mu=math.inf),
+        dict(a=1e200), dict(sigma2=5e-324),  # sigma2*eps underflows: the step sd is 0
+    ], ids=["a1e154", "a1e200", "a1e300", "a1e200-mu10", "sigma2-5e-324"])
+    def test_unreachable_threshold_raises(self, kw):
+        # a band whose squared half-width or bridge bound overflows, or a step
+        # of sd 0, walks to the horizon without a RuntimeWarning
+        with pytest.raises(HorizonError):
+            run(sim_cfg(**{"horizon": 300.0, **kw}))
 
 
 class TestIndependence:
