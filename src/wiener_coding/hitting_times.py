@@ -22,11 +22,13 @@ normal per span gives the path at the span ends, a span whose Brownian
 bridge reaches no line with probability 1e-15 or more (summed over its
 lines) is not walked, and every other span is filled in with the grid
 walk's own bridge, so the stops keep the grid walk's law.  At m = 1 the
-span ends are the grid points and the walk is the plain grid walk.  The
-simulator picks m for each waiting phase; this sampler and mse_model's
-stopping-identity oracle walk every step (m = 1) and keep the exact streams
-their acceptance checks were judged on, until those checks move off the
-grid bias.
+span ends are the grid points and the walk is the plain grid walk.  One
+rule, _span, picks m from the gap between the path and its nearest line at
+the start and the step: the simulator applies it to each waiting phase's
+band rows, and this sampler to the gap c at t = 0 (spans of 25 steps at
+c = 1 and step 1e-4, drawing about a tenth of a normal per grid step).
+mse_model's stopping-identity oracle walks every step (m = 1) and keeps the
+exact stream its acceptance check was judged on.
 """
 
 from __future__ import annotations
@@ -57,14 +59,21 @@ __all__ = [
 # size (a simulator generation is one batch) and the chunk lengths (_next_chunk,
 # in integers) fix the stream's order on any platform.  Each tile draws its
 # rows' span ends (the grid points at span 1); at span m > 1 it queues the
-# spans it must fill in, and the chunk fills them _TILE // m at a time in the
-# rows' order, so there too the tile size changes nothing; the queue adds a
-# few numbers per queued span.
+# spans it must fill in, and once every row of a block of _FILL_ROWS rows has
+# drawn its ends, the block's queue is filled _TILE // m spans at a time in
+# the rows' order, so there too the tile size changes nothing; the queue adds
+# a few numbers per queued span of at most _FILL_ROWS rows.  The blocks split
+# no simulator call, which has at most simulator._MAX_CHAINS = _FILL_ROWS
+# rows, and change no draw at span 1, where nothing is queued.
 _PATH_BATCH = 20_000
+_FILL_ROWS = 4096
 _TILE = 1 << 15
 _FIRST_CHUNK, _MAX_CHUNK = 16, 1 << 15  # chunk lengths, in spans (grid steps at span 1)
 _CHUNK_COST, _ROW_COST = 2048, 4  # fixed costs of a chunk and of a row in it, in draws
 _SKIP_TOL = 1e-15  # the most a skipped span's bridge may cross its lines with
+# the span rule (_span): steps near a line per step of span, and the least and
+# most steps per span
+_SPAN_NEAR, _MIN_SPAN, _MAX_SPAN = 16.0, 6, 64
 
 
 @dataclass(frozen=True)
@@ -127,6 +136,25 @@ def _next_chunk(s: int, before: int, after: int) -> int:
         return min(2 * s, _MAX_CHUNK)
     n = math.isqrt(2 * (_CHUNK_COST + _ROW_COST * after) * before * s // (after * (before - after)))
     return min(n, 2 * s, _MAX_CHUNK)
+
+
+def _span(half2: np.ndarray, sd: float) -> int:
+    """Grid steps per span for a walk whose rows start at squared gaps half2
+    from their nearest line (a band row's squared half-width), at step sd.
+
+    A row z step sds from its line waits about z**2 steps, of which about
+    _SPAN_NEAR*m lie near enough to the line to be filled in; drawing one
+    normal per span for the rest, the walk costs about z**2/m + _SPAN_NEAR*m
+    per row, least at m = sqrt(mean(z**2)/_SPAN_NEAR).  Below _MIN_SPAN the
+    spans' own work outweighs the draws they save, so the walk keeps m = 1,
+    as it does at sd = 0, where there is nothing to span.  A mean past the
+    double range is inf, and gives _MAX_SPAN.
+    """
+    if not half2.size or not sd:
+        return 1
+    with np.errstate(over="ignore"):
+        m = math.sqrt(float(half2.mean()) / _SPAN_NEAR) / sd
+    return int(min(m, _MAX_SPAN)) if m >= _MIN_SPAN else 1
 
 
 def _bridge_squares(x, d, n, step, sigma2):
@@ -207,8 +235,10 @@ def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True, span
     bound below _SKIP_TOL per span) is not walked; its grid points add their
     mean sum of squares given its ends (_bridge_squares) and no crossing.
     Every other span up to the row's first crossing end is filled in with
-    the grid walk's own bridge given its ends, once every row of the chunk
-    has drawn its ends: m normals of sd, S_j their cumsum,
+    the grid walk's own bridge given its ends, once every row of the
+    chunk's block of _FILL_ROWS rows has drawn its ends (the ends test's
+    sloped line values serve _skips' gaps too): m normals of sd, S_j their
+    cumsum,
     B_j = x0 + S_j - (j/m)*(S_m - (x1 - x0)), B_m = x1, tested with the
     ends' test.  A row stops at the first grid crossing in its first
     filled-in span that has one, and its sum of squares is summed directly
@@ -236,12 +266,12 @@ def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True, span
     levels = [(v, cross) for v, cross in ((np.where(su == 0.0, u0, np.inf), ge),
                                           (np.where(sl == 0.0, d0, -np.inf), le))
               if np.isfinite(v).any()]
-    sloped = [(slope, v, cross, None if shared else slope != 0.0)
-              for slope, v, cross in ((su, u0, ge), (sl, d0, le)) if slope.any()]
+    sloped = [(slope, v, cross, None if shared else slope != 0.0, upper)
+              for slope, v, cross, upper in ((su, u0, ge, True), (sl, d0, le, False))
+              if slope.any()]
     # a span's bridge is bounded against the lines of each side with one:
-    # (level, slope, mask of the sloped paths or None, upper side)
-    bounded = [(v, slope if slope.any() else None, None if shared else slope != 0.0, upper)
-               for v, slope, upper in ((u0, su, True), (d0, sl, False))
+    # (level, slope, upper side)
+    bounded = [(v, slope, upper) for v, slope, upper in ((u0, su, True), (d0, sl, False))
                if span > 1 and np.isfinite(v).any()]
     scale = math.sqrt(step) if sd is None else sd
     size = max(_TILE, _MAX_CHUNK)  # holds any row tile
@@ -254,10 +284,13 @@ def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True, span
         out += level[i, None]
         return out
 
-    def crossed(w, at, idx, t):
+    def crossed(w, at, idx, t, seen=None):
         """up[r, c]: w[r, c] is on or past a line of row at[r] (idx[r] for a
         sloped row's mask) at time t[c], or at t(rows)[r, c] when t maps the
-        rows whose lines are sloped to their times; a view of `above`."""
+        rows whose lines are sloped to their times; a view of `above`.  A
+        dict `seen` receives, for each upper (True) or lower sloped side that
+        some row tests, (sel, i, v): the rows of w that test it, their line
+        rows and the line there at t, in a fresh array."""
         up, dn, line = (b[: w.size].reshape(w.shape) for b in (above, below, spare))
         # the first level writes up; every later side is or'ed into it
         for later, (level, cross) in enumerate(levels):
@@ -266,7 +299,7 @@ def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True, span
                 up |= dn
         if not levels:
             up.fill(False)
-        for slope, level, cross, mask in sloped:
+        for slope, level, cross, mask, upper in sloped:
             sel, i, c = slice(None), at, dn
             if mask is not None:
                 on = mask[idx].nonzero()[0]
@@ -275,21 +308,27 @@ def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True, span
                 if on.size < idx.size:  # a tile whose every row is sloped is not copied
                     sel, i, c = on, idx[on], dn[: on.size]
             tt = t if isinstance(t, np.ndarray) else t(sel)
-            v = lines_at(slope, level, i, tt, line[: i.size if tt.ndim == 1 else tt.shape[0]])
+            v = line[: i.size if tt.ndim == 1 else tt.shape[0]]
+            if seen is not None:
+                v = np.empty_like(v)
+                seen[upper] = sel, i, v
+            lines_at(slope, level, i, tt, v)
             cross(w[sel], v, out=c)
             up[sel] |= c
         return up
 
     def fill_in(fills, alive, live, elapsed, m):
-        """Fill in a chunk's queued spans and find each row's stop: fills
-        holds, per row tile, the alive positions, span indices, and start and
-        end values of the spans to fill in, in row-major order, and with sums
-        the skipped spans' sum before each of them and each row's whole
-        skipped sum.  Spans are filled _TILE // m at a time in that order, so
-        the draws do not depend on the tile size.  Sets live, and k, pos and
-        sq of the alive rows."""
+        """Fill in the queued spans of a block of a chunk's rows, alive, and
+        find each row's stop: fills holds, per row tile, the positions in
+        alive, span indices, and start and end values of the spans to fill
+        in, in row-major order, and with sums the skipped spans' sum before
+        each of them and each row's whole skipped sum; it is emptied.  Spans
+        are filled _TILE // m at a time in that order, so the draws do not
+        depend on the tile size.  Sets live, and k, pos and sq of the alive
+        rows."""
         rows, spans, x0, x1, prior, skipped = (
             np.concatenate(col) if col[0] is not None else None for col in zip(*fills))
+        fills.clear()  # the tiles' pieces, now copied
         total = rows.size
         first = np.full(alive.size, total)  # each row's stopping span, among the fills
         summed = np.zeros(alive.size) if squares else None
@@ -347,78 +386,85 @@ def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True, span
             rows = max(1, _TILE // spans)
             tile_rows = np.arange(min(rows, alive.size))
             live = np.empty(alive.size, dtype=bool)
-            fills, var = [], m * scale * scale  # the spans to fill in, and a span's variance
-            for r0 in range(0, alive.size, rows):
-                idx = alive[r0 : r0 + rows]
-                w = buf[: idx.size * spans].reshape(idx.size, spans)
-                rng.standard_normal(out=w)
-                w *= scale * math.sqrt(m)
-                x0 = pos[idx]
-                w[:, 0] += x0  # each row's start, summed in order with its steps
-                np.add.accumulate(w, axis=1, out=w)  # cumsum's values, less call overhead
-                at = row0 if shared else idx
-                up = crossed(w, at, idx, t)
-                j = up.argmax(axis=1)  # a row's first crossing end, or 0 if none
-                hit = up[tile_rows[: idx.size], j]
-                if squares and m == 1:
-                    sq[idx] += np.einsum("ij,ij->i", w, w)
-                pos[idx] = w[:, -1]  # each row's last value; a crossing row's is set below
-                on = hit.nonzero()[0]
-                if on.size:
-                    jr, i = j[on], idx[on]
-                    ki = ends[jr]
+            var = m * scale * scale  # a span's variance
+            # the rows in blocks of _FILL_ROWS, each drawn in tiles; at m > 1 a
+            # block's queued spans are filled in once all its rows drew their ends
+            for b0 in range(0, alive.size, _FILL_ROWS):
+                block, fills = alive[b0 : b0 + _FILL_ROWS], []
+                for r0 in range(0, block.size, rows):
+                    idx = block[r0 : r0 + rows]
+                    w = buf[: idx.size * spans].reshape(idx.size, spans)
+                    rng.standard_normal(out=w)
+                    w *= scale * math.sqrt(m)
+                    x0 = pos[idx]
+                    w[:, 0] += x0  # each row's start, summed in order with its steps
+                    np.add.accumulate(w, axis=1, out=w)  # cumsum's values, less call overhead
+                    at = row0 if shared else idx
+                    seen = {} if m > 1 else None  # the sloped lines at the span ends
+                    up = crossed(w, at, idx, t, seen)
+                    j = up.argmax(axis=1)  # a row's first crossing end, or 0 if none
+                    hit = up[tile_rows[: idx.size], j]
                     if squares and m == 1:
-                        # take back the crossing's column and the ones after it, in
-                        # reused buffers (take buffers a fresh copy unless mode="clip")
-                        tail, head = (b[: on.size * s].reshape(on.size, s) for b in (spare, below))
-                        w.take(on, axis=0, out=tail, mode="clip")
-                        np.less(ends, ki[:, None], out=head)
-                        np.copyto(tail, 0.0, where=head)
-                        sq[i] -= np.einsum("ij,ij->i", tail, tail)
-                    k[i] = ki
-                    pos[i] = w[on, jr]
-                np.logical_not(hit, out=live[r0 : r0 + rows])
-                if m == 1:
-                    continue
-                # the spans up to each row's first crossing end that its bridge
-                # may cross inside, queued to fill in; fill_in stops a row
-                # earlier where one does
-                path = np.concatenate((x0[:, None], w), axis=1)
-                gaps = []
-                for level, slope, mask, upper in bounded:
-                    line = level[at, None]
-                    if slope is not None and mask is None:  # a shared sloped line
-                        line = lines_at(slope, level, at, tp, np.empty((1, tp.size)))
-                    g = np.subtract(line, path) if upper else np.subtract(path, line)
-                    if slope is not None and mask is not None:  # the sloped rows' own lines
-                        sel = mask[idx].nonzero()[0]
-                        if sel.size:
-                            line = lines_at(slope, level, idx[sel], tp,
-                                            np.empty((sel.size, tp.size)))
-                            g[sel] = line - path[sel] if upper else path[sel] - line
-                    gaps.append(g)
-                skip = _skips(gaps, var)
-                if not skip.ndim:  # no line: every span is skipped
-                    skip = np.ones(w.shape, dtype=bool)
-                fill = ~skip
-                if on.size:  # nothing past a row's first crossing end is walked
-                    upto = ends <= ki[:, None]
-                    skip[on] &= upto
-                    fill[on] &= upto
-                r, c = fill.nonzero()  # row-major: each row's spans in order
-                prior = skipped = None
-                if squares:
-                    # each skipped span's mean sum, summed over each row, and
-                    # before each span to fill
-                    x1 = path[:, 1:]
-                    means = _bridge_squares(x1, path[:, :-1] - x1, m, 1.0, scale * scale)
-                    means *= skip
-                    skipped = np.add.reduce(means, axis=1)
-                    new = _runs(r)
-                    prior = np.cumsum(means[r[new]], axis=1)[np.cumsum(new) - 1, c]
-                fills.append((r0 + r, c, path[r, c], path[r, c + 1], prior, skipped))
-            if m > 1:
-                fill_in(fills, alive, live, elapsed, m)
+                        sq[idx] += np.einsum("ij,ij->i", w, w)
+                    pos[idx] = w[:, -1]  # each row's last value; a crossing row's is set below
+                    on = hit.nonzero()[0]
+                    if on.size:
+                        jr, i = j[on], idx[on]
+                        ki = ends[jr]
+                        if squares and m == 1:
+                            # take back the crossing's column and the ones after it, in
+                            # reused buffers (take buffers a fresh copy unless mode="clip")
+                            tail, head = (b[: on.size * s].reshape(on.size, s)
+                                          for b in (spare, below))
+                            w.take(on, axis=0, out=tail, mode="clip")
+                            np.less(ends, ki[:, None], out=head)
+                            np.copyto(tail, 0.0, where=head)
+                            sq[i] -= np.einsum("ij,ij->i", tail, tail)
+                        k[i] = ki
+                        pos[i] = w[on, jr]
+                    np.logical_not(hit, out=live[b0 + r0 : b0 + r0 + idx.size])
+                    if m == 1:
+                        continue
+                    # the spans up to each row's first crossing end that its bridge
+                    # may cross inside, queued to fill in; fill_in stops a row
+                    # earlier where one does
+                    path = np.concatenate((x0[:, None], w), axis=1)
+                    gaps = []
+                    for level, slope, upper in bounded:
+                        line, sel = level[at, None], None
+                        if upper in seen:  # sloped rows: the ends test's lines, and the start
+                            sel, i, v = seen[upper]
+                            own = np.empty((v.shape[0], tp.size))
+                            own[:, 1:] = v
+                            lines_at(slope, level, i, tp[:1], own[:, :1])
+                            if isinstance(sel, slice):  # every row is sloped
+                                line, sel = own, None
+                        g = np.subtract(line, path) if upper else np.subtract(path, line)
+                        if sel is not None:  # only the sloped rows take their own lines
+                            g[sel] = own - path[sel] if upper else path[sel] - own
+                        gaps.append(g)
+                    skip = _skips(gaps, var)
+                    if not skip.ndim:  # no line: every span is skipped
+                        skip = np.ones(w.shape, dtype=bool)
+                    fill = ~skip
+                    if on.size:  # nothing past a row's first crossing end is walked
+                        upto = ends <= ki[:, None]
+                        skip[on] &= upto
+                        fill[on] &= upto
+                    r, c = fill.nonzero()  # row-major: each row's spans in order
+                    prior = skipped = None
+                    if squares:
+                        # each skipped span's mean sum, summed over each row, and
+                        # before each span to fill
+                        x1 = path[:, 1:]
+                        means = _bridge_squares(x1, path[:, :-1] - x1, m, 1.0, scale * scale)
+                        means *= skip
+                        skipped = np.add.reduce(means, axis=1)
+                        new = _runs(r)
+                        prior = np.cumsum(means[r[new]], axis=1)[np.cumsum(new) - 1, c]
+                    fills.append((r0 + r, c, path[r, c], path[r, c + 1], prior, skipped))
+                if m > 1:
+                    fill_in(fills, block, live[b0 : b0 + block.size], elapsed, m)
             before, alive = alive.size, alive[live]
             elapsed += s
             spans = _next_chunk(spans, before, alive.size) if alive.size else spans
@@ -437,7 +483,9 @@ def sample_hit_times(
 ) -> np.ndarray:
     """Simulate n_paths of mu*t + B(t) on a grid; return first grid times >= c.
 
-    Deterministic given rng_seed.  Paths still alive at the horizon
+    The paths are walked in spans of _span's m grid steps, filled in step by
+    step only where the line may be crossed, so the times have the grid
+    walk's law.  Deterministic given rng_seed.  Paths still alive at the horizon
     (default 1e6/mu) raise HorizonError: truncation is loud, never silent.
     A step or horizon that is not finite and > 0, an n_paths that is not
     an integer >= 1, or an rng_seed that is not an integer >= 0 raises
@@ -447,9 +495,10 @@ def sample_hit_times(
     if horizon is None:
         horizon = 1e6 / spec.mu
     n_steps = _check_walk(n_paths, step, horizon)
+    span = _span(np.array([spec.c * spec.c]), math.sqrt(step))  # from the gap c at t = 0
     k, _, _, stuck = _first_crossings(np.random.default_rng(rng_seed), np.zeros(n_paths),
                                       (spec.c, -spec.mu, -np.inf, 0.0), n_steps, step,
-                                      squares=False)
+                                      squares=False, span=span)
     if stuck.size:
         raise HorizonError(
             f"{stuck.size} path(s) exceeded the horizon cap {horizon} "

@@ -21,10 +21,10 @@ span's end, tested as a grid point.  At m > 1 a span whose Brownian bridge
 reaches a line with probability below 1e-15 (summed over its lines) adds
 its grid points' mean squared error given its ends, and every other span
 up to the first crossing end is filled in step by step, so the walk keeps
-the grid's law; m = 1 is the plain grid walk.  _span picks m for each
-call from its band rows' half-widths and the step alone (no config field):
-about the root mean square half-width over 4 step sds, and m = 1, every
-step walked, below 6 or at a step sd of 0.  At eps = 1e-3 the
+the grid's law; m = 1 is the plain grid walk.  hitting_times._span picks m
+for each call from its band rows' half-widths and the step alone (no
+config field): about the root mean square half-width over 4 step sds, and
+m = 1, every step walked, below 6 or at a step sd of 0.  At eps = 1e-3 the
 bands of codebook (1, 3, 4, 5) at a = b = 1 walk in spans of about 14; the
 README example (bands 14 step sds wide) walks every step.  At a finite
 slope every chain walks in place on its own lines (the band's two levels or
@@ -87,7 +87,7 @@ import numpy as np
 
 from .errors import HorizonError, ParameterError, WienerCodingError
 from .gauss_stats import ThresholdConfig, _integer, event_probabilities
-from .hitting_times import _bridge_squares, _first_crossings
+from .hitting_times import _bridge_squares, _first_crossings, _span
 from .mse_model import INTEGER, UNIT_DELAYS, Codebook
 
 __all__ = [
@@ -112,11 +112,10 @@ _LOG_DTYPES = {"s_idx": np.int64, "d_idx": np.int64, "event": np.uint8, "z": np.
                "duration": np.float64}
 # The chain count orders a seed's draws, so it is part of what a seed means.
 _BURN_IN_CYCLES = 2  # cycles each chain runs before it is measured
-_MAX_CHAINS = 4096  # bounds the chain state whatever the horizon
+# bounds the chain state whatever the horizon; at most hitting_times._FILL_ROWS,
+# so no walk's span queue is split into blocks
+_MAX_CHAINS = 4096
 _CHAIN_SPAN = 32.0  # measured time per chain, in longest code lengths
-# the walk's span rule (_span): steps near a line per step of span, and the
-# least and most steps per span
-_SPAN_NEAR, _MIN_SPAN, _MAX_SPAN = 16.0, 6, 64
 
 
 @dataclass(frozen=True)
@@ -384,25 +383,6 @@ class _RepOutcome:
 def _chain_count(sim: SimConfig) -> int:
     max_len = max(l for l in sim.cb.lengths if math.isfinite(l))
     return min(_MAX_CHAINS, max(1, int(sim.horizon / (_CHAIN_SPAN * max_len))))
-
-
-def _span(half2: np.ndarray, sd: float) -> int:
-    """Grid steps per span for a walk whose band rows have squared
-    half-widths half2, at step sd (see hitting_times._first_crossings).
-
-    A band row of half-width z step sds waits about z**2 steps, of which
-    about _SPAN_NEAR*m lie near enough to a level to be filled in; drawing one
-    normal per span for the rest, the walk costs about z**2/m + _SPAN_NEAR*m
-    per row, least at m = sqrt(mean(z**2)/_SPAN_NEAR).  Below _MIN_SPAN the
-    spans' own work outweighs the draws they save, so the walk keeps m = 1,
-    as it does at sd = 0, where there is nothing to span.  A mean past the
-    double range is inf, and gives _MAX_SPAN.
-    """
-    if not half2.size or not sd:
-        return 1
-    with np.errstate(over="ignore"):
-        m = math.sqrt(float(half2.mean()) / _SPAN_NEAR) / sd
-    return int(min(m, _MAX_SPAN)) if m >= _MIN_SPAN else 1
 
 
 def _run_chains(sim: SimConfig, rng, log_cycles: bool) -> _RepOutcome:

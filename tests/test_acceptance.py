@@ -90,7 +90,6 @@ def test_criterion_02_simulation_matches_analytics():
     )
 
 
-@pytest.mark.slow
 def test_criterion_03_hitting_time_moments():
     t0 = time.process_time()
     worst = 0.0

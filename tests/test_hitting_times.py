@@ -187,14 +187,15 @@ class TestSpecTypes:
 
 
 # SHA-256 of sample_hit_times output at C3's three (c, mu), rng_seed=11, sizes
-# whose longest paths span many chunks; re-captured when the kernel began to
-# size its chunks from the crossings it sees.
+# whose longest paths span many chunks; re-captured when the sampler began to
+# walk in spans (7, 15 and 25 steps here).
 GOLDEN_HITS = {
-    (1, 1, 1e-3, 300): "2fb74fd831bfd3b8aeb773e3d3545255b33b7296f7471404328c34cb90252c21",
-    (2, 1, 1e-3, 200): "156c06b104f62cd8fe8a4a8a04ffd83c3de178c20d295c30b7b1e0340cea3db2",
-    (1, 10, 1e-4, 500): "326127d18b74323d3cefd1c6ea0e558f8febd9531e7899b1efe8a23ddf356574",
+    (1, 1, 1e-3, 300): "a675cce5fff8b374ec5f743ddb293e1c447f236de37b4967b30536bd60d5c253",
+    (2, 1, 1e-3, 200): "d0bc84a1dbda153f7fa8fd94577e76753076503382d642a26404849d24fcbf07",
+    (1, 10, 1e-4, 500): "2b54b50a85f6bf87a67224f77bfca2612b15857e2c2950696ea81d8c742ddbe2",
 }
-GOLDEN_HITS_BATCH_128 = "d468be0f45b397d7cde75976fc71e5d0ef1f39ab58da3567ce30cbf2cdd4a64c"
+GOLDEN_HITS_BATCH_128 = "170cbab391a0c4fd73872398fe0254e5fdc03762581db7d32b8a95f14647f18b"
+GOLDEN_HITS_BLOCKS_128 = "3c8281eb0910d7421753bb9edd04b2d8ef5ba6bf5b4d6c2e5105aa0ccd74ccb4"
 
 
 def _sha(times: np.ndarray) -> str:
@@ -211,6 +212,21 @@ class TestKernel:
         monkeypatch.setattr(hitting_times, "_PATH_BATCH", 128)  # 3 batches, the last partial
         times = sample_hit_times(DriftHitSpec(1, 1), 1e-3, 300, rng_seed=11)
         assert _sha(times) == GOLDEN_HITS_BATCH_128
+
+    @pytest.mark.parametrize("tile", [1, 3000])
+    def test_golden_across_fill_blocks(self, monkeypatch, tile):
+        # 300 paths in blocks of 128 rows, the last partial: each block fills
+        # in its spans before the next one draws its span ends, whatever the
+        # tile size
+        monkeypatch.setattr(hitting_times, "_FILL_ROWS", 128)
+        monkeypatch.setattr(hitting_times, "_TILE", tile)
+        times = sample_hit_times(DriftHitSpec(1, 1), 1e-3, 300, rng_seed=11)
+        assert _sha(times) == GOLDEN_HITS_BLOCKS_128
+
+    def test_simulator_calls_are_one_fill_block(self):
+        # a simulator call walks at most _MAX_CHAINS rows, so the blocks never
+        # split one, and its draws are those of a walk without blocks
+        assert simulator._MAX_CHAINS <= hitting_times._FILL_ROWS
 
     @pytest.mark.parametrize("tile", [1, 3000])
     def test_tile_size_does_not_change_output(self, monkeypatch, tile):
@@ -281,6 +297,18 @@ class TestKernel:
         tracemalloc.start()
         try:
             sample_hit_times(DriftHitSpec(1, 10), 1e-3, 16_000, rng_seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+    def test_memory_is_a_few_tiles_in_spans(self):
+        # at step 1e-4 the sampler walks in spans of 25 steps; the spans it
+        # queues to fill in are those of at most _FILL_ROWS rows at a time
+        # (one queue for all 16,000 rows peaked at 8.1 MiB, 4.1 in blocks)
+        tracemalloc.start()
+        try:
+            sample_hit_times(DriftHitSpec(1, 10), 1e-4, 16_000, rng_seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -446,6 +474,25 @@ class TestSpans:
         for a, b in ((up1, upm), (sq1, sqm)):
             se = math.hypot(a.std(), b.std()) / math.sqrt(self.N)
             assert abs(a.mean() - b.mean()) <= 4.0 * se + 1e-12
+
+    def test_sampler_law_is_the_grid_walks(self, monkeypatch):
+        # sample_hit_times walks C3's (1, 1) at step 1e-3 in spans of 7 steps;
+        # its times follow the law of the grid walk (the kernel at m = 1)
+        spec, seen = DriftHitSpec(1, 1), []
+        kernel = hitting_times._first_crossings
+
+        def walk(*args, span=1, **kw):
+            seen.append(span)
+            return kernel(*args, span=span, **kw)
+
+        monkeypatch.setattr(hitting_times, "_first_crossings", walk)
+        spans = sample_hit_times(spec, self.EPS, self.N, rng_seed=1)
+        monkeypatch.setattr(hitting_times, "_span", lambda half2, sd: 1)
+        grid = sample_hit_times(spec, self.EPS, self.N, rng_seed=2)
+        assert seen == [7, 1]
+        assert stats.ks_2samp(spans, grid).pvalue > 0.01
+        se = math.hypot(spans.std(), grid.std()) / math.sqrt(self.N)
+        assert abs(spans.mean() - grid.mean()) <= 4.0 * se
 
     def test_far_spans_draw_one_normal(self):
         # the +-2 band at step sd 0.032 is 63 step sds wide: the walk draws
@@ -684,10 +731,12 @@ class TestDrawCount:
         (lambda: mse_integral_oracle(BandStop(1, 1), n_paths=2000, step=1e-3, seed=1), 1.15),
         (lambda: run(SimConfig(1e-2, 1e5, ThresholdConfig(1.0, 1.0, 10.0),
                                Codebook.uniform(2, mode="integer-prefix"), seed=7)), 1.3),
-    ], ids=["sloped", "band", "readme-simulate"])
+        (lambda: sample_hit_times(DriftHitSpec(1, 1), 1e-4, 1600, rng_seed=1), 0.2),
+    ], ids=["sloped", "band", "readme-simulate", "hit-spans"])
     def test_drawn_over_used(self, counted, call, bound):
         # fixed chunks (1024 steps for the oracle, 100 for this simulation,
-        # longer for stragglers) drew 2.18, 1.52 and 1.64 times the steps used
+        # longer for stragglers) drew 2.18, 1.52 and 1.64 times the steps used;
+        # the hit sampler's spans of 25 steps draw 0.093 (1.03 at m = 1)
         call()
         assert counted["used"] > 0
         assert counted["drawn"] / counted["used"] <= bound, counted

@@ -426,8 +426,8 @@ class TestChainEngine:
 
 
 class TestSpanRule:
-    """simulator._span: the walk's steps per span, from a call's band rows and
-    step alone."""
+    """hitting_times._span, the simulator's rule: the walk's steps per span,
+    from a call's band rows and step alone."""
 
     def spans(self, sim, monkeypatch):
         """The span of every kernel call of one run of sim."""
@@ -458,14 +458,15 @@ class TestSpanRule:
         got = [self.spans(dataclasses.replace(sim, replications=r), monkeypatch)
                for r in (1, 2)]
         assert max(got[1]) >= 8  # a generation without a band row walks every step
-        assert all(m == 1 or simulator._MIN_SPAN <= m <= simulator._MAX_SPAN for m in got[1])
+        span, lo, hi = hitting_times._span, hitting_times._MIN_SPAN, hitting_times._MAX_SPAN
+        assert all(m == 1 or lo <= m <= hi for m in got[1])
         assert got[1][: len(got[0])] == got[0]
         half2 = np.array([1.0, 3.0, 4.0, 5.0])
-        assert simulator._span(half2, math.sqrt(1e-3)) == 14
-        assert simulator._span(half2[:0], 0.01) == 1
-        assert simulator._span(np.array([1e6]), 1e-3) == simulator._MAX_SPAN
-        assert simulator._span(np.full(8, 1e308), 1e-3) == simulator._MAX_SPAN  # mean is inf
-        assert simulator._span(half2, 0.0) == 1  # a step of sd 0 has nothing to span
+        assert span(half2, math.sqrt(1e-3)) == 14
+        assert span(half2[:0], 0.01) == 1
+        assert span(np.array([1e6]), 1e-3) == hi
+        assert span(np.full(8, 1e308), 1e-3) == hi  # mean is inf
+        assert span(half2, 0.0) == 1  # a step of sd 0 has nothing to span
 
     def test_tile_size_does_not_change_spans(self, monkeypatch):
         # spans are filled in once every row drew its ends, so the tiles do not
