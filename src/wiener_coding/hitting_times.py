@@ -25,10 +25,11 @@ walk's own bridge, so the stops keep the grid walk's law.  At m = 1 the
 span ends are the grid points and the walk is the plain grid walk.  One
 rule, _span, picks m from the gap between the path and its nearest line at
 the start and the step: the simulator applies it to each waiting phase's
-band rows, and this sampler to the gap c at t = 0 (spans of 25 steps at
-c = 1 and step 1e-4, drawing about a tenth of a normal per grid step).
-mse_model's stopping-identity oracle walks every step (m = 1) and keeps the
-exact stream its acceptance check was judged on.
+band rows, this sampler to the gap c at t = 0 (spans of 25 steps at c = 1
+and step 1e-4, drawing about a tenth of a normal per grid step), and
+mse_model's stopping-identity oracle to the gap from 0 to its nearest line
+(spans of 7 steps for its band and sloped stops at step 1e-3, and of
+_MAX_SPAN for a deterministic stop, whose spans are all skipped).
 """
 
 from __future__ import annotations
@@ -64,7 +65,11 @@ __all__ = [
 # the rows' order, so there too the tile size changes nothing; the queue adds
 # a few numbers per queued span of at most _FILL_ROWS rows.  The blocks split
 # no simulator call, which has at most simulator._MAX_CHAINS = _FILL_ROWS
-# rows, and change no draw at span 1, where nothing is queued.
+# rows, and change no draw at span 1, where nothing is queued.  A span tile's
+# bookkeeping (its path with the start, gaps, products, masks and bridge
+# means) and the queue live in buffers made at their first use in a call, and
+# again only when a later tile needs more, and every tile reuses them, as it
+# reuses the draws' buffer: no tile allocates a tile-sized array.
 _PATH_BATCH = 20_000
 _FILL_ROWS = 4096
 _TILE = 1 << 15
@@ -157,21 +162,45 @@ def _span(half2: np.ndarray, sd: float) -> int:
     return int(min(m, _MAX_SPAN)) if m >= _MIN_SPAN else 1
 
 
-def _bridge_squares(x, d, n, step, sigma2):
+def _bridge_squares(x, d, n, step, sigma2, out=None, tmp=None):
     """Mean of step * sum_{i<n} B_i**2 over a discrete Brownian bridge of n
     steps of variance sigma2*step each, from B_0 = x to B_n = x + d, given
     both ends: span*(x^2 + x*d*r + d^2*r*(1 + r)/6) + sigma2*(span^2 - step^2)/6
     with span = n*step and r = 1 - 1/n (Glasserman 2004, Monte Carlo Methods
     in Financial Engineering, 3.1).  Read backwards (x the far end, d the
-    step back) it is the sum over B_1..B_n."""
+    step back) it is the sum over B_1..B_n.  Written into out, with tmp for
+    the terms (fresh arrays unless given), in the formula's order."""
     span = n * step
     r = 1.0 - 1.0 / n
-    out = span * (x * x + x * d * r + d * d * (r * (1.0 + r) / 6.0))
+    out = np.multiply(x, x, out=out)
+    tmp = np.multiply(x, d, out=tmp)
+    tmp *= r
+    out += tmp
+    np.multiply(d, d, out=tmp)
+    tmp *= r * (1.0 + r) / 6.0
+    out += tmp
+    out *= span
     out += sigma2 * (span * span - step * step) / 6.0
     return out
 
 
-def _skips(gaps, var):
+def _lined(shape, dtype=float):
+    """An empty array of shape whose data starts on a 64-byte cache line.  A
+    large block from the allocator starts 16 bytes past one, where numpy's
+    vector loops split their loads: a product of two 7,000-double arrays
+    took 2.3 us on lines and 5-6 us off them (x86-64 with AVX-512)."""
+    n = math.prod(shape) * np.dtype(dtype).itemsize
+    raw = np.empty(n + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + n].view(dtype).reshape(shape)
+
+
+def _fresh(name, shape, dtype=float):
+    """A new array of shape: the scratch of a caller that keeps no buffers."""
+    return np.empty(shape, dtype=dtype)
+
+
+def _skips(gaps, var, scratch=_fresh):
     """Which spans a walk observed at their ends may skip, for the lines of
     `gaps`: one array per line of its gaps (the distance from the path to the
     line, > 0 on the path's side) at a row's span ends, n + 1 of them on the
@@ -181,7 +210,10 @@ def _skips(gaps, var):
     (Glasserman 2004, 6.4); a span is skipped when that bound, summed over
     the lines, is below _SKIP_TOL.  A gap <= 0 (or NaN) at either end bounds
     nothing, and an infinite line's gap bounds 0.  The exponentials are taken
-    only for spans whose nearest line alone does not decide the sum."""
+    only for spans whose nearest line alone does not decide the sum.  Its
+    span-sized arrays come from scratch(name, shape, dtype): each line's
+    products ("q", i), their least ("least", with two lines or more) and
+    the masks "near" and "skip", which is returned."""
     # q = g0*g1 of each line, and the least of them: a span whose least q
     # alone bounds the sum at or above the tolerance, or all of them below
     # it, needs no exponential
@@ -189,15 +221,18 @@ def _skips(gaps, var):
     # (a NaN gap stays NaN and fails every test below; a product past the
     # double range is inf, and its span is skipped)
     with np.errstate(over="ignore"):
-        q = [np.maximum(g, 0.0, out=g)[..., :-1] * g[..., 1:] for g in gaps]
+        q = [np.multiply(np.maximum(g, 0.0, out=g)[..., :-1], g[..., 1:],
+                         out=scratch(("q", i), g[..., 1:].shape)) for i, g in enumerate(gaps)]
     if not q:  # no line: nothing to cross
         return np.True_
     least = q[0]
     for v in q[1:]:
-        least = np.minimum(least, v)
+        least = np.minimum(least, v, out=scratch("least", v.shape))
     # 1e-9 margins keep the exponentials' rounding off the decided spans
-    skip = least > (cut + 0.5 * var * math.log(len(q))) * (1.0 + 1e-9)
-    near = (least > cut * (1.0 - 1e-9)) ^ skip
+    skip = np.greater(least, (cut + 0.5 * var * math.log(len(q))) * (1.0 + 1e-9),
+                      out=scratch("skip", least.shape, bool))
+    near = np.greater(least, cut * (1.0 - 1e-9), out=scratch("near", least.shape, bool))
+    near ^= skip
     if near.any():
         bound = sum(np.exp(v[near] * (-2.0 / var)) for v in q)
         skip[near] = bound < _SKIP_TOL
@@ -276,7 +311,35 @@ def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True, span
     scale = math.sqrt(step) if sd is None else sd
     size = max(_TILE, _MAX_CHUNK)  # holds any row tile
     # two allocations, not four: the allocator maps each large one afresh per call
-    (buf, spare), (above, below) = (np.empty((2, size), dtype=d) for d in (float, bool))
+    (buf, spare), (above, below) = (_lined((2, size), d) for d in (float, bool))
+    pool = {}  # the span tiles' own buffers, by name
+    # _skips' products and their least, spent once it returns: the bridge means'
+    # steps back, means and terms, and fill_in's temporaries reuse them
+    spent = (("q", 0), ("q", 1), "least")
+
+    def scratch(name, shape, dtype=float):
+        """A view of shape on the call's buffer `name`, made at its first use
+        and made again only for a larger shape, so that a span tile's
+        bookkeeping allocates no tile-sized array.  (Made at its shape, not at
+        a full tile: the simulator's many small calls then touch less memory.)"""
+        need = math.prod(shape)
+        b = pool.get(name)
+        if b is None or b.size < need:
+            b = pool[name] = _lined((need,), dtype)
+        return b[:need].reshape(shape)
+
+    def queue(n0, n):
+        """The fill queue's columns at [n0, n0 + n): each queued span's index
+        in its block (row * spans + span), its start and end values and the
+        skipped spans' mean sum before it.  Full columns are made again at
+        twice the length they need, keeping their first n0 entries."""
+        cols = pool.get("queue")
+        if cols is None or cols[0].size < n0 + n:
+            grown = [np.empty(2 * (n0 + n), dtype=d) for d in (np.intp, float, float, float)]
+            for new, old in zip(grown, cols or ()):
+                new[:n0] = old[:n0]
+            cols = pool["queue"] = grown
+        return [c[n0 : n0 + n] for c in cols]
 
     def lines_at(slope, level, i, t, out):
         """The sloped line of rows i at times t (a row, or one row per row)."""
@@ -289,8 +352,8 @@ def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True, span
         sloped row's mask) at time t[c], or at t(rows)[r, c] when t maps the
         rows whose lines are sloped to their times; a view of `above`.  A
         dict `seen` receives, for each upper (True) or lower sloped side that
-        some row tests, (sel, i, v): the rows of w that test it, their line
-        rows and the line there at t, in a fresh array."""
+        some row tests, (sel, i, own): the rows of w that test it, their line
+        rows and a scratch array whose columns 1: hold the line there at t."""
         up, dn, line = (b[: w.size].reshape(w.shape) for b in (above, below, spare))
         # the first level writes up; every later side is or'ed into it
         for later, (level, cross) in enumerate(levels):
@@ -309,27 +372,22 @@ def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True, span
                     sel, i, c = on, idx[on], dn[: on.size]
             tt = t if isinstance(t, np.ndarray) else t(sel)
             v = line[: i.size if tt.ndim == 1 else tt.shape[0]]
-            if seen is not None:
-                v = np.empty_like(v)
-                seen[upper] = sel, i, v
+            if seen is not None:  # column 0 is left for the caller
+                own = scratch(("own", upper), (v.shape[0], v.shape[1] + 1))
+                v, seen[upper] = own[:, 1:], (sel, i, own)
             lines_at(slope, level, i, tt, v)
             cross(w[sel], v, out=c)
             up[sel] |= c
         return up
 
-    def fill_in(fills, alive, live, elapsed, m):
+    def fill_in(total, skipped, alive, live, elapsed, m, spans):
         """Fill in the queued spans of a block of a chunk's rows, alive, and
-        find each row's stop: fills holds, per row tile, the positions in
-        alive, span indices, and start and end values of the spans to fill
-        in, in row-major order, and with sums the skipped spans' sum before
-        each of them and each row's whole skipped sum; it is emptied.  Spans
-        are filled _TILE // m at a time in that order, so the draws do not
-        depend on the tile size.  Sets live, and k, pos and sq of the alive
-        rows."""
-        rows, spans, x0, x1, prior, skipped = (
-            np.concatenate(col) if col[0] is not None else None for col in zip(*fills))
-        fills.clear()  # the tiles' pieces, now copied
-        total = rows.size
+        find each row's stop: the queue's first total entries are the spans
+        to fill in, in row-major order, and skipped (with sums) each row's
+        whole skipped sum.  Spans are filled _TILE // m at a time in that
+        order, so the draws do not depend on the tile size.  Sets live, and
+        k, pos and sq of the alive rows."""
+        at, x0, x1, prior = queue(0, total)
         first = np.full(alive.size, total)  # each row's stopping span, among the fills
         summed = np.zeros(alive.size) if squares else None
         steps = np.arange(1, m + 1)
@@ -337,17 +395,25 @@ def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True, span
         per = max(1, _TILE // m)
         for f0 in range(0, total, per):
             f = slice(f0, f0 + per)
-            fr, fc, a0, a1 = rows[f], spans[f], x0[f], x1[f]
+            (fr, fc), a0, a1 = np.divmod(at[f], spans), x0[f], x1[f]
             b = buf[: fr.size * m].reshape(fr.size, m)
             rng.standard_normal(out=b)
             b *= scale
             np.add.accumulate(b, axis=1, out=b)
-            b -= frac * (b[:, -1] - (a1 - a0))[:, None]
+            b -= np.multiply(frac, (b[:, -1] - (a1 - a0))[:, None],
+                             out=scratch(spent[2], b.shape))
             b += a0[:, None]
             b[:, -1] = a1  # the end crosses as it did when tested
+
+            def times(sel):
+                """The filled spans' grid times, for their rows sel."""
+                begin = elapsed + fc[sel] * m
+                t = np.add(begin[:, None], steps, out=scratch(spent[2], (begin.size, m)))
+                t *= step
+                return t
+
             idx = alive[fr]
-            up = crossed(b, row0 if shared else idx, idx,
-                         lambda sel: (elapsed + fc[sel, None] * m + steps) * step)
+            up = crossed(b, row0 if shared else idx, idx, times)
             j = up.argmax(axis=1)
             on = up[np.arange(fr.size), j].nonzero()[0]
             if on.size:  # the first stopping span of each row not stopped before
@@ -360,8 +426,8 @@ def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True, span
             if squares:
                 sums = np.einsum("ij,ij->i", b, b)
                 if on.size:  # a stopping span is summed up to its crossing
-                    head = b[on]
-                    head[np.arange(m) >= j[on, None]] = 0.0
+                    head = b.take(on, axis=0, out=scratch(spent[2], (on.size, m)), mode="clip")
+                    np.copyto(head, 0.0, where=np.arange(m) >= j[on, None])
                     sums[on] = np.einsum("ij,ij->i", head, head)
                 keep = f0 + np.arange(fr.size) <= first[fr]  # not past the row's stop
                 np.add.at(summed, fr[keep], sums[keep])
@@ -390,7 +456,8 @@ def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True, span
             # the rows in blocks of _FILL_ROWS, each drawn in tiles; at m > 1 a
             # block's queued spans are filled in once all its rows drew their ends
             for b0 in range(0, alive.size, _FILL_ROWS):
-                block, fills = alive[b0 : b0 + _FILL_ROWS], []
+                block, queued = alive[b0 : b0 + _FILL_ROWS], 0
+                skipped = np.empty(block.size) if squares and m > 1 else None
                 for r0 in range(0, block.size, rows):
                     idx = block[r0 : r0 + rows]
                     w = buf[: idx.size * spans].reshape(idx.size, spans)
@@ -428,43 +495,57 @@ def _first_crossings(rng, pos, lines, n_steps, step, sd=None, squares=True, span
                     # the spans up to each row's first crossing end that its bridge
                     # may cross inside, queued to fill in; fill_in stops a row
                     # earlier where one does
-                    path = np.concatenate((x0[:, None], w), axis=1)
+                    path = scratch("path", (idx.size, spans + 1))
+                    path[:, 0] = x0
+                    path[:, 1:] = w
                     gaps = []
                     for level, slope, upper in bounded:
                         line, sel = level[at, None], None
                         if upper in seen:  # sloped rows: the ends test's lines, and the start
-                            sel, i, v = seen[upper]
-                            own = np.empty((v.shape[0], tp.size))
-                            own[:, 1:] = v
+                            sel, i, own = seen[upper]
                             lines_at(slope, level, i, tp[:1], own[:, :1])
                             if isinstance(sel, slice):  # every row is sloped
                                 line, sel = own, None
-                        g = np.subtract(line, path) if upper else np.subtract(path, line)
+                        g = scratch(("gap", upper), path.shape)
+                        np.subtract(*((line, path) if upper else (path, line)), out=g)
                         if sel is not None:  # only the sloped rows take their own lines
-                            g[sel] = own - path[sel] if upper else path[sel] - own
+                            x = path[sel]
+                            g[sel] = np.subtract(*((own, x) if upper else (x, own)), out=own)
                         gaps.append(g)
-                    skip = _skips(gaps, var)
+                    skip = _skips(gaps, var, scratch)
                     if not skip.ndim:  # no line: every span is skipped
-                        skip = np.ones(w.shape, dtype=bool)
-                    fill = ~skip
+                        skip = scratch("skip", w.shape, bool)
+                        skip.fill(True)
+                    fill = np.logical_not(skip, out=scratch("fill", w.shape, bool))
                     if on.size:  # nothing past a row's first crossing end is walked
                         upto = ends <= ki[:, None]
                         skip[on] &= upto
                         fill[on] &= upto
-                    r, c = fill.nonzero()  # row-major: each row's spans in order
-                    prior = skipped = None
+                    # row-major: each row's spans in order, as indices into the
+                    # tile's (row, span) array and into the block's
+                    at_fill = np.flatnonzero(fill)
+                    into, start0, end0, prior = queue(queued, at_fill.size)
+                    np.add(at_fill, r0 * spans, out=into)
+                    at_path = at_fill // spans  # the rows, then each span's start in path
+                    at_path += at_fill
+                    for col in (start0, end0):
+                        path.take(at_path, out=col, mode="clip")
+                        at_path += 1
                     if squares:
                         # each skipped span's mean sum, summed over each row, and
                         # before each span to fill
                         x1 = path[:, 1:]
-                        means = _bridge_squares(x1, path[:, :-1] - x1, m, 1.0, scale * scale)
+                        back, means, tmp = (scratch(name, w.shape) for name in spent)
+                        means = _bridge_squares(x1, np.subtract(path[:, :-1], x1, out=back), m,
+                                                1.0, scale * scale, out=means, tmp=tmp)
                         means *= skip
-                        skipped = np.add.reduce(means, axis=1)
-                        new = _runs(r)
-                        prior = np.cumsum(means[r[new]], axis=1)[np.cumsum(new) - 1, c]
-                    fills.append((r0 + r, c, path[r, c], path[r, c + 1], prior, skipped))
+                        np.add.reduce(means, axis=1, out=skipped[r0 : r0 + idx.size])
+                        if at_fill.size:
+                            np.cumsum(means, axis=1, out=means)
+                            means.take(at_fill, out=prior, mode="clip")
+                    queued += at_fill.size
                 if m > 1:
-                    fill_in(fills, block, live[b0 : b0 + block.size], elapsed, m)
+                    fill_in(queued, skipped, block, live[b0 : b0 + block.size], elapsed, m, spans)
             before, alive = alive.size, alive[live]
             elapsed += s
             spans = _next_chunk(spans, before, alive.size) if alive.size else spans

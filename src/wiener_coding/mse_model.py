@@ -42,7 +42,7 @@ from .gauss_stats import (
     _positive_fields,
     scheme_constants,
 )
-from .hitting_times import _check_walk, _first_crossings
+from .hitting_times import _check_walk, _first_crossings, _span
 
 __all__ = [
     "Codebook",
@@ -373,7 +373,13 @@ def mse_integral_oracle(
 
     Every stop is a pair of lines for hitting_times' first-crossing kernel:
     a deterministic stop none, a band stop its two levels, a sloped stop one
-    falling line; memory is a few tiles plus a few floats per path.  An
+    falling line; memory is a few tiles plus a few floats per path.  The
+    kernel walks in spans of hitting_times._span's m grid steps, read from
+    the gap g between 0 and the nearest line (min(a, b) for a band, c for a
+    sloped stop, inf for a deterministic one): a span it skips adds its grid
+    points' mean sum of squares given its ends, and every other span is
+    walked step by step, so the sum keeps the grid walk's expectation and
+    the two sides still agree exactly in expectation.  An
     n_paths that is not an integer >= 2 or a seed that is not an integer
     >= 0 raises ParameterError.
     """
@@ -385,15 +391,16 @@ def mse_integral_oracle(
             raise ParameterError(f"a deterministic stop at t = {stop.t} is past the "
                                  f"horizon {horizon}")
         n_steps = max(1, round(stop.t / step))
-        lines = (np.inf, 0.0, -np.inf, 0.0)
+        lines, gap = (np.inf, 0.0, -np.inf, 0.0), np.inf
     elif isinstance(stop, BandStop):
-        lines = (stop.a_level, 0.0, -stop.b_level, 0.0)
+        lines, gap = (stop.a_level, 0.0, -stop.b_level, 0.0), min(stop.a_level, stop.b_level)
     elif isinstance(stop, SlopedStop):
-        lines = (stop.c, -stop.mu, -np.inf, 0.0)
+        lines, gap = (stop.c, -stop.mu, -np.inf, 0.0), stop.c
     else:
         raise ParameterError(f"unknown stop spec {stop!r}")
+    span = _span(np.array([gap * gap]), math.sqrt(step))  # from the gap to the nearest line
     k, w, sq, stuck = _first_crossings(np.random.default_rng(seed), np.zeros(n_paths), lines,
-                                       n_steps, step)
+                                       n_steps, step, span=span)
     lhs = step * sq + 0.5 * step * (k * step)
     # a deterministic stop is no crossing: its paths all stop at n_steps
     truncated = 0 if isinstance(stop, DeterministicStop) else stuck.size

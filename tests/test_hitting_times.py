@@ -19,6 +19,7 @@ from wiener_coding import hitting_times, mse_model, simulator
 from wiener_coding import (
     BandStop,
     Codebook,
+    DeterministicStop,
     DriftHitSpec,
     HorizonError,
     ParameterError,
@@ -494,6 +495,54 @@ class TestSpans:
         se = math.hypot(spans.std(), grid.std()) / math.sqrt(self.N)
         assert abs(spans.mean() - grid.mean()) <= 4.0 * se
 
+    @pytest.mark.parametrize("stop", [BandStop(1, 1), SlopedStop(1, 2)], ids=["band", "sloped"])
+    def test_oracle_law_is_the_grid_walks(self, monkeypatch, stop):
+        # mse_integral_oracle walks C4's band and sloped stops at step 1e-3 in
+        # spans of 7 steps, here in 32 blocks of 128 rows; its stop steps and
+        # both sides of the identity follow the grid walk's law (the kernel at
+        # m = 1), so each block's sums of squares are gathered right.  The
+        # band's two sides also agree path by path, within 4 paired SEs (with
+        # the skipped sum before a row's stopping span left out, z read -5.7);
+        # the sloped stop's W_tau**4 is too heavy-tailed for its paired SE
+        monkeypatch.setattr(hitting_times, "_FILL_ROWS", 128)
+        seen, stops = [], []
+        kernel = hitting_times._first_crossings
+
+        def walk(*args, span=1, **kw):
+            seen.append(span)
+            out = kernel(*args, span=span, **kw)
+            stops.append(out[0])
+            return out
+
+        monkeypatch.setattr(mse_model, "_first_crossings", walk)
+        spans = mse_integral_oracle(stop, n_paths=self.N, step=self.EPS, seed=1)
+        monkeypatch.setattr(mse_model, "_span", lambda half2, sd: 1)
+        grid = mse_integral_oracle(stop, n_paths=self.N, step=self.EPS, seed=2)
+        assert seen == [7, 1]
+        assert stats.ks_2samp(*stops).pvalue > 0.01
+        for side in ("lhs", "rhs"):
+            a, b = (getattr(r, side) for r in (spans, grid))
+            se = math.hypot(*(getattr(r, side + "_se") for r in (spans, grid)))
+            assert abs(a - b) <= 4.0 * se, (side, a, b, se)
+        if isinstance(stop, BandStop):
+            assert abs(spans.diff) <= 4.0 * spans.diff_se
+
+    def test_oracle_span_rule(self, monkeypatch):
+        # C4's stops at step 1e-3: the gap 1 to the band's or the sloped
+        # line's nearest point gives 7 steps, and a deterministic stop, with
+        # no line, _MAX_SPAN
+        seen = []
+        kernel = hitting_times._first_crossings
+
+        def walk(*args, span=1, **kw):
+            seen.append(span)
+            return kernel(*args, span=span, **kw)
+
+        monkeypatch.setattr(mse_model, "_first_crossings", walk)
+        for stop in (DeterministicStop(1.0), BandStop(1, 1), SlopedStop(1, 2)):
+            mse_integral_oracle(stop, n_paths=2, step=self.EPS, seed=1)
+        assert seen == [hitting_times._MAX_SPAN, 7, 7] == [64, 7, 7]
+
     def test_far_spans_draw_one_normal(self):
         # the +-2 band at step sd 0.032 is 63 step sds wide: the walk draws
         # one normal per 16-step span and fills in few spans
@@ -727,16 +776,20 @@ class TestDrawCount:
         return seen
 
     @pytest.mark.parametrize("call,bound", [
-        (lambda: mse_integral_oracle(SlopedStop(1, 2), n_paths=2000, step=1e-3, seed=1), 1.15),
-        (lambda: mse_integral_oracle(BandStop(1, 1), n_paths=2000, step=1e-3, seed=1), 1.15),
+        (lambda: mse_integral_oracle(SlopedStop(1, 2), n_paths=2000, step=1e-3, seed=1), 0.45),
+        (lambda: mse_integral_oracle(BandStop(1, 1), n_paths=2000, step=1e-3, seed=1), 0.45),
+        (lambda: mse_integral_oracle(DeterministicStop(1.0), n_paths=2000, step=1e-3, seed=1),
+         0.05),
         (lambda: run(SimConfig(1e-2, 1e5, ThresholdConfig(1.0, 1.0, 10.0),
                                Codebook.uniform(2, mode="integer-prefix"), seed=7)), 1.3),
         (lambda: sample_hit_times(DriftHitSpec(1, 1), 1e-4, 1600, rng_seed=1), 0.2),
-    ], ids=["sloped", "band", "readme-simulate", "hit-spans"])
+    ], ids=["sloped", "band", "deterministic", "readme-simulate", "hit-spans"])
     def test_drawn_over_used(self, counted, call, bound):
         # fixed chunks (1024 steps for the oracle, 100 for this simulation,
         # longer for stragglers) drew 2.18, 1.52 and 1.64 times the steps used;
-        # the hit sampler's spans of 25 steps draw 0.093 (1.03 at m = 1)
+        # the hit sampler's spans of 25 steps draw 0.093 (1.03 at m = 1), and
+        # the oracle's spans of 7 steps 0.37 (sloped) and 0.31 (band) and of
+        # 64 steps 0.016 (deterministic), against 1.09, 1.06 and 1 at m = 1
         call()
         assert counted["used"] > 0
         assert counted["drawn"] / counted["used"] <= bound, counted

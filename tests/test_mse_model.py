@@ -347,31 +347,44 @@ class TestIntegralOracle:
 
 # IntegralCheck fields at small n, seed 3, step 1e-3: C4's three stops, a
 # band stop truncated at a tight horizon, and a deterministic stop of 50000
-# steps.  The deterministic stops walk chunks of up to 2**15 steps, so the
-# 1000-step one is one chunk and draws what fixed 1024-step chunks drew; the
-# others were re-captured when the kernel began to size its chunks from the
-# crossings it sees.
+# steps.  Re-captured when the oracle began to walk in spans: 64 steps for the
+# deterministic stops (the 1000-step one is 15 spans of 64 and one of 40, all
+# skipped), 7 for C4's band and sloped stops and 23 for the (3, 3) band.
 GOLDEN_CHECKS = [
     (DeterministicStop(1.0), {}, dict(
-        lhs=0.5140261106107636, lhs_se=0.02704533043810997, rhs=0.4792068166293673,
-        rhs_se=0.054660296942325354, diff=0.034819293981396375, diff_se=0.036725997108385346,
+        lhs=0.5037745641348201, lhs_se=0.02656849619610435, rhs=0.5386180965365646,
+        rhs_se=0.11129930508031624, diff=-0.03484353240174449, diff_se=0.09903128805341307,
         n_paths=450, n_truncated=0)),
     (BandStop(1, 1), {}, dict(
-        lhs=0.18492094781848664, lhs_se=0.006815539725668764, rhs=0.1797064799326745,
-        rhs_se=0.0005776802920474688, diff=0.005214467885812152, diff_se=0.006833256190806684,
+        lhs=0.1761720386793469, lhs_se=0.006206510344460219, rhs=0.17997953877016964,
+        rhs_se=0.000585546666018103, diff=-0.0038075000908227175, diff_se=0.006226315324103565,
         n_paths=450, n_truncated=0)),
     (SlopedStop(1, 2), {}, dict(
-        lhs=0.3436128930502291, lhs_se=0.0528244919985207, rhs=0.2013229436947026,
-        rhs_se=0.049184785938910534, diff=0.14228994935552647, diff_se=0.018181542183330537,
+        lhs=0.5689457286521752, lhs_se=0.1873666411197458, rhs=0.9106610739983944,
+        rhs_se=0.6372479574215477, diff=-0.34171534534621933, diff_se=0.4606651572220189,
         n_paths=450, n_truncated=0)),
     (BandStop(3, 3), dict(horizon=0.05), dict(
-        lhs=0.0012864022081580683, lhs_se=7.477680897356094e-05, rhs=0.00173120118748383,
-        rhs_se=0.0003169032216049406, diff=-0.0004447989793257614,
-        diff_se=0.00027195575481186746, n_paths=450, n_truncated=450)),
+        lhs=0.0012852733109098974, lhs_se=6.359063159040802e-05, rhs=0.0013557597558161278,
+        rhs_se=0.0002493716317012512, diff=-7.04864449062303e-05,
+        diff_se=0.000211077749319136, n_paths=450, n_truncated=450)),
     (DeterministicStop(50.0), {}, dict(
-        lhs=1236.85986882074, lhs_se=76.96782664072607, rhs=1306.4555487296177,
-        rhs_se=222.76112696218502, diff=-69.59567990887723, diff_se=167.33142256200264,
+        lhs=1218.3409422721365, lhs_se=76.89505616966125, rhs=1309.663736530086,
+        rhs_se=193.91565846736106, diff=-91.32279425794931, diff_se=134.3918463229552,
         n_paths=450, n_truncated=0)),
+]
+# The band and sloped stops' fields at 300 paths, seed 3, step 1e-3, walked
+# in blocks of 128 rows (hitting_times._FILL_ROWS), the last partial: each
+# block fills in its spans, and sums their squares, before the next one
+# draws its span ends.
+GOLDEN_CHECKS_BLOCKS_128 = [
+    (BandStop(1, 1), dict(
+        lhs=0.1922893121268961, lhs_se=0.00971002389162519, rhs=0.17968410149592595,
+        rhs_se=0.0006363154903024416, diff=0.012605210630970132, diff_se=0.00971836428259654,
+        n_paths=300, n_truncated=0)),
+    (SlopedStop(1, 2), dict(
+        lhs=0.3317146397993783, lhs_se=0.06513704113881934, rhs=0.2228407970203095,
+        rhs_se=0.09701991963538996, diff=0.1088738427790688, diff_se=0.04712376325714942,
+        n_paths=300, n_truncated=0)),
 ]
 
 
@@ -384,34 +397,54 @@ class TestIntegralOracleKernel:
 
     @pytest.mark.parametrize("tile", [1, 3000])
     def test_tile_size_does_not_change_output(self, monkeypatch, tile):
-        # 1 -> one row per tile; 3000 -> 3000 // s rows of each s-step chunk
-        # (187 of the first, 16-step one) and 3 of the deterministic stop's
-        # one 1000-step chunk, so partial tiles occur
+        # 1 -> one row per tile; 3000 -> 3000 // s rows of each s-span chunk
+        # (187 of the first, 16-span one) and 200 of the deterministic stop's
+        # first, 15-span chunk, so partial tiles occur
         monkeypatch.setattr(hitting_times, "_TILE", tile)
         for stop, kw, want in GOLDEN_CHECKS[:4]:
             r = mse_integral_oracle(stop, n_paths=450, step=1e-3, seed=3, **kw)
             assert dataclasses.asdict(r) == want
 
+    @pytest.mark.parametrize("tile", [1, 3000])
+    def test_golden_across_fill_blocks(self, monkeypatch, tile):
+        # the sums of squares of spans filled in and skipped, gathered block
+        # by block, whatever the tile size
+        monkeypatch.setattr(hitting_times, "_FILL_ROWS", 128)
+        monkeypatch.setattr(hitting_times, "_TILE", tile)
+        for stop, want in GOLDEN_CHECKS_BLOCKS_128:
+            r = mse_integral_oracle(stop, n_paths=300, step=1e-3, seed=3)
+            assert dataclasses.asdict(r) == want
+
     def test_tile_visits_do_not_fault_pages(self, fresh_python):
         # a 256 KiB temporary per tile is mapped and unmapped by the allocator
         # on every tile in a process whose heap no earlier import has grown:
-        # 92,227 (band) and 65,319 (sloped) minor faults per call that way
+        # 92,227 (band) and 65,319 (sloped) minor faults per call that way.
+        # The span walks' bookkeeping in fresh arrays per tile faulted 9,309
+        # (band), 3,473 (sloped) and 762 (hits) pages a call
         pytest.importorskip("resource")
         faults = fresh_python("""if True:
             import json, resource, sys
+            from wiener_coding.hitting_times import DriftHitSpec, sample_hit_times
             from wiener_coding.mse_model import BandStop, SlopedStop, mse_integral_oracle
 
             out = {"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
-            for stop in (BandStop(1, 1), SlopedStop(1, 2)):
-                mse_integral_oracle(stop, n_paths=20_000, step=1e-3)  # warm-up
+            for name, walk in (
+                ("BandStop", lambda: mse_integral_oracle(BandStop(1, 1), n_paths=20_000,
+                                                         step=1e-3)),
+                ("SlopedStop", lambda: mse_integral_oracle(SlopedStop(1, 2), n_paths=20_000,
+                                                           step=1e-3)),
+                ("hits", lambda: sample_hit_times(DriftHitSpec(1, 10), 1e-4, 16_000, 1)),
+            ):
+                walk()  # warm-up
                 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                mse_integral_oracle(stop, n_paths=20_000, step=1e-3)
+                walk()
                 after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                out[type(stop).__name__] = after - before
+                out[name] = after - before
             print(json.dumps(out))
         """)
         assert faults.pop("scipy") == []
         assert faults["BandStop"] < 5000 and faults["SlopedStop"] < 5000, faults
+        assert faults["hits"] < 5000, faults
 
     def test_long_deterministic_row_rejected_before_allocating(self):
         # a deterministic stop past the horizon is rejected before any walk
@@ -442,6 +475,20 @@ class TestIntegralOracleKernel:
         tracemalloc.start()
         try:
             mse_integral_oracle(BandStop(1, 1), n_paths=20_000, step=1e-2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+    @pytest.mark.parametrize("stop", [DeterministicStop(1.0), BandStop(1, 1), SlopedStop(1, 2)],
+                             ids=["deterministic", "band", "sloped"])
+    def test_memory_is_a_few_tiles_in_spans(self, stop):
+        # at step 1e-3 C4's stops walk in spans (step 1e-2 above walks at
+        # m = 1): the span tiles' buffers and the fill queue of one block
+        # of rows, a few tiles in all
+        tracemalloc.start()
+        try:
+            mse_integral_oracle(stop, n_paths=20_000, step=1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
