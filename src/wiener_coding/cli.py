@@ -32,6 +32,7 @@ from pathlib import Path
 
 from .code_optimizer import (
     RateConstraint,
+    _scan_start,
     dinkelbach_solve,
     integer_oracle,
     optimize_threshold,
@@ -346,12 +347,14 @@ def cmd_sweep(res: _Resolver) -> int:
     any_feasible = False
     for fmax in fmaxes:
         rc = RateConstraint(fmax)
+        path: list = []  # the column's feasible points, which each solve starts from
         for a in grid:
             cfg = ThresholdConfig(a, a, mu)
             large = replace(cfg, mu=math.inf)  # the closed-form columns are large-slope
             row: dict = {"fmax": fmax, "a": a}
             try:
-                din = dinkelbach_solve(large, rc)
+                din = dinkelbach_solve(large, rc, _scan_start(a, path))
+                path.append((a, din))
                 bd = mse_exact(large, din.lengths)
                 row.update(
                     mse_opt=din.theta_star,

@@ -19,12 +19,22 @@ the top-left) and is verified positive semi-definite at build time.  l'Ql is
 E_P[L] times the fractional objective and q_theta'l is theta*E_P[L], so the
 root of J is the optimal value theta*.
 
-Each parametric QP is convex.  A primal-dual interior-point method on the
-Kraft and rate constraints finds those that bind, then Newton's method on
-their KKT equations gives the lengths to machine precision; a violated
-length cap joins the binding set there.  Relaxed lengths are capped at
-LENGTH_CAP = 64 with a flag when the cap binds, so the l2 -> infinity limit
-at small thresholds stays finite.
+Each parametric QP is convex.  Newton's method on the KKT equations of the
+constraints that bind gives the lengths to machine precision, and the
+binding set is corrected (a violated length cap joins it, a negative
+multiplier leaves it) until the point passes the KKT checks; by convexity
+that point is the global minimizer.  Newton's method starts from a nearby
+QP's solution when one is given, and otherwise, or when that warm solve
+fails its checks, from a primal-dual interior-point method on the Kraft and
+rate constraints.  Relaxed lengths are capped at LENGTH_CAP = 64 with a
+flag when the cap binds, so the l2 -> infinity limit at small thresholds
+and the l1 -> infinity limit at large ones stay finite.
+
+Dinkelbach's iteration stops where theta stops falling, so its theta* is
+exact to rounding, and each step's QP starts from the step before.  A
+threshold scan is a continuation: each solve starts from lengths
+extrapolated from the points solved before it, which typically leaves two
+QP solves a threshold.
 
 The threshold search is an exhaustive grid scan (theta*(a) is multi-modal,
 so the grid stage stays global) followed by golden-section refinement around
@@ -35,7 +45,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,9 +75,10 @@ __all__ = [
 LENGTH_CAP = 64.0
 
 _LN2 = math.log(2.0)
-_J_TOL = 1e-9
+_J_TOL = 1e-9  # relative to theta*
 _MAX_DINKELBACH_STEPS = 50
-_THETA_RISE_TOL = 1e-12
+_THETA_RISE_TOL = 1e-12  # relative; a larger rise is an error
+_THETA_FALL_TOL = 1e-13  # relative; a smaller fall ends the iteration
 _MAX_GRID_POINTS = 10**6
 _DUAL_TOL = 1e-9
 _PRIMAL_TOL = 1e-9
@@ -80,8 +91,11 @@ _IP_GAP = 1e-7  # the interior-point stage stops at this duality gap
 _IP_FEAS = 1e-6  # and this dual residual
 _IP_MAX_STEPS = 200
 _IP_MIN_STEP = 1e-12  # a line search that shrinks the step below this has stalled
-_POLISH_STEPS = 8
-_POLISH_TOL = 4.0 * sys.float_info.epsilon * LENGTH_CAP  # a length step this small ends the polish
+_POLISH_STEPS = 40  # a tail length far from its root moves about 1.44 a step
+_NEWTON_DONE = 1e-9  # a length step this short ends Newton's method
+_ROUNDING_STEP = 1e-6  # a length step this short that does not halve is rounding
+_NEWTON_MAX_STEP = 8.0  # the longest length step Newton's method takes
+_EPS = sys.float_info.epsilon
 _ACTIVE_SET_ROUNDS = 4  # Newton solves, one per active set, before giving up
 
 
@@ -112,6 +126,7 @@ class QpInstance:
     p: tuple[float, float]
     p_tilde: tuple[float, float]
     k: float
+    start: QpSolution | None = None  # a nearby instance's solution, to start from
 
     def objective(self, l1: float, l2: float) -> float:
         l = np.array([l1, l2])
@@ -146,6 +161,7 @@ class QpSolution:
     gamma: float  # rate multiplier
     objective: float
     capped: bool
+    active: tuple[int, ...] = ()  # 0 Kraft, 1 rate, 2 and 3 the caps on l1 and l2
 
 
 @dataclass(frozen=True)
@@ -157,6 +173,8 @@ class DinkelbachResult:
     kraft_slack: float
     rate_slack: float
     active: tuple[str, ...]  # of "kraft" and "rate", those with slack <= 1e-6
+    # the last QP solve, which a neighbouring threshold's solve starts from
+    solution: QpSolution | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -202,17 +220,29 @@ def build_qp(cfg: ThresholdConfig, theta: float, rc: RateConstraint) -> QpInstan
 
 
 def solve_qp(inst: QpInstance) -> QpSolution:
-    """Global minimizer of the parametric QP: interior point, then Newton.
+    """Global minimizer of the parametric QP: Newton's method on its KKT
+    equations, from inst.start when given, otherwise from an interior point.
 
     The constraints g <= 0 are, in order, Kraft 2^-l1 + 2^-l2 - 1/2, the
-    rate floor R - 2(p1 l1 + p2 l2) and the caps l1 - 64, l2 - 64.  A
-    primal-dual interior-point method (Boyd & Vandenberghe 2004, 11.7) on
-    the first two starts on the diagonal one unit above their floor and
-    stops at a loose duality gap.  Newton's method on the KKT equations of
-    the constraints it found active (lam_i > -g_i) then gives the lengths to
+    rate floor R - 2(p1 l1 + p2 l2) and the caps l1 - 64, l2 - 64.  Newton's
+    method on the KKT equations of an active set gives the lengths to
     machine precision, and the active set, caps included, is corrected until
-    the result meets the KKT conditions.  Raises InfeasibleError when only
-    capped lengths meet the rate floor, and SearchError when a stage fails.
+    the result meets the KKT conditions: primal and dual feasibility, and a
+    dual residual at rounding level relative to the gradients.  The QP is
+    convex, so that point is the global minimizer whatever the start.
+
+    A warm start (inst.start, a solution of a nearby instance) gives the
+    first lengths, multipliers and active set.  A cold start, or a warm one
+    that fails its checks, runs a primal-dual interior-point method
+    (Boyd & Vandenberghe 2004, 11.7) on the Kraft and rate constraints from
+    the diagonal one unit above their floor to a loose duality gap; the
+    constraints it finds active (lam_i > -g_i) start the Newton stage.  A
+    length whose probability is below rounding against the other's (the
+    band length at a = 0, the tail length at large a) leaves the objective;
+    then the start is ignored, that length starts pinned at the cap and the
+    other at its 1-D minimizer, so the answer does not depend on the start.
+    Raises InfeasibleError when only capped lengths meet the rate floor, and
+    SearchError when the cold start fails.
     """
     p1, p2 = inst.p
     if 2.0 * (p1 + p2) * LENGTH_CAP < inst.rate_bound - 1e-12:
@@ -291,117 +321,185 @@ def solve_qp(inst: QpInstance) -> QpSolution:
         raise SearchError(f"interior-point method did not converge in {_IP_MAX_STEPS} steps")
 
     def newton(x1, x2, lam, active):
-        """Newton's method on the KKT equations of the active constraints."""
-        jac = np.zeros((2 + len(active),) * 2)
+        """Newton's method on the KKT equations of the active constraints.
+
+        A length step longer than _NEWTON_MAX_STEP is shortened to it: far
+        from the root of a tail length's stationarity, where 2^-l is below
+        rounding against the linear terms, a full step overshoots by tens.
+        """
         size = math.inf
         for _ in range(_POLISH_STEPS):
             g, grads, (h11, h12, h22), r1, r2 = point(x1, x2, lam)
-            G = np.reshape([grads[i] for i in active], (-1, 2))
-            jac[:2, :2] = (h11, h12), (h12, h22)
-            jac[:2, 2:], jac[2:, :2] = G.T, G
+            G = [grads[i] for i in active]
+            pad = [0.0] * len(G)
+            jac = [[h11, h12, *(gx for gx, _ in G)], [h12, h22, *(gy for _, gy in G)],
+                   *([gx, gy, *pad] for gx, gy in G)]
             try:
                 dx = np.linalg.solve(jac, [-r1, -r2] + [-g[i] for i in active]).tolist()
             except np.linalg.LinAlgError:
                 raise SearchError(f"singular KKT system for the active set {active}") from None
-            # a step that no longer halves has reached the rounding floor,
-            # which a rate floor with a small p_i lifts to 1e-12 and more
+            # a step that does not halve has reached the rounding floor when
+            # it is short (a rate floor with a small p_i lifts that floor to
+            # 1e-12 and more), and diverges when it grows; a long step that
+            # shrinks slowly is a tail length's approach to its root
             size, last = max(abs(dx[0]), abs(dx[1])), size
-            if size > last / 2:
+            if size > last / 2 and (size <= _ROUNDING_STEP or size >= last):
                 break
-            x1, x2 = x1 + dx[0], x2 + dx[1]
+            t = _NEWTON_MAX_STEP / size if size > _NEWTON_MAX_STEP else 1.0
+            x1, x2 = x1 + t * dx[0], x2 + t * dx[1]
             for i, dl in zip(active, dx[2:]):
-                lam[i] += dl
-            if size <= _POLISH_TOL:
+                lam[i] += t * dl
+            # convergence is quadratic, so after a step this short the
+            # lengths are exact to rounding
+            if size <= _NEWTON_DONE:
                 break
         else:
             raise SearchError(f"no convergence in {_POLISH_STEPS} Newton steps on {active}")
         return (LENGTH_CAP if 2 in active else x1), (LENGTH_CAP if 3 in active else x2)
 
-    if p2 == 0.0:
-        # a = 0 only: l2 leaves the objective and is pinned to the cap, and l1
-        # minimizes a 1-D quadratic above its Kraft and rate floors
-        floors = [-math.log2(kraft - 2.0**-LENGTH_CAP), rate / -d1]
-        x1 = max((qt1 - 2.0 * q12 * LENGTH_CAP) / (2.0 * q11), *floors)
-        x2, lam = LENGTH_CAP, [0.0] * 4
-        active = ([floors.index(x1)] if x1 in floors else []) + [3]
+    def kkt_point(x1, x2, lam, active):
+        """Newton's method from (x1, x2, lam) on a corrected active set, to a
+        verified KKT point."""
+        # a violated cap joins the active set, and so does a constraint whose
+        # multiplier and slack were both below about sqrt(gap) and misjudged;
+        # a negative multiplier leaves it; one change per round
+        for _ in range(_ACTIVE_SET_ROUNDS):
+            x1, x2 = newton(x1, x2, lam, active)
+            g, grads, _, r1, r2 = point(x1, x2, lam)
+            # each dual residual row is judged against its largest term, so a
+            # tail length's row, whose terms are all about p1, counts too
+            (k1, k2), (lk, lr, lc1, lc2) = grads[0], lam
+            scale = (max(abs(2.0 * (q11 * x1 + q12 * x2)), abs(qt1), abs(lk * k1), abs(lr * d1),
+                         abs(lc1)),
+                     max(abs(2.0 * (q12 * x1 + q22 * x2)), abs(qt2), abs(lk * k2), abs(lr * d2),
+                         abs(lc2)))
+            leave = [i for i in active if lam[i] < 0.0 and any(
+                -lam[i] * abs(gi) > _DUAL_TOL * si for gi, si in zip(grads[i], scale))]
+            join = [i for i in range(4) if i not in active and g[i] > _PRIMAL_TOL]
+            if not leave and not join:
+                break
+            active = sorted(set(active) - set(leave[:1]) | set(join[:1]))
+            lam = [lam[i] if i in active else 0.0 for i in range(4)]
+        else:
+            raise SearchError(
+                f"no KKT point after {_ACTIVE_SET_ROUNDS} active sets, the last {active}"
+            )
+        if (abs(r1) > _DUAL_TOL * scale[0] or abs(r2) > _DUAL_TOL * scale[1]
+                or any(abs(g[i]) > _PRIMAL_TOL for i in active)):
+            raise SearchError(f"Newton steps on the active set {active} left residual ({r1}, {r2})")
+        return QpSolution(l1=x1, l2=x2, lam=max(lam[0], 0.0), gamma=max(lam[1], 0.0),
+                          objective=(q11 * x1 + 2.0 * q12 * x2 - qt1) * x1
+                          + (q22 * x2 - qt2) * x2,
+                          capped=2 in active or 3 in active, active=tuple(active))
+
+    pinned = min(p1, p2) * LENGTH_CAP <= _EPS * max(p1, p2)
+    start = inst.start
+    if start is not None and not pinned:
+        try:
+            return kkt_point(start.l1, start.l2, [start.lam, start.gamma, 0.0, 0.0],
+                             list(start.active))
+        except SearchError:
+            pass  # the cold start below keeps the answer global
+    if pinned:
+        # one length leaves the objective: pin it to the cap, and start the
+        # other at its 1-D minimizer above its Kraft and rate floors
+        j = 0 if p1 < p2 else 1
+        qii, qti, di, dj = (q22, qt2, d2, d1) if j == 0 else (q11, qt1, d1, d2)
+        floors = [-math.log2(kraft - 2.0**-LENGTH_CAP), (rate + dj * LENGTH_CAP) / -di]
+        xi = max((qti - 2.0 * q12 * LENGTH_CAP) / (2.0 * qii), *floors)
+        x1, x2 = (LENGTH_CAP, xi) if j == 0 else (xi, LENGTH_CAP)
+        lam = [0.0] * 4
+        active = ([floors.index(xi)] if xi in floors else []) + [2 + j]
     else:
         x1, x2, lam, g = interior_point(floor + 1.0, floor + 1.0)
         active = [i for i in range(2) if lam[i] > -g[i]]
         lam = [lam[i] if i in active else 0.0 for i in range(4)]
-    # a violated cap joins the active set, and so does a constraint whose
-    # multiplier and slack were both below about sqrt(gap) and misjudged;
-    # a negative multiplier leaves it; one change per round
-    for _ in range(_ACTIVE_SET_ROUNDS):
-        x1, x2 = newton(x1, x2, lam, active)
-        g, _, _, r1, r2 = point(x1, x2, lam)
-        leave = [i for i in active if lam[i] < -_DUAL_TOL]
-        join = [i for i in range(4) if i not in active and g[i] > _PRIMAL_TOL]
-        if not leave and not join:
-            break
-        active = sorted(set(active) - set(leave[:1]) | set(join[:1]))
-        lam = [lam[i] if i in active else 0.0 for i in range(4)]
-    else:
-        raise SearchError(f"no KKT point after {_ACTIVE_SET_ROUNDS} active sets, the last {active}")
-    if math.hypot(r1, r2) > _DUAL_TOL:
-        raise SearchError(f"Newton steps on the active set {active} left residual ({r1}, {r2})")
-    return QpSolution(l1=x1, l2=x2, lam=max(lam[0], 0.0), gamma=max(lam[1], 0.0),
-                      objective=float(inst.objective(x1, x2)), capped=2 in active or 3 in active)
+        if active == [0, 1]:
+            try:
+                return kkt_point(x1, x2, lam[:], active)
+            except SearchError:
+                # both floors nearly tight and the rate's multiplier near zero
+                # (a tiny threshold at f_max = 1): the two may meet nowhere,
+                # so start again from the Kraft floor alone
+                active, lam[1] = [0], 0.0
+    return kkt_point(x1, x2, lam, active)
 
 
-def dinkelbach_solve(cfg: ThresholdConfig, rc: RateConstraint) -> DinkelbachResult:
+def dinkelbach_solve(
+    cfg: ThresholdConfig, rc: RateConstraint, start: QpSolution | None = None
+) -> DinkelbachResult:
     """Dinkelbach's iteration on the parametric value J(theta).
 
     With N(l) = l'Ql and D(l) = E_P[L], the update theta <- N(l*)/D(l*) is
     the fractional objective at the last minimizer l*.  J is concave and
-    strictly decreasing with J(0) > 0, so after a solve at theta = 0 the
-    updates decrease theta monotonically to theta*, superlinearly
-    (Dinkelbach's step is Newton's on J).  Stops at |J(theta)| <= 1e-9,
-    typically 1-3 steps after theta = 0, so 2-4 QP solves in all.  Raises
-    SearchError if theta rises or the iteration has not converged within 50
-    steps, and checks that the fractional objective at the returned lengths
-    reproduces theta*.
+    strictly decreasing, so from any theta0 >= theta* the updates decrease
+    theta monotonically to theta*, superlinearly (Dinkelbach's step is
+    Newton's on J).
+
+    theta0 is the fractional objective of feasible lengths, an upper bound
+    on theta*.  With `start`, a QP solution near this threshold's optimum
+    (a neighbouring threshold's `solution`, say), they are its lengths,
+    lifted by a common shift onto the Kraft and rate floors where they
+    break them, and the first QP starts from it.  Without a start, or when
+    the lifted lengths pass the cap, one cold solve at theta = 0 gives them,
+    and J(0) > 0 is checked.  Each later QP starts from the one before.  The
+    iteration stops once theta no longer falls by more than 1e-13 relative,
+    so that a warm and a cold solve agree to rounding, and theta* is the
+    fractional objective of the returned lengths; `iterations` counts
+    the QP solves after theta0, the last one showing that theta stopped
+    falling.  Raises SearchError if theta rises, if the iteration has not
+    converged within 50 steps, or if the last QP's value J(theta*) is not
+    zero to 1e-9 relative.
     """
     if cfg.sigma2 != 1.0:
         raise UnsupportedConfigurationError(
             "optimizer works in canonical units; apply scale_to_sigma first"
         )
     inst = build_qp(cfg, 0.0, rc)
-    sol = solve_qp(inst)
-    if sol.objective <= 0.0:
-        raise SearchError("J(0) <= 0: the fractional objective is not positive")
-    theta = inst.fractional(sol.l1, sol.l2)
+    sol = None
+    if start is not None:
+        l1, l2 = start.l1, start.l2
+        lift = max(0.0, math.log2((2.0**-l1 + 2.0**-l2) / inst.kraft_bound))
+        lift += max(0.0, -inst.rate_slack(l1 + lift, l2 + lift) / (2.0 * sum(inst.p)))
+        if max(l1, l2) + lift <= LENGTH_CAP:
+            theta, sol = inst.fractional(l1 + lift, l2 + lift), start
+    if sol is None:
+        sol = solve_qp(inst)
+        if sol.objective <= 0.0:
+            raise SearchError("J(0) <= 0: the fractional objective is not positive")
+        theta = inst.fractional(sol.l1, sol.l2)
     iterations = 0
     while True:
-        inst = replace(inst, q_theta=2.0 * theta * np.array(inst.p))
+        inst = replace(inst, q_theta=2.0 * theta * np.array(inst.p), start=sol)
         sol = solve_qp(inst)
         iterations += 1
-        if abs(sol.objective) <= _J_TOL:
+        theta_next = inst.fractional(sol.l1, sol.l2)
+        if theta_next > theta * (1.0 + _THETA_RISE_TOL):
+            raise SearchError(f"Dinkelbach theta rose from {theta} to {theta_next}")
+        if theta_next >= theta * (1.0 - _THETA_FALL_TOL):
             break
         if iterations >= _MAX_DINKELBACH_STEPS:
             raise SearchError(
                 f"Dinkelbach did not converge in {iterations} steps: J({theta}) = {sol.objective}"
             )
-        theta_next = inst.fractional(sol.l1, sol.l2)
-        if theta_next > theta + _THETA_RISE_TOL:
-            raise SearchError(f"Dinkelbach theta rose from {theta} to {theta_next}")
         theta = theta_next
-    frac = inst.fractional(sol.l1, sol.l2)
-    if abs(frac - theta) > 1e-6:
+    if abs(sol.objective) > _J_TOL * max(1.0, theta):
         raise SearchError(
-            f"Dinkelbach inconsistency: fractional objective {frac} vs theta* {theta}"
+            f"Dinkelbach did not converge: theta stopped at {theta} with J = {sol.objective}"
         )
     kraft_slack, rate_slack = inst.kraft_slack(sol.l1, sol.l2), inst.rate_slack(sol.l1, sol.l2)
     active = ("kraft",) if kraft_slack <= _SLACK_TOL else ()
     if not rc.unconstrained and rate_slack <= _SLACK_TOL:
         active += ("rate",)
     return DinkelbachResult(
-        theta_star=theta,
+        theta_star=theta_next,
         lengths=Codebook.relaxed(sol.l1, sol.l2, sol.l2, sol.l1),
         capped=sol.capped,
         iterations=iterations,
         kraft_slack=kraft_slack,
         rate_slack=rate_slack,
         active=active,
+        solution=sol,
     )
 
 
@@ -425,12 +523,21 @@ def threshold_grid(a_grid: tuple[float, float, float]) -> list[float]:
     return vals
 
 
-def _theta_at(a: float, rc: RateConstraint) -> tuple[float, DinkelbachResult | None]:
-    try:
-        res = dinkelbach_solve(ThresholdConfig(a, a, math.inf), rc)
-    except InfeasibleError:
-        return math.inf, None
-    return res.theta_star, res
+def _scan_start(a: float, path: list[tuple[float, DinkelbachResult]]) -> QpSolution | None:
+    """The start of a threshold scan's solve at a, from the scan's solved
+    points (a_i, result_i) in order: the last solution, its lengths
+    extrapolated linearly through the last two points when both bind the
+    same constraints and neither is capped."""
+    if not path:
+        return None
+    a1, res = path[-1]
+    sol = res.solution
+    if len(path) > 1 and not sol.capped and path[-2][1].solution.active == sol.active:
+        a0, prev = path[-2]
+        w = (a - a1) / (a1 - a0)
+        sol = replace(sol, l1=sol.l1 + w * (sol.l1 - prev.solution.l1),
+                      l2=sol.l2 + w * (sol.l2 - prev.solution.l2))
+    return sol
 
 
 def optimize_threshold(
@@ -438,6 +545,9 @@ def optimize_threshold(
 ) -> OptimizationResult:
     """Exhaustive threshold scan with golden-section refinement.
 
+    The scan walks the grid in order, each point's Dinkelbach solve started
+    from the feasible points before it (`_scan_start`), and each
+    golden-section probe starts from the nearest evaluated point's solution.
     Every evaluated point is remembered; the returned a* is the best
     evaluated point, ties resolved to the smallest a (within 1e-9).
     """
@@ -445,11 +555,18 @@ def optimize_threshold(
     evaluated: dict[float, float] = {}
     best_res: dict[float, DinkelbachResult] = {}
 
-    def theta(a: float) -> float:
-        evaluated[a], res = _theta_at(a, rc)
-        if res is not None:
-            best_res[a] = res
+    def theta(a: float, start: QpSolution | None) -> float:
+        try:
+            res = dinkelbach_solve(ThresholdConfig(a, a, math.inf), rc, start)
+        except InfeasibleError:
+            evaluated[a] = math.inf
+        else:
+            evaluated[a], best_res[a] = res.theta_star, res
         return evaluated[a]
+
+    def probe(a: float) -> float:
+        near = min(best_res, key=lambda b: abs(b - a), default=None)
+        return theta(a, None if near is None else best_res[near].solution)
 
     def best() -> float:
         finite = {a: t for a, t in evaluated.items() if math.isfinite(t)}
@@ -458,23 +575,25 @@ def optimize_threshold(
         t_min = min(finite.values())
         return min(a for a, t in finite.items() if t <= t_min + 1e-9)
 
+    path: list[tuple[float, DinkelbachResult]] = []
     for a in grid:
-        theta(a)
+        if math.isfinite(theta(a, _scan_start(a, path))):
+            path.append((a, best_res[a]))
     i = grid.index(best())
     lo = grid[max(0, i - 1)]
     hi = grid[min(len(grid) - 1, i + 1)]
     x1 = hi - _INVPHI * (hi - lo)
     x2 = lo + _INVPHI * (hi - lo)
-    f1, f2 = theta(x1), theta(x2)
+    f1, f2 = probe(x1), probe(x2)
     while hi - lo > _REFINE_WIDTH:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INVPHI * (hi - lo)
-            f1 = theta(x1)
+            f1 = probe(x1)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _INVPHI * (hi - lo)
-            f2 = theta(x2)
+            f2 = probe(x2)
     a_best = best()
     res = best_res[a_best]
     bd = mse_exact(ThresholdConfig(a_best, a_best, math.inf), res.lengths)

@@ -17,7 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wiener_coding
-from wiener_coding import Codebook, SimConfig, ThresholdConfig, cli, mse_exact, run
+from wiener_coding import (
+    Codebook,
+    RateConstraint,
+    SimConfig,
+    ThresholdConfig,
+    cli,
+    dinkelbach_solve,
+    mse_exact,
+    run,
+)
 from wiener_coding.cli import _Resolver, _build_parser, main
 from wiener_coding.mse_model import INTEGER
 
@@ -115,15 +124,18 @@ SWEEP_ARGV = ["sweep", "--grid", "0:2:0.05", "--fmax", "inf,0.5,0.35,0.2"]
 # at the old default slope 1e6; its digest was re-captured again when the
 # ideal columns became mse_exact at unit delays, which moved mse_ideal and
 # sr_ideal by at most 3 ulp at 15 of its 41 thresholds and nothing else.  The
-# analyze run pins the finite-slope closed form; the simulate run pins the
+# three were re-captured once more when Dinkelbach's iteration came to stop
+# where theta stops falling, not at |J| <= 1e-9: theta* moved by at most
+# 1.4e-10, the lengths by at most 6.2e-12, a* and the optimize MSE not at
+# all.  The analyze run pins the finite-slope closed form; the simulate run pins the
 # chain engine's report.
 GOLDEN_STDOUT = [
     (["optimize", "--fmax", "0.5", "--grid", "0:3:0.01"],
-     "5d1cfd8549b2b1eaaccf739cd6d7245a54469805beeedb1ac9344d3ed8f0bf8f"),
+     "0a217e292cbf09fd46b88c1f0c51de62c63ca41ba411c3ae6cbb4219dfa5ef95"),
     (["optimize", "--fmax", "0.2", "--grid", "0:3:0.01"],
-     "33ff70881af0505f65e6b6544fd15e933413e1320d14221310d2c460bfa54b09"),
+     "9eff768446cbe2a30869ffbcd969685e271b3aa4b4d13dd083e68ec2f8590e00"),
     (SWEEP_ARGV + ["--mu", "1e6"],
-     "0e2a97ba6640c2f01e910c6e614bb4b873c82baa26ca57bf1502e28be7fba279"),
+     "d16c169b1bd1235382054ad694d3a75f91331e494734fbb06d4142e0f02e273f"),
     (["analyze", "--l", "1,3,4,5", "--grid", "0:3:0.01", "--mu", "10"],
      "dd71db2d0534367363a7db1e9c157b537481118a4704db053d47f846bea1e870"),
     (["simulate", "--a", "1", "--b", "1", "--mu", "10", "--l", "2,2,2,2", "--eps", "1e-2",
@@ -265,6 +277,12 @@ class TestOptimize:
     def test_infeasible_exit_code(self, tmp_path):
         rc = main(["optimize", "--fmax", "1e-4", "--grid", "0.5:1:0.25"])
         assert rc == 3
+
+    def test_grid_past_the_tail(self, tmp_path):
+        # past a = 6.6 the tail length runs to the cap; the scan crosses it
+        out = tmp_path / "opt.csv"
+        assert main(["optimize", "--fmax", "0.5", "--grid", "0:8:0.1", "--out", str(out)]) == 0
+        assert float(read_csv(out)[0]["a_star"]) == pytest.approx(2.0537, abs=1e-4)
 
 
 class TestSimulate:
@@ -435,6 +453,27 @@ class TestSweep:
         assert all(r or k for r, k in zip(rate, kraft))
         assert rate[0] and not rate[-1]
         assert kraft[-1]
+
+    def test_columns_match_cold_solves(self, tmp_path):
+        # each column is a continuation along a; every point is its cold solve
+        out = tmp_path / "sweep.csv"
+        assert main(SWEEP_ARGV + ["--out", str(out)]) == 0
+        for row in read_csv(out):
+            a, fmax = float(row["a"]), float(row["fmax"])
+            ref = dinkelbach_solve(ThresholdConfig(a, a, math.inf), RateConstraint(fmax))
+            assert float(row["mse_opt"]) == pytest.approx(ref.theta_star, rel=1e-12, abs=0)
+            assert float(row["l1_opt"]) == pytest.approx(ref.lengths.l1, rel=1e-12, abs=0)
+            assert float(row["l2_opt"]) == pytest.approx(ref.lengths.l2, rel=1e-12, abs=0)
+            assert row["capped"] == str(ref.capped).lower()
+
+    def test_large_thresholds(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid", "0:40:0.5", "--fmax", "inf,0.5", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 162 and all(math.isfinite(float(r["mse_opt"])) for r in rows)
+        # l2 capped at a = 0, l1 capped once a >= 9.6
+        assert all((r["capped"] == "true") == (float(r["a"]) == 0.0 or float(r["a"]) >= 9.6)
+                   for r in rows)
 
     def test_simulate_runs_each_distinct_run_once(self, tmp_path, monkeypatch):
         # the uniform and ideal runs depend on a alone, and integer_oracle's

@@ -1,8 +1,11 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from wiener_coding import (
@@ -20,7 +23,13 @@ from wiener_coding import (
     scheme_constants,
 )
 from wiener_coding import LENGTH_CAP, code_optimizer
-from wiener_coding.code_optimizer import QpSolution, build_qp, solve_qp, threshold_grid
+from wiener_coding.code_optimizer import (
+    QpSolution,
+    _scan_start,
+    build_qp,
+    solve_qp,
+    threshold_grid,
+)
 
 MU = math.inf
 UNC = RateConstraint(math.inf)
@@ -389,6 +398,167 @@ class TestOptimizeThreshold:
     def test_all_infeasible(self):
         with pytest.raises(InfeasibleError):
             optimize_threshold(RateConstraint(1e-4), a_grid=(0.5, 1.0, 0.25))
+
+
+def _same_solve(res, ref, where):
+    """A warm and a cold Dinkelbach solve agree to rounding."""
+    assert res.theta_star == pytest.approx(ref.theta_star, rel=1e-12, abs=0), where
+    assert res.lengths.l1 == pytest.approx(ref.lengths.l1, rel=1e-12, abs=0), where
+    assert res.lengths.l2 == pytest.approx(ref.lengths.l2, rel=1e-12, abs=0), where
+    assert (res.active, res.capped) == (ref.active, ref.capped), where
+
+
+FMAXES = (math.inf, 1.0, 0.5, 0.35, 0.3, 0.2)
+
+
+class TestContinuation:
+    @given(a=st.floats(0.0, 3.0), near=st.floats(0.0, 3.0), fmax=st.sampled_from(FMAXES),
+           near_fmax=st.sampled_from(FMAXES))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @example(a=0.05, near=0.0, fmax=math.inf, near_fmax=math.inf)  # from a capped l2
+    @example(a=1.0, near=0.0, fmax=0.2, near_fmax=0.2)  # capped start, both floors at a
+    @example(a=0.5, near=1.5, fmax=0.3, near_fmax=0.3)  # rate at a, Kraft at the start
+    @example(a=1.5, near=0.5, fmax=0.3, near_fmax=0.3)  # Kraft at a, rate at the start
+    @example(a=1.0, near=1.0, fmax=0.2, near_fmax=math.inf)  # both at a, a free start
+    def test_warm_start_keeps_the_answer(self, a, near, fmax, near_fmax):
+        rc = RateConstraint(fmax)
+        start = dinkelbach_solve(sym_cfg(near), RateConstraint(near_fmax)).solution
+        ref = dinkelbach_solve(sym_cfg(a), rc)
+        _same_solve(dinkelbach_solve(sym_cfg(a), rc, start), ref, (a, near, fmax, near_fmax))
+
+    def test_examples_switch_constraints(self):
+        # the examples above start across a rate <-> Kraft switch, and below
+        # the rate floor
+        rc = RateConstraint(0.3)
+        rate, kraft = dinkelbach_solve(sym_cfg(0.5), rc), dinkelbach_solve(sym_cfg(1.5), rc)
+        assert (rate.active, kraft.active) == (("rate",), ("kraft",))
+        inst = build_qp(sym_cfg(0.5), 0.0, rc)
+        assert inst.rate_slack(kraft.lengths.l1, kraft.lengths.l2) < 0
+        assert dinkelbach_solve(sym_cfg(1.0), RateConstraint(0.2)).active == ("kraft", "rate")
+
+    @pytest.mark.parametrize("a,near,fmax", [(1.0, 1.03, math.inf), (1.2, 1.25, 0.3),
+                                             (0.5, 0.0, 0.5)])
+    def test_failed_warm_start_falls_back_to_cold(self, monkeypatch, a, near, fmax):
+        rc = RateConstraint(fmax)
+        start = dinkelbach_solve(sym_cfg(near), rc).solution
+        theta = dinkelbach_solve(sym_cfg(a), rc).theta_star
+        inst = build_qp(sym_cfg(a), theta, rc)
+        cold = solve_qp(inst)
+        solve, calls = np.linalg.solve, []
+
+        def failing_once(jac, rhs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("singular")
+            return solve(jac, rhs)
+
+        monkeypatch.setattr(code_optimizer.np.linalg, "solve", failing_once)
+        warm = solve_qp(replace(inst, start=start))
+        assert len(calls) > 1
+        assert (warm.l1, warm.l2, warm.active) == (cold.l1, cold.l2, cold.active)
+        calls.clear()
+        _same_solve(dinkelbach_solve(sym_cfg(a), rc, start), dinkelbach_solve(sym_cfg(a), rc), a)
+
+    def test_warm_start_reaches_a_kkt_point(self):
+        # a start on the caps with every constraint held active leaves them
+        rc = RateConstraint(0.5)
+        theta = dinkelbach_solve(sym_cfg(1.0), rc).theta_star
+        inst = build_qp(sym_cfg(1.0), theta, rc)
+        start = QpSolution(64.0, 64.0, 1.0, 1.0, 0.0, capped=True, active=(0, 1, 2, 3))
+        warm, cold = solve_qp(replace(inst, start=start)), solve_qp(inst)
+        assert warm.l1 == pytest.approx(cold.l1, rel=1e-12)
+        assert warm.l2 == pytest.approx(cold.l2, rel=1e-12)
+        assert (warm.active, warm.capped) == (cold.active, cold.capped)
+
+    @pytest.mark.parametrize("fmax", FMAXES)
+    def test_scan_matches_cold_solves_on_cli_grid(self, monkeypatch, fmax):
+        # every grid point and golden-section probe of the CLI's default scan
+        solve, seen = code_optimizer.dinkelbach_solve, []
+
+        def recording(cfg, rc, start=None):
+            res = solve(cfg, rc, start)
+            seen.append((cfg, rc, start, res))
+            return res
+
+        monkeypatch.setattr(code_optimizer, "dinkelbach_solve", recording)
+        opt = optimize_threshold(RateConstraint(fmax), (0.0, 3.0, 0.01))
+        assert len(seen) >= 301 + 15
+        assert sum(start is None for *_, start, _ in seen) == 1  # a = 0 alone is cold
+        for cfg, rc, start, res in seen:
+            _same_solve(res, solve(cfg, rc), (cfg.a, fmax))
+        t_min = min(res.theta_star for *_, res in seen)
+        assert opt.a_star == min(cfg.a for cfg, *_, res in seen if res.theta_star <= t_min + 1e-9)
+
+    def test_scan_start_extrapolates_within_one_active_set(self):
+        rc = RateConstraint(math.inf)
+        path = [(a, dinkelbach_solve(sym_cfg(a), rc)) for a in (0.0, 0.5, 0.6)]
+        sol = _scan_start(0.7, path)
+        assert sol.l1 == pytest.approx(2 * path[2][1].lengths.l1 - path[1][1].lengths.l1)
+        assert sol.active == path[2][1].solution.active
+        # from a capped point the last solution is used as it is
+        assert _scan_start(0.6, path[:2]) is path[1][1].solution
+        assert _scan_start(0.5, path[:1]) is path[0][1].solution
+        assert _scan_start(0.0, []) is None
+
+    def test_fewer_qp_solves(self, monkeypatch):
+        solve, count = code_optimizer.solve_qp, []
+        monkeypatch.setattr(code_optimizer, "solve_qp", lambda inst: count.append(0) or solve(inst))
+        dinkelbach_solve(sym_cfg(1.0), UNC)
+        cold = len(count)
+        path = [(a, dinkelbach_solve(sym_cfg(a), UNC)) for a in (0.94, 0.97)]
+        count.clear()
+        dinkelbach_solve(sym_cfg(1.0), UNC, _scan_start(1.0, path))
+        assert len(count) < cold and len(count) <= 2
+
+
+class TestLargeThresholds:
+    # past a = 6.6 the tail probability p1 falls below 1e-11: l1 runs from 30
+    # to the cap, and p1 leaves the objective
+    POINTS = [(i * 0.05, fmax) for fmax in (math.inf, 1.0, 0.5, 0.2) for i in range(801)]
+
+    def test_every_threshold_solves(self, monkeypatch):
+        new = {}
+        for a, fmax in self.POINTS:
+            try:
+                new[a, fmax] = dinkelbach_solve(sym_cfg(a), RateConstraint(fmax))
+            except InfeasibleError:
+                pass
+        assert len(new) == len(self.POINTS)
+        assert all(new[a, f].capped == (a == 0.0 or a >= 9.6) for a, f in new)
+        # the KKT enumeration applies while p1 is a normal float (a < 37.75)
+        monkeypatch.setattr(code_optimizer, "solve_qp", oracles.kkt_solve_qp)
+        compared = 0
+        for (a, fmax), res in new.items():
+            if scheme_constants(sym_cfg(a)).probs.p1 < sys.float_info.min:
+                continue
+            ref = dinkelbach_solve(sym_cfg(a), RateConstraint(fmax))
+            assert res.theta_star == pytest.approx(ref.theta_star, rel=1e-12), (a, fmax)
+            assert abs(res.lengths.l1 - ref.lengths.l1) <= 1e-8, (a, fmax)
+            assert abs(res.lengths.l2 - ref.lengths.l2) <= 1e-8, (a, fmax)
+            assert (res.capped, res.active) == (ref.capped, ref.active), (a, fmax)
+            compared += 1
+        assert compared >= 4 * 750
+
+    @pytest.mark.parametrize("fmax", [math.inf, 0.5])
+    def test_scan_through_large_thresholds(self, fmax):
+        near = optimize_threshold(RateConstraint(fmax), (0.0, 6.5, 0.1))
+        far = optimize_threshold(RateConstraint(fmax), (0.0, 40.0, 0.1))
+        assert far.a_star == near.a_star and far.theta_star == near.theta_star
+
+
+class TestTinyThresholds:
+    @pytest.mark.parametrize("fmax", [math.inf, 1.0, 0.99, 1.01, 0.5])
+    def test_tiny_thresholds_solve(self, monkeypatch, fmax):
+        # p2 = O(a) leaves the band length l2 near 40 at a = 1e-14, and at
+        # f_max = 1 the rate floor meets the Kraft floor's E[L] = 1 there;
+        # the enumeration's Kraft scan misses so long an l2, so it is only
+        # a bound: no solve may end above it
+        points = np.logspace(-14, -2, 25)
+        new = [dinkelbach_solve(sym_cfg(a), RateConstraint(fmax)) for a in points]
+        monkeypatch.setattr(code_optimizer, "solve_qp", oracles.kkt_solve_qp)
+        for a, res in zip(points, new):
+            ref = dinkelbach_solve(sym_cfg(a), RateConstraint(fmax))
+            assert res.theta_star <= ref.theta_star * (1.0 + 1e-12), a
 
 
 class TestIntegerOracle:
